@@ -63,6 +63,10 @@ class RunConfig:
             raise UsageError("unsupported q values %r (supported: %r)" % (bad, SUPPORTED_Q))
         if self.format not in ("json", "csv"):
             raise UsageError("format must be json or csv")
+        if self.feasibility_limit < 0:
+            raise UsageError("--limit must be >= 0")
+        if self.k is not None and not 0 <= self.k <= self.n_min:
+            raise UsageError("k=%d out of range 0..%d" % (self.k, self.n_min))
 
 
 def _parse_range(text: str):
@@ -152,8 +156,6 @@ def _gen_lemma1(cfg: RunConfig):
     for n in range(cfg.n_min, cfg.n_max + 1):
         ks = [cfg.k] if cfg.k is not None else list(range(n + 1))
         for k in ks:
-            if not 0 <= k <= n:
-                raise UsageError("k=%d out of range 0..%d" % (k, n))
             t0 = time.perf_counter()
             lhs, rhs = engine.inner_sum_sides(n, k)
             rep = engine.VerificationReport(

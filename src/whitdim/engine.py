@@ -10,7 +10,9 @@ evaluated exactly by accumulating every term over the fixed common
 denominator (q;q)_n^5 (the inner double sums use (q;q)_n^4): stepping from
 one lattice point to a neighbour multiplies and divides the running term by a
 handful of sparse (1 - q^j) factors, so no per-term polynomial products are
-ever rebuilt from scratch.  Each division asserts exactness.
+ever rebuilt from scratch.  Each division asserts exactness.  The walkers add
+their terms into a PolyAccumulator in place; the from-scratch cross-checks
+sum with plain LaurentPoly +/-, so they share no summation code with them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import lru_cache
 from math import comb
 from typing import Optional
 
-from .laurent import LaurentPoly, poly_exact_div, q_power_minus_one_range
+from .laurent import LaurentPoly, PolyAccumulator, poly_exact_div, q_power_minus_one_range
 from .qseries import euler_series, poch_power, qbinom_series, qq, series_coeff
 from .rational import RationalFunctionQ
 
@@ -115,7 +117,7 @@ def _triple_sum_numerator(n: int, qq_n_power: int, parity_base: int) -> LaurentP
     arithmetic makes the order irrelevant to the value, the fixed order makes
     runs reproducible.
     """
-    acc = LaurentPoly.zero()
+    acc = PolyAccumulator()
     u_k = qq(3 * n - 1)
     for _ in range(qq_n_power + 3):
         u_k = _times_qq_range(u_k, 1, n)
@@ -144,9 +146,8 @@ def _triple_sum_numerator(n: int, qq_n_power: int, parity_base: int) -> LaurentP
                         .div_one_minus_q(3 * n - k - m - ell)
                     )
                 e = k * n + (n - k) * m + comb(k, 2) + comb(m, 2) + comb(ell, 2)
-                term = u.shifted(e)
-                acc = acc - term if (parity_base + k + m + ell) % 2 else acc + term
-    return acc
+                acc.add_shifted(u, e, (parity_base + k + m + ell) % 2)
+    return acc.value()
 
 
 def dimension_sum(n: int) -> RationalFunctionQ:
@@ -181,7 +182,7 @@ def compact_sides(n: int):
 
 def _inner_sum_numerator(n: int, k: int) -> LaurentPoly:
     """Numerator over (q;q)_n^4 of the inner (m,l) double sum at fixed k."""
-    acc = LaurentPoly.zero()
+    acc = PolyAccumulator()
     u_m = qq(2 * n + k - 1)
     for _ in range(3):
         u_m = _times_qq_range(u_m, 1, n)
@@ -203,9 +204,8 @@ def _inner_sum_numerator(n: int, k: int) -> LaurentPoly:
                     .div_one_minus_q(2 * n + k - m - ell)
                 )
             e = m * k + comb(m, 2) + comb(ell, 2)
-            term = u.shifted(e)
-            acc = acc - term if (m + ell) % 2 else acc + term
-    return acc
+            acc.add_shifted(u, e, (m + ell) % 2)
+    return acc.value()
 
 
 def inner_sum_rhs_poly(n: int, k: int) -> LaurentPoly:
@@ -458,7 +458,8 @@ def _grouped_sum_numerator(n: int) -> LaurentPoly:
     """Numerator over (q;q)_n^5 of the grouped sum, built per term from caches.
 
     Deliberately not the incremental walker: each term's Pochhammer quotient
-    is assembled from scratch, so this value cross-checks the walker output.
+    is assembled from scratch and summed with plain +/-, so this value
+    cross-checks the walker output.
     """
     acc = LaurentPoly.zero()
     for k in range(n + 1):

@@ -3,14 +3,22 @@
 A LaurentPoly stores a dense coefficient window: ``coeffs[i]`` is the integer
 coefficient of ``q**(min_exp + i)``.  Leading and trailing zeros are stripped,
 so the zero polynomial is the unique empty representation with ``min_exp = 0``.
+Coefficients must be ints; the public constructor raises TypeError otherwise.
 Values are immutable; every operation returns a new object, which makes them
-safe to share freely between threads.
+safe to share freely between threads.  The one mutable helper is
+PolyAccumulator, a running sum that adds shifted polynomials in place.
+
+The hot kernels (sums, products, the sparse (1 - q^j) multiply and exact
+divide, the division row update) run as C-level ``map``/``accumulate``
+passes over coefficient slices rather than Python loops over coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd
+from operator import add, mul, neg, sub
 
 
 class StructuralProductError(ValueError):
@@ -22,20 +30,23 @@ class LaurentPoly:
 
     def __init__(self, min_exp: int = 0, coeffs=()):
         coeffs = list(coeffs)
-        lo, hi = 0, len(coeffs)
-        while hi > lo and coeffs[hi - 1] == 0:
-            hi -= 1
-        while lo < hi and coeffs[lo] == 0:
-            lo += 1
-        if lo == hi:
-            object.__setattr__(self, "min_exp", 0)
-            object.__setattr__(self, "coeffs", ())
-        else:
-            object.__setattr__(self, "min_exp", min_exp + lo)
-            object.__setattr__(self, "coeffs", tuple(coeffs[lo:hi]))
+        for t in set(map(type, coeffs)):
+            if not issubclass(t, int):
+                raise TypeError("LaurentPoly coefficients must be ints, got %s" % t.__name__)
+        min_exp, coeffs = _trimmed(min_exp, coeffs)
+        object.__setattr__(self, "min_exp", min_exp)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    @staticmethod
+    def _raw(min_exp: int, coeffs: tuple) -> "LaurentPoly":
+        """Wrap an int tuple whose first and last entries are already nonzero."""
+        out = object.__new__(LaurentPoly)
+        object.__setattr__(out, "min_exp", min_exp)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -104,28 +115,23 @@ class LaurentPoly:
             return other
         if not other.coeffs:
             return self
-        lo = min(self.min_exp, other.min_exp)
-        hi = max(self.min_exp + len(self.coeffs), other.min_exp + len(other.coeffs))
-        out = [0] * (hi - lo)
-        base = self.min_exp - lo
-        for i, c in enumerate(self.coeffs):
-            out[base + i] = c
-        base = other.min_exp - lo
-        for i, c in enumerate(other.coeffs):
-            out[base + i] += c
-        return LaurentPoly(lo, out)
+        return _combine(self, other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.min_exp, [-c for c in self.coeffs])
+        return LaurentPoly._raw(self.min_exp, tuple(list(map(neg, self.coeffs))))
 
     def __sub__(self, other):
         if isinstance(other, int):
             other = LaurentPoly.from_int(other)
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return -other
+        return _combine(self, other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -134,7 +140,10 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return _ZERO
-            return LaurentPoly(self.min_exp, [c * other for c in self.coeffs])
+            cs = self.coeffs
+            return LaurentPoly._raw(
+                self.min_exp, tuple(list(map(mul, cs, repeat(other, len(cs)))))
+            )
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
@@ -142,12 +151,13 @@ class LaurentPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
+        la = len(a)
+        out = [0] * (la + len(b) - 1)
         for j, cb in enumerate(b):
             if cb:
-                for i, ca in enumerate(a):
-                    out[i + j] += ca * cb
-        return LaurentPoly(self.min_exp + other.min_exp, out)
+                out[j : j + la] = map(add, out[j : j + la], map(mul, a, repeat(cb, la)))
+        # over the integers the product of nonzero end coefficients is nonzero
+        return LaurentPoly._raw(self.min_exp + other.min_exp, tuple(out))
 
     __rmul__ = __mul__
 
@@ -167,7 +177,7 @@ class LaurentPoly:
         """Multiply by q**exp."""
         if not self.coeffs or exp == 0:
             return self
-        return LaurentPoly(self.min_exp + exp, self.coeffs)
+        return LaurentPoly._raw(self.min_exp + exp, self.coeffs)
 
     # -- sparse binomial kernels --------------------------------------------
     # These two are the inner loop of every q-Pochhammer product; they run in
@@ -180,13 +190,17 @@ class LaurentPoly:
         if not self.coeffs:
             return _ZERO
         f = self.coeffs
-        out = list(f) + [0] * j
-        for i, c in enumerate(f):
-            out[i + j] -= c
-        return LaurentPoly(self.min_exp, out)
+        pad = (0,) * j
+        # the ends are f[0] and -f[-1], both nonzero
+        return LaurentPoly._raw(self.min_exp, tuple(list(map(sub, f + pad, pad + f))))
 
     def div_one_minus_q(self, j: int) -> "LaurentPoly":
-        """Exact division by (1 - q**j); raises if the division is not exact."""
+        """Exact division by (1 - q**j); raises if the division is not exact.
+
+        The quotient g satisfies g[t] = f[t] + g[t - j], a running sum along
+        each residue class mod j.  The division is exact iff the last j running
+        sums, one per class, are all zero.
+        """
         if j < 1:
             raise ValueError("exponent must be >= 1")
         if not self.coeffs:
@@ -195,15 +209,14 @@ class LaurentPoly:
         n = len(f)
         if n <= j:
             raise ValueError("inexact division by 1 - q^%d" % j)
-        out = [0] * (n - j)
-        for t in range(n - j):
-            prev = out[t - j] if t >= j else 0
-            out[t] = f[t] + prev
-        for t in range(n - j, n):
-            prev = out[t - j] if t >= j else 0
-            if f[t] + prev != 0:
-                raise ValueError("inexact division by 1 - q^%d" % j)
-        return LaurentPoly(self.min_exp, out)
+        out = [0] * n
+        for r in range(j):
+            out[r::j] = accumulate(f[r::j])
+        if any(out[n - j :]):
+            raise ValueError("inexact division by 1 - q^%d" % j)
+        del out[n - j :]
+        # exact: the ends are f[0] and -f[-1], both nonzero
+        return LaurentPoly._raw(self.min_exp, tuple(out))
 
     def times_binomial(self, exp: int, c: int) -> "LaurentPoly":
         """self * (1 + c*q**exp) for any integer exp (including <= 0)."""
@@ -216,7 +229,7 @@ class LaurentPoly:
         keep = max_degree - self.min_exp + 1
         if keep <= 0:
             return _ZERO
-        return LaurentPoly(self.min_exp, self.coeffs[:keep])
+        return _poly(self.min_exp, self.coeffs[:keep])
 
     # -- evaluation & comparison --------------------------------------------
 
@@ -275,12 +288,77 @@ class LaurentPoly:
         return " ".join(parts)
 
 
-_ZERO = object.__new__(LaurentPoly)
-object.__setattr__(_ZERO, "min_exp", 0)
-object.__setattr__(_ZERO, "coeffs", ())
-_ONE = object.__new__(LaurentPoly)
-object.__setattr__(_ONE, "min_exp", 0)
-object.__setattr__(_ONE, "coeffs", (1,))
+_ZERO = LaurentPoly._raw(0, ())
+_ONE = LaurentPoly._raw(0, (1,))
+
+
+def _trimmed(min_exp: int, cs: list):
+    """(min_exp, coefficient tuple) of an int list with its zero ends stripped."""
+    lo, hi = 0, len(cs)
+    while hi > lo and cs[hi - 1] == 0:
+        hi -= 1
+    while lo < hi and cs[lo] == 0:
+        lo += 1
+    if lo == hi:
+        return 0, ()
+    if lo == 0 and hi == len(cs):
+        return min_exp, tuple(cs)
+    return min_exp + lo, tuple(cs[lo:hi])
+
+
+def _poly(min_exp: int, cs) -> LaurentPoly:
+    """Unchecked constructor for int coefficients whose ends may be zero."""
+    return LaurentPoly._raw(*_trimmed(min_exp, cs))
+
+
+def _combine(a: LaurentPoly, b: LaurentPoly, op) -> LaurentPoly:
+    """a op b for op in (add, sub), both nonzero: one map over b's window."""
+    fa, fb = a.coeffs, b.coeffs
+    lo = min(a.min_exp, b.min_exp)
+    hi = max(a.min_exp + len(fa), b.min_exp + len(fb))
+    out = [0] * (hi - lo)
+    i = a.min_exp - lo
+    out[i : i + len(fa)] = fa
+    i = b.min_exp - lo
+    out[i : i + len(fb)] = map(op, out[i : i + len(fb)], fb)
+    return _poly(lo, out)
+
+
+class PolyAccumulator:
+    """A running sum of shifted Laurent polynomials, updated in place.
+
+    ``add_shifted(p, e, negate)`` adds (or subtracts) q**e * p with one slice
+    map over p's window, instead of copying the whole sum as ``acc + term``
+    would.  ``value()`` returns the sum so far as a LaurentPoly.
+    """
+
+    __slots__ = ("min_exp", "coeffs")
+
+    def __init__(self):
+        self.min_exp = 0
+        self.coeffs = []
+
+    def add_shifted(self, poly: LaurentPoly, e: int, negate=False) -> None:
+        f = poly.coeffs
+        if not f:
+            return
+        start = poly.min_exp + e
+        cs = self.coeffs
+        if not cs:
+            self.min_exp = start
+            cs.extend(map(neg, f) if negate else f)
+            return
+        if start < self.min_exp:
+            cs[:0] = repeat(0, self.min_exp - start)
+            self.min_exp = start
+        i = start - self.min_exp
+        end = i + len(f)
+        if end > len(cs):
+            cs.extend(repeat(0, end - len(cs)))
+        cs[i:end] = map(sub if negate else add, cs[i:end], f)
+
+    def value(self) -> LaurentPoly:
+        return _poly(self.min_exp, self.coeffs)
 
 
 def one_minus_q_power_range(lo: int, hi: int) -> LaurentPoly:
@@ -327,16 +405,16 @@ def _poly_divmod(num: LaurentPoly, den: LaurentPoly):
     integral = lead in (1, -1)
     if not integral:
         a = [Fraction(c) for c in a]
-    quo = [0] * (len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        top = a[i + len(b) - 1]
+    lb = len(b)
+    quo = [0] * (len(a) - lb + 1)
+    for i in range(len(a) - lb, -1, -1):
+        top = a[i + lb - 1]
         if not top:
             continue
         c = top // lead if integral else top / lead
         quo[i] = c
-        for j, bc in enumerate(b):
-            a[i + j] -= c * bc
-    return quo, a[: len(b) - 1]
+        a[i : i + lb] = map(sub, a[i : i + lb], map(mul, b, repeat(c, lb)))
+    return quo, a[: lb - 1]
 
 
 def poly_exact_div(num: LaurentPoly, den: LaurentPoly):
@@ -348,14 +426,16 @@ def poly_exact_div(num: LaurentPoly, den: LaurentPoly):
     shift = num.min_exp - den.min_exp
     if shift < 0:
         return None
-    a = LaurentPoly(0, num.coeffs)
-    b = LaurentPoly(0, den.coeffs)
-    quo, rem = _poly_divmod(a, b)
+    quo, rem = _poly_divmod(LaurentPoly._raw(0, num.coeffs), LaurentPoly._raw(0, den.coeffs))
     if any(rem):
         return None
-    if any(isinstance(c, Fraction) and c.denominator != 1 for c in quo):
-        return None
-    return LaurentPoly(shift, [int(c) for c in quo])
+    # a unit lead keeps the quotient integral; otherwise it holds Fractions
+    if den.leading_coeff not in (1, -1):
+        if any(c.denominator != 1 for c in quo):
+            return None
+        quo = [int(c) for c in quo]
+    # exact: both windows start and end nonzero, so the quotient's ends are too
+    return LaurentPoly._raw(shift, tuple(quo))
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -384,7 +464,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     f = _primitive(f)
     if f[-1] < 0:
         f = [-c for c in f]
-    return LaurentPoly(shift, f)
+    return _poly(shift, f)
 
 
 def _strip(cs):
@@ -431,4 +511,4 @@ def _positive_primitive(p: LaurentPoly) -> LaurentPoly:
     cs = [x // c for x in p.coeffs]
     if cs[-1] < 0:
         cs = [-x for x in cs]
-    return LaurentPoly(p.min_exp, cs)
+    return _poly(p.min_exp, cs)

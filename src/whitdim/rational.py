@@ -163,10 +163,9 @@ class RationalFunctionQ:
 
     @staticmethod
     def from_json_dict(d: dict) -> "RationalFunctionQ":
-        out = object.__new__(RationalFunctionQ)
-        object.__setattr__(out, "num", LaurentPoly.from_json_dict(d["num"]))
-        object.__setattr__(out, "den", LaurentPoly.from_json_dict(d["den"]))
-        return out
+        return RationalFunctionQ(
+            LaurentPoly.from_json_dict(d["num"]), LaurentPoly.from_json_dict(d["den"])
+        )
 
     def __repr__(self):
         return "RationalFunctionQ(%r, %r)" % (self.num, self.den)

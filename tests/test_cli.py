@@ -100,6 +100,17 @@ class TestUsage:
     def test_bad_q(self):
         assert main(["brute", "--n", "1", "--q", "6"]) == EXIT_USAGE
 
+    def test_k_out_of_range(self, capsys):
+        assert main(["lemma1", "--n", "3", "--k", "5"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        # k must fit the smallest n of the range
+        assert main(["lemma1", "--n", "2..4", "--k", "3"]) == EXIT_USAGE
+        assert main(["lemma1", "--n", "3", "--k", "-1"]) == EXIT_USAGE
+
+    def test_negative_limit(self, capsys):
+        assert main(["brute", "--n", "1", "--limit", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

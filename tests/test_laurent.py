@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from whitdim.laurent import (
     LaurentPoly,
+    PolyAccumulator,
     StructuralProductError,
     one_minus_q_power_range,
     poly_exact_div,
@@ -128,3 +129,130 @@ def test_eval_is_a_homomorphism(a, x):
         return  # pole of the Laurent part
     assert (a * b).eval_at(x) == a.eval_at(x) * b.eval_at(x)
     assert (a + b).eval_at(x) == a.eval_at(x) + b.eval_at(x)
+
+
+# -- the slice-map kernels against schoolbook references ----------------------
+
+BIG = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
+
+
+def big_laurents(size=8):
+    return st.builds(LaurentPoly, st.integers(-6, 6), st.lists(BIG, max_size=size))
+
+
+def terms(p):
+    """{exponent: coefficient} of the nonzero terms."""
+    return {p.min_exp + i: c for i, c in enumerate(p.coeffs) if c}
+
+
+def ref_sum(*signed):
+    """Schoolbook sum of (sign, poly) pairs, as a term dict."""
+    out = {}
+    for sign, p in signed:
+        for e, c in terms(p).items():
+            out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for i, x in terms(a).items():
+        for j, y in terms(b).items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {e: c for e, c in out.items() if c}
+
+
+def assert_normalized(p):
+    assert all(type(c) is int for c in p.coeffs)
+    if p.coeffs:
+        assert p.coeffs[0] and p.coeffs[-1]
+    else:
+        assert p.min_exp == 0
+
+
+@settings(max_examples=150)
+@given(big_laurents(), big_laurents())
+def test_add_sub_match_schoolbook(a, b):
+    for got, want in ((a + b, ref_sum((1, a), (1, b))), (a - b, ref_sum((1, a), (-1, b)))):
+        assert_normalized(got)
+        assert terms(got) == want
+    assert_normalized(a - a)
+    assert (a - a).is_zero
+
+
+@settings(max_examples=150)
+@given(big_laurents(), big_laurents(), BIG)
+def test_mul_matches_schoolbook(a, b, c):
+    for got, want in ((a * b, ref_mul(a, b)), (a * c, ref_mul(a, LaurentPoly.from_int(c)))):
+        assert_normalized(got)
+        assert terms(got) == want
+
+
+@settings(max_examples=150)
+@given(big_laurents(), st.integers(1, 9))
+def test_one_minus_q_kernels_match_schoolbook(a, j):
+    prod = a.times_one_minus_q(j)
+    assert_normalized(prod)
+    assert terms(prod) == ref_sum((1, a), (-1, a.shifted(j)))
+    if not a.is_zero:
+        quo = prod.div_one_minus_q(j)
+        assert_normalized(quo)
+        assert quo == a
+
+
+@settings(max_examples=150)
+@given(big_laurents().filter(bool), st.integers(1, 9), st.data())
+def test_div_one_minus_q_rejects_inexact(a, j, data):
+    exact = a.times_one_minus_q(j)
+    # doubling the top coefficient leaves every running sum but the last of
+    # the j tail sums at zero
+    top_only = exact + LaurentPoly.monomial(exact.degree, exact.leading_coeff)
+    with pytest.raises(ValueError, match="inexact"):
+        top_only.div_one_minus_q(j)
+    # exact + c*q^e is divisible iff c*q^e is, and no nonzero monomial is
+    e = data.draw(st.integers(exact.min_exp - 2, exact.degree + 2))
+    bumped = exact + LaurentPoly.monomial(e, data.draw(BIG.filter(bool)))
+    with pytest.raises(ValueError, match="inexact"):
+        bumped.div_one_minus_q(j)
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(
+        st.tuples(big_laurents(), st.integers(-12, 12), st.booleans()), max_size=8
+    )
+)
+def test_accumulator_matches_repeated_add_sub(steps):
+    acc = PolyAccumulator()
+    total = LaurentPoly.zero()
+    for p, e, negate in steps:
+        acc.add_shifted(p, e, negate)
+        total = total - p.shifted(e) if negate else total + p.shifted(e)
+        assert acc.value() == total
+    assert_normalized(acc.value())
+
+
+@settings(max_examples=100)
+@given(
+    st.builds(LaurentPoly, st.integers(0, 3), st.lists(BIG, max_size=6)),
+    st.builds(LaurentPoly, st.integers(0, 3), st.lists(st.integers(-4, 4), max_size=4)),
+)
+def test_exact_div_inverts_mul(a, b):
+    if b.is_zero:
+        return
+    quo = poly_exact_div(a * b, b)
+    assert quo == a
+    assert_normalized(quo)
+
+
+class TestCoefficientTypes:
+    def test_float_and_fraction_rejected(self):
+        with pytest.raises(TypeError):
+            LaurentPoly(0, [0.5, 1])
+        with pytest.raises(TypeError):
+            LaurentPoly.monomial(2, Fraction(1, 2))
+        with pytest.raises(TypeError):
+            LaurentPoly(0, [1, 2.0])
+
+    def test_int_subclasses_accepted(self):
+        assert LaurentPoly(0, [True, 2]) == ONE + Q(1, 2)
