@@ -1,10 +1,14 @@
-"""Pure-Python counting kernels; reference implementation of the compiled core.
+"""Pure-Python counting kernels, the fallback for the compiled core.
 
-All three kernels share the flat-bytes table signature of the Cython module
-so the backends are interchangeable.  Enumeration is exhaustive and visits
-matrices in lexicographic entry order (the triple kernel is Z-major, then X,
-then Y); counts do not depend on the order, which the tests confirm against
-the compiled backend.
+All three kernels share the flat-bytes table signature of the Cython module,
+so the backends are interchangeable, and they return the same counts, which
+the tests confirm against the compiled backend when it is built.  Every matrix
+is enumerated and every rank comes from exact Gaussian elimination.  The two
+single-matrix kernels visit matrices in lexicographic entry order.  The triple
+kernel is memoised instead of mirroring the compiled loop line by line: it
+ranks each distinct n x 2n block once and tallies the triples that share a
+block in C-level passes over bytes (see count_triples_by_rank_bucket).  The
+tests also check it against a from-scratch rank of every 2n x 2n matrix.
 """
 
 from __future__ import annotations
@@ -70,14 +74,29 @@ def count_by_rank_trace(q, add_flat, sub_flat, mul_flat, inv_flat, size):
     return counts
 
 
+def _index(rows, q):
+    """Position of a matrix in the lexicographic enumeration of its entries."""
+    idx = 0
+    for row in rows:
+        for v in row:
+            idx = idx * q + v
+    return idx
+
+
 def count_triples_by_rank_bucket(q, add_flat, sub_flat, mul_flat, inv_flat, n):
     """counts[rank][gamma] over all triples (X, Y, Z) of n x n matrices.
 
     rank is of the 2n x 2n block matrix [[X, Y], [0, Z]] (the nonzero corner
-    of u - I), gamma = tr X + tr Z.  The Z rows are put in reduced echelon
-    form once per Z; the rank of each triple is rank(Z) plus the rank of
-    [X | Y'] with Y' reduced by Z's pivot rows, which equals full elimination
-    on the 2n x 2n matrix.
+    of u - I), gamma = tr X + tr Z.  That rank is rank(Z) plus the rank of
+    [X | Y'], where Y' is Y reduced by Z's echelon rows with their pivots
+    normalised to 1, which equals full elimination on the 2n x 2n matrix.
+
+    Every n x 2n block [X | Y'] is ranked once, into bytes rows ranks[x][y'].
+    For each distinct set of normalised echelon rows, every Y is mapped to the
+    index of its Y' and, for each X, the ranks of all q^(n^2) blocks are
+    tallied in one C-level pass over a bytes object.  The tallies, summed by
+    tr X, are then added once per Z with those rows, so every triple is
+    counted exactly once.
     """
     add = _nested(add_flat, q)
     sub = _nested(sub_flat, q)
@@ -92,6 +111,13 @@ def count_triples_by_rank_bucket(q, add_flat, sub_flat, mul_flat, inv_flat, n):
             tr = add[tr][entries[i * n + i]]
         mats.append(([list(entries[i * n : (i + 1) * n]) for i in range(n)], tr))
 
+    ranks = [
+        bytes(_rank([xr + yr for xr, yr in zip(xmat, ymat)], 2 * n, sub, mul, inv)
+              for ymat, _ in mats)
+        for xmat, _ in mats
+    ]
+
+    tallies = {}  # normalised echelon rows of Z -> tally[tr X][rank of [X | Y']]
     for zmat, trz in mats:
         zred = [row[:] for row in zmat]
         zrank = _rank(zred, n, sub, mul, inv)
@@ -102,18 +128,28 @@ def count_triples_by_rank_bucket(q, add_flat, sub_flat, mul_flat, inv_flat, n):
             piv_inv = inv[zred[r][c]]
             zred[r] = [mul[piv_inv][v] for v in zred[r]]
             pivots.append((c, zred[r]))
-        for xmat, trx in mats:
-            gamma = add[trx][trz]
+        key = tuple(tuple(row) for _, row in pivots)
+        tally = tallies.get(key)
+        if tally is None:
+            yred = []
             for ymat, _ in mats:
-                work = [xmat[i] + ymat[i] for i in range(n)]
-                for c, prow in pivots:
-                    for i in range(n):
-                        f0 = work[i][n + c]
+                rows = []
+                for row in ymat:
+                    for c, prow in pivots:
+                        f0 = row[c]
                         if f0:
                             frow = mul[f0]
-                            wrow = work[i]
-                            for j in range(n):
-                                wrow[n + j] = sub[wrow[n + j]][frow[prow[j]]]
-                r2 = _rank(work, 2 * n, sub, mul, inv)
-                counts[zrank + r2][gamma] += 1
+                            row = [sub[a][frow[b]] for a, b in zip(row, prow)]
+                    rows.append(row)
+                yred.append(_index(rows, q))
+            tally = tallies[key] = [[0] * (n + 1) for _ in range(q)]
+            for xranks, (_, trx) in zip(ranks, mats):
+                line = bytes(map(xranks.__getitem__, yred))
+                by_rank = tally[trx]
+                for r2 in range(n + 1):
+                    by_rank[r2] += line.count(r2)
+        for trx, by_rank in enumerate(tally):
+            gamma = add[trx][trz]
+            for r2, c in enumerate(by_rank):
+                counts[zrank + r2][gamma] += c
     return counts

@@ -3,10 +3,13 @@
 Each oracle returns the pair (enumerated, formula) so callers can assert the
 two agree; nothing here assumes the formulas are right.  Enumerations are
 gated by a candidate-count threshold (default 10^9) that a flag can override.
+Each kernel enumeration runs once per (q, shape) in a process; the results are
+kept as immutable tuples and shared by every rank k and trace asked for.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 
 from . import kernels
@@ -39,6 +42,20 @@ def _exact_ratio(num: int, den: int) -> int:
     return quo
 
 
+# Unbounded, but only shapes that passed the feasibility gate get here, and
+# each entry is a handful of integers.
+@lru_cache(maxsize=None)
+def _rank_counts(q: int, s: int, t: int) -> tuple:
+    """Counts of s x t matrices over GF(q) by rank, enumerated once."""
+    return tuple(kernels.count_by_rank(gf(q), s, t))
+
+
+@lru_cache(maxsize=None)
+def _rank_trace_counts(q: int, size: int) -> tuple:
+    """counts[rank][trace] over all size x size matrices over GF(q), enumerated once."""
+    return tuple(map(tuple, kernels.count_by_rank_trace(gf(q), size)))
+
+
 def rect_rank_formula(s: int, t: int, k: int, q: int) -> int:
     """prod_{i=0}^{k-1} (q^s - q^i)(q^t - q^i) / (q^k - q^i): rank-k s x t matrices."""
     if not 0 <= k <= min(s, t):
@@ -54,8 +71,7 @@ def count_rect_by_rank(s: int, t: int, k: int, q: int, limit: int = FEASIBILITY_
     """(enumerated, formula) count of s x t matrices of rank k over GF(q)."""
     formula = rect_rank_formula(s, t, k, q)
     _gate(q ** (s * t), limit)
-    counts = kernels.count_by_rank(gf(q), s, t)
-    return counts[k], formula
+    return _rank_counts(q, s, t)[k], formula
 
 
 def count_square_by_rank_trace(size: int, k: int, alpha: int, q: int,
@@ -66,7 +82,7 @@ def count_square_by_rank_trace(size: int, k: int, alpha: int, q: int,
     if not 0 <= alpha < q:
         raise ValueError("trace must be a field element index")
     _gate(q ** (size * size), limit)
-    return kernels.count_by_rank_trace(gf(q), size)[k][alpha]
+    return _rank_trace_counts(q, size)[k][alpha]
 
 
 def grassmann_formula(n: int, m: int, q: int) -> int:
@@ -117,7 +133,7 @@ def prasad_delta(m: int, k: int, q: int, limit: int = FEASIBILITY_LIMIT):
     if m < 0 or k < 0:
         raise ValueError("m and k must be non-negative")
     _gate(q ** (size * size), limit)
-    counts = kernels.count_by_rank_trace(gf(q), size)[k]
+    counts = _rank_trace_counts(q, size)[k]
     nonzero = {counts[a] for a in range(1, q)}
     if len(nonzero) > 1:
         raise RuntimeError(

@@ -65,6 +65,13 @@ class GFq:
         if self.deg > 1:
             self._verify_axioms()
 
+        self._flat = (
+            bytes(v for row in self.add_table for v in row),
+            bytes(v for row in self.sub_table for v in row),
+            bytes(v for row in self.mul_table for v in row),
+            bytes(self.inv_table),
+        )
+
     def _digits(self, a: int):
         out = []
         for _ in range(self.deg):
@@ -128,14 +135,8 @@ class GFq:
         return self.inv_table[a]
 
     def flat_tables(self):
-        """(add, sub, mul, inv) as flat bytes for the counting kernels."""
-        q = self.q
-        return (
-            bytes(self.add_table[a][b] for a in range(q) for b in range(q)),
-            bytes(self.sub_table[a][b] for a in range(q) for b in range(q)),
-            bytes(self.mul_table[a][b] for a in range(q) for b in range(q)),
-            bytes(self.inv_table),
-        )
+        """(add, sub, mul, inv) as flat bytes for the counting kernels, built once."""
+        return self._flat
 
     def __repr__(self):
         return "GFq(%d)" % self.q

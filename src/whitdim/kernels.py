@@ -1,7 +1,9 @@
 """Backend selection for the exhaustive counting kernels.
 
 The compiled extension is used when it was built; otherwise the pure-Python
-twin takes over with identical semantics.  BACKEND names the active one.
+kernels take over.  Their outputs match the compiled ones; the pure triple
+kernel is memoised (it ranks each distinct block once) rather than a
+line-by-line mirror.  BACKEND names the active one.
 `bench/bench_backends.py` times the two against each other.
 """
 

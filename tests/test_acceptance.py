@@ -98,6 +98,18 @@ def test_criterion_4_dimension_triple_agreement():
     )
 
 
+def test_criterion_4_stretch_size():
+    t0 = time.perf_counter()
+    rep = dimension_report(2, 4)
+    elapsed = time.perf_counter() - t0
+    ok = rep["agree"] and rep["brute"] == rep["middle"] == rep["closed"] == 48
+    _report(
+        4, ok,
+        "brute/middle/closed = %d/%d/%d (want 48) at (2,4) in %.1fs on the %s backend"
+        % (rep["brute"], rep["middle"], rep["closed"], elapsed, BACKEND),
+    )
+
+
 def test_criterion_5_counting_oracles():
     failures = []
     for q in (2, 3):

@@ -1,5 +1,8 @@
+from itertools import product
+
 import pytest
 
+from whitdim import counting, kernels
 from whitdim.counting import (
     FeasibilityError,
     count_rect_by_rank,
@@ -9,8 +12,7 @@ from whitdim.counting import (
     prasad_delta,
     rect_rank_formula,
 )
-from whitdim import kernels
-from whitdim.gfield import gf
+from whitdim.gfield import SUPPORTED_Q, GFMatrix, gf
 
 
 class TestRectRank:
@@ -119,3 +121,67 @@ class TestBackendAgreement:
             selected = kernels.count_triples_by_rank_bucket(f, n)
             pure = _gfkernel_py.count_triples_by_rank_bucket(q, *f.flat_tables(), n)
             assert selected == [[int(x) for x in row] for row in pure]
+
+    def test_pure_triples_match_full_rank_reference(self):
+        from whitdim import _gfkernel_py
+
+        cases = [(q, 1) for q in SUPPORTED_Q] + [(2, 2)]
+        for q, n in cases:
+            f = gf(q)
+            pure = _gfkernel_py.count_triples_by_rank_bucket(q, *f.flat_tables(), n)
+            assert pure == _triples_by_full_rank(f, n), (q, n)
+
+
+def _triples_by_full_rank(field, n):
+    """counts[rank][tr X + tr Z] by ranking every [[X, Y], [0, Z]] from scratch."""
+    q = field.q
+    counts = [[0] * q for _ in range(2 * n + 1)]
+    blocks = [GFMatrix(field, n, n, e).to_rows() for e in product(range(q), repeat=n * n)]
+    for x in blocks:
+        for y in blocks:
+            for z in blocks:
+                rows = [xr + yr for xr, yr in zip(x, y)] + [[0] * n + zr for zr in z]
+                gamma = field.add(GFMatrix.from_rows(field, x).trace(),
+                                  GFMatrix.from_rows(field, z).trace())
+                counts[GFMatrix.from_rows(field, rows).rank()][gamma] += 1
+    return counts
+
+
+class TestMemoisedOracles:
+    def test_each_shape_enumerated_once(self, monkeypatch):
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(field, *dims):
+                calls.append((name, field.q) + dims)
+                return fn(field, *dims)
+            return wrapped
+
+        for name in ("count_by_rank", "count_by_rank_trace"):
+            monkeypatch.setattr(kernels, name, spy(name, getattr(kernels, name)))
+        counting._rank_counts.cache_clear()
+        counting._rank_trace_counts.cache_clear()
+
+        for k in range(3):
+            enum, formula = count_rect_by_rank(2, 3, k, 3)
+            assert enum == formula
+        for k in range(4):
+            delta, formula = prasad_delta(3 - k, k, 2)
+            assert delta == formula
+            for alpha in range(2):
+                count_square_by_rank_trace(3, k, alpha, 2)
+        assert calls == [("count_by_rank", 3, 2, 3), ("count_by_rank_trace", 2, 3)]
+
+    def test_mutating_a_returned_count_cannot_corrupt_a_later_call(self):
+        fresh = kernels.count_by_rank(gf(2), 2, 2)
+        fresh[1] = 0
+        assert kernels.count_by_rank(gf(2), 2, 2) == [1, 9, 6]
+
+        rect = counting._rank_counts(2, 2, 2)
+        trace = counting._rank_trace_counts(2, 2)
+        with pytest.raises(TypeError):
+            rect[1] = 0
+        with pytest.raises(TypeError):
+            trace[1][1] = 0
+        assert count_rect_by_rank(2, 2, 1, 2) == (9, 9)
+        assert count_square_by_rank_trace(2, 1, 1, 2) == 6

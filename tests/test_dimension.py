@@ -13,7 +13,6 @@ from whitdim.dimension import (
     trace_bucket_sums,
 )
 from whitdim.gfield import GFMatrix, gf, random_invertible, random_matrix
-from whitdim.kernels import BACKEND
 
 
 class TestTheta:
@@ -89,13 +88,9 @@ class TestBruteDim:
 @pytest.mark.slow
 class TestStretch:
     def test_2_4(self):
-        if BACKEND != "compiled":
-            pytest.skip("stretch sizes want the compiled kernel")
         assert brute_dim(2, 4) == closed_dim(2, 4) == 48
 
     def test_3_2(self):
-        if BACKEND != "compiled":
-            pytest.skip("stretch sizes want the compiled kernel")
         assert brute_dim(3, 2) == closed_dim(3, 2) == 192
 
 
