@@ -11,8 +11,16 @@ denominator (q;q)_n^5 (the inner double sums use (q;q)_n^4): stepping from
 one lattice point to a neighbour multiplies and divides the running term by a
 handful of sparse (1 - q^j) factors, so no per-term polynomial products are
 ever rebuilt from scratch.  Each division asserts exactness.  The walkers add
-their terms into a PolyAccumulator in place; the from-scratch cross-checks
-sum with plain LaurentPoly +/-, so they share no summation code with them.
+their terms into a PolyAccumulator in place.
+
+The derivation chains compare the walkers with from-scratch oracles
+(_grouped_sum_numerator, _nested_inner_numerator).  These only multiply:
+each term's tail products T_j = prod_{i=j+1..n} (1 - q^i) are applied as
+sparse (1 - q^i) passes onto cached prefixes, the terms are summed per index
+sum s = k + m + l, and each partial sum is multiplied once by its
+(q;q)_{3n-s-1}.  They never divide out a factor, never step between lattice
+points and sum with plain LaurentPoly +/-, so they share no stepping or
+summation code with the walkers they check.
 """
 
 from __future__ import annotations
@@ -455,41 +463,59 @@ def simplification_chain(n: int):
 
 
 def _grouped_sum_numerator(n: int) -> LaurentPoly:
-    """Numerator over (q;q)_n^5 of the grouped sum, built per term from caches.
+    """Numerator over (q;q)_n^5 of the grouped (q;q) triple sum, from scratch.
 
-    Deliberately not the incremental walker: each term's Pochhammer quotient
-    is assembled from scratch and summed with plain +/-, so this value
-    cross-checks the walker output.
+    The (k, m, l) term is (-1)^s q^e (q;q)_{3n-s-1} (q;q)_n T_k T_m T_l
+    T_{n-k-l} T_{n-m-l}, with s = k + m + l and T_j = prod_{i=j+1..n} (1 - q^i).
+    The prefixes (q;q)_n T_k and (q;q)_n T_k T_m are built once each; every
+    term then multiplies in T_l, T_{n-k-l} and T_{n-m-l}.  The sign and the
+    factor (q;q)_{3n-s-1} depend only on s, so they are applied once to the
+    sum of the terms with that s.
+
+    Deliberately not the incremental walker: the quotients are assembled by
+    multiplying (1 - q^i) factors only (never dividing one out), and summed
+    with plain LaurentPoly +/-, so this value cross-checks the walker output.
     """
-    acc = LaurentPoly.zero()
+    by_s = [LaurentPoly.zero()] * (2 * n + 1)
     for k in range(n + 1):
+        head_k = _times_qq_range(qq(n), k + 1, n)
         for m in range(n + 1):
+            head_km = _times_qq_range(head_k, m + 1, n)
+            base_e = n * (k + m) - k * m + comb(k, 2) + comb(m, 2)
             for ell in range(n - max(k, m) + 1):
-                u = qq(3 * n - k - ell - m - 1) * qq(n)
-                u = _times_qq_range(u, k + 1, n)
-                u = _times_qq_range(u, m + 1, n)
-                u = _times_qq_range(u, ell + 1, n)
+                u = _times_qq_range(head_km, ell + 1, n)
                 u = _times_qq_range(u, n - k - ell + 1, n)
                 u = _times_qq_range(u, n - m - ell + 1, n)
-                e = n * (k + m) - k * m + comb(k, 2) + comb(m, 2) + comb(ell, 2)
-                term = u.shifted(e)
-                acc = acc - term if (k + m + ell) % 2 else acc + term
-    return acc
+                by_s[k + m + ell] += u.shifted(base_e + comb(ell, 2))
+    return _close_index_sums(by_s, n, 0)
 
 
 def _nested_inner_numerator(n: int, k: int) -> LaurentPoly:
-    """Numerator over (q;q)_n^4 of the inner (m,l) sum of the k-grouped form."""
-    acc = LaurentPoly.zero()
+    """Numerator over (q;q)_n^4 of the inner (m,l) sum at fixed k, from scratch.
+
+    The (m, l) term is (-1)^(m+l) q^e (q;q)_{3n-s-1} (q;q)_n T_m T_l T_{n-k-l}
+    T_{n-m-l}, with s = k + m + l.  Assembled like _grouped_sum_numerator:
+    (q;q)_n T_m once per m, then T_l, T_{n-k-l}, T_{n-m-l} per term, the sign
+    and (q;q)_{3n-s-1} once per s.  No division, no walker, plain +/-.
+    """
+    by_s = [LaurentPoly.zero()] * (2 * n + 1)
     for m in range(n + 1):
+        head_m = _times_qq_range(qq(n), m + 1, n)
+        base_e = m * (n - k) + comb(m, 2)
         for ell in range(n - max(k, m) + 1):
-            u = qq(3 * n - k - ell - m - 1) * qq(n)
-            u = _times_qq_range(u, m + 1, n)
-            u = _times_qq_range(u, ell + 1, n)
+            u = _times_qq_range(head_m, ell + 1, n)
             u = _times_qq_range(u, n - k - ell + 1, n)
             u = _times_qq_range(u, n - m - ell + 1, n)
-            e = m * (n - k) + comb(m, 2) + comb(ell, 2)
-            term = u.shifted(e)
-            acc = acc - term if (m + ell) % 2 else acc + term
+            by_s[k + m + ell] += u.shifted(base_e + comb(ell, 2))
+    return _close_index_sums(by_s, n, k)
+
+
+def _close_index_sums(by_s, n: int, parity: int) -> LaurentPoly:
+    """sum over s of (-1)^(s + parity) * (q;q)_{3n-s-1} * by_s[s], with plain +/-."""
+    acc = LaurentPoly.zero()
+    for s, part in enumerate(by_s):
+        term = _times_qq_range(part, 1, 3 * n - s - 1)
+        acc = acc - term if (s + parity) % 2 else acc + term
     return acc
 
 

@@ -1,20 +1,24 @@
 """Backend selection for the exhaustive counting kernels.
 
-The compiled extension is used when it was built; otherwise the pure-Python
-kernels take over.  Their outputs match the compiled ones; the pure triple
-kernel is memoised (it ranks each distinct block once) rather than a
-line-by-line mirror.  BACKEND names the active one.
-`bench/bench_backends.py` times the two against each other.
+The single-matrix kernels (count_by_rank, count_by_rank_trace) use the
+compiled extension when it was built; otherwise the pure-Python ones take
+over.  BACKEND names the one in use.  The triple kernel always runs the pure
+implementation: it is memoised (it ranks each distinct n x 2n block once),
+while the compiled one enumerates every triple and is about 10x slower at
+n=3 over GF(2).  Their outputs match; `bench/bench_backends.py` times the
+two backends against each other.
 """
 
 from __future__ import annotations
+
+from . import _gfkernel_py
 
 try:
     from . import _gfkernel as _impl
 
     BACKEND = "compiled"
 except ImportError:  # extension not built; the pure fallback is always available
-    from . import _gfkernel_py as _impl
+    _impl = _gfkernel_py
 
     BACKEND = "pure"
 
@@ -37,5 +41,5 @@ def count_by_rank_trace(field: GFq, size: int):
 def count_triples_by_rank_bucket(field: GFq, n: int):
     """counts[rank][gamma] over all (X, Y, Z): rank of [[X,Y],[0,Z]], gamma = trX + trZ."""
     add, sub, mul, inv = field.flat_tables()
-    out = _impl.count_triples_by_rank_bucket(field.q, add, sub, mul, inv, n)
+    out = _gfkernel_py.count_triples_by_rank_bucket(field.q, add, sub, mul, inv, n)
     return [[int(c) for c in row] for row in out]

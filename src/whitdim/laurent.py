@@ -426,6 +426,9 @@ def poly_exact_div(num: LaurentPoly, den: LaurentPoly):
     shift = num.min_exp - den.min_exp
     if shift < 0:
         return None
+    if den.coeffs in ((1,), (-1,)):
+        # den = +-q^d: the quotient is num shifted, no long division needed
+        return (num if den.coeffs[0] == 1 else -num).shifted(-den.min_exp)
     quo, rem = _poly_divmod(LaurentPoly._raw(0, num.coeffs), LaurentPoly._raw(0, den.coeffs))
     if any(rem):
         return None
@@ -495,9 +498,9 @@ def _pseudo_rem(f, g):
             continue
         lf = f[-1]
         shift = len(f) - 1 - dg
-        f = [c * lg for c in f]
-        for j in range(dg + 1):
-            f[shift + j] -= lf * g[j]
+        if lg != 1:
+            f = list(map(mul, f, repeat(lg, len(f))))
+        f[shift:] = map(sub, f[shift:], map(mul, g, repeat(lf, dg + 1)))
         f = _strip(f)
         if not f:
             break

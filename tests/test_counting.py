@@ -122,6 +122,27 @@ class TestBackendAgreement:
             pure = _gfkernel_py.count_triples_by_rank_bucket(q, *f.flat_tables(), n)
             assert selected == [[int(x) for x in row] for row in pure]
 
+    def test_triple_kernel_always_runs_pure(self, monkeypatch):
+        # the memoised pure triple kernel beats the compiled full enumeration
+        from whitdim import _gfkernel_py
+
+        class NoTriples:
+            count_triples_by_rank_bucket = None  # a compiled stand-in must not be used
+
+        calls = []
+        pure = _gfkernel_py.count_triples_by_rank_bucket
+
+        def spy(*args):
+            calls.append(args[0])
+            return pure(*args)
+
+        monkeypatch.setattr(kernels, "_impl", NoTriples)
+        monkeypatch.setattr(_gfkernel_py, "count_triples_by_rank_bucket", spy)
+        assert kernels.count_triples_by_rank_bucket(gf(3), 1) == [
+            [int(x) for x in row] for row in pure(3, *gf(3).flat_tables(), 1)
+        ]
+        assert calls == [3]
+
     def test_pure_triples_match_full_rank_reference(self):
         from whitdim import _gfkernel_py
 

@@ -196,6 +196,70 @@ class TestOuterInnerFactorization:
                 assert flat_k == outer * inner, (n, k)
 
 
+class TestGroupedSumOracle:
+    def test_matches_per_term_reference(self):
+        # every (k, m, l) term built on its own from dense (q;q) products
+        from whitdim.engine import _grouped_sum_numerator
+
+        for n in range(1, 7):
+            total = LaurentPoly.zero()
+            for k in range(n + 1):
+                for m in range(n + 1):
+                    for ell in range(n - max(k, m) + 1):
+                        e = (
+                            n * (k + m) - k * m
+                            + k * (k - 1) // 2 + m * (m - 1) // 2 + ell * (ell - 1) // 2
+                        )
+                        num = (
+                            qq(3 * n - k - ell - m - 1) * qq(n)
+                            * _tail(k, n) * _tail(m, n) * _tail(ell, n)
+                            * _tail(n - k - ell, n) * _tail(n - m - ell, n)
+                        ).shifted(e)
+                        total = total - num if (k + m + ell) % 2 else total + num
+            assert _grouped_sum_numerator(n) == total, n
+
+    def test_oracles_never_divide_or_accumulate(self, monkeypatch):
+        # the cross-checks must share no stepping or summation code with the walker
+        from whitdim import engine
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("oracle used a walker kernel")
+
+        expected = [engine._grouped_sum_numerator(4)]
+        expected += [engine._nested_inner_numerator(4, k) for k in range(5)]
+        monkeypatch.setattr(LaurentPoly, "div_one_minus_q", forbidden)
+        monkeypatch.setattr(engine, "PolyAccumulator", forbidden)
+        got = [engine._grouped_sum_numerator(4)]
+        got += [engine._nested_inner_numerator(4, k) for k in range(5)]
+        assert got == expected
+
+
+class TestCrossChecksCatchFaults:
+    def test_perturbed_walker_is_reported(self, monkeypatch):
+        import contextlib
+        import io
+
+        from whitdim import engine
+        from whitdim.cli import EXIT_FAILED, main
+
+        walker = engine._triple_sum_numerator
+
+        def faulty(*args):
+            out = walker(*args)
+            return out + LaurentPoly.monomial(out.min_exp)  # one coefficient off by 1
+
+        monkeypatch.setattr(engine, "_triple_sum_numerator", faulty)
+        for n in (1, 2, 3):
+            reports = {
+                r.identity: r.equal
+                for r in simplification_chain(n) + conclusion_chain(n)
+            }
+            assert reports["simplify-regrouped-sum"] is False, n
+            assert reports["conclusion-group-by-k"] is False, n
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["chain", "--n", "2"]) == EXIT_FAILED
+
+
 def _tail(j, n):
     out = LaurentPoly.one()
     for i in range(j + 1, n + 1):

@@ -8,6 +8,8 @@ from whitdim.laurent import (
     LaurentPoly,
     PolyAccumulator,
     StructuralProductError,
+    _poly_divmod,
+    _pseudo_rem,
     one_minus_q_power_range,
     poly_exact_div,
     poly_gcd,
@@ -243,6 +245,89 @@ def test_exact_div_inverts_mul(a, b):
     quo = poly_exact_div(a * b, b)
     assert quo == a
     assert_normalized(quo)
+
+
+def divmod_route(num, den):
+    """poly_exact_div through long division, for any divisor."""
+    if num.is_zero:
+        return LaurentPoly.zero()
+    shift = num.min_exp - den.min_exp
+    if shift < 0:
+        return None
+    quo, rem = _poly_divmod(LaurentPoly(0, num.coeffs), LaurentPoly(0, den.coeffs))
+    if any(rem) or any(Fraction(c).denominator != 1 for c in quo):
+        return None
+    return LaurentPoly(shift, [int(c) for c in quo])
+
+
+MONOMIAL_COEFF = st.one_of(st.sampled_from([1, -1]), BIG.filter(bool))
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        big_laurents(),
+        st.builds(lambda p, c: p * c, big_laurents(), MONOMIAL_COEFF),
+    ),
+    st.integers(-6, 6),
+    MONOMIAL_COEFF,
+)
+def test_exact_div_by_monomial_matches_long_division(num, e, c):
+    den = LaurentPoly.monomial(e, c)
+    got = poly_exact_div(num, den)
+    assert got == divmod_route(num, den)
+    if got is not None:
+        assert_normalized(got)
+        assert got * den == num
+
+
+class TestExactDivByMonomial:
+    def test_units(self):
+        p = LaurentPoly(2, [3, 0, -5])
+        assert poly_exact_div(p, ONE) == p
+        assert poly_exact_div(p, -ONE) == -p
+        assert poly_exact_div(p, Q(2)) == LaurentPoly(0, [3, 0, -5])
+        assert poly_exact_div(p, Q(1, -1)) == LaurentPoly(1, [-3, 0, 5])
+
+    def test_negative_shift_and_zero(self):
+        assert poly_exact_div(Q(1, 7), Q(2)) is None
+        assert poly_exact_div(Q(1, 7), Q(2, -1)) is None
+        assert poly_exact_div(LaurentPoly.zero(), Q(3, -1)) == LaurentPoly.zero()
+
+    def test_other_constants_stay_checked(self):
+        assert poly_exact_div(LaurentPoly(0, [4, 6]), LaurentPoly.from_int(2)) == (
+            LaurentPoly(0, [2, 3])
+        )
+        assert poly_exact_div(LaurentPoly(0, [4, 5]), LaurentPoly.from_int(2)) is None
+
+
+def ref_pseudo_rem(f, g):
+    """Schoolbook pseudo-remainder: scale by lead(g), cancel the top term, repeat."""
+    f = list(f)
+    while f and f[-1] == 0:
+        f.pop()
+    while len(f) >= len(g):
+        lf, shift = f[-1], len(f) - len(g)
+        f = [c * g[-1] for c in f]
+        for j, cg in enumerate(g):
+            f[shift + j] -= lf * cg
+        while f and f[-1] == 0:
+            f.pop()
+    return f
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.one_of(st.just(0), BIG), max_size=10),
+    st.lists(BIG, max_size=5),
+    st.one_of(st.sampled_from([1, -1]), BIG.filter(bool)),
+)
+def test_pseudo_rem_matches_schoolbook(f, g_low, lead):
+    g = g_low + [lead]
+    got = _pseudo_rem(f, g)
+    while got and got[-1] == 0:  # poly_gcd strips what a short f leaves
+        got.pop()
+    assert got == ref_pseudo_rem(f, g)
 
 
 class TestCoefficientTypes:
