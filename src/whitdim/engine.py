@@ -6,28 +6,33 @@ identity equates a closed product
     q^(n(n-1)/2) * prod_{i=1}^{n-1} (q^n - q^i)
 
 with a normalized triple character sum over (m, k, l).  The triple sums are
-evaluated exactly by accumulating every term over the fixed common
-denominator (q;q)_n^5 (the inner double sums use (q;q)_n^4): stepping from
-one lattice point to a neighbour multiplies and divides the running term by a
-handful of sparse (1 - q^j) factors, so no per-term polynomial products are
-ever rebuilt from scratch.  Each division asserts exactness.  The walkers add
-their terms into a PolyAccumulator in place.
+evaluated exactly over the fixed common denominator (q;q)_n^5 (the inner
+double sums use (q;q)_n^4).  Each term is a sign and a power of q times
+(q;q)_{3n-s-1} (q;q)_n^p times a product V of tail factors
+T_j = (q;q)_n / (q;q)_j, where s = k + m + l is the index sum.  The walkers
+step V alone from one lattice point to a neighbour, dividing it by and
+multiplying it with a few sparse (1 - q^j) factors, and add each signed,
+shifted V into a PolyAccumulator for its s; the triple walker visits only
+k <= m, since its terms are symmetric in k and m.  The factors that depend
+only on s, or on nothing, are applied once at the end: a Horner pass over s
+(_horner_close) gives every partial sum its (q;q)_{3n-s-1}, and the total is
+multiplied by (q;q)_n^p.  No per-term polynomial product is ever built, and
+each division asserts exactness.
 
 The derivation chains compare the walkers with from-scratch oracles
 (_grouped_sum_numerator, _nested_inner_numerator).  These only multiply:
 each term's tail products T_j = prod_{i=j+1..n} (1 - q^i) are applied as
 sparse (1 - q^i) passes onto cached prefixes, the terms are summed per index
 sum s = k + m + l, and each partial sum is multiplied once by its
-(q;q)_{3n-s-1}.  They never divide out a factor, never step between lattice
-points and sum with plain LaurentPoly +/-, so they share no stepping or
-summation code with the walkers they check.
+(q;q)_{3n-s-1} in _close_index_sums.  They never divide out a factor, never
+step between lattice points and sum with plain LaurentPoly +/-, so they share
+no stepping, summation or closing code with the walkers they check.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Optional
 
@@ -81,14 +86,6 @@ def _require_positive(n: int):
         raise ValueError("n must be a positive integer")
 
 
-@lru_cache(maxsize=None)
-def _qq_pow(n: int, p: int) -> LaurentPoly:
-    out = LaurentPoly.one()
-    for _ in range(p):
-        out = out * qq(n)
-    return out
-
-
 def _times_qq_range(poly: LaurentPoly, lo: int, hi: int) -> LaurentPoly:
     for i in range(lo, hi + 1):
         poly = poly.times_one_minus_q(i)
@@ -115,47 +112,65 @@ def closed_product(n: int) -> RationalFunctionQ:
 def _triple_sum_numerator(n: int, qq_n_power: int, parity_base: int) -> LaurentPoly:
     """Numerator over (q;q)_n^5 of the (m,k,l) triple sum.
 
-    Each term is sign * q^e * U with
-      U = (q;q)_{3n-k-l-m-1} * (q;q)_n^qq_n_power * T_k T_m T_l T_{n-k-l} T_{n-m-l},
-      T_j = (q;q)_n / (q;q)_j,
+    Each term is sign * q^e * (q;q)_{3n-s-1} * (q;q)_n^qq_n_power * V with
+      V = T_k T_m T_l T_{n-k-l} T_{n-m-l},   T_j = (q;q)_n / (q;q)_j,
+      s = k + m + l,
       e = kn + (n-k)m + C(k,2) + C(m,2) + C(l,2),
-      sign = (-1)^(parity_base + k + m + l).
+      sign = (-1)^(parity_base + s).
 
-    Terms are accumulated in lexicographic (k, m, l) order; the exact
-    arithmetic makes the order irrelevant to the value, the fixed order makes
-    runs reproducible.
+    Only V is walked.  It starts at (q;q)_n^3, and each lattice step divides
+    out and multiplies in a few (1 - q^j) factors.  V, e and the sign are
+    symmetric in k and m, so only k <= m is walked and the l-walk of each
+    k < m starts from 2V.  The signed, shifted V are summed per index sum s;
+    _horner_close then applies every (q;q)_{3n-s-1}, and the total is
+    multiplied once by (q;q)_n^qq_n_power.  Terms are accumulated in
+    lexicographic (k, m, l) order; the exact arithmetic makes the order
+    irrelevant to the value, the fixed order makes runs reproducible.
     """
-    acc = PolyAccumulator()
-    u_k = qq(3 * n - 1)
-    for _ in range(qq_n_power + 3):
-        u_k = _times_qq_range(u_k, 1, n)
+    by_s = [PolyAccumulator() for _ in range(2 * n + 1)]
+    v_kk = qq(n) ** 3
     for k in range(n + 1):
         if k:
-            u_k = (
-                u_k.div_one_minus_q(k)
+            v_kk = (
+                v_kk.div_one_minus_q(k)
                 .times_one_minus_q(n - k + 1)
-                .div_one_minus_q(3 * n - k)
+                .div_one_minus_q(k)
+                .times_one_minus_q(n - k + 1)
             )
-        u_km = u_k
-        for m in range(n + 1):
-            if m:
-                u_km = (
-                    u_km.div_one_minus_q(m)
-                    .times_one_minus_q(n - m + 1)
-                    .div_one_minus_q(3 * n - k - m)
-                )
-            u = u_km
-            for ell in range(n - max(k, m) + 1):
+        v_km = v_kk
+        for m in range(k, n + 1):
+            if m > k:
+                v_km = v_km.div_one_minus_q(m).times_one_minus_q(n - m + 1)
+            v = v_km * 2 if m > k else v_km  # the l-steps are linear in v
+            for ell in range(n - m + 1):
                 if ell:
-                    u = (
-                        u.div_one_minus_q(ell)
+                    v = (
+                        v.div_one_minus_q(ell)
                         .times_one_minus_q(n - k - ell + 1)
                         .times_one_minus_q(n - m - ell + 1)
-                        .div_one_minus_q(3 * n - k - m - ell)
                     )
                 e = k * n + (n - k) * m + comb(k, 2) + comb(m, 2) + comb(ell, 2)
-                acc.add_shifted(u, e, (parity_base + k + m + ell) % 2)
-    return acc.value()
+                by_s[k + m + ell].add_shifted(v, e, (parity_base + k + m + ell) % 2)
+    total = _horner_close([acc.value() for acc in by_s], 3 * n - 1)
+    for _ in range(qq_n_power):
+        total = _times_qq_range(total, 1, n)
+    return total
+
+
+def _horner_close(parts, top: int) -> LaurentPoly:
+    """sum over s of (q;q)_{top-s} * parts[s], by Horner's rule.
+
+    With S = len(parts) - 1, (q;q)_{top-s} is (q;q)_{top-S} times the factors
+    (1 - q^j) for j = top-S+1 .. top-s, so each step multiplies the running
+    sum by one factor before adding the next part.  The whole sum costs top
+    sparse passes, not one per factor of every (q;q)_{top-s}.
+    """
+    total = LaurentPoly.zero()
+    for s, part in enumerate(parts):
+        if s:
+            total = total.times_one_minus_q(top - s + 1)
+        total = total + part
+    return _times_qq_range(total, 1, top - len(parts) + 1)
 
 
 def dimension_sum(n: int) -> RationalFunctionQ:
@@ -166,7 +181,7 @@ def dimension_sum(n: int) -> RationalFunctionQ:
     """
     _require_positive(n)
     acc = _triple_sum_numerator(n, 2, n + 1)
-    return RationalFunctionQ(acc, _qq_pow(n, 5).shifted(3 * n * n))
+    return RationalFunctionQ(acc, (qq(n) ** 5).shifted(3 * n * n))
 
 
 def compact_sides(n: int):
@@ -176,7 +191,7 @@ def compact_sides(n: int):
         LaurentPoly.monomial(4 * n * n - n), LaurentPoly.one() - LaurentPoly.monomial(n)
     )
     acc = _triple_sum_numerator(n, 1, 0)
-    den = _qq_pow(n, 5)
+    den = qq(n) ** 5
     # The value has the single pole 1-q^n; clearing it first keeps the
     # canonicalization to a toy gcd.  Falls back to the generic path if the
     # divisibility ever fails (i.e. if the identity were false).
@@ -189,31 +204,33 @@ def compact_sides(n: int):
 
 
 def _inner_sum_numerator(n: int, k: int) -> LaurentPoly:
-    """Numerator over (q;q)_n^4 of the inner (m,l) double sum at fixed k."""
-    acc = PolyAccumulator()
-    u_m = qq(2 * n + k - 1)
-    for _ in range(3):
-        u_m = _times_qq_range(u_m, 1, n)
-    u_m = _times_qq_range(u_m, k + 1, n)  # T_k
+    """Numerator over (q;q)_n^4 of the inner (m,l) double sum at fixed k.
+
+    Each term is (-1)^s * q^e * (q;q)_{2n+k-s-1} * (q;q)_n T_k * V with
+      V = T_m T_l T_{n-m-l} (q;q)_k / (q;q)_{k-l},
+      s = m + l,   e = mk + C(m,2) + C(l,2).
+
+    Walked like _triple_sum_numerator: V starts at (q;q)_n^2, the terms are
+    summed per s, _horner_close applies every (q;q)_{2n+k-s-1}, and the
+    total is multiplied once by (q;q)_n T_k.
+    """
+    by_s = [PolyAccumulator() for _ in range(n + 1)]
+    v_m = qq(n) ** 2
     for m in range(n + 1):
         if m:
-            u_m = (
-                u_m.div_one_minus_q(m)
-                .times_one_minus_q(n - m + 1)
-                .div_one_minus_q(2 * n + k - m)
-            )
-        u = u_m
+            v_m = v_m.div_one_minus_q(m).times_one_minus_q(n - m + 1)
+        v = v_m
         for ell in range(min(k, n - m) + 1):
             if ell:
-                u = (
-                    u.div_one_minus_q(ell)
+                v = (
+                    v.div_one_minus_q(ell)
                     .times_one_minus_q(k - ell + 1)
                     .times_one_minus_q(n - m - ell + 1)
-                    .div_one_minus_q(2 * n + k - m - ell)
                 )
             e = m * k + comb(m, 2) + comb(ell, 2)
-            acc.add_shifted(u, e, (m + ell) % 2)
-    return acc.value()
+            by_s[m + ell].add_shifted(v, e, (m + ell) % 2)
+    total = _horner_close([acc.value() for acc in by_s], 2 * n + k - 1)
+    return _times_qq_range(_times_qq_range(total, 1, n), k + 1, n)
 
 
 def inner_sum_rhs_poly(n: int, k: int) -> LaurentPoly:
@@ -227,7 +244,7 @@ def inner_sum_sides(n: int, k: int):
     _require_positive(n)
     if not 0 <= k <= n:
         raise ValueError("k must lie in 0..n")
-    lhs = RationalFunctionQ(_inner_sum_numerator(n, k), _qq_pow(n, 4))
+    lhs = RationalFunctionQ(_inner_sum_numerator(n, k), qq(n) ** 4)
     rhs = RationalFunctionQ(inner_sum_rhs_poly(n, k))
     return lhs, rhs
 
@@ -431,7 +448,7 @@ def simplification_chain(n: int):
         * RationalFunctionQ.monomial(3 * n * n)
         / RationalFunctionQ(qq(n) * sign)
     )
-    grouped = RationalFunctionQ(_grouped_sum_numerator(n), _qq_pow(n, 5))
+    grouped = RationalFunctionQ(_grouped_sum_numerator(n), qq(n) ** 5)
     reports.append(
         _timed_report("simplify-regrouped-sum", n, None, normalized == grouped,
                       normalized.to_json_dict(), grouped.to_json_dict(), t0)
@@ -523,7 +540,7 @@ def conclusion_chain(n: int):
     """Verify the eight steps that close the proof of the main identity."""
     _require_positive(n)
     reports = []
-    den5 = _qq_pow(n, 5)
+    den5 = qq(n) ** 5
 
     # (a) flat triple sum == outer-k sum of inner double sums
     t0 = time.perf_counter()
@@ -554,7 +571,7 @@ def conclusion_chain(n: int):
 
     # (c) substituting the inner sum's closed form
     t0 = time.perf_counter()
-    den4 = _qq_pow(n, 4)
+    den4 = qq(n) ** 4
     plugged = LaurentPoly.zero()
     for k in range(n + 1):
         closed = inner_sum_rhs_poly(n, k) * den4
@@ -596,7 +613,7 @@ def conclusion_chain(n: int):
         term = _times_qq_range(term, k + 1, n)
         term = _times_qq_range(term, n - k + 1, n).shifted(comb(n - k, 2))
         ksum_num = ksum_num - term if k % 2 else ksum_num + term
-    pulled = RationalFunctionQ(qq(n - 1) * ksum_num, _qq_pow(n, 2))
+    pulled = RationalFunctionQ(qq(n - 1) * ksum_num, qq(n) ** 2)
     reports.append(
         _timed_report("conclusion-pochhammer-split", n, None,
                       rewrites_ok and pulled == rhs_d,
@@ -609,7 +626,7 @@ def conclusion_chain(n: int):
     bracket2 = euler_series(0, n).alternate_x()
     product = bracket1 * bracket2
     coeff = series_coeff(product, n)
-    ksum = RationalFunctionQ(ksum_num, _qq_pow(n, 2))
+    ksum = RationalFunctionQ(ksum_num, qq(n) ** 2)
     reports.append(
         _timed_report("conclusion-coefficient-extraction", n, None, coeff == ksum,
                       coeff.to_json_dict(), ksum.to_json_dict(), t0)

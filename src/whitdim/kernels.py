@@ -25,15 +25,34 @@ except ImportError:  # extension not built; the pure fallback is always availabl
 from .gfield import GFq
 
 
+def _checked_tables(field: GFq):
+    """field.flat_tables(), after checking every length against q.
+
+    The compiled kernels index the tables without bounds checks, so a short
+    table would be read past its end; add, sub and mul must hold q*q bytes
+    and inv q bytes.
+    """
+    q = field.q
+    tables = field.flat_tables()
+    for name, table in zip(("add", "sub", "mul", "inv"), tables):
+        size = q if name == "inv" else q * q
+        if len(table) != size:
+            raise ValueError(
+                "GF(%d) %s table has %d bytes, expected %d"
+                % (q, name, len(table), size)
+            )
+    return tables
+
+
 def count_by_rank(field: GFq, rows: int, cols: int):
     """Counts of rows x cols matrices over the field, indexed by rank."""
-    add, sub, mul, inv = field.flat_tables()
+    add, sub, mul, inv = _checked_tables(field)
     return [int(c) for c in _impl.count_by_rank(field.q, add, sub, mul, inv, rows, cols)]
 
 
 def count_by_rank_trace(field: GFq, size: int):
     """counts[rank][trace] over all square matrices of the given size."""
-    add, sub, mul, inv = field.flat_tables()
+    add, sub, mul, inv = _checked_tables(field)
     out = _impl.count_by_rank_trace(field.q, add, sub, mul, inv, size)
     return [[int(c) for c in row] for row in out]
 

@@ -169,8 +169,9 @@ class LaurentPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the top bit
+                base = base * base
         return result
 
     def shifted(self, exp: int) -> "LaurentPoly":

@@ -153,6 +153,28 @@ class TestBackendAgreement:
             assert pure == _triples_by_full_rank(f, n), (q, n)
 
 
+class TestTableLengths:
+    # the compiled kernels index the flat tables without bounds checks
+    def test_short_table_is_rejected_before_dispatch(self, monkeypatch):
+        from whitdim.gfield import GFq
+
+        class CompiledStandIn:
+            def __getattr__(self, name):
+                raise AssertionError("kernel reached with a short table")
+
+        monkeypatch.setattr(kernels, "_impl", CompiledStandIn())
+        for q in (2, 3, 4):
+            for i, name in enumerate(("add", "sub", "mul", "inv")):
+                field = GFq(q)
+                tables = list(field.flat_tables())
+                tables[i] = tables[i][:-1]
+                field._flat = tuple(tables)
+                with pytest.raises(ValueError, match=name):
+                    kernels.count_by_rank(field, 1, 1)
+                with pytest.raises(ValueError, match=name):
+                    kernels.count_by_rank_trace(field, 1)
+
+
 def _triples_by_full_rank(field, n):
     """counts[rank][tr X + tr Z] by ranking every [[X, Y], [0, Z]] from scratch."""
     q = field.q

@@ -202,21 +202,7 @@ class TestGroupedSumOracle:
         from whitdim.engine import _grouped_sum_numerator
 
         for n in range(1, 7):
-            total = LaurentPoly.zero()
-            for k in range(n + 1):
-                for m in range(n + 1):
-                    for ell in range(n - max(k, m) + 1):
-                        e = (
-                            n * (k + m) - k * m
-                            + k * (k - 1) // 2 + m * (m - 1) // 2 + ell * (ell - 1) // 2
-                        )
-                        num = (
-                            qq(3 * n - k - ell - m - 1) * qq(n)
-                            * _tail(k, n) * _tail(m, n) * _tail(ell, n)
-                            * _tail(n - k - ell, n) * _tail(n - m - ell, n)
-                        ).shifted(e)
-                        total = total - num if (k + m + ell) % 2 else total + num
-            assert _grouped_sum_numerator(n) == total, n
+            assert _grouped_sum_numerator(n) == _per_term_triple_sum(n, 1, 0), n
 
     def test_oracles_never_divide_or_accumulate(self, monkeypatch):
         # the cross-checks must share no stepping or summation code with the walker
@@ -232,6 +218,54 @@ class TestGroupedSumOracle:
         got = [engine._grouped_sum_numerator(4)]
         got += [engine._nested_inner_numerator(4, k) for k in range(5)]
         assert got == expected
+
+
+class TestWalkers:
+    # every term built on its own from dense (q;q) and tail products, so the
+    # s-grouped factoring is checked against code that is neither walker nor oracle
+
+    def test_triple_walker_matches_per_term_reference(self):
+        from whitdim.engine import _triple_sum_numerator
+
+        for n in range(1, 7):
+            for power, parity in ((2, n + 1), (1, 0)):
+                expected = _per_term_triple_sum(n, power, parity)
+                assert _triple_sum_numerator(n, power, parity) == expected, (n, power)
+
+    def test_inner_walker_matches_per_term_reference(self):
+        from whitdim.engine import _inner_sum_numerator
+
+        for n in range(1, 7):
+            for k in range(n + 1):
+                total = LaurentPoly.zero()
+                for m in range(n + 1):
+                    for ell in range(min(k, n - m) + 1):
+                        e = m * k + m * (m - 1) // 2 + ell * (ell - 1) // 2
+                        num = (
+                            qq(2 * n + k - m - ell - 1) * qq(n) * _tail(k, n)
+                            * _tail(m, n) * _tail(ell, n) * _tail(n - m - ell, n)
+                            * _tail(k - ell, k)
+                        ).shifted(e)
+                        total = total - num if (m + ell) % 2 else total + num
+                assert _inner_sum_numerator(n, k) == total, (n, k)
+
+    def test_walkers_never_close_with_the_oracles(self, monkeypatch):
+        # the other side of test_oracles_never_divide_or_accumulate
+        from whitdim import engine
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("walker used oracle code")
+
+        def run():
+            out = [engine._triple_sum_numerator(4, 2, 5)]
+            out.append(engine._triple_sum_numerator(4, 1, 0))
+            return out + [engine._inner_sum_numerator(4, k) for k in range(5)]
+
+        expected = run()
+        for name in ("_close_index_sums", "_grouped_sum_numerator",
+                     "_nested_inner_numerator"):
+            monkeypatch.setattr(engine, name, forbidden)
+        assert run() == expected
 
 
 class TestCrossChecksCatchFaults:
@@ -259,12 +293,51 @@ class TestCrossChecksCatchFaults:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["chain", "--n", "2"]) == EXIT_FAILED
 
+    def test_perturbed_oracle_is_reported(self, monkeypatch):
+        import contextlib
+        import io
+
+        from whitdim import engine
+        from whitdim.cli import EXIT_FAILED, main
+
+        oracle = engine._grouped_sum_numerator
+
+        def faulty(n):
+            out = oracle(n)
+            return out + LaurentPoly.monomial(out.min_exp)  # one coefficient off by 1
+
+        monkeypatch.setattr(engine, "_grouped_sum_numerator", faulty)
+        for n in (1, 2, 3):
+            reports = {r.identity: r.equal for r in simplification_chain(n)}
+            assert reports["simplify-regrouped-sum"] is False, n
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["chain", "--n", "2"]) == EXIT_FAILED
+
 
 def _tail(j, n):
     out = LaurentPoly.one()
     for i in range(j + 1, n + 1):
         out = out.times_one_minus_q(i)
     return out
+
+
+def _per_term_triple_sum(n, power, parity):
+    """The (k, m, l) triple sum numerator, every term built on its own densely."""
+    total = LaurentPoly.zero()
+    for k in range(n + 1):
+        for m in range(n + 1):
+            for ell in range(n - max(k, m) + 1):
+                e = (
+                    n * (k + m) - k * m
+                    + k * (k - 1) // 2 + m * (m - 1) // 2 + ell * (ell - 1) // 2
+                )
+                num = (
+                    qq(3 * n - k - ell - m - 1) * qq(n) ** power
+                    * _tail(k, n) * _tail(m, n) * _tail(ell, n)
+                    * _tail(n - k - ell, n) * _tail(n - m - ell, n)
+                ).shifted(e)
+                total = total - num if (parity + k + m + ell) % 2 else total + num
+    return total
 
 
 class TestNumericAgreementAcrossIdentities:

@@ -116,6 +116,15 @@ def test_ring_axioms(a, b, c):
 
 
 @settings(max_examples=100)
+@given(laurents(), st.integers(0, 9))
+def test_pow_matches_repeated_mul(a, p):
+    expected = ONE
+    for _ in range(p):
+        expected = expected * a
+    assert a ** p == expected
+
+
+@settings(max_examples=100)
 @given(laurents(), st.integers(1, 6))
 def test_binomial_kernels_agree_with_mul(a, j):
     assert a.times_one_minus_q(j) == a * (ONE - Q(j))
