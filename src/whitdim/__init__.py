@@ -24,11 +24,9 @@ from .qseries import (
     poch_rewrite_check,
     qbinom_series,
     qq,
-    series_coeff,
-    series_mul,
+    qq_power,
 )
 from .engine import (
-    IdentitySideValue,
     VerificationReport,
     closed_product,
     compact_sides,
@@ -36,7 +34,6 @@ from .engine import (
     dimension_sum,
     extended_inner_sum_matches,
     inner_sum_sides,
-    labeled_sides,
     simplification_chain,
     verify_main,
 )
@@ -81,7 +78,6 @@ __all__ = [
     "GFMatrix",
     "GFq",
     "INF",
-    "IdentitySideValue",
     "LaurentPoly",
     "PochSpec",
     "RationalFunctionQ",
@@ -106,7 +102,6 @@ __all__ = [
     "gaussian_cancellation_check",
     "gf",
     "grassmann_count",
-    "labeled_sides",
     "grassmann_formula",
     "inner_sum_sides",
     "middle_dim",
@@ -116,12 +111,11 @@ __all__ = [
     "prasad_delta",
     "qbinom_series",
     "qq",
+    "qq_power",
     "random_invertible",
     "random_matrix",
     "rank_factorize",
     "rect_rank_formula",
-    "series_coeff",
-    "series_mul",
     "simplification_chain",
     "theta_unipotent",
     "trace_bucket_sums",

@@ -1,5 +1,9 @@
 """Command-line front end: run verification suites, stream machine-readable reports.
 
+CHECKS maps each command to the records it streams; `all` streams the other
+five commands' records in turn.  run reads each record's verdict from its
+"equal" field (a dimension record's "agree") and sets the exit code.
+
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error,
 3 an enumeration exceeded the feasibility limit.  Reports are emitted one
 JSON object per line (or CSV rows with --format csv) in a deterministic
@@ -13,7 +17,6 @@ import csv
 import io
 import json
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -142,94 +145,73 @@ def config_from_args(args) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# report generators: yield (ok, dict) pairs
+# the check table: each command maps a RunConfig to its stream of records
 # ---------------------------------------------------------------------------
 
 
-def _gen_verify(cfg: RunConfig):
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        rep = engine.verify_main(n)
-        yield rep.equal, rep.to_json_dict()
+def _n_range(cfg: RunConfig):
+    return range(cfg.n_min, cfg.n_max + 1)
 
 
-def _gen_lemma1(cfg: RunConfig):
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        ks = [cfg.k] if cfg.k is not None else list(range(n + 1))
-        for k in ks:
-            t0 = time.perf_counter()
-            lhs, rhs = engine.inner_sum_sides(n, k)
-            rep = engine.VerificationReport(
-                identity="inner-sum",
-                n=n,
-                k=k,
-                equal=lhs == rhs,
-                lhs=lhs.to_json_dict(),
-                rhs=rhs.to_json_dict(),
-                elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-            )
-            yield rep.equal, rep.to_json_dict()
+def _counting_cases():
+    """(kind, enumeration-vs-formula oracle, its arguments but q) per counts record."""
+    for s in range(1, 4):
+        for t in range(1, 4):
+            for k in range(min(s, t) + 1):
+                yield "rect-rank", count_rect_by_rank, {"s": s, "t": t, "k": k}
+    for size in range(0, 4):
+        for k in range(size + 1):
+            yield "trace-delta", prasad_delta, {"m": size - k, "k": k}
+    for n in range(1, 5):
+        for m in range(n + 1):
+            yield "grassmann", grassmann_count, {"n": n, "m": m}
 
 
-def _gen_chain(cfg: RunConfig):
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        for rep in engine.simplification_chain(n) + engine.conclusion_chain(n):
-            yield rep.equal, rep.to_json_dict()
+def _count_records(cfg: RunConfig):
+    for q in cfg.q_list:
+        for kind, oracle, params in _counting_cases():
+            enum, formula = oracle(**params, q=q, limit=cfg.feasibility_limit)
+            yield {
+                "params": {"kind": kind, **params, "q": q},
+                "enumerated": enum,
+                "formula": formula,
+                "equal": enum == formula,
+            }
 
 
-def _gen_brute(cfg: RunConfig):
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        for q in cfg.q_list:
-            rep = dimension_report(n, q, cfg.feasibility_limit)
-            yield rep["agree"], rep
-
-
-def _gen_counts(cfg: RunConfig):
-    qs = [q for q in cfg.q_list]
-    for q in qs:
-        for s in range(1, 4):
-            for t in range(1, 4):
-                for k in range(min(s, t) + 1):
-                    enum, formula = count_rect_by_rank(s, t, k, q, cfg.feasibility_limit)
-                    yield enum == formula, {
-                        "params": {"kind": "rect-rank", "s": s, "t": t, "k": k, "q": q},
-                        "enumerated": enum,
-                        "formula": formula,
-                        "equal": enum == formula,
-                    }
-        for size in range(0, 4):
-            for k in range(size + 1):
-                m = size - k
-                enum, formula = prasad_delta(m, k, q, cfg.feasibility_limit)
-                yield enum == formula, {
-                    "params": {"kind": "trace-delta", "m": m, "k": k, "q": q},
-                    "enumerated": enum,
-                    "formula": formula,
-                    "equal": enum == formula,
-                }
-        for n in range(1, 5):
-            for m in range(n + 1):
-                enum, formula = grassmann_count(n, m, q, cfg.feasibility_limit)
-                yield enum == formula, {
-                    "params": {"kind": "grassmann", "n": n, "m": m, "q": q},
-                    "enumerated": enum,
-                    "formula": formula,
-                    "equal": enum == formula,
-                }
-
-
-_GENERATORS = {
-    "verify": (_gen_verify,),
-    "lemma1": (_gen_lemma1,),
-    "chain": (_gen_chain,),
-    "brute": (_gen_brute,),
-    "counts": (_gen_counts,),
-    "all": (_gen_verify, _gen_lemma1, _gen_chain, _gen_brute, _gen_counts),
+# The engine and oracle functions are looked up when a command runs, not
+# when this table is built, so they can be replaced at run time.
+CHECKS = {
+    "verify": lambda cfg: (engine.verify_main(n).to_json_dict() for n in _n_range(cfg)),
+    "lemma1": lambda cfg: (
+        engine.verify_inner_sum(n, k).to_json_dict()
+        for n in _n_range(cfg)
+        for k in ([cfg.k] if cfg.k is not None else range(n + 1))
+    ),
+    "chain": lambda cfg: (
+        rep.to_json_dict()
+        for n in _n_range(cfg)
+        for rep in engine.simplification_chain(n) + engine.conclusion_chain(n)
+    ),
+    "brute": lambda cfg: (
+        dimension_report(n, q, cfg.feasibility_limit)
+        for n in _n_range(cfg)
+        for q in cfg.q_list
+    ),
+    "counts": _count_records,
+    "all": lambda cfg: (
+        record for command in COMMANDS[:-1] for record in CHECKS[command](cfg)
+    ),
 }
+
+
+def _passed(record: dict) -> bool:
+    """A record's verdict: its "equal" field, or "agree" for a dimension record."""
+    return bool(record.get("equal", record.get("agree")))
 
 
 def _csv_row(report: dict):
     check = report.get("identity") or report.get("params", {}).get("kind") or "dimension"
-    ok = report.get("equal", report.get("agree"))
     detail = {
         key: value
         for key, value in report.items()
@@ -240,7 +222,7 @@ def _csv_row(report: dict):
         report.get("n", detail.get("params", {}).get("n", "")),
         report.get("k", detail.get("params", {}).get("k", "")),
         report.get("q", detail.get("params", {}).get("q", "")),
-        "true" if ok else "false",
+        "true" if _passed(report) else "false",
         json.dumps(detail, separators=(",", ":")),
     ]
 
@@ -253,13 +235,12 @@ def run(cfg: RunConfig, stream) -> int:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["check", "n", "k", "q", "ok", "detail"])
     try:
-        for gen in _GENERATORS[cfg.command]:
-            for ok, report in gen(cfg):
-                all_ok = all_ok and bool(ok)
-                if writer is not None:
-                    writer.writerow(_csv_row(report))
-                else:
-                    stream.write(json.dumps(report, separators=(", ", ": ")) + "\n")
+        for report in CHECKS[cfg.command](cfg):
+            all_ok = all_ok and _passed(report)
+            if writer is not None:
+                writer.writerow(_csv_row(report))
+            else:
+                stream.write(json.dumps(report, separators=(", ", ": ")) + "\n")
     except FeasibilityError as exc:
         msg = {"error": "infeasible", "detail": str(exc), "candidates": exc.candidates}
         stream.write(json.dumps(msg) + "\n")
@@ -276,7 +257,13 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     if cfg.output:
-        with open(cfg.output, "w", newline="") as fh:
+        try:
+            fh = open(cfg.output, "w", newline="")
+        except OSError as exc:
+            print("error: cannot write --output %s: %s" % (cfg.output, exc.strerror),
+                  file=sys.stderr)
+            return EXIT_USAGE
+        with fh:
             return run(cfg, fh)
     if cfg.format == "csv":
         # csv wants universal newline control; wrap stdout once

@@ -48,6 +48,22 @@ class TraceBucketSums:
     def nonzero_constant(self) -> bool:
         return len({self.sums[g] for g in range(1, self.q)}) <= 1
 
+    def dimension(self) -> int:
+        """(S_0 - S_1) / q^(3n^2), valid only once S_gamma is constant on gamma != 0."""
+        if not self.nonzero_constant():
+            raise RuntimeError(
+                "bucket sums are not constant on gamma != 0: %r" % self.sums
+            )
+        return _module_dim(self.sums[0] - self.sums[1], self.n, self.q)
+
+
+def _module_dim(total: int, n: int, q: int) -> int:
+    """total / q^(3n^2), asserted exact and non-negative."""
+    dim = _exact_ratio(total, q ** (3 * n * n))
+    if dim < 0:
+        raise AssertionError("negative dimension %d" % dim)
+    return dim
+
 
 def trace_bucket_sums(n: int, q: int, limit: int = FEASIBILITY_LIMIT) -> TraceBucketSums:
     """Enumerate all triples and accumulate Theta by trace bucket."""
@@ -69,16 +85,7 @@ def trace_bucket_sums(n: int, q: int, limit: int = FEASIBILITY_LIMIT) -> TraceBu
 
 def brute_dim(n: int, q: int, limit: int = FEASIBILITY_LIMIT) -> int:
     """Module dimension by exhaustive enumeration of q^(3n^2) triples."""
-    buckets = trace_bucket_sums(n, q, limit)
-    if not buckets.nonzero_constant():
-        raise RuntimeError(
-            "bucket sums are not constant on gamma != 0: %r" % buckets.sums
-        )
-    total = buckets.sums[0] - buckets.sums[1]
-    dim = _exact_ratio(total, q ** (3 * n * n))
-    if dim < 0:
-        raise AssertionError("negative dimension %d" % dim)
-    return dim
+    return trace_bucket_sums(n, q, limit).dimension()
 
 
 def closed_dim(n: int, q: int) -> int:
@@ -121,20 +128,13 @@ def middle_dim(n: int, q: int) -> int:
                     n - k, n - m, ell, q
                 )
             total += s_mk * q ** (k * n + (n - k) * m) * inner
-    dim = _exact_ratio(total, q ** (3 * n * n))
-    if dim < 0:
-        raise AssertionError("negative dimension %d" % dim)
-    return dim
+    return _module_dim(total, n, q)
 
 
 def dimension_report(n: int, q: int, limit: int = FEASIBILITY_LIMIT) -> dict:
     """brute/middle/closed values plus the trace buckets, as a JSON-ready dict."""
     buckets = trace_bucket_sums(n, q, limit)
-    if not buckets.nonzero_constant():
-        raise RuntimeError(
-            "bucket sums are not constant on gamma != 0: %r" % buckets.sums
-        )
-    brute = _exact_ratio(buckets.sums[0] - buckets.sums[1], q ** (3 * n * n))
+    brute = buckets.dimension()
     middle = middle_dim(n, q)
     closed = closed_dim(n, q)
     return {

@@ -64,6 +64,19 @@ def qq(j: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
+def qq_power(j: int, p: int) -> LaurentPoly:
+    """(q;q)_j ** p, cached; each further power is j sparse (1 - q^i) passes."""
+    if p < 0:
+        raise ValueError("(q;q)_j ** p needs p >= 0")
+    if p <= 1:
+        return qq(j) if p else LaurentPoly.one()
+    out = qq_power(j, p - 1)
+    for i in range(1, j + 1):
+        out = out.times_one_minus_q(i)
+    return out
+
+
+@lru_cache(maxsize=None)
 def poch_power(base_exp: int, length: int) -> LaurentPoly:
     """(q^base_exp ; q)_length, cached."""
     return poch_finite(PochSpec(1, base_exp, length))
@@ -131,14 +144,6 @@ class TruncatedSeriesX:
 
     def __repr__(self):
         return "TruncatedSeriesX(order=%d)" % self.order
-
-
-def series_mul(a: TruncatedSeriesX, b: TruncatedSeriesX) -> TruncatedSeriesX:
-    return a * b
-
-
-def series_coeff(s: TruncatedSeriesX, j: int) -> RationalFunctionQ:
-    return s.coeff(j)
 
 
 def euler_series(e: int, order: int) -> TruncatedSeriesX:

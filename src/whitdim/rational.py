@@ -50,10 +50,6 @@ class RationalFunctionQ:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def make(num, den=None) -> "RationalFunctionQ":
-        return RationalFunctionQ(num, den)
-
-    @staticmethod
     def zero() -> "RationalFunctionQ":
         return RationalFunctionQ(LaurentPoly.zero())
 

@@ -21,7 +21,6 @@ from whitdim.qseries import (
     euler_product_truncation,
     euler_series,
     qbinom_series,
-    series_mul,
 )
 
 
@@ -67,11 +66,10 @@ def test_criterion_3_proof_chains_to_n8():
     for n in (1, 2, 3):
         for k in range(n + 1):
             order = n + 2
-            prod = series_mul(
-                series_mul(
-                    euler_series(k, order), qbinom_series(-k, order).scale_x(k)
-                ),
-                qbinom_series(k + n, order),
+            prod = (
+                euler_series(k, order)
+                * qbinom_series(-k, order).scale_x(k)
+                * qbinom_series(k + n, order)
             )
             if prod != euler_series(k + n, order):
                 failures.append((n, k, "telescoping"))
@@ -142,7 +140,7 @@ def test_criterion_6_series_cross_checks():
         if [int(c) for c in expansion] != [product[j].coeff(t) for t in range(max_deg + 1)]:
             failures.append(("euler-truncation", j))
     for a_exp in range(6):
-        if series_mul(euler_series(0, order), qbinom_series(a_exp, order)) != euler_series(
+        if euler_series(0, order) * qbinom_series(a_exp, order) != euler_series(
             a_exp, order
         ):
             failures.append(("qbinom-ratio", a_exp))

@@ -131,6 +131,12 @@ class TestOutputModes:
         rows = [json.loads(l) for l in path.read_text().splitlines()]
         assert len(rows) == 2 and all(r["equal"] for r in rows)
 
+    def test_unopenable_output_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        assert main(["verify", "--n", "1", "--output", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_csv_format(self, tmp_path):
         path = tmp_path / "out.csv"
         code = main(["lemma1", "--n", "2", "--format", "csv", "--output", str(path)])
@@ -173,3 +179,50 @@ class TestFailurePath:
         assert code == 1
         rows = [json.loads(l) for l in buf.getvalue().splitlines()]
         assert len(rows) == 2 and all(r["equal"] is False for r in rows)
+
+
+CHAIN_STEPS = [
+    "simplify-q-power",
+    "simplify-closed-product",
+    "simplify-monomial-merge",
+    "simplify-factorial-signs",
+    "simplify-l-power",
+    "simplify-long-range",
+    "simplify-k-tail",
+    "simplify-m-tail",
+    "simplify-regrouped-sum",
+    "simplify-normalized-lhs",
+    "simplify-exponent-total",
+    "conclusion-group-by-k",
+    "conclusion-reindex-outer",
+    "conclusion-plug-closed-form",
+    "conclusion-normalize-power",
+    "conclusion-pochhammer-split",
+    "conclusion-coefficient-extraction",
+    "conclusion-telescoped-series",
+    "conclusion-exponent-identity",
+]
+
+
+def without_elapsed(reports):
+    return [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in reports]
+
+
+class TestRecordStream:
+    def test_chain_steps_in_order(self):
+        code, reports = run_json(["chain", "--n", "1..2"])
+        assert code == EXIT_OK
+        assert [(r["n"], r["identity"]) for r in reports] == [
+            (n, step) for n in (1, 2) for step in CHAIN_STEPS
+        ]
+
+    def test_all_is_the_concatenation_of_the_commands(self):
+        args = ["--n", "1..2", "--q", "2"]
+        code, reports = run_json(["all"] + args)
+        assert code == EXIT_OK
+        parts = []
+        for command in ("verify", "lemma1", "chain", "brute", "counts"):
+            part_code, part = run_json([command] + args)
+            assert part_code == EXIT_OK
+            parts += part
+        assert without_elapsed(reports) == without_elapsed(parts)

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from whitdim import dimension
 from whitdim.counting import FeasibilityError
 from whitdim.dimension import (
+    TraceBucketSums,
     brute_dim,
     closed_dim,
     dimension_report,
@@ -83,6 +85,25 @@ class TestBruteDim:
             brute_dim(3, 3)
         with pytest.raises(FeasibilityError):
             brute_dim(2, 2, limit=100)
+
+
+class TestBucketCollapse:
+    """brute_dim and dimension_report share one collapse of the bucket sums."""
+
+    @pytest.mark.parametrize("fn", [brute_dim, dimension_report])
+    def test_negative_dimension_is_rejected(self, monkeypatch, fn):
+        # (S_0 - S_1) / 2^3 = -1
+        fake = TraceBucketSums(1, 2, {0: -8, 1: 0}, {0: 4, 1: 4})
+        monkeypatch.setattr(dimension, "trace_bucket_sums", lambda n, q, limit: fake)
+        with pytest.raises(AssertionError, match="negative dimension"):
+            fn(1, 2)
+
+    @pytest.mark.parametrize("fn", [brute_dim, dimension_report])
+    def test_nonconstant_buckets_are_rejected(self, monkeypatch, fn):
+        fake = TraceBucketSums(1, 3, {0: 27, 1: 0, 2: 27}, {0: 9, 1: 9, 2: 9})
+        monkeypatch.setattr(dimension, "trace_bucket_sums", lambda n, q, limit: fake)
+        with pytest.raises(RuntimeError, match="not constant"):
+            fn(1, 3)
 
 
 @pytest.mark.slow

@@ -16,7 +16,6 @@ from whitdim.engine import (
     dimension_sum,
     extended_inner_sum_matches,
     inner_sum_sides,
-    labeled_sides,
     simplification_chain,
     verify_main,
 )
@@ -148,21 +147,6 @@ class TestExtensionOfSummation:
         for n in range(1, 7):
             for k in range(n + 1):
                 assert extended_inner_sum_matches(n, k), (n, k)
-
-
-class TestLabeledSides:
-    def test_main_and_inner(self):
-        lhs, rhs = labeled_sides("main", 3)
-        assert lhs.label == "main-lhs" and lhs.value == rhs.value
-        lhs, rhs = labeled_sides("inner-sum", 2, 1)
-        assert lhs.k == 1 and lhs.value == rhs.value
-        assert "value" in lhs.to_json_dict() and lhs.to_json_dict()["k"] == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            labeled_sides("inner-sum", 2)
-        with pytest.raises(ValueError):
-            labeled_sides("nope", 2)
 
 
 class TestOuterInnerFactorization:
@@ -370,6 +354,30 @@ class TestChains:
             assert all(r.equal for r in reports), [
                 (r.identity, r.equal) for r in reports if not r.equal
             ]
+
+    def test_tuple_counts_are_pinned(self):
+        for n in (1, 2, 3, 4):
+            km = (n + 1) ** 2
+            admissible = sum(
+                n - max(k, m) + 1 for k in range(n + 1) for m in range(n + 1)
+            )
+            want = {
+                "simplify-monomial-merge": km,
+                "simplify-factorial-signs": km,
+                "simplify-l-power": n + 1,
+                "simplify-long-range": admissible,
+                "simplify-k-tail": admissible,
+                "simplify-m-tail": admissible,
+            }
+            got = {
+                r.identity: r.lhs
+                for r in simplification_chain(n)
+                if r.identity in want
+            }
+            assert got == {
+                name: "verified for %d parameter tuples" % count
+                for name, count in want.items()
+            }, n
 
     def test_exponent_identities_at_larger_n(self):
         n = 5

@@ -11,7 +11,7 @@ from whitdim.qseries import (
     poch_rewrite_check,
     qbinom_series,
     qq,
-    series_mul,
+    qq_power,
 )
 from whitdim.rational import RationalFunctionQ as RF
 
@@ -56,6 +56,15 @@ class TestPochhammer:
         assert qq(0) == ONE
         assert qq(3) == (ONE - Q(1)) * (ONE - Q(2)) * (ONE - Q(3))
 
+    def test_qq_power_is_repeated_multiplication(self):
+        for j in range(7):
+            want = ONE
+            for p in range(7):
+                assert qq_power(j, p) == want, (j, p)
+                want = want * qq(j)
+        with pytest.raises(ValueError):
+            qq_power(2, -1)
+
 
 class TestEulerSeries:
     def test_first_coefficients(self):
@@ -94,17 +103,17 @@ class TestQBinomSeries:
 class TestSeriesOps:
     def test_mul_with_unit_series(self):
         e = euler_series(0, 8)
-        assert series_mul(e, qbinom_series(0, 8)) == e
+        assert e * qbinom_series(0, 8) == e
 
     def test_cauchy_coefficient(self):
         e = euler_series(0, 6)
-        sq = series_mul(e, e)
+        sq = e * e
         assert sq.coeff(1) == RF(LaurentPoly.from_int(-2), ONE - Q(1))
 
     def test_ratio_collapses_shifted_euler(self):
         for k in (1, 2, 3):
             ratio = qbinom_series(-k, 6).scale_x(k)
-            assert series_mul(euler_series(k, 6), ratio) == euler_series(0, 6)
+            assert euler_series(k, 6) * ratio == euler_series(0, 6)
 
     def test_telescoping_three_factors(self):
         for n in (1, 2, 3):
@@ -112,13 +121,13 @@ class TestSeriesOps:
                 order = 5
                 ratio1 = qbinom_series(-k, order).scale_x(k)
                 ratio2 = qbinom_series(k + n, order)
-                prod = series_mul(series_mul(euler_series(k, order), ratio1), ratio2)
+                prod = euler_series(k, order) * ratio1 * ratio2
                 assert prod == euler_series(k + n, order), (n, k)
 
     def test_truncation_to_smaller_order(self):
         a = euler_series(0, 6)
         b = euler_series(1, 3)
-        assert series_mul(a, b).order == 3
+        assert (a * b).order == 3
 
     def test_alternate_and_scale(self):
         s = euler_series(0, 4)
@@ -142,7 +151,7 @@ class TestEulerProductCrossCheck:
 class TestQBinomCrossCheck:
     def test_product_with_euler_base(self):
         for a_exp in range(6):
-            lhs = series_mul(euler_series(0, 8), qbinom_series(a_exp, 8))
+            lhs = euler_series(0, 8) * qbinom_series(a_exp, 8)
             assert lhs == euler_series(a_exp, 8), a_exp
 
 
