@@ -5,9 +5,12 @@ five commands' records in turn.  run reads each record's verdict from its
 "equal" field (a dimension record's "agree") and sets the exit code.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error,
-3 an enumeration exceeded the feasibility limit.  Reports are emitted one
-JSON object per line (or CSV rows with --format csv) in a deterministic
-order with stable keys; only the elapsed_ms field varies between runs.
+3 an enumeration exceeded the feasibility limit and no earlier check failed.
+The stream stops at the first infeasible enumeration with an "infeasible"
+error line; a check that failed before it still makes the exit code 1.
+Reports are emitted one JSON object per line (or CSV rows with --format csv)
+in a deterministic order with stable keys; only the elapsed_ms field varies
+between runs.
 """
 
 from __future__ import annotations
@@ -244,7 +247,8 @@ def run(cfg: RunConfig, stream) -> int:
     except FeasibilityError as exc:
         msg = {"error": "infeasible", "detail": str(exc), "candidates": exc.candidates}
         stream.write(json.dumps(msg) + "\n")
-        return EXIT_INFEASIBLE
+        # a failed proof step outranks "too large to enumerate"
+        return EXIT_INFEASIBLE if all_ok else EXIT_FAILED
     return EXIT_OK if all_ok else EXIT_FAILED
 
 

@@ -24,9 +24,19 @@ The derivation chains compare the walkers with from-scratch oracles
 each term's tail products T_j = prod_{i=j+1..n} (1 - q^i) are applied as
 sparse (1 - q^i) passes onto cached prefixes, the terms are summed per index
 sum s = k + m + l, and each partial sum is multiplied once by its
-(q;q)_{3n-s-1} in _close_index_sums.  They never divide out a factor, never
+(q;q)_{3n-s-1} in _close_index_sums.  Their loops run l outermost, so every
+factor that does not depend on m is built once per (l, k) and each term
+multiplies in T_m T_{n-m-l} only.  They never divide out a factor, never
 step between lattice points and sum with plain LaurentPoly +/-, so they share
 no stepping, summation or closing code with the walkers they check.
+
+The per-tuple rewrites of the simplification chain are cross-multiplied
+statements between polynomials, built by sparse passes: no division and no
+canonicalisation, and exact proofs since every (q;q)_j is nonzero.  The
+long-range and tail rewrites are all prod_{i=lo+1..hi} (q^i - 1) (q;q)_lo ==
+sign (q;q)_hi (_range_rewrite_holds); many tuples map to one (sign, lo, hi),
+so each distinct statement is proved once per n and its verdict is reported
+for every tuple that maps to it.
 
 Every check is reported through one runner, timed_reports.  A check is a
 generator that yields one (identity, equal, lhs, rhs) tuple per step; the
@@ -261,7 +271,19 @@ def inner_sum_sides(n: int, k: int):
     _require_positive(n)
     if not 0 <= k <= n:
         raise ValueError("k must lie in 0..n")
-    lhs = RationalFunctionQ(_inner_sum_numerator(n, k), qq_power(n, 4))
+    num = _inner_sum_numerator(n, k)
+    # The value is a polynomial, so 4n checked (1 - q^i) divisions give the
+    # canonical lhs without a long division by (q;q)_n^4.  Falls back to the
+    # generic path if a division is inexact (i.e. if the identity were false).
+    quo = num
+    try:
+        for _ in range(4):
+            for i in range(1, n + 1):
+                quo = quo.div_one_minus_q(i)
+    except ValueError:
+        lhs = RationalFunctionQ(num, qq_power(n, 4))
+    else:
+        lhs = RationalFunctionQ(quo)
     rhs = RationalFunctionQ(inner_sum_rhs_poly(n, k))
     return lhs, rhs
 
@@ -324,13 +346,41 @@ def _for_all(identity: str, keys, tuples: list, holds):
     )
 
 
+def _range_rewrite_holds(sign: int, lo: int, hi: int) -> bool:
+    """prod_{i=lo+1..hi} (q^i - 1) * (q;q)_lo == sign * (q;q)_hi.
+
+    The cross-multiplied form of prod_{i=lo+1..hi} (q^i - 1) == sign *
+    (q;q)_hi / (q;q)_lo, and an exact proof of it since (q;q)_lo != 0.  The
+    lo factors of (q;q)_lo are sparse passes onto the literal product, so
+    nothing is divided or canonicalised.
+    """
+    if lo < 0:
+        raise ValueError("(q;q)_lo needs lo >= 0")
+    lhs = _times_qq_range(q_power_minus_one_range(lo + 1, hi), 1, lo)
+    return lhs == (-qq(hi) if sign < 0 else qq(hi))
+
+
+def _factorial_signs_hold(sign: int, k: int, m: int) -> bool:
+    """1 / (prod_{i=1..k} (q^i - 1) prod_{i=1..m} (q^i - 1)) == sign / ((q;q)_k (q;q)_m).
+
+    Cross-multiplied to (q;q)_k (q;q)_m == sign * lit_den, exact since both
+    denominators are nonzero.  Each side is built by sparse passes: (q;q)_m
+    onto the cached (q;q)_k, and the m literal factors (q^i - 1) onto the
+    literal product over 1..k.
+    """
+    lit_den = q_power_minus_one_range(1, k)
+    for i in range(1, m + 1):
+        lit_den = -lit_den.times_one_minus_q(i)
+    return _times_qq_range(qq(k), 1, m) == (-lit_den if sign < 0 else lit_den)
+
+
 def simplification_chain(n: int):
     """Verify every rewrite that turns the raw sum into the compact triple sum.
 
     The eight listed rewrites are checked for all admissible (k, m, l) at this
-    n, each as an exact identity between the literal (q^i - 1) products and
-    their (q;q) forms; then the regrouped sum and the normalized closed side
-    are compared, and finally the exponent bookkeeping.
+    n, each as an exact, cross-multiplied identity between the literal
+    (q^i - 1) products and their (q;q) forms; then the regrouped sum and the
+    normalized closed side are compared, and finally the exponent bookkeeping.
     """
     _require_positive(n)
     return timed_reports(_simplification_steps(n), n)
@@ -357,11 +407,7 @@ def _simplification_steps(n: int):
         return merged == stated
 
     def factorial_signs(k, m):
-        lit_den = q_power_minus_one_range(1, k) * q_power_minus_one_range(1, m)
-        sign = -1 if (k + m) % 2 else 1
-        return RationalFunctionQ(1, lit_den) == RationalFunctionQ(
-            LaurentPoly.from_int(sign), qq(k) * qq(m)
-        )
+        return _factorial_signs_hold(-1 if (k + m) % 2 else 1, k, m)
 
     yield _for_all("simplify-monomial-merge", ("k", "m"), km, monomial_merge)
     yield _for_all("simplify-factorial-signs", ("k", "m"), km, factorial_signs)
@@ -379,17 +425,25 @@ def _simplification_steps(n: int):
         for ell in range(n - max(k, m) + 1)
     ]
 
+    proved = {}
+
+    def range_rewrite(sign, lo, hi):
+        # many tuples share one (sign, lo, hi); each is proved once per n
+        key = (sign, lo, hi)
+        if key not in proved:
+            proved[key] = _range_rewrite_holds(sign, lo, hi)
+        return proved[key]
+
     def long_range(k, m, ell):
+        # prod_{i=l+1..3n-k-m-l-1} (q^i - 1) == (-1)^(n+k+m+1) (q;q)_top / (q;q)_l
         top = 3 * n - k - ell - m - 1
         sign = -1 if (n + k + m + 1) % 2 else 1
-        lit = q_power_minus_one_range(ell + 1, top)
-        return RationalFunctionQ(lit) == RationalFunctionQ(qq(top) * sign, qq(ell))
+        return range_rewrite(sign, ell, top)
 
     def tail(j, ell):
         # prod_{i=n-j-l+1..n} (q^i - 1) == (-1)^(j+l) (q;q)_n / (q;q)_{n-j-l}
         sign = -1 if (j + ell) % 2 else 1
-        lit = q_power_minus_one_range(n - j - ell + 1, n)
-        return RationalFunctionQ(lit) == RationalFunctionQ(qq(n) * sign, qq(n - j - ell))
+        return range_rewrite(sign, n - j - ell, n)
 
     keys = ("k", "m", "l")
     yield _for_all("simplify-long-range", keys, admissible, long_range)
@@ -427,26 +481,26 @@ def _grouped_sum_numerator(n: int) -> LaurentPoly:
 
     The (k, m, l) term is (-1)^s q^e (q;q)_{3n-s-1} (q;q)_n T_k T_m T_l
     T_{n-k-l} T_{n-m-l}, with s = k + m + l and T_j = prod_{i=j+1..n} (1 - q^i).
-    The prefixes (q;q)_n T_k and (q;q)_n T_k T_m are built once each; every
-    term then multiplies in T_l, T_{n-k-l} and T_{n-m-l}.  The sign and the
-    factor (q;q)_{3n-s-1} depend only on s, so they are applied once to the
-    sum of the terms with that s.
+    The loops run l, k, m, so the prefixes (q;q)_n T_l and (q;q)_n T_l T_k
+    T_{n-k-l} are built once each; every term then multiplies in T_m and
+    T_{n-m-l}.  The sign and the factor (q;q)_{3n-s-1} depend only on s, so
+    they are applied once to the sum of the terms with that s.
 
     Deliberately not the incremental walker: the quotients are assembled by
     multiplying (1 - q^i) factors only (never dividing one out), and summed
     with plain LaurentPoly +/-, so this value cross-checks the walker output.
     """
     by_s = [LaurentPoly.zero()] * (2 * n + 1)
-    for k in range(n + 1):
-        head_k = _times_qq_range(qq(n), k + 1, n)
-        for m in range(n + 1):
-            head_km = _times_qq_range(head_k, m + 1, n)
-            base_e = n * (k + m) - k * m + comb(k, 2) + comb(m, 2)
-            for ell in range(n - max(k, m) + 1):
-                u = _times_qq_range(head_km, ell + 1, n)
-                u = _times_qq_range(u, n - k - ell + 1, n)
+    for ell in range(n + 1):
+        head_l = _times_qq_range(qq(n), ell + 1, n)
+        for k in range(n - ell + 1):
+            head_lk = _times_qq_range(head_l, k + 1, n)
+            head_lk = _times_qq_range(head_lk, n - k - ell + 1, n)
+            for m in range(n - ell + 1):
+                u = _times_qq_range(head_lk, m + 1, n)
                 u = _times_qq_range(u, n - m - ell + 1, n)
-                by_s[k + m + ell] += u.shifted(base_e + comb(ell, 2))
+                e = n * (k + m) - k * m + comb(k, 2) + comb(m, 2) + comb(ell, 2)
+                by_s[k + m + ell] += u.shifted(e)
     return _close_index_sums(by_s, n, 0)
 
 
@@ -455,18 +509,18 @@ def _nested_inner_numerator(n: int, k: int) -> LaurentPoly:
 
     The (m, l) term is (-1)^(m+l) q^e (q;q)_{3n-s-1} (q;q)_n T_m T_l T_{n-k-l}
     T_{n-m-l}, with s = k + m + l.  Assembled like _grouped_sum_numerator:
-    (q;q)_n T_m once per m, then T_l, T_{n-k-l}, T_{n-m-l} per term, the sign
+    (q;q)_n T_l T_{n-k-l} once per l, then T_m, T_{n-m-l} per term, the sign
     and (q;q)_{3n-s-1} once per s.  No division, no walker, plain +/-.
     """
     by_s = [LaurentPoly.zero()] * (2 * n + 1)
-    for m in range(n + 1):
-        head_m = _times_qq_range(qq(n), m + 1, n)
-        base_e = m * (n - k) + comb(m, 2)
-        for ell in range(n - max(k, m) + 1):
-            u = _times_qq_range(head_m, ell + 1, n)
-            u = _times_qq_range(u, n - k - ell + 1, n)
+    for ell in range(n - k + 1):
+        head_l = _times_qq_range(qq(n), ell + 1, n)
+        head_l = _times_qq_range(head_l, n - k - ell + 1, n)
+        for m in range(n - ell + 1):
+            u = _times_qq_range(head_l, m + 1, n)
             u = _times_qq_range(u, n - m - ell + 1, n)
-            by_s[k + m + ell] += u.shifted(base_e + comb(ell, 2))
+            e = m * (n - k) + comb(m, 2) + comb(ell, 2)
+            by_s[k + m + ell] += u.shifted(e)
     return _close_index_sums(by_s, n, k)
 
 

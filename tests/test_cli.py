@@ -4,6 +4,7 @@ import json
 import pytest
 
 from whitdim.cli import (
+    EXIT_FAILED,
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_USAGE,
@@ -179,6 +180,19 @@ class TestFailurePath:
         assert code == 1
         rows = [json.loads(l) for l in buf.getvalue().splitlines()]
         assert len(rows) == 2 and all(r["equal"] is False for r in rows)
+
+    def test_failed_check_outranks_a_later_infeasible_enumeration(self, monkeypatch):
+        from whitdim import cli, engine
+
+        def broken(n):
+            return engine.VerificationReport("main", n, None, False, "x", "y", 0.0)
+
+        monkeypatch.setattr(cli.engine, "verify_main", broken)
+        code, rows = run_json(["all", "--n", "3", "--q", "3"])
+        assert code == EXIT_FAILED
+        assert rows[0]["identity"] == "main" and rows[0]["equal"] is False
+        assert rows[-1]["error"] == "infeasible"
+        assert not any("params" in r for r in rows)  # the stream stopped there
 
 
 CHAIN_STEPS = [

@@ -135,6 +135,25 @@ class TestInnerSum:
                 lhs, rhs = inner_sum_sides(n, k)
                 assert lhs == rhs, (n, k)
 
+    def test_perturbed_numerator_is_unequal_and_canonical(self, monkeypatch):
+        # an inexact (1 - q^i) division falls back to the generic canonical form
+        from whitdim import engine
+
+        walker = engine._inner_sum_numerator
+
+        def faulty(n, k):
+            out = walker(n, k)
+            return out + LaurentPoly.monomial(out.min_exp + 1)  # one coefficient off by 1
+
+        monkeypatch.setattr(engine, "_inner_sum_numerator", faulty)
+        for n, k in ((1, 0), (3, 1), (4, 4)):
+            lhs, rhs = inner_sum_sides(n, k)
+            assert lhs != rhs, (n, k)
+            want = RF(faulty(n, k), qq(n) ** 4)
+            assert lhs.to_json_dict() == want.to_json_dict(), (n, k)
+            assert not lhs.denominator_is_one, (n, k)
+            assert engine.verify_inner_sum(n, k).equal is False, (n, k)
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             inner_sum_sides(2, 3)
@@ -379,8 +398,138 @@ class TestChains:
                 for name, count in want.items()
             }, n
 
+    def test_rewrite_predicates_match_the_rational_function_comparison(self):
+        # either stated sign, every tuple at n <= 5: the cross-multiplied
+        # predicates give the verdict of comparing canonical rational functions
+        from whitdim import engine
+
+        lit = q_power_minus_one_range
+        for n in range(1, 6):
+            for k, m, ell in _admissible(n):
+                top = 3 * n - k - ell - m - 1
+                for lo, hi in ((ell, top), (n - k - ell, n), (n - m - ell, n)):
+                    for sign in (1, -1):
+                        want = RF(lit(lo + 1, hi)) == RF(qq(hi) * sign, qq(lo))
+                        assert engine._range_rewrite_holds(sign, lo, hi) == want, (
+                            n, k, m, ell, lo, hi, sign,
+                        )
+            for k in range(n + 1):
+                for m in range(n + 1):
+                    for sign in (1, -1):
+                        want = RF(1, lit(1, k) * lit(1, m)) == RF(
+                            LaurentPoly.from_int(sign), qq(k) * qq(m)
+                        )
+                        assert engine._factorial_signs_hold(sign, k, m) == want, (
+                            n, k, m, sign,
+                        )
+
+    def test_rewrite_predicates_never_divide_or_canonicalise(self, monkeypatch):
+        from whitdim import engine, rational
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cross-multiplied predicate canonicalised")
+
+        for module, name in ((engine, "RationalFunctionQ"), (engine, "poly_exact_div"),
+                             (rational, "poly_exact_div"), (rational, "poly_gcd")):
+            monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(LaurentPoly, "div_one_minus_q", forbidden)
+        n = 4
+        for k, m, ell in _admissible(n):
+            assert engine._range_rewrite_holds(
+                (-1) ** (n + k + m + 1), ell, 3 * n - k - m - ell - 1
+            )
+            assert engine._range_rewrite_holds((-1) ** (k + ell), n - k - ell, n)
+            assert engine._factorial_signs_hold((-1) ** (k + m), k, m)
+
+    def test_range_rewrite_rejects_a_negative_lower_index(self):
+        from whitdim import engine
+
+        with pytest.raises(ValueError):
+            engine._range_rewrite_holds(1, -1, 3)
+
+    def test_a_dropped_literal_factor_fails_every_tuple_of_its_statement(
+        self, monkeypatch
+    ):
+        # the range rewrites are proved once per (sign, lo, hi); a fault in
+        # one literal product must still be reported for every tuple using it
+        from whitdim import engine
+
+        real = engine.q_power_minus_one_range
+        n = 4
+        triples = _admissible(n)
+        literal_of = {
+            "simplify-long-range": lambda k, m, ell: (ell + 1, 3 * n - k - m - ell - 1),
+            "simplify-k-tail": lambda k, m, ell: (n - k - ell + 1, n),
+            "simplify-m-tail": lambda k, m, ell: (n - m - ell + 1, n),
+        }
+        failed, most = set(), 0
+        for fault in [(1, 9), (1, 8), (3, 4), (2, 4), (1, 2)]:
+            def dropped(lo, hi, fault=fault):
+                return real(lo, hi - 1) if (lo, hi) == fault else real(lo, hi)
+
+            monkeypatch.setattr(engine, "q_power_minus_one_range", dropped)
+            reports = {r.identity: r for r in simplification_chain(n)}
+            monkeypatch.undo()
+            want = {
+                identity: [
+                    {"k": k, "m": m, "l": ell}
+                    for k, m, ell in triples
+                    if literal(k, m, ell) == fault
+                ]
+                for identity, literal in literal_of.items()
+            }
+            # the m half of the factorial literals is applied as sparse
+            # passes, so only the k half goes through the patched range
+            want["simplify-factorial-signs"] = [
+                {"k": k, "m": m}
+                for k in range(n + 1)
+                for m in range(n + 1)
+                if (1, k) == fault
+            ]
+            for identity, tuples in want.items():
+                rep = reports[identity]
+                assert rep.equal is not bool(tuples), (fault, identity)
+                assert rep.rhs == (tuples or "all equal"), (fault, identity)
+                if tuples:
+                    failed.add(identity)
+                    most = max(most, len(tuples))
+        assert failed == set(want) and most > 1
+
+    def test_each_range_statement_is_proved_once_per_n(self, monkeypatch):
+        from whitdim import engine
+
+        calls = []
+        real = engine._range_rewrite_holds
+
+        def counted(*key):
+            calls.append(key)
+            return real(*key)
+
+        monkeypatch.setattr(engine, "_range_rewrite_holds", counted)
+        n = 5
+        simplification_chain(n)
+        assert len(calls) == len(set(calls))
+        assert len(calls) < 3 * len(_admissible(n))
+        # and the statements proved are the paper's: (sign, lo, hi) of the
+        # long range and of both tails, for every admissible tuple
+        stated = set()
+        for k, m, ell in _admissible(n):
+            stated.add(((-1) ** (n + k + m + 1), ell, 3 * n - k - m - ell - 1))
+            stated.add(((-1) ** (k + ell), n - k - ell, n))
+            stated.add(((-1) ** (m + ell), n - m - ell, n))
+        assert set(calls) == stated
+
     def test_exponent_identities_at_larger_n(self):
         n = 5
         assert 3 * n * n + 2 * (n * (n - 1) // 2) == 4 * n * n - n
         n = 4
         assert n * n + n * (n - 1) // 2 == 2 * n * n - n - n * (n - 1) // 2
+
+
+def _admissible(n):
+    return [
+        (k, m, ell)
+        for k in range(n + 1)
+        for m in range(n + 1)
+        for ell in range(n - max(k, m) + 1)
+    ]
