@@ -2,39 +2,45 @@
 """Sample mutants of one whitdim module and run its tests against each one.
 
 Usage:
-    python bench/mutate.py src/whitdim/engine.py [--count 30] [--seed 0]
-                           [--timeout SECONDS] [--workdir DIR]
+    python bench/mutate.py src/whitdim/engine.py [--workdir DIR]
 
 A mutant changes one site of the module's syntax tree:
   + <-> -  (binary operators and augmented assignments),
   < <-> <=  and  > <-> >=  (comparisons),
   an int constant c -> c + 1.
---count sites are drawn from all of them with random.Random(--seed), so a
-rerun on the same source picks the same mutants.  The edit is made in the
-source text at the site's position; the rest of the file is left as it is.
+COUNT sites are drawn.  Each site is ranked by a SHA-256 hash of SEED, its
+function, its operator and its mutated line, and the COUNT lowest ranks are
+drawn.  A site's rank does not depend on the rest of the file, so two
+versions of a module draw the same mutant at every site whose line they
+share (unless new sites outrank it), and their scores compare like with
+like.  The edit is made in the source text at the site's position; the rest
+of the file is left as it is.
 
 Each mutant is written into a scratch copy of src/ and tests/ and the
 module's non-slow tests (the TESTS map below) run against it with pytest -x.
-The mutant is killed when they fail or run past the timeout (default: five
-times the unmutated run, at least 30 s), and survives when they pass.  A
-survivor named in EQUIVALENT cannot change any result and is reported as
-equivalent instead.  The unmutated copy must pass first, or nothing is run.
+The mutant is killed when they fail or run past the timeout (five times the
+unmutated run, at least 30 s), and survives when they pass.  A survivor
+named in EQUIVALENT, with the same mutated line, cannot change any result
+and is reported as equivalent instead.  An EQUIVALENT entry whose id no
+longer names that line is listed as stale and judges nothing.  The
+unmutated copy must pass first, or nothing is run.
 
-Prints one JSON object: the mutants killed, survived and equivalent, and the
-score killed / (sampled - equivalent).  Progress goes to stderr.  Uses only
-the standard library.  This is a measurement, not part of the test suite and
-not a gate.
+Prints one JSON object: the mutants killed, survived and equivalent, the
+stale EQUIVALENT entries, and the score killed / (sampled - equivalent).
+Progress goes to stderr.  Uses only the standard library.  This is a
+measurement, not part of the test suite and not a gate.
 
 A mutant's id is module:function:operator:ordinal, the ordinal counting the
-sites of that operator within the function, so an id survives edits made
-elsewhere in the file.
+sites of that operator within the function in syntax-tree order; its "text"
+is the mutated source line, stripped.
 """
 
 import argparse
 import ast
+import bisect
+import hashlib
 import json
 import os
-import random
 import shutil
 import subprocess
 import sys
@@ -42,6 +48,8 @@ import tempfile
 import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 0
+COUNT = 30
 
 # module -> the test files that exercise it
 TESTS = {
@@ -59,21 +67,39 @@ TESTS = {
     "_gfkernel_py.py": ["tests/test_counting.py", "tests/test_dimension.py"],
 }
 
-# mutant id -> why no input can tell it from the original
+# mutant id -> (its mutated line, why no input can tell it from the original)
 EQUIVALENT = {
     "engine.py:_conclusion_steps:const+1:2": (
+        "for k in range(n + 2):",
         "widens the k range of conclusion-group-by-k to n + 1; the inner sum at "
-        "k = n + 1 has an empty l range, so it only adds zero"
+        "k = n + 1 has an empty l range, so it only adds zero",
     ),
     "engine.py:_conclusion_steps:const+1:27": (
+        "for k in range(n + 2)",
         "widens the k range of the Pochhammer rewrite in conclusion-pochhammer-split "
-        "to n + 1; the rewrite holds for every k >= 0"
+        "to n + 1; the rewrite holds for every k >= 0",
     ),
     "engine.py:_close_index_sums:+->-:0": (
-        "(s + parity) % 2 -> (s - parity) % 2 has the same parity"
+        "acc = acc - term if (s - parity) % 2 else acc + term",
+        "(s + parity) % 2 -> (s - parity) % 2 has the same parity",
     ),
     "engine.py:_simplification_steps.long_range:+->-:0": (
-        "(n + k + m + 1) % 2 -> (n - k + m + 1) % 2 has the same parity"
+        "sign = -1 if (n + k + m - 1) % 2 else 1",
+        "(n + k + m + 1) % 2 -> (n + k + m - 1) % 2 has the same parity",
+    ),
+    "engine.py:_simplification_steps.long_range:+->-:1": (
+        "sign = -1 if (n + k - m + 1) % 2 else 1",
+        "(n + k + m + 1) % 2 -> (n + k - m + 1) % 2 has the same parity",
+    ),
+    "engine.py:_grouped_sum_numerator:const+1:1": (
+        "by_s = [LaurentPoly.zero()] * (2 * n + 2)",
+        "adds a partial sum for s = 2n + 1, which no term reaches, so it stays "
+        "zero and closes to zero",
+    ),
+    "engine.py:_nested_inner_numerator:const+1:1": (
+        "by_s = [LaurentPoly.zero()] * (2 * n + 2)",
+        "adds a partial sum for s = 2n + 1, which no term reaches, so it stays "
+        "zero and closes to zero",
     ),
 }
 
@@ -89,7 +115,8 @@ SWAPS = {
 
 
 def _offsets(source: bytes):
-    """Byte offset of the start of each line (1-based line numbers)."""
+    """Byte offset of the start of each line (1-based line numbers), then
+    the end of the file."""
     starts = [0, 0]
     for line in source.splitlines(keepends=True):
         starts.append(starts[-1] + len(line))
@@ -127,16 +154,20 @@ def find_sites(source: bytes, module: str):
     sites = []
     ordinals = {}
 
-    def add(func, kind, start, end, old, new, line):
+    def add(func, kind, start, end, old, new):
         key = (func, kind)
         ordinal = ordinals.get(key, 0)
         ordinals[key] = ordinal + 1
+        line = bisect.bisect_right(starts, start) - 1
+        text = (source[starts[line]:start] + new.encode()
+                + source[end:starts[line + 1]]).decode().strip()
         sites.append({
             "id": "%s:%s:%s:%d" % (module, func, kind, ordinal),
-            "start": start, "end": end, "old": old, "new": new, "line": line,
+            "func": func, "kind": kind, "start": start, "end": end,
+            "old": old, "new": new, "line": line, "text": text,
         })
 
-    def operator_between(func, left, right, op, line):
+    def operator_between(func, left, right, op):
         swap = SWAPS.get(type(op))
         if swap is None:
             return
@@ -145,19 +176,19 @@ def find_sites(source: bytes, module: str):
         at = _operator_offset(source[lo:hi], old.encode())
         if at is None:
             return
-        add(func, "%s->%s" % (old, new), lo + at, lo + at + len(old), old, new, line)
+        add(func, "%s->%s" % (old, new), lo + at, lo + at + len(old), old, new)
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             func = node.name if func == "<module>" else "%s.%s" % (func, node.name)
         if isinstance(node, ast.BinOp):
-            operator_between(func, node.left, node.right, node.op, node.lineno)
+            operator_between(func, node.left, node.right, node.op)
         elif isinstance(node, ast.AugAssign):
-            operator_between(func, node.target, node.value, node.op, node.lineno)
+            operator_between(func, node.target, node.value, node.op)
         elif isinstance(node, ast.Compare):
             left = node.left
             for op, right in zip(node.ops, node.comparators):
-                operator_between(func, left, right, op, node.lineno)
+                operator_between(func, left, right, op)
                 left = right
         elif (
             isinstance(node, ast.Constant)
@@ -166,12 +197,37 @@ def find_sites(source: bytes, module: str):
         ):
             start, end = start_of(node), end_of(node)
             add(func, "const+1", start, end, source[start:end].decode(),
-                str(node.value + 1), node.lineno)
+                str(node.value + 1))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
     visit(tree, "<module>")
     return sites
+
+
+def draw(sites):
+    """The COUNT sites of lowest rank, in file order.  A site's rank hashes
+    SEED, its function, operator and mutated line, and how many sites
+    before it in the file share all three."""
+    seen = {}
+    ranked = []
+    for site in sites:
+        key = "%d:%s:%s:%s" % (SEED, site["func"], site["kind"], site["text"])
+        repeat = seen.get(key, 0)
+        seen[key] = repeat + 1
+        rank = hashlib.sha256(("%s:%d" % (key, repeat)).encode()).digest()
+        ranked.append((rank, site["start"], site))
+    ranked.sort(key=lambda r: r[:2])
+    return sorted((r[2] for r in ranked[:COUNT]), key=lambda s: s["start"])
+
+
+def stale_equivalents(sites, module):
+    """EQUIVALENT ids of this module that no longer name their mutated line."""
+    texts = {site["id"]: site["text"] for site in sites}
+    return sorted(
+        mutant for mutant, (text, _) in EQUIVALENT.items()
+        if mutant.startswith(module + ":") and texts.get(mutant) != text
+    )
 
 
 def apply(source: bytes, site) -> bytes:
@@ -197,10 +253,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("module", help="path of the module, e.g. src/whitdim/engine.py")
-    parser.add_argument("--count", type=int, default=30, help="mutants to sample")
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="seconds per mutant (default: 5x the unmutated run, >= 30)")
     parser.add_argument("--workdir", default=None,
                         help="where to make the scratch copy (default: a temp dir)")
     args = parser.parse_args()
@@ -216,8 +268,8 @@ def main():
     with open(module_path, "rb") as fh:
         source = fh.read()
     sites = find_sites(source, module)
-    sample = random.Random(args.seed).sample(sites, min(args.count, len(sites)))
-    sample.sort(key=lambda s: s["start"])
+    sample = draw(sites)
+    stale = stale_equivalents(sites, module)
 
     workdir = tempfile.mkdtemp(prefix="whitdim-mutate-", dir=args.workdir)
     try:
@@ -232,23 +284,24 @@ def main():
         ok, base_s = run_tests(workdir, tests, None)
         if not ok:
             sys.exit("the unmutated module fails its tests; nothing to measure")
-        timeout = args.timeout or max(30.0, 5 * base_s)
+        timeout = max(30.0, 5 * base_s)
 
-        result = {"module": rel, "seed": args.seed, "sites": len(sites),
+        result = {"module": rel, "seed": SEED, "sites": len(sites),
                   "sampled": len(sample), "tests": tests,
                   "baseline_s": round(base_s, 2), "timeout_s": round(timeout, 1),
-                  "killed": [], "survived": [], "equivalent": []}
+                  "killed": [], "survived": [], "equivalent": [], "stale": stale}
         for i, site in enumerate(sample, 1):
             with open(target, "wb") as fh:
                 fh.write(apply(source, site))
             passed, _ = run_tests(workdir, tests, timeout)
             entry = {"id": site["id"], "line": site["line"],
-                     "change": "%s -> %s" % (site["old"], site["new"])}
+                     "change": "%s -> %s" % (site["old"], site["new"]),
+                     "text": site["text"]}
             if not passed:
                 verdict = "killed"
-            elif site["id"] in EQUIVALENT:
+            elif site["id"] in EQUIVALENT and site["id"] not in stale:
                 verdict = "equivalent"
-                entry["reason"] = EQUIVALENT[site["id"]]
+                entry["reason"] = EQUIVALENT[site["id"]][1]
             else:
                 verdict = "survived"
             result[verdict].append(entry)
