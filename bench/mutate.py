@@ -69,12 +69,12 @@ TESTS = {
 
 # mutant id -> (its mutated line, why no input can tell it from the original)
 EQUIVALENT = {
-    "engine.py:_conclusion_steps:const+1:2": (
+    "engine.py:_nested_triple_numerator:const+1:0": (
         "for k in range(n + 2):",
-        "widens the k range of conclusion-group-by-k to n + 1; the inner sum at "
-        "k = n + 1 has an empty l range, so it only adds zero",
+        "widens the outer k range of the triple-sum oracle to n + 1; the inner "
+        "sum at k = n + 1 has an empty l range, so it only adds zero",
     ),
-    "engine.py:_conclusion_steps:const+1:27": (
+    "engine.py:_conclusion_steps:const+1:23": (
         "for k in range(n + 2)",
         "widens the k range of the Pochhammer rewrite in conclusion-pochhammer-split "
         "to n + 1; the rewrite holds for every k >= 0",
@@ -90,11 +90,6 @@ EQUIVALENT = {
     "engine.py:_simplification_steps.long_range:+->-:1": (
         "sign = -1 if (n + k - m + 1) % 2 else 1",
         "(n + k + m + 1) % 2 -> (n + k - m + 1) % 2 has the same parity",
-    ),
-    "engine.py:_grouped_sum_numerator:const+1:1": (
-        "by_s = [LaurentPoly.zero()] * (2 * n + 2)",
-        "adds a partial sum for s = 2n + 1, which no term reaches, so it stays "
-        "zero and closes to zero",
     ),
     "engine.py:_nested_inner_numerator:const+1:1": (
         "by_s = [LaurentPoly.zero()] * (2 * n + 2)",

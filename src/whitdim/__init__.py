@@ -14,12 +14,9 @@ over small finite fields GF(q), q in {2,3,4,5,7,8,9}.
 from .laurent import LaurentPoly, StructuralProductError
 from .rational import RationalFunctionQ
 from .qseries import (
-    INF,
-    PochSpec,
     TruncatedSeriesX,
     euler_product_truncation,
     euler_series,
-    poch_finite,
     poch_power,
     poch_rewrite_check,
     qbinom_series,
@@ -77,9 +74,7 @@ __all__ = [
     "FeasibilityError",
     "GFMatrix",
     "GFq",
-    "INF",
     "LaurentPoly",
-    "PochSpec",
     "RationalFunctionQ",
     "SUPPORTED_Q",
     "StructuralProductError",
@@ -105,7 +100,6 @@ __all__ = [
     "grassmann_formula",
     "inner_sum_sides",
     "middle_dim",
-    "poch_finite",
     "poch_power",
     "poch_rewrite_check",
     "prasad_delta",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from dataclasses import dataclass, field
@@ -269,12 +268,6 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         with fh:
             return run(cfg, fh)
-    if cfg.format == "csv":
-        # csv wants universal newline control; wrap stdout once
-        buf = io.StringIO()
-        code = run(cfg, buf)
-        sys.stdout.write(buf.getvalue())
-        return code
     return run(cfg, sys.stdout)
 
 

@@ -19,16 +19,19 @@ only on s, or on nothing, are applied once at the end: a Horner pass over s
 multiplied by (q;q)_n^p.  No per-term polynomial product is ever built, and
 each division asserts exactness.
 
-The derivation chains compare the walkers with from-scratch oracles
-(_grouped_sum_numerator, _nested_inner_numerator).  These only multiply:
+The derivation chains compare the walkers with one from-scratch oracle,
+_nested_triple_numerator: the outer-k sum of the inner (m, l) sums that
+_nested_inner_numerator builds for each k.  The oracle only multiplies:
 each term's tail products T_j = prod_{i=j+1..n} (1 - q^i) are applied as
 sparse (1 - q^i) passes onto cached prefixes, the terms are summed per index
 sum s = k + m + l, and each partial sum is multiplied once by its
-(q;q)_{3n-s-1} in _close_index_sums.  Their loops run l outermost, so every
-factor that does not depend on m is built once per (l, k) and each term
-multiplies in T_m T_{n-m-l} only.  They never divide out a factor, never
-step between lattice points and sum with plain LaurentPoly +/-, so they share
-no stepping, summation or closing code with the walkers they check.
+(q;q)_{3n-s-1} in _close_index_sums.  Its l loop runs outside the m loop,
+so every factor that does not depend on m is built once per l, and each
+term multiplies in T_m T_{n-m-l} only.  It never divides out a factor,
+never steps between lattice points and sums with plain LaurentPoly +/-, so
+it shares no stepping, summation or closing code with the walkers it checks.
+Both simplify-regrouped-sum and conclusion-group-by-k compare a walker with
+it; it is cached for the last n, so a chain run builds it once per n.
 
 The per-tuple rewrites of the simplification chain are cross-multiplied
 statements between polynomials, built by sparse passes: no division and no
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Optional
 
@@ -306,7 +310,10 @@ def extended_inner_sum_matches(n: int, k: int) -> bool:
 
     Uses the rewritten summand whose l-factor carries (q^-k;q)_l, which
     vanishes for l > k; the restricted (l <= min(k, n-m)) and extended
-    (l <= n-m) sums must agree exactly.
+    (l <= n-m) sums must agree exactly.  The restricted sum must also be the
+    inner sum's closed form: restricted (q;q)_n (q^(k+1);q)_(n-1) equals
+    inner_sum_rhs_poly(n, k), so a wrong summand or l range that changes
+    both sums alike is still caught.
     """
     _require_positive(n)
     if not 0 <= k <= n:
@@ -327,7 +334,9 @@ def extended_inner_sum_matches(n: int, k: int) -> bool:
             extended = extended + t
             if ell <= min(k, n - m):
                 restricted = restricted + t
-    return restricted == extended
+    closed = restricted * RationalFunctionQ(qq(n) * poch_power(k + 1, n - 1))
+    rhs = RationalFunctionQ(inner_sum_rhs_poly(n, k))
+    return restricted == extended and closed == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +388,10 @@ def simplification_chain(n: int):
 
     The eight listed rewrites are checked for all admissible (k, m, l) at this
     n, each as an exact, cross-multiplied identity between the literal
-    (q^i - 1) products and their (q;q) forms; then the regrouped sum and the
-    normalized closed side are compared, and finally the exponent bookkeeping.
+    (q^i - 1) products and their (q;q) forms.  Then the normalized raw sum,
+    from the walker, is compared with the regrouped (q;q) triple sum, from
+    the oracle _nested_triple_numerator; then the normalized closed side,
+    and finally the exponent bookkeeping.
     """
     _require_positive(n)
     return timed_reports(_simplification_steps(n), n)
@@ -457,7 +468,7 @@ def _simplification_steps(n: int):
         * RationalFunctionQ.monomial(3 * n * n)
         / RationalFunctionQ(qq(n) * sign)
     )
-    grouped = RationalFunctionQ(_grouped_sum_numerator(n), qq_power(n, 5))
+    grouped = RationalFunctionQ(_nested_triple_numerator(n), qq_power(n, 5))
     yield _equality("simplify-regrouped-sum", normalized, grouped)
 
     normalized_lhs = (
@@ -476,41 +487,13 @@ def _simplification_steps(n: int):
     yield "simplify-exponent-total", l_exp == r_exp, l_exp, r_exp
 
 
-def _grouped_sum_numerator(n: int) -> LaurentPoly:
-    """Numerator over (q;q)_n^5 of the grouped (q;q) triple sum, from scratch.
-
-    The (k, m, l) term is (-1)^s q^e (q;q)_{3n-s-1} (q;q)_n T_k T_m T_l
-    T_{n-k-l} T_{n-m-l}, with s = k + m + l and T_j = prod_{i=j+1..n} (1 - q^i).
-    The loops run l, k, m, so the prefixes (q;q)_n T_l and (q;q)_n T_l T_k
-    T_{n-k-l} are built once each; every term then multiplies in T_m and
-    T_{n-m-l}.  The sign and the factor (q;q)_{3n-s-1} depend only on s, so
-    they are applied once to the sum of the terms with that s.
-
-    Deliberately not the incremental walker: the quotients are assembled by
-    multiplying (1 - q^i) factors only (never dividing one out), and summed
-    with plain LaurentPoly +/-, so this value cross-checks the walker output.
-    """
-    by_s = [LaurentPoly.zero()] * (2 * n + 1)
-    for ell in range(n + 1):
-        head_l = _times_qq_range(qq(n), ell + 1, n)
-        for k in range(n - ell + 1):
-            head_lk = _times_qq_range(head_l, k + 1, n)
-            head_lk = _times_qq_range(head_lk, n - k - ell + 1, n)
-            for m in range(n - ell + 1):
-                u = _times_qq_range(head_lk, m + 1, n)
-                u = _times_qq_range(u, n - m - ell + 1, n)
-                e = n * (k + m) - k * m + comb(k, 2) + comb(m, 2) + comb(ell, 2)
-                by_s[k + m + ell] += u.shifted(e)
-    return _close_index_sums(by_s, n, 0)
-
-
 def _nested_inner_numerator(n: int, k: int) -> LaurentPoly:
     """Numerator over (q;q)_n^4 of the inner (m,l) sum at fixed k, from scratch.
 
     The (m, l) term is (-1)^(m+l) q^e (q;q)_{3n-s-1} (q;q)_n T_m T_l T_{n-k-l}
-    T_{n-m-l}, with s = k + m + l.  Assembled like _grouped_sum_numerator:
-    (q;q)_n T_l T_{n-k-l} once per l, then T_m, T_{n-m-l} per term, the sign
-    and (q;q)_{3n-s-1} once per s.  No division, no walker, plain +/-.
+    T_{n-m-l}, with s = k + m + l.  (q;q)_n T_l T_{n-k-l} is built once per
+    l, then T_m, T_{n-m-l} per term; the sign and (q;q)_{3n-s-1} are applied
+    once per s.  No division, no walker, plain +/-.
     """
     by_s = [LaurentPoly.zero()] * (2 * n + 1)
     for ell in range(n - k + 1):
@@ -522,6 +505,24 @@ def _nested_inner_numerator(n: int, k: int) -> LaurentPoly:
             e = m * (n - k) + comb(m, 2) + comb(ell, 2)
             by_s[k + m + ell] += u.shifted(e)
     return _close_index_sums(by_s, n, k)
+
+
+@lru_cache(maxsize=1)
+def _nested_triple_numerator(n: int) -> LaurentPoly:
+    """Numerator over (q;q)_n^5 of the (k, m, l) triple sum, from scratch.
+
+    The outer-k sum of (-1)^k q^(kn + C(k,2)) T_k times the inner (m, l) sum
+    _nested_inner_numerator(n, k).  The one oracle of the triple sum: both
+    simplify-regrouped-sum and conclusion-group-by-k compare a walker with
+    it, and the cache of the last n lets a chain run build it once per n.
+    """
+    nested = LaurentPoly.zero()
+    for k in range(n + 1):
+        outer = _times_qq_range(
+            _nested_inner_numerator(n, k), k + 1, n
+        ).shifted(k * n + comb(k, 2))
+        nested = nested - outer if k % 2 else nested + outer
+    return nested
 
 
 def _close_index_sums(by_s, n: int, parity: int) -> LaurentPoly:
@@ -542,12 +543,7 @@ def conclusion_chain(n: int):
 def _conclusion_steps(n: int):
     # (a) flat triple sum == outer-k sum of inner double sums
     flat = _triple_sum_numerator(n, 1, 0)
-    nested = LaurentPoly.zero()
-    for k in range(n + 1):
-        outer = _times_qq_range(
-            _nested_inner_numerator(n, k), k + 1, n
-        ).shifted(k * n + comb(k, 2))
-        nested = nested - outer if k % 2 else nested + outer
+    nested = _nested_triple_numerator(n)
     yield ("conclusion-group-by-k", flat == nested,
            "triple sum numerator", "nested sum numerator")
 

@@ -219,10 +219,6 @@ class LaurentPoly:
         # exact: the ends are f[0] and -f[-1], both nonzero
         return LaurentPoly._raw(self.min_exp, tuple(out))
 
-    def times_binomial(self, exp: int, c: int) -> "LaurentPoly":
-        """self * (1 + c*q**exp) for any integer exp (including <= 0)."""
-        return self + self.shifted(exp) * c
-
     def truncated(self, max_degree: int) -> "LaurentPoly":
         """Drop all terms of degree > max_degree."""
         if not self.coeffs or self.degree <= max_degree:

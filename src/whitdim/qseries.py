@@ -1,9 +1,9 @@
 """Finite q-Pochhammer products and truncated formal power series in x.
 
 The q-Pochhammer symbol is (a;q)_n = prod_{k=0}^{n-1} (1 - a q^k); here the
-base a is always +-q^e for an integer e, captured by PochSpec.  Infinite
-symbols are never truncated products: they are *defined* through their series
-expansions, with exact rational-function coefficients,
+base a is always q^e for an integer e and n is finite, built by poch_power.
+Infinite symbols are never truncated products: they are *defined* through
+their series expansions, with exact rational-function coefficients,
 
     (x;q)_inf           -> coefficient of x^j is (-1)^j q^C(j,2) / (q;q)_j,
     (a x;q)_inf/(x;q)_inf -> coefficient of x^j is (a;q)_j / (q;q)_j,
@@ -15,42 +15,10 @@ notion of analytic convergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .laurent import LaurentPoly
 from .rational import RationalFunctionQ
-
-INF = float("inf")
-
-
-@dataclass(frozen=True)
-class PochSpec:
-    """The symbol (sign * q^exp ; q)_length, with length a non-negative int or INF."""
-
-    sign: int
-    exp: int
-    length: object
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if self.length is not INF and (
-            not isinstance(self.length, int) or self.length < 0
-        ):
-            raise ValueError("length must be a non-negative integer or INF")
-
-
-def poch_finite(spec: PochSpec) -> LaurentPoly:
-    """Exact product prod_{k=0}^{length-1} (1 - sign*q^(exp+k)); empty product is 1."""
-    if spec.length is INF:
-        raise ValueError("finite evaluation requires a finite length")
-    out = LaurentPoly.one()
-    for k in range(spec.length):
-        out = out.times_binomial(spec.exp + k, -spec.sign)
-        if out.is_zero:
-            break
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -78,8 +46,17 @@ def qq_power(j: int, p: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def poch_power(base_exp: int, length: int) -> LaurentPoly:
-    """(q^base_exp ; q)_length, cached."""
-    return poch_finite(PochSpec(1, base_exp, length))
+    """(q^base_exp ; q)_length = prod_{k=0}^{length-1} (1 - q^(base_exp+k)), cached.
+
+    The empty product (length 0) is 1.  A base_exp <= 0 is allowed: the
+    product vanishes once it reaches the factor 1 - q^0.
+    """
+    if length < 0:
+        raise ValueError("(q^e;q)_length needs length >= 0")
+    out = LaurentPoly.one()
+    for e in range(base_exp, base_exp + length):
+        out = out - out.shifted(e)
+    return out
 
 
 class TruncatedSeriesX:
@@ -138,9 +115,6 @@ class TruncatedSeriesX:
         return TruncatedSeriesX(
             (-c if j % 2 else c) for j, c in enumerate(self.coeffs)
         )
-
-    def to_json_list(self):
-        return [c.to_json_dict() for c in self.coeffs]
 
     def __repr__(self):
         return "TruncatedSeriesX(order=%d)" % self.order

@@ -147,6 +147,20 @@ class TestOutputModes:
         assert len(lines) == 4  # header + k = 0, 1, 2
         assert all(",true," in l for l in lines[1:])
 
+    def test_csv_to_stdout_has_the_output_file_bytes(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+        argv = [sys.executable, "-m", "whitdim.cli", "lemma1", "--n", "2", "--format", "csv"]
+        path = tmp_path / "out.csv"
+        stdout = subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+        subprocess.run(argv + ["--output", str(path)], env=env, check=True)
+        assert stdout.startswith(b"check,n,k,q,ok,detail\n")
+        assert stdout == path.read_bytes()
+
     def test_determinism_modulo_elapsed(self):
         def snap():
             cfg = RunConfig(command="verify", n_min=1, n_max=3)

@@ -167,6 +167,22 @@ class TestExtensionOfSummation:
             for k in range(n + 1):
                 assert extended_inner_sum_matches(n, k), (n, k)
 
+    def test_wrong_closed_form_is_reported(self, monkeypatch):
+        # the restricted sum is checked against the closed form, not only
+        # against the extended sum built by the same summand
+        from whitdim import engine
+
+        closed_form = engine.inner_sum_rhs_poly
+
+        def faulty(n, k):
+            out = closed_form(n, k)
+            return out + LaurentPoly.monomial(out.min_exp)  # one coefficient off by 1
+
+        monkeypatch.setattr(engine, "inner_sum_rhs_poly", faulty)
+        for n in range(1, 5):
+            for k in range(n + 1):
+                assert not extended_inner_sum_matches(n, k), (n, k)
+
 
 class TestOuterInnerFactorization:
     def test_fixed_k_restriction_factors_exactly(self):
@@ -200,12 +216,14 @@ class TestOuterInnerFactorization:
 
 
 class TestGroupedSumOracle:
+    # the oracle caches its last n; each test clears it so nothing is reused
     def test_matches_per_term_reference(self):
         # every (k, m, l) term built on its own from dense (q;q) products
-        from whitdim.engine import _grouped_sum_numerator
+        from whitdim.engine import _nested_triple_numerator
 
+        _nested_triple_numerator.cache_clear()
         for n in range(1, 7):
-            assert _grouped_sum_numerator(n) == _per_term_triple_sum(n, 1, 0), n
+            assert _nested_triple_numerator(n) == _per_term_triple_sum(n, 1, 0), n
 
     def test_oracles_never_divide_or_accumulate(self, monkeypatch):
         # the cross-checks must share no stepping or summation code with the walker
@@ -214,13 +232,37 @@ class TestGroupedSumOracle:
         def forbidden(*args, **kwargs):
             raise AssertionError("oracle used a walker kernel")
 
-        expected = [engine._grouped_sum_numerator(4)]
-        expected += [engine._nested_inner_numerator(4, k) for k in range(5)]
+        def run():
+            engine._nested_triple_numerator.cache_clear()
+            out = [engine._nested_triple_numerator(4)]
+            return out + [engine._nested_inner_numerator(4, k) for k in range(5)]
+
+        expected = run()
         monkeypatch.setattr(LaurentPoly, "div_one_minus_q", forbidden)
         monkeypatch.setattr(engine, "PolyAccumulator", forbidden)
-        got = [engine._grouped_sum_numerator(4)]
-        got += [engine._nested_inner_numerator(4, k) for k in range(5)]
-        assert got == expected
+        assert run() == expected
+
+    def test_chain_builds_the_oracle_once_per_n(self, monkeypatch):
+        # simplify-regrouped-sum and conclusion-group-by-k share one oracle
+        # value per n: n + 1 inner sums each, 2 + 3 + 4 for n = 1..3
+        import contextlib
+        import io
+
+        from whitdim import engine
+        from whitdim.cli import EXIT_OK, main
+
+        inner = engine._nested_inner_numerator
+        calls = []
+
+        def counted(n, k):
+            calls.append((n, k))
+            return inner(n, k)
+
+        engine._nested_triple_numerator.cache_clear()
+        monkeypatch.setattr(engine, "_nested_inner_numerator", counted)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["chain", "--n", "1..3"]) == EXIT_OK
+        assert len(calls) == 9
 
 
 class TestWalkers:
@@ -265,7 +307,7 @@ class TestWalkers:
             return out + [engine._inner_sum_numerator(4, k) for k in range(5)]
 
         expected = run()
-        for name in ("_close_index_sums", "_grouped_sum_numerator",
+        for name in ("_close_index_sums", "_nested_triple_numerator",
                      "_nested_inner_numerator"):
             monkeypatch.setattr(engine, name, forbidden)
         assert run() == expected
@@ -303,16 +345,20 @@ class TestCrossChecksCatchFaults:
         from whitdim import engine
         from whitdim.cli import EXIT_FAILED, main
 
-        oracle = engine._grouped_sum_numerator
+        oracle = engine._nested_triple_numerator
 
         def faulty(n):
             out = oracle(n)
             return out + LaurentPoly.monomial(out.min_exp)  # one coefficient off by 1
 
-        monkeypatch.setattr(engine, "_grouped_sum_numerator", faulty)
+        monkeypatch.setattr(engine, "_nested_triple_numerator", faulty)
         for n in (1, 2, 3):
-            reports = {r.identity: r.equal for r in simplification_chain(n)}
+            reports = {
+                r.identity: r.equal
+                for r in simplification_chain(n) + conclusion_chain(n)
+            }
             assert reports["simplify-regrouped-sum"] is False, n
+            assert reports["conclusion-group-by-k"] is False, n
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["chain", "--n", "2"]) == EXIT_FAILED
 

@@ -2,11 +2,8 @@ import pytest
 
 from whitdim.laurent import LaurentPoly
 from whitdim.qseries import (
-    INF,
-    PochSpec,
     euler_product_truncation,
     euler_series,
-    poch_finite,
     poch_power,
     poch_rewrite_check,
     qbinom_series,
@@ -21,36 +18,29 @@ ONE = LaurentPoly.one()
 
 class TestPochhammer:
     def test_empty_product(self):
-        assert poch_finite(PochSpec(1, 1, 0)) == ONE
+        assert poch_power(1, 0) == ONE
 
     def test_two_factor_product(self):
-        p = poch_finite(PochSpec(1, 1, 2))
+        p = poch_power(1, 2)
         assert p == LaurentPoly(0, (1, -1, -1, 1))
         assert p.eval_at(2) == 3
+        assert poch_power(-2, 2) == (ONE - Q(-2)) * (ONE - Q(-1))
 
     def test_vanishing_at_negative_base(self):
         # (q^-1;q)_2 hits the factor 1 - q^0 = 0
-        assert poch_finite(PochSpec(1, -1, 2)).is_zero
+        assert poch_power(-1, 2).is_zero
 
     def test_vanishing_family(self):
         for k in range(6):
             for ell in range(k + 1, 7):
-                assert poch_finite(PochSpec(1, -k, ell)).is_zero, (k, ell)
+                assert poch_power(-k, ell).is_zero, (k, ell)
             # and no earlier: (q^-k;q)_k is nonzero
             if k:
-                assert not poch_finite(PochSpec(1, -k, k)).is_zero
+                assert not poch_power(-k, k).is_zero
 
-    def test_negative_sign_base(self):
-        assert poch_finite(PochSpec(-1, 0, 1)) == LaurentPoly.from_int(2)  # 1 - (-1)
-        assert poch_finite(PochSpec(-1, 1, 2)) == (ONE + Q(1)) * (ONE + Q(2))
-
-    def test_inf_rejected(self):
+    def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
-            poch_finite(PochSpec(1, 0, INF))
-        with pytest.raises(ValueError):
-            PochSpec(1, 0, -1)
-        with pytest.raises(ValueError):
-            PochSpec(2, 0, 1)
+            poch_power(0, -1)
 
     def test_qq_cache(self):
         assert qq(0) == ONE
@@ -83,6 +73,14 @@ class TestEulerSeries:
     def test_coeff_out_of_range(self):
         with pytest.raises(IndexError):
             euler_series(0, 8).coeff(9)
+
+    def test_order_bounds(self):
+        # order 0 is the constant term alone; a negative order is rejected
+        for series in (euler_series, qbinom_series):
+            s = series(2, 0)
+            assert s.order == 0 and s.coeff(0) == RF.one()
+            with pytest.raises(ValueError):
+                series(2, -1)
 
 
 class TestQBinomSeries:
