@@ -20,10 +20,12 @@ Each mutant is written into a scratch copy of src/ and tests/ and the
 module's non-slow tests (the TESTS map below) run against it with pytest -x.
 The mutant is killed when they fail or run past the timeout (five times the
 unmutated run, at least 30 s), and survives when they pass.  A survivor
-named in EQUIVALENT, with the same mutated line, cannot change any result
-and is reported as equivalent instead.  An EQUIVALENT entry whose id no
-longer names that line is listed as stale and judges nothing.  The
-unmutated copy must pass first, or nothing is run.
+named in EQUIVALENT cannot change any result and is reported as equivalent
+instead.  Each EQUIVALENT entry is pinned to its mutated line and to a hash
+of the source of the function that encloses it; an entry whose id no longer
+names that line in that same function source (the code moved, or the
+function changed) is listed as stale and judges nothing until it is checked
+again and re-pinned.  The unmutated copy must pass first, or nothing is run.
 
 Prints one JSON object: the mutants killed, survived and equivalent, the
 stale EQUIVALENT entries, and the score killed / (sampled - equivalent).
@@ -32,7 +34,9 @@ measurement, not part of the test suite and not a gate.
 
 A mutant's id is module:function:operator:ordinal, the ordinal counting the
 sites of that operator within the function in syntax-tree order; its "text"
-is the mutated source line, stripped.
+is the mutated source line, stripped, and its "func_sha" the first 12 hex
+digits of the SHA-256 of the unmutated source of its innermost enclosing
+function or class (the whole module for module-level sites).
 """
 
 import argparse
@@ -67,34 +71,61 @@ TESTS = {
     "_gfkernel_py.py": ["tests/test_counting.py", "tests/test_dimension.py"],
 }
 
-# mutant id -> (its mutated line, why no input can tell it from the original)
+# mutant id -> (its mutated line, its func_sha, why no input can tell it
+# from the original)
 EQUIVALENT = {
     "engine.py:_nested_triple_numerator:const+1:0": (
         "for k in range(n + 2):",
+        "28e7e2e7073d",
         "widens the outer k range of the triple-sum oracle to n + 1; the inner "
         "sum at k = n + 1 has an empty l range, so it only adds zero",
     ),
-    "engine.py:_conclusion_steps:const+1:23": (
+    "engine.py:_conclusion_steps:const+1:21": (
         "for k in range(n + 2)",
+        "8f9487457c01",
         "widens the k range of the Pochhammer rewrite in conclusion-pochhammer-split "
         "to n + 1; the rewrite holds for every k >= 0",
     ),
     "engine.py:_close_index_sums:+->-:0": (
         "acc = acc - term if (s - parity) % 2 else acc + term",
+        "f435e33ab0fc",
         "(s + parity) % 2 -> (s - parity) % 2 has the same parity",
     ),
     "engine.py:_simplification_steps.long_range:+->-:0": (
         "sign = -1 if (n + k + m - 1) % 2 else 1",
+        "540ad945c07b",
         "(n + k + m + 1) % 2 -> (n + k + m - 1) % 2 has the same parity",
     ),
     "engine.py:_simplification_steps.long_range:+->-:1": (
         "sign = -1 if (n + k - m + 1) % 2 else 1",
+        "540ad945c07b",
         "(n + k + m + 1) % 2 -> (n + k - m + 1) % 2 has the same parity",
     ),
     "engine.py:_nested_inner_numerator:const+1:1": (
         "by_s = [LaurentPoly.zero()] * (2 * n + 2)",
+        "a986b5957d8e",
         "adds a partial sum for s = 2n + 1, which no term reaches, so it stays "
         "zero and closes to zero",
+    ),
+    "laurent.py:LaurentPoly.div_one_minus_q:const+1:1": (
+        "out = [1] * n",
+        "afe1bd1231af",
+        "the j residue-class slices out[r::j] overwrite every entry of out",
+    ),
+    "laurent.py:LaurentPoly.__str__:const+1:3": (
+        'parts.append(("-" if c < 1 else "") + term)',
+        "64cb3be866b9",
+        "zero coefficients are skipped, so the int c is < 1 iff it is < 0",
+    ),
+    "laurent.py:LaurentPoly.__str__:<-><=:1": (
+        'parts.append(("- " if c <= 0 else "+ ") + term)',
+        "64cb3be866b9",
+        "zero coefficients are skipped, so c <= 0 iff c < 0",
+    ),
+    "laurent.py:PolyAccumulator.add_shifted:<-><=:0": (
+        "if start <= self.min_exp:",
+        "99cdc282e010",
+        "at start == min_exp it prepends zero zeros and sets min_exp to itself",
     ),
 }
 
@@ -149,7 +180,8 @@ def find_sites(source: bytes, module: str):
     sites = []
     ordinals = {}
 
-    def add(func, kind, start, end, old, new):
+    def add(scope, kind, start, end, old, new):
+        func, func_sha = scope
         key = (func, kind)
         ordinal = ordinals.get(key, 0)
         ordinals[key] = ordinal + 1
@@ -158,11 +190,12 @@ def find_sites(source: bytes, module: str):
                 + source[end:starts[line + 1]]).decode().strip()
         sites.append({
             "id": "%s:%s:%s:%d" % (module, func, kind, ordinal),
-            "func": func, "kind": kind, "start": start, "end": end,
+            "func": func, "func_sha": func_sha, "kind": kind,
+            "start": start, "end": end,
             "old": old, "new": new, "line": line, "text": text,
         })
 
-    def operator_between(func, left, right, op):
+    def operator_between(scope, left, right, op):
         swap = SWAPS.get(type(op))
         if swap is None:
             return
@@ -171,19 +204,20 @@ def find_sites(source: bytes, module: str):
         at = _operator_offset(source[lo:hi], old.encode())
         if at is None:
             return
-        add(func, "%s->%s" % (old, new), lo + at, lo + at + len(old), old, new)
+        add(scope, "%s->%s" % (old, new), lo + at, lo + at + len(old), old, new)
 
-    def visit(node, func):
+    def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            func = node.name if func == "<module>" else "%s.%s" % (func, node.name)
+            func = node.name if scope[0] == "<module>" else "%s.%s" % (scope[0], node.name)
+            scope = (func, _sha(source[start_of(node):end_of(node)]))
         if isinstance(node, ast.BinOp):
-            operator_between(func, node.left, node.right, node.op)
+            operator_between(scope, node.left, node.right, node.op)
         elif isinstance(node, ast.AugAssign):
-            operator_between(func, node.target, node.value, node.op)
+            operator_between(scope, node.target, node.value, node.op)
         elif isinstance(node, ast.Compare):
             left = node.left
             for op, right in zip(node.ops, node.comparators):
-                operator_between(func, left, right, op)
+                operator_between(scope, left, right, op)
                 left = right
         elif (
             isinstance(node, ast.Constant)
@@ -191,13 +225,17 @@ def find_sites(source: bytes, module: str):
             and node.end_lineno == node.lineno
         ):
             start, end = start_of(node), end_of(node)
-            add(func, "const+1", start, end, source[start:end].decode(),
+            add(scope, "const+1", start, end, source[start:end].decode(),
                 str(node.value + 1))
         for child in ast.iter_child_nodes(node):
-            visit(child, func)
+            visit(child, scope)
 
-    visit(tree, "<module>")
+    visit(tree, ("<module>", _sha(source)))
     return sites
+
+
+def _sha(text: bytes) -> str:
+    return hashlib.sha256(text).hexdigest()[:12]
 
 
 def draw(sites):
@@ -217,11 +255,12 @@ def draw(sites):
 
 
 def stale_equivalents(sites, module):
-    """EQUIVALENT ids of this module that no longer name their mutated line."""
-    texts = {site["id"]: site["text"] for site in sites}
+    """EQUIVALENT ids of this module that no longer name their mutated line
+    in the function source they were pinned to."""
+    pins = {site["id"]: (site["text"], site["func_sha"]) for site in sites}
     return sorted(
-        mutant for mutant, (text, _) in EQUIVALENT.items()
-        if mutant.startswith(module + ":") and texts.get(mutant) != text
+        mutant for mutant, (text, func_sha, _) in EQUIVALENT.items()
+        if mutant.startswith(module + ":") and pins.get(mutant) != (text, func_sha)
     )
 
 
@@ -291,12 +330,12 @@ def main():
             passed, _ = run_tests(workdir, tests, timeout)
             entry = {"id": site["id"], "line": site["line"],
                      "change": "%s -> %s" % (site["old"], site["new"]),
-                     "text": site["text"]}
+                     "text": site["text"], "func_sha": site["func_sha"]}
             if not passed:
                 verdict = "killed"
             elif site["id"] in EQUIVALENT and site["id"] not in stale:
                 verdict = "equivalent"
-                entry["reason"] = EQUIVALENT[site["id"]][1]
+                entry["reason"] = EQUIVALENT[site["id"]][2]
             else:
                 verdict = "survived"
             result[verdict].append(entry)

@@ -11,7 +11,7 @@ matrix-counting lemmas and the module dimension by brute-force enumeration
 over small finite fields GF(q), q in {2,3,4,5,7,8,9}.
 """
 
-from .laurent import LaurentPoly, StructuralProductError
+from .laurent import LaurentPoly
 from .rational import RationalFunctionQ
 from .qseries import (
     TruncatedSeriesX,
@@ -77,7 +77,6 @@ __all__ = [
     "LaurentPoly",
     "RationalFunctionQ",
     "SUPPORTED_Q",
-    "StructuralProductError",
     "TraceBucketSums",
     "TruncatedSeriesX",
     "VerificationReport",

@@ -4,10 +4,12 @@ CHECKS maps each command to the records it streams; `all` streams the other
 five commands' records in turn.  run reads each record's verdict from its
 "equal" field (a dimension record's "agree") and sets the exit code.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error,
-3 an enumeration exceeded the feasibility limit and no earlier check failed.
-The stream stops at the first infeasible enumeration with an "infeasible"
-error line; a check that failed before it still makes the exit code 1.
+Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error
+or unwritable output (an unopenable --output, or a stdout closed early as by
+`| head -1`: one stderr line, no traceback), 3 an enumeration exceeded the
+feasibility limit and no earlier check failed.  The stream stops at the first
+infeasible enumeration with an "infeasible" error line; a check that failed
+before it still makes the exit code 1.
 Reports are emitted one JSON object per line (or CSV rows with --format csv)
 in a deterministic order with stable keys; only the elapsed_ms field varies
 between runs.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -63,6 +66,8 @@ class RunConfig:
             raise UsageError("empty n range %d..%d" % (self.n_min, self.n_max))
         if self.n_min < 1:
             raise UsageError("n must be >= 1")
+        if not self.q_list:
+            raise UsageError("empty q list")
         bad = [q for q in self.q_list if q not in SUPPORTED_Q]
         if bad:
             raise UsageError("unsupported q values %r (supported: %r)" % (bad, SUPPORTED_Q))
@@ -268,7 +273,14 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         with fh:
             return run(cfg, fh)
-    return run(cfg, sys.stdout)
+    try:
+        code = run(cfg, sys.stdout)
+        sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiet exit flush
+        print("error: stdout was closed before the run finished", file=sys.stderr)
+        return EXIT_USAGE
+    return code
 
 
 def main_entry():

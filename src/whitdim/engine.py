@@ -5,10 +5,10 @@ identity equates a closed product
 
     q^(n(n-1)/2) * prod_{i=1}^{n-1} (q^n - q^i)
 
-with a normalized triple character sum over (m, k, l).  The triple sums are
+with a normalized triple character sum over (m, k, l).  The triple sum is
 evaluated exactly over the fixed common denominator (q;q)_n^5 (the inner
 double sums use (q;q)_n^4).  Each term is a sign and a power of q times
-(q;q)_{3n-s-1} (q;q)_n^p times a product V of tail factors
+(q;q)_{3n-s-1} (q;q)_n times a product V of tail factors
 T_j = (q;q)_n / (q;q)_j, where s = k + m + l is the index sum.  The walkers
 step V alone from one lattice point to a neighbour, dividing it by and
 multiplying it with a few sparse (1 - q^j) factors, and add each signed,
@@ -16,8 +16,10 @@ shifted V into a PolyAccumulator for its s; the triple walker visits only
 k <= m, since its terms are symmetric in k and m.  The factors that depend
 only on s, or on nothing, are applied once at the end: a Horner pass over s
 (_horner_close) gives every partial sum its (q;q)_{3n-s-1}, and the total is
-multiplied by (q;q)_n^p.  No per-term polynomial product is ever built, and
-each division asserts exactness.
+multiplied by (q;q)_n.  No per-term polynomial product is ever built, and
+each division asserts exactness.  The triple walker has one form, cached for
+the last n: dimension_sum, compact_sides and conclusion-group-by-k all read
+it, so a chain run walks it once per n.
 
 The derivation chains compare the walkers with one from-scratch oracle,
 _nested_triple_numerator: the outer-k sum of the inner (m, l) sums that
@@ -57,8 +59,10 @@ from functools import lru_cache
 from math import comb
 from typing import Optional
 
-from .laurent import LaurentPoly, PolyAccumulator, poly_exact_div, q_power_minus_one_range
-from .qseries import euler_series, poch_power, qbinom_series, qq, qq_power
+from .laurent import LaurentPoly, PolyAccumulator, poly_exact_div
+from .qseries import (
+    euler_series, poch_power, q_power_minus_one_range, qbinom_series, qq, qq_power,
+)
 from .rational import RationalFunctionQ
 
 
@@ -131,32 +135,27 @@ def _times_qq_range(poly: LaurentPoly, lo: int, hi: int) -> LaurentPoly:
 def closed_product(n: int) -> RationalFunctionQ:
     """q^(n(n-1)/2) * prod_{i=1}^{n-1} (q^n - q^i); the empty product at n=1 is 1."""
     _require_positive(n)
-    shift = n * (n - 1) // 2
-    poly = LaurentPoly.one()
-    for i in range(1, n):
-        # q^n - q^i = q^i * (q^(n-i) - 1)
-        shift += i
-        poly = -poly.times_one_minus_q(n - i)
-    return RationalFunctionQ(poly.shifted(shift))
+    # q^n - q^i = q^i (q^(n-i) - 1), and the q^i multiply to q^(n(n-1)/2)
+    return RationalFunctionQ(q_power_minus_one_range(1, n - 1).shifted(n * (n - 1)))
 
 
-def _triple_sum_numerator(n: int, qq_n_power: int, parity_base: int) -> LaurentPoly:
-    """Numerator over (q;q)_n^5 of the (m,k,l) triple sum.
+@lru_cache(maxsize=1)
+def _triple_sum_numerator(n: int) -> LaurentPoly:
+    """Numerator over (q;q)_n^5 of the (m,k,l) triple sum, cached for the last n.
 
-    Each term is sign * q^e * (q;q)_{3n-s-1} * (q;q)_n^qq_n_power * V with
+    Each term is (-1)^s * q^e * (q;q)_{3n-s-1} * (q;q)_n * V with
       V = T_k T_m T_l T_{n-k-l} T_{n-m-l},   T_j = (q;q)_n / (q;q)_j,
       s = k + m + l,
-      e = kn + (n-k)m + C(k,2) + C(m,2) + C(l,2),
-      sign = (-1)^(parity_base + s).
+      e = kn + (n-k)m + C(k,2) + C(m,2) + C(l,2).
 
     Only V is walked.  It starts at (q;q)_n^3, and each lattice step divides
     out and multiplies in a few (1 - q^j) factors.  V, e and the sign are
     symmetric in k and m, so only k <= m is walked and the l-walk of each
     k < m starts from 2V.  The signed, shifted V are summed per index sum s;
     _horner_close then applies every (q;q)_{3n-s-1}, and the total is
-    multiplied once by (q;q)_n^qq_n_power.  Terms are accumulated in
-    lexicographic (k, m, l) order; the exact arithmetic makes the order
-    irrelevant to the value, the fixed order makes runs reproducible.
+    multiplied once by (q;q)_n.  Terms are accumulated in lexicographic
+    (k, m, l) order; the exact arithmetic makes the order irrelevant to the
+    value, the fixed order makes runs reproducible.
     """
     by_s = [PolyAccumulator() for _ in range(2 * n + 1)]
     v_kk = qq_power(n, 3)
@@ -181,11 +180,9 @@ def _triple_sum_numerator(n: int, qq_n_power: int, parity_base: int) -> LaurentP
                         .times_one_minus_q(n - m - ell + 1)
                     )
                 e = k * n + (n - k) * m + comb(k, 2) + comb(m, 2) + comb(ell, 2)
-                by_s[k + m + ell].add_shifted(v, e, (parity_base + k + m + ell) % 2)
+                by_s[k + m + ell].add_shifted(v, e, (k + m + ell) % 2)
     total = _horner_close([acc.value() for acc in by_s], 3 * n - 1)
-    for _ in range(qq_n_power):
-        total = _times_qq_range(total, 1, n)
-    return total
+    return _times_qq_range(total, 1, n)
 
 
 def _horner_close(parts, top: int) -> LaurentPoly:
@@ -207,12 +204,13 @@ def _horner_close(parts, top: int) -> LaurentPoly:
 def dimension_sum(n: int) -> RationalFunctionQ:
     """The raw dimension sum: (1/q^(3n^2)) * sum over (m,k,l) of the character terms.
 
-    Signs follow the literal products (q^i - 1); the value always collapses to
-    a polynomial (the identity's other side), but nothing here assumes that.
+    The literal products (q^i - 1) make it (-1)^(n+1) times the (q;q) triple
+    sum over (q;q)_n^4 q^(3n^2).  The value always collapses to a polynomial
+    (the identity's other side), but nothing here assumes that.
     """
     _require_positive(n)
-    acc = _triple_sum_numerator(n, 2, n + 1)
-    return RationalFunctionQ(acc, qq_power(n, 5).shifted(3 * n * n))
+    acc = _triple_sum_numerator(n)
+    return RationalFunctionQ(acc if n % 2 else -acc, qq_power(n, 4).shifted(3 * n * n))
 
 
 def compact_sides(n: int):
@@ -221,7 +219,7 @@ def compact_sides(n: int):
     lhs = RationalFunctionQ(
         LaurentPoly.monomial(4 * n * n - n), LaurentPoly.one() - LaurentPoly.monomial(n)
     )
-    acc = _triple_sum_numerator(n, 1, 0)
+    acc = _triple_sum_numerator(n)
     den = qq_power(n, 5)
     # The value has the single pole 1-q^n; clearing it first keeps the
     # canonicalization to a toy gcd.  Falls back to the generic path if the
@@ -542,7 +540,7 @@ def conclusion_chain(n: int):
 
 def _conclusion_steps(n: int):
     # (a) flat triple sum == outer-k sum of inner double sums
-    flat = _triple_sum_numerator(n, 1, 0)
+    flat = _triple_sum_numerator(n)
     nested = _nested_triple_numerator(n)
     yield ("conclusion-group-by-k", flat == nested,
            "triple sum numerator", "nested sum numerator")

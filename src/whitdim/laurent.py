@@ -21,10 +21,6 @@ from math import gcd
 from operator import add, mul, neg, sub
 
 
-class StructuralProductError(ValueError):
-    """A displayed product's upper index fell two or more below its lower index."""
-
-
 class LaurentPoly:
     __slots__ = ("min_exp", "coeffs")
 
@@ -358,60 +354,28 @@ class PolyAccumulator:
         return _poly(self.min_exp, self.coeffs)
 
 
-def one_minus_q_power_range(lo: int, hi: int) -> LaurentPoly:
-    """prod_{i=lo}^{hi} (1 - q^i) with the empty-product conventions.
-
-    hi == lo - 1 gives 1; hi <= lo - 2 is a structural error (it should never
-    arise for admissible summation parameters, so it aborts loudly).
-    """
-    if hi < lo - 1:
-        raise StructuralProductError(
-            "product range upper index %d is below lower index %d - 1" % (hi, lo)
-        )
-    out = _ONE
-    for i in range(lo, hi + 1):
-        out = out.times_one_minus_q(i)
-    return out
-
-
-def q_power_minus_one_range(lo: int, hi: int) -> LaurentPoly:
-    """prod_{i=lo}^{hi} (q^i - 1), same conventions as one_minus_q_power_range."""
-    p = one_minus_q_power_range(lo, hi)
-    if (hi - lo + 1) % 2:
-        return -p
-    return p
-
-
 # -- plain-polynomial division and gcd ---------------------------------------
 
 
-def _poly_divmod(num: LaurentPoly, den: LaurentPoly):
-    """Quotient and remainder over the rationals, as coefficient lists.
-
-    Both inputs must be plain polynomials (min_exp >= 0).  Returns lists of
-    Fractions unless the divisor's leading coefficient is +-1, in which case
-    everything stays integral.
-    """
-    if den.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = [0] * num.min_exp + list(num.coeffs)
-    b = [0] * den.min_exp + list(den.coeffs)
-    if len(a) < len(b):
-        return [], a
-    lead = b[-1]
-    integral = lead in (1, -1)
-    if not integral:
-        a = [Fraction(c) for c in a]
+def _exact_long_division(a, b):
+    """Quotient coefficients of a / b (lowest first) if b divides a over the
+    integers, else None.  Each step's leading ratio is a quotient coefficient,
+    so the first one that is not an integer rules the division out, as does a
+    nonzero remainder."""
     lb = len(b)
+    a = list(a)
+    lead = b[-1]
     quo = [0] * (len(a) - lb + 1)
     for i in range(len(a) - lb, -1, -1):
         top = a[i + lb - 1]
         if not top:
             continue
-        c = top // lead if integral else top / lead
+        c, r = divmod(top, lead)
+        if r:
+            return None
         quo[i] = c
         a[i : i + lb] = map(sub, a[i : i + lb], map(mul, b, repeat(c, lb)))
-    return quo, a[: lb - 1]
+    return None if any(a[: lb - 1]) else quo
 
 
 def poly_exact_div(num: LaurentPoly, den: LaurentPoly):
@@ -426,14 +390,9 @@ def poly_exact_div(num: LaurentPoly, den: LaurentPoly):
     if den.coeffs in ((1,), (-1,)):
         # den = +-q^d: the quotient is num shifted, no long division needed
         return (num if den.coeffs[0] == 1 else -num).shifted(-den.min_exp)
-    quo, rem = _poly_divmod(LaurentPoly._raw(0, num.coeffs), LaurentPoly._raw(0, den.coeffs))
-    if any(rem):
+    quo = _exact_long_division(num.coeffs, den.coeffs)
+    if quo is None:
         return None
-    # a unit lead keeps the quotient integral; otherwise it holds Fractions
-    if den.leading_coeff not in (1, -1):
-        if any(c.denominator != 1 for c in quo):
-            return None
-        quo = [int(c) for c in quo]
     # exact: both windows start and end nonzero, so the quotient's ends are too
     return LaurentPoly._raw(shift, tuple(quo))
 
@@ -447,11 +406,10 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     The shared q-power factor is min(min_exp) since normalized coefficient
     windows always have a nonzero constant term.
     """
-    if a.is_zero:
-        return _positive_primitive(b)
-    if b.is_zero:
-        return _positive_primitive(a)
-    shift = min(a.min_exp, b.min_exp)
+    parts = [p for p in (a, b) if p.coeffs]
+    if not parts:
+        return _ZERO
+    shift = min(p.min_exp for p in parts)
     f = list(a.coeffs)
     g = list(b.coeffs)
     if len(f) < len(g):
@@ -502,13 +460,3 @@ def _pseudo_rem(f, g):
         if not f:
             break
     return f
-
-
-def _positive_primitive(p: LaurentPoly) -> LaurentPoly:
-    if p.is_zero:
-        return _ZERO
-    c = p.content()
-    cs = [x // c for x in p.coeffs]
-    if cs[-1] < 0:
-        cs = [-x for x in cs]
-    return _poly(p.min_exp, cs)

@@ -59,6 +59,14 @@ def poch_power(base_exp: int, length: int) -> LaurentPoly:
     return out
 
 
+def q_power_minus_one_range(lo: int, hi: int) -> LaurentPoly:
+    """prod_{i=lo}^{hi} (q^i - 1) = (-1)^(hi-lo+1) (q^lo;q)_(hi-lo+1); 1 when
+    hi == lo - 1, and ValueError when hi < lo - 1."""
+    length = hi - lo + 1
+    p = poch_power(lo, length)
+    return -p if length % 2 else p
+
+
 class TruncatedSeriesX:
     """Formal power series in x up to x**order, rational-function coefficients."""
 

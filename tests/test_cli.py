@@ -101,6 +101,15 @@ class TestUsage:
     def test_bad_q(self):
         assert main(["brute", "--n", "1", "--q", "6"]) == EXIT_USAGE
 
+    def test_empty_q_list(self, capsys):
+        # a q list with no values would run zero checks and pass
+        assert main(["brute", "--n", "1", "--q", ","]) == EXIT_USAGE
+        assert main(["counts", "--q", ","]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        with pytest.raises(UsageError):
+            RunConfig(command="counts", q_list=[])
+
     def test_k_out_of_range(self, capsys):
         assert main(["lemma1", "--n", "3", "--k", "5"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
@@ -160,6 +169,24 @@ class TestOutputModes:
         subprocess.run(argv + ["--output", str(path)], env=env, check=True)
         assert stdout.startswith(b"check,n,k,q,ok,detail\n")
         assert stdout == path.read_bytes()
+
+    def test_closed_stdout_is_a_usage_error(self):
+        # `whitdim verify --n 1..12 | head -1`: the reader is gone before the
+        # records are flushed, so not every check was reported
+        import os
+        import subprocess
+        import sys
+
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+        argv = [sys.executable, "-m", "whitdim.cli", "verify", "--n", "1..3"]
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read().decode()
+        assert proc.wait() == EXIT_USAGE
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_determinism_modulo_elapsed(self):
         def snap():

@@ -131,6 +131,25 @@ class TestCancellation:
             for m in range(3):
                 assert gaussian_cancellation_check(2, 3, k, m, sample_count=30), (k, m)
 
+    def test_misplaced_pivots_are_rejected(self, monkeypatch):
+        # I_{n,m} with its identity rows at the top instead of the bottom: same
+        # rank and pivot columns, so every rank test still holds, but the row
+        # operations cannot clear Y's last m columns below row k.  Only the
+        # "outside the corner is zero" test sees it.
+        real = dimension.block_constant
+
+        def misplaced(field, kind, **kw):
+            block = real(field, kind, **kw)
+            if kind != "I_nm":
+                return block
+            rows = block.to_rows()
+            cut = kw["n"] - kw["m"]
+            return GFMatrix.from_rows(field, rows[cut:] + rows[:cut])
+
+        monkeypatch.setattr(dimension, "block_constant", misplaced)
+        assert not gaussian_cancellation_check(2, 2, 0, 1, sample_count=16)
+        assert not gaussian_cancellation_check(2, 2, 1, 1, sample_count=16)
+
 
 class TestConjugationInvariance:
     def test_rank_preserved_under_block_scaling(self):

@@ -19,8 +19,8 @@ from whitdim.engine import (
     simplification_chain,
     verify_main,
 )
-from whitdim.laurent import LaurentPoly, q_power_minus_one_range
-from whitdim.qseries import qq
+from whitdim.laurent import LaurentPoly
+from whitdim.qseries import q_power_minus_one_range, qq
 from whitdim.rational import RationalFunctionQ as RF
 
 Q = LaurentPoly.monomial
@@ -270,12 +270,14 @@ class TestWalkers:
     # s-grouped factoring is checked against code that is neither walker nor oracle
 
     def test_triple_walker_matches_per_term_reference(self):
+        # the walker's one form, and the literal-sign form dimension_sum makes of it
         from whitdim.engine import _triple_sum_numerator
 
+        _triple_sum_numerator.cache_clear()
         for n in range(1, 7):
-            for power, parity in ((2, n + 1), (1, 0)):
-                expected = _per_term_triple_sum(n, power, parity)
-                assert _triple_sum_numerator(n, power, parity) == expected, (n, power)
+            assert _triple_sum_numerator(n) == _per_term_triple_sum(n, 1, 0), n
+            expected = RF(_per_term_triple_sum(n, 2, n + 1), (qq(n) ** 5).shifted(3 * n * n))
+            assert dimension_sum(n) == expected, n
 
     def test_inner_walker_matches_per_term_reference(self):
         from whitdim.engine import _inner_sum_numerator
@@ -302,8 +304,8 @@ class TestWalkers:
             raise AssertionError("walker used oracle code")
 
         def run():
-            out = [engine._triple_sum_numerator(4, 2, 5)]
-            out.append(engine._triple_sum_numerator(4, 1, 0))
+            engine._triple_sum_numerator.cache_clear()
+            out = [engine._triple_sum_numerator(4)]
             return out + [engine._inner_sum_numerator(4, k) for k in range(5)]
 
         expected = run()
@@ -311,6 +313,30 @@ class TestWalkers:
                      "_nested_inner_numerator"):
             monkeypatch.setattr(engine, name, forbidden)
         assert run() == expected
+
+    def test_chain_walks_the_triple_sum_once_per_n(self, monkeypatch):
+        # dimension_sum (simplify-regrouped-sum) and conclusion-group-by-k
+        # share one cached walk per n; only the triple walk starts from
+        # (q;q)_n^3
+        import contextlib
+        import io
+
+        from whitdim import engine
+        from whitdim.cli import EXIT_OK, main
+
+        power = engine.qq_power
+        walks = []
+
+        def counted(j, p):
+            if p == 3:
+                walks.append(j)
+            return power(j, p)
+
+        engine._triple_sum_numerator.cache_clear()
+        monkeypatch.setattr(engine, "qq_power", counted)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["chain", "--n", "1..3"]) == EXIT_OK
+        assert walks == [1, 2, 3]
 
 
 class TestCrossChecksCatchFaults:
@@ -323,8 +349,8 @@ class TestCrossChecksCatchFaults:
 
         walker = engine._triple_sum_numerator
 
-        def faulty(*args):
-            out = walker(*args)
+        def faulty(n):
+            out = walker(n)
             return out + LaurentPoly.monomial(out.min_exp)  # one coefficient off by 1
 
         monkeypatch.setattr(engine, "_triple_sum_numerator", faulty)

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from whitdim.laurent import (
     LaurentPoly,
     PolyAccumulator,
-    StructuralProductError,
-    _poly_divmod,
+    _exact_long_division,
     _pseudo_rem,
-    one_minus_q_power_range,
     poly_exact_div,
     poly_gcd,
-    q_power_minus_one_range,
 )
+from whitdim.qseries import poch_power, q_power_minus_one_range
 
 Q = LaurentPoly.monomial
 ONE = LaurentPoly.one()
@@ -46,6 +44,7 @@ class TestBasics:
         assert p.min_exp == 0 and p.coeffs == (5,)
         assert LaurentPoly(3, ()) == LaurentPoly.zero()
         assert LaurentPoly(7, (0, 0)).min_exp == 0
+        assert LaurentPoly(coeffs=(1, 2)) == ONE + Q(1, 2)  # the window starts at q^0
 
     def test_zero_is_unique_empty(self):
         z = Q(5) - Q(5)
@@ -67,6 +66,15 @@ class TestBasics:
         p = Q(3) - Q(2) + LaurentPoly.from_int(-7)
         assert LaurentPoly.from_json_dict(p.to_json_dict()) == p
         assert str(LaurentPoly.zero()) == "0"
+        assert str(LaurentPoly(0, [3, -1, 0, 2])) == "3 - q + 2*q^3"
+        assert str(-Q(1) - Q(2, 5)) == "-q - 5*q^2"
+
+    def test_truncated(self):
+        p = LaurentPoly(-1, [1, 2, 3])  # q^-1 + 2 + 3q
+        assert p.truncated(5) is p
+        assert p.truncated(0) == LaurentPoly(-1, [1, 2])
+        assert p.truncated(-1) == Q(-1)
+        assert p.truncated(-2) == LaurentPoly.zero()
 
 
 class TestSparseKernels:
@@ -82,13 +90,14 @@ class TestSparseKernels:
             (ONE - Q(3, 2)).div_one_minus_q(3)
 
     def test_range_products(self):
-        assert one_minus_q_power_range(1, 0) == ONE
-        assert one_minus_q_power_range(1, 2) == (ONE - Q(1)) * (ONE - Q(2))
+        assert q_power_minus_one_range(1, 0) == ONE
+        assert poch_power(1, 2) == (ONE - Q(1)) * (ONE - Q(2))
         assert q_power_minus_one_range(1, 2) == (Q(1) - ONE) * (Q(2) - ONE)
+        assert q_power_minus_one_range(2, 4) == (Q(2) - ONE) * (Q(3) - ONE) * (Q(4) - ONE)
 
     def test_structural_error(self):
-        with pytest.raises(StructuralProductError):
-            one_minus_q_power_range(3, 1)
+        with pytest.raises(ValueError):
+            q_power_minus_one_range(3, 1)
 
 
 class TestDivGcd:
@@ -103,6 +112,8 @@ class TestDivGcd:
         assert g == Q(1) - ONE  # positive leading coefficient
         assert poly_gcd(Q(3), Q(1)) == Q(1)
         assert poly_gcd(LaurentPoly.zero(), Q(2) * -3) == Q(2)
+        assert poly_gcd(LaurentPoly(2, [-6, -4]), LaurentPoly.zero()) == LaurentPoly(2, [3, 2])
+        assert poly_gcd(LaurentPoly.zero(), LaurentPoly.zero()) == LaurentPoly.zero()
 
 
 @settings(max_examples=150)
@@ -263,10 +274,8 @@ def divmod_route(num, den):
     shift = num.min_exp - den.min_exp
     if shift < 0:
         return None
-    quo, rem = _poly_divmod(LaurentPoly(0, num.coeffs), LaurentPoly(0, den.coeffs))
-    if any(rem) or any(Fraction(c).denominator != 1 for c in quo):
-        return None
-    return LaurentPoly(shift, [int(c) for c in quo])
+    quo = _exact_long_division(num.coeffs, den.coeffs)
+    return None if quo is None else LaurentPoly(shift, quo)
 
 
 MONOMIAL_COEFF = st.one_of(st.sampled_from([1, -1]), BIG.filter(bool))
@@ -288,6 +297,46 @@ def test_exact_div_by_monomial_matches_long_division(num, e, c):
     if got is not None:
         assert_normalized(got)
         assert got * den == num
+
+
+def rational_quotient(num, den):
+    """num / den by schoolbook division over the rationals, if it is an
+    integer polynomial; else None.  Shares nothing with the integer kernel."""
+    if num.is_zero:
+        return LaurentPoly.zero()
+    a = [Fraction(c) for c in num.coeffs]
+    b = den.coeffs
+    quo = []
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        quo.append(c)
+        top = len(a) - len(b)
+        for i, cb in enumerate(b):
+            a[top + i] -= c * cb
+        a.pop()
+    if any(a) or any(c.denominator != 1 for c in quo):
+        return None
+    shift = num.min_exp - den.min_exp
+    if shift < 0:
+        return None
+    return LaurentPoly(shift, [int(c) for c in reversed(quo)])
+
+
+@settings(max_examples=150)
+@given(
+    st.builds(LaurentPoly, st.integers(0, 3), st.lists(st.integers(-6, 6), max_size=5)),
+    st.builds(LaurentPoly, st.integers(0, 2), st.lists(st.integers(-4, 4), max_size=4)),
+    st.integers(1, 4),
+    st.sampled_from([LaurentPoly.zero(), ONE, Q(1, 2), Q(0, 3)]),
+)
+def test_exact_div_matches_rational_division(c, b, d, r):
+    # num / den = c / d over the rationals, integral iff d divides c; the
+    # offset r makes some divisions inexact
+    den = b * d
+    if den.is_zero:
+        return
+    num = b * c + r
+    assert poly_exact_div(num, den) == rational_quotient(num, den)
 
 
 class TestExactDivByMonomial:
