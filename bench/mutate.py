@@ -80,11 +80,12 @@ EQUIVALENT = {
         "widens the outer k range of the triple-sum oracle to n + 1; the inner "
         "sum at k = n + 1 has an empty l range, so it only adds zero",
     ),
-    "engine.py:_conclusion_steps:const+1:21": (
+    "engine.py:_conclusion_steps:const+1:24": (
         "for k in range(n + 2)",
-        "8f9487457c01",
-        "widens the k range of the Pochhammer rewrite in conclusion-pochhammer-split "
-        "to n + 1; the rewrite holds for every k >= 0",
+        "7cec13d86bc8",
+        "widens the k range of the cross-multiplied Pochhammer rewrite in "
+        "conclusion-pochhammer-split to n + 1; both sides are (q;q)_(n+k-1), so "
+        "it holds for every k >= 0",
     ),
     "engine.py:_close_index_sums:+->-:0": (
         "acc = acc - term if (s - parity) % 2 else acc + term",

@@ -43,6 +43,12 @@ sign (q;q)_hi (_range_rewrite_holds); many tuples map to one (sign, lo, hi),
 so each distinct statement is proved once per n and its verdict is reported
 for every tuple that maps to it.
 
+The conclusion chain works the same way where its records allow: step (c)
+multiplies each closed form by (q;q)_n^4 as 4n sparse passes, step (e)
+proves its n + 1 Pochhammer rewrites cross-multiplied, and the series
+product of step (f) is a division-free q-binomial convolution (see qseries).
+Only the values a record serialises are canonicalised.
+
 Every check is reported through one runner, timed_reports.  A check is a
 generator that yields one (identity, equal, lhs, rhs) tuple per step; the
 runner times the work between two yields and wraps each step in a
@@ -558,7 +564,10 @@ def _conclusion_steps(n: int):
     # (c) substituting the inner sum's closed form
     plugged = LaurentPoly.zero()
     for k in range(n + 1):
-        closed = inner_sum_rhs_poly(n, k) * qq_power(n, 4)
+        # times (q;q)_n^4 as 4n sparse passes
+        closed = inner_sum_rhs_poly(n, k)
+        for _ in range(4):
+            closed = _times_qq_range(closed, 1, n)
         outer = _times_qq_range(closed, n - k + 1, n).shifted(
             (n - k) * n + comb(n - k, 2)
         )
@@ -578,10 +587,11 @@ def _conclusion_steps(n: int):
     rhs_d = RationalFunctionQ(single_num, qq(n))
     yield _equality("conclusion-normalize-power", lhs_d, rhs_d)
 
-    # (e) Pochhammer rewrite pulls out (q;q)_{n-1}
+    # (e) Pochhammer rewrite pulls out (q;q)_{n-1}:
+    # (q^(k+1);q)_(n-1) == (q;q)_(n-1) (q^n;q)_k / (q;q)_k, cross-multiplied
     rewrites_ok = all(
-        RationalFunctionQ(poch_power(k + 1, n - 1))
-        == RationalFunctionQ(qq(n - 1) * poch_power(n, k), qq(k))
+        _times_qq_range(poch_power(k + 1, n - 1), 1, k)
+        == _times_qq_range(poch_power(n, k), 1, n - 1)
         for k in range(n + 1)
     )
     ksum_num = LaurentPoly.zero()

@@ -8,6 +8,7 @@ no shared state), kept independent of the engine's incremental walker.
 import json
 
 import pytest
+import sympy
 
 from whitdim.engine import (
     closed_product,
@@ -426,6 +427,53 @@ class TestNumericAgreementAcrossIdentities:
                 lhs, rhs = inner_sum_sides(n, k)
                 for q0 in points:
                     assert lhs.eval_at(q0) == rhs.eval_at(q0)
+
+
+def _sympy_range(q, lo, hi):
+    """prod_{i=lo}^{hi} (q^i - 1) as a sympy Poly; 1 when hi < lo."""
+    out = sympy.Poly(1, q)
+    for i in range(lo, hi + 1):
+        out = out * sympy.Poly(q**i - 1, q)
+    return out
+
+
+class TestSympyRawSum:
+    """The raw sum from the displayed (q^i - 1) products in sympy, sharing no
+    arithmetic with laurent.py, against closed_product."""
+
+    def test_raw_sum_equals_closed_product(self):
+        q = sympy.Symbol("q")
+        for n in range(1, 5):
+            total = sympy.Poly(0, q)
+            for m in range(n + 1):
+                for k in range(n + 1):
+                    for ell in range(n - max(k, m) + 1):
+                        e = (k * n + (n - k) * m + k * (k - 1) // 2
+                             + m * (m - 1) // 2 + ell * (ell - 1) // 2)
+                        term = (
+                            _sympy_range(q, ell + 1, 3 * n - k - ell - m - 1)
+                            * _sympy_range(q, n - k - ell + 1, n)
+                            * _sympy_range(q, n - m - ell + 1, n)
+                            * _sympy_range(q, k + 1, n)
+                            * _sympy_range(q, m + 1, n)
+                            * sympy.Poly(q**e, q)
+                        )
+                        total = total - term if ell % 2 else total + term
+            den = _sympy_range(q, 1, n) ** 2 * sympy.Poly(q ** (3 * n * n), q)
+            quo, rem = sympy.div(total, den)
+            assert rem.is_zero, n
+            literal_closed = sympy.Poly(q ** (n * (n - 1) // 2), q)
+            for i in range(1, n):
+                literal_closed = literal_closed * sympy.Poly(q**n - q**i, q)
+            assert quo == literal_closed, n
+            closed = closed_product(n)
+            assert closed.denominator_is_one and closed.num.min_exp >= 0
+            as_sympy = sympy.Poly(
+                sum(c * q ** (closed.num.min_exp + i)
+                    for i, c in enumerate(closed.num.coeffs)),
+                q,
+            )
+            assert quo == as_sympy, n
 
 
 class TestChains:

@@ -1,9 +1,13 @@
 import pytest
 
+import whitdim.laurent
+import whitdim.rational
 from whitdim.laurent import LaurentPoly
 from whitdim.qseries import (
+    TruncatedSeriesX,
     euler_product_truncation,
     euler_series,
+    gaussian_binomial,
     poch_power,
     poch_rewrite_check,
     qbinom_series,
@@ -131,6 +135,108 @@ class TestSeriesOps:
         s = euler_series(0, 4)
         assert s.alternate_x().alternate_x() == s
         assert s.scale_x(2).scale_x(-2) == s
+
+
+def reference_product(a, b):
+    """The canonicalising Cauchy product: sum_i a_i * b_(t-i) as rational functions."""
+    out = []
+    for t in range(min(a.order, b.order) + 1):
+        acc = RF.zero()
+        for i in range(t + 1):
+            acc = acc + a.coeff(i) * b.coeff(t - i)
+        out.append(acc)
+    return out
+
+
+class TestGaussianBinomial:
+    def test_cross_multiplied_definition(self):
+        # [t, i] (q;q)_i (q;q)_(t-i) == (q;q)_t, the left side by sparse passes
+        for t in range(13):
+            for i in range(t + 1):
+                lhs = gaussian_binomial(t, i)
+                for j in (*range(1, i + 1), *range(1, t - i + 1)):
+                    lhs = lhs.times_one_minus_q(j)
+                assert lhs == qq(t), (t, i)
+
+    def test_zero_outside_the_triangle(self):
+        for t in range(6):
+            assert gaussian_binomial(t, -1).is_zero
+            assert gaussian_binomial(t, t + 1).is_zero
+            assert gaussian_binomial(t, t + 3).is_zero
+
+    def test_small_values(self):
+        assert gaussian_binomial(2, 1) == ONE + Q(1)
+        assert gaussian_binomial(4, 2) == LaurentPoly(0, (1, 1, 2, 1, 1))
+
+
+class TestSeriesRepresentation:
+    def test_rejects_non_laurent_numerators(self):
+        for bad in (1, RF.one(), "1", None):
+            with pytest.raises(TypeError):
+                TruncatedSeriesX([ONE, bad])
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            TruncatedSeriesX([])
+
+    def test_coeff_index_bounds(self):
+        s = TruncatedSeriesX([ONE, Q(1)])
+        assert s.order == 1 and s.coeff(1) == RF(Q(1), ONE - Q(1))
+        for j in (-1, 2):
+            with pytest.raises(IndexError):
+                s.coeff(j)
+
+    def test_numerators_over_fixed_denominators(self):
+        s = qbinom_series(-2, 5)
+        assert s.nums == tuple(poch_power(-2, j) for j in range(6))
+        assert euler_series(3, 2).nums == (ONE, -Q(3), Q(7))
+
+
+class TestProductMatchesReference:
+    def _check(self, a, b):
+        prod = a * b
+        want = reference_product(a, b)
+        assert prod.order == len(want) - 1
+        for j, c in enumerate(want):
+            assert prod.coeff(j) == c, j
+
+    def test_negative_bases(self):
+        for k in range(4):
+            for a_exp in (-k, k + 2):
+                self._check(qbinom_series(-k, 6), qbinom_series(a_exp, 6))
+                self._check(euler_series(k, 6), qbinom_series(-k, 6))
+
+    def test_scaled_and_alternated(self):
+        for k in (-2, 0, 3):
+            a = qbinom_series(-1, 5).scale_x(k)
+            b = euler_series(1, 5).alternate_x()
+            self._check(a, b)
+            self._check(b.scale_x(k), qbinom_series(2, 5).alternate_x())
+
+    def test_mismatched_orders(self):
+        for la, lb in ((6, 3), (2, 5), (0, 4), (3, 0), (0, 0)):
+            self._check(euler_series(2, la), qbinom_series(-1, lb))
+
+    def test_product_builds_no_rational_function(self, monkeypatch):
+        a = qbinom_series(-3, 6).scale_x(2)
+        b = euler_series(1, 6).alternate_x()
+        calls = []
+        init = RF.__init__
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(RF, "__init__", counted("RationalFunctionQ", init))
+        for mod in (whitdim.laurent, whitdim.rational):
+            monkeypatch.setattr(mod, "poly_gcd", counted("poly_gcd", mod.poly_gcd))
+        a * b
+        a * a
+        assert calls == []
+        a.coeff(6)
+        assert "RationalFunctionQ" in calls
 
 
 class TestEulerProductCrossCheck:
