@@ -65,13 +65,6 @@ class GFq:
         if self.deg > 1:
             self._verify_axioms()
 
-        self._flat = (
-            bytes(v for row in self.add_table for v in row),
-            bytes(v for row in self.sub_table for v in row),
-            bytes(v for row in self.mul_table for v in row),
-            bytes(self.inv_table),
-        )
-
     def _digits(self, a: int):
         out = []
         for _ in range(self.deg):
@@ -133,10 +126,6 @@ class GFq:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(%d)" % self.q)
         return self.inv_table[a]
-
-    def flat_tables(self):
-        """(add, sub, mul, inv) as flat bytes for the counting kernels, built once."""
-        return self._flat
 
     def __repr__(self):
         return "GFq(%d)" % self.q

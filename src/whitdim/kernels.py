@@ -1,64 +1,153 @@
-"""Backend selection for the exhaustive counting kernels.
+"""Exhaustive counting kernels over GF(q), in pure Python.
 
-The single-matrix kernels (count_by_rank, count_by_rank_trace) use the
-compiled extension when it was built; otherwise the pure-Python ones take
-over.  BACKEND names the one in use.  The triple kernel always runs the pure
-implementation: it is memoised (it ranks each distinct n x 2n block once),
-while the compiled one enumerates every triple and is about 10x slower at
-n=3 over GF(2).  Their outputs match; `bench/bench_backends.py` times the
-two backends against each other.
+Each kernel takes the field and reads its add/sub/mul/inv tables.  Every
+matrix is enumerated and every rank comes from exact Gaussian elimination
+(`_rank`, kept apart from `gfield._rank_rows` so that the tests' reference,
+which ranks through `GFMatrix.rank`, stays independent of the kernels).  The
+two single-matrix kernels visit matrices in lexicographic entry order.  The
+triple kernel is memoised: it ranks each distinct n x 2n block once and
+tallies the triples that share a block in C-level passes over bytes (see
+count_triples_by_rank_bucket), so it does q^(2n^2) eliminations for the
+q^(3n^2) triples.  The tests check it against a from-scratch rank of every
+2n x 2n matrix.
+
+BACKEND names the implementation; this pure one is the only one.
 """
 
 from __future__ import annotations
 
-from . import _gfkernel_py
-
-try:
-    from . import _gfkernel as _impl
-
-    BACKEND = "compiled"
-except ImportError:  # extension not built; the pure fallback is always available
-    _impl = _gfkernel_py
-
-    BACKEND = "pure"
+from itertools import product
 
 from .gfield import GFq
 
+BACKEND = "pure"
 
-def _checked_tables(field: GFq):
-    """field.flat_tables(), after checking every length against q.
 
-    The compiled kernels index the tables without bounds checks, so a short
-    table would be read past its end; add, sub and mul must hold q*q bytes
-    and inv q bytes.
-    """
-    q = field.q
-    tables = field.flat_tables()
-    for name, table in zip(("add", "sub", "mul", "inv"), tables):
-        size = q if name == "inv" else q * q
-        if len(table) != size:
-            raise ValueError(
-                "GF(%d) %s table has %d bytes, expected %d"
-                % (q, name, len(table), size)
-            )
-    return tables
+def _rank(rows, ncols, sub, mul, inv):
+    """Rank by exact Gaussian elimination; mutates the given row lists."""
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        pivot = -1
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot = i
+                break
+        if pivot < 0:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        pinv = inv[prow[c]]
+        for i in range(r + 1, nrows):
+            f0 = rows[i][c]
+            if f0:
+                fac = mul[f0][pinv]
+                frow = mul[fac]
+                row = rows[i]
+                for j in range(c, ncols):
+                    row[j] = sub[row[j]][frow[prow[j]]]
+        r += 1
+    return r
 
 
 def count_by_rank(field: GFq, rows: int, cols: int):
-    """Counts of rows x cols matrices over the field, indexed by rank."""
-    add, sub, mul, inv = _checked_tables(field)
-    return [int(c) for c in _impl.count_by_rank(field.q, add, sub, mul, inv, rows, cols)]
+    """Counts of rows x cols matrices over the field, indexed by rank 0..min(rows, cols)."""
+    sub, mul, inv = field.sub_table, field.mul_table, field.inv_table
+    counts = [0] * (min(rows, cols) + 1)
+    for entries in product(range(field.q), repeat=rows * cols):
+        mat = [list(entries[i * cols : (i + 1) * cols]) for i in range(rows)]
+        counts[_rank(mat, cols, sub, mul, inv)] += 1
+    return counts
 
 
 def count_by_rank_trace(field: GFq, size: int):
-    """counts[rank][trace] over all square matrices of the given size."""
-    add, sub, mul, inv = _checked_tables(field)
-    out = _impl.count_by_rank_trace(field.q, add, sub, mul, inv, size)
-    return [[int(c) for c in row] for row in out]
+    """counts[rank][trace] over all size x size matrices over the field."""
+    q = field.q
+    add, sub, mul, inv = field.add_table, field.sub_table, field.mul_table, field.inv_table
+    counts = [[0] * q for _ in range(size + 1)]
+    for entries in product(range(q), repeat=size * size):
+        tr = 0
+        for i in range(size):
+            tr = add[tr][entries[i * size + i]]
+        mat = [list(entries[i * size : (i + 1) * size]) for i in range(size)]
+        counts[_rank(mat, size, sub, mul, inv)][tr] += 1
+    return counts
+
+
+def _index(rows, q):
+    """Position of a matrix in the lexicographic enumeration of its entries."""
+    idx = 0
+    for row in rows:
+        for v in row:
+            idx = idx * q + v
+    return idx
 
 
 def count_triples_by_rank_bucket(field: GFq, n: int):
-    """counts[rank][gamma] over all (X, Y, Z): rank of [[X,Y],[0,Z]], gamma = trX + trZ."""
-    add, sub, mul, inv = field.flat_tables()
-    out = _gfkernel_py.count_triples_by_rank_bucket(field.q, add, sub, mul, inv, n)
-    return [[int(c) for c in row] for row in out]
+    """counts[rank][gamma] over all triples (X, Y, Z) of n x n matrices.
+
+    rank is of the 2n x 2n block matrix [[X, Y], [0, Z]] (the nonzero corner
+    of u - I), gamma = tr X + tr Z.  That rank is rank(Z) plus the rank of
+    [X | Y'], where Y' is Y reduced by Z's echelon rows with their pivots
+    normalised to 1, which equals full elimination on the 2n x 2n matrix.
+
+    Every n x 2n block [X | Y'] is ranked once, into bytes rows ranks[x][y'].
+    For each distinct set of normalised echelon rows, every Y is mapped to the
+    index of its Y' and, for each X, the ranks of all q^(n^2) blocks are
+    tallied in one C-level pass over a bytes object.  The tallies, summed by
+    tr X, are then added once per Z with those rows, so every triple is
+    counted exactly once.
+    """
+    q = field.q
+    add, sub, mul, inv = field.add_table, field.sub_table, field.mul_table, field.inv_table
+    counts = [[0] * q for _ in range(2 * n + 1)]
+
+    mats = []
+    for entries in product(range(q), repeat=n * n):
+        tr = 0
+        for i in range(n):
+            tr = add[tr][entries[i * n + i]]
+        mats.append(([list(entries[i * n : (i + 1) * n]) for i in range(n)], tr))
+
+    ranks = [
+        bytes(_rank([xr + yr for xr, yr in zip(xmat, ymat)], 2 * n, sub, mul, inv)
+              for ymat, _ in mats)
+        for xmat, _ in mats
+    ]
+
+    tallies = {}  # normalised echelon rows of Z -> tally[tr X][rank of [X | Y']]
+    for zmat, trz in mats:
+        zred = [row[:] for row in zmat]
+        zrank = _rank(zred, n, sub, mul, inv)
+        # normalize pivots to 1 for direct reduction of the Y rows
+        pivots = []
+        for r in range(zrank):
+            c = next(j for j in range(n) if zred[r][j])
+            piv_inv = inv[zred[r][c]]
+            zred[r] = [mul[piv_inv][v] for v in zred[r]]
+            pivots.append((c, zred[r]))
+        key = tuple(tuple(row) for _, row in pivots)
+        tally = tallies.get(key)
+        if tally is None:
+            yred = []
+            for ymat, _ in mats:
+                rows = []
+                for row in ymat:
+                    for c, prow in pivots:
+                        f0 = row[c]
+                        if f0:
+                            frow = mul[f0]
+                            row = [sub[a][frow[b]] for a, b in zip(row, prow)]
+                    rows.append(row)
+                yred.append(_index(rows, q))
+            tally = tallies[key] = [[0] * (n + 1) for _ in range(q)]
+            for xranks, (_, trx) in zip(ranks, mats):
+                line = bytes(map(xranks.__getitem__, yred))
+                by_rank = tally[trx]
+                for r2 in range(n + 1):
+                    by_rank[r2] += line.count(r2)
+        for trx, by_rank in enumerate(tally):
+            gamma = add[trx][trz]
+            for r2, c in enumerate(by_rank):
+                counts[zrank + r2][gamma] += c
+    return counts

@@ -3,16 +3,11 @@ import json
 
 import pytest
 
-from whitdim.cli import (
-    EXIT_FAILED,
-    EXIT_INFEASIBLE,
-    EXIT_OK,
-    EXIT_USAGE,
-    RunConfig,
-    UsageError,
-    main,
-    run,
-)
+from whitdim.cli import RunConfig, UsageError, main, run
+
+# The exit codes are compared with the literals that the cli docstring and the
+# README document (0 pass, 1 failed check, 2 usage, 3 infeasible), not with the
+# EXIT_* constants, so a changed constant fails here.
 
 
 def run_json(argv):
@@ -28,33 +23,33 @@ def run_json(argv):
 class TestVerifyCommand:
     def test_range(self):
         code, reports = run_json(["verify", "--n", "1..4"])
-        assert code == EXIT_OK
+        assert code == 0
         assert len(reports) == 4
         assert all(r["equal"] for r in reports)
         assert [r["n"] for r in reports] == [1, 2, 3, 4]
 
     def test_single_n(self):
         code, reports = run_json(["verify", "--n", "2"])
-        assert code == EXIT_OK and len(reports) == 1
+        assert code == 0 and len(reports) == 1
 
 
 class TestLemma1Command:
     def test_all_k(self):
         code, reports = run_json(["lemma1", "--n", "3"])
-        assert code == EXIT_OK
+        assert code == 0
         assert len(reports) == 4
         assert [r["k"] for r in reports] == [0, 1, 2, 3]
         assert all(r["equal"] for r in reports)
 
     def test_fixed_k(self):
         code, reports = run_json(["lemma1", "--n", "3", "--k", "2"])
-        assert code == EXIT_OK and len(reports) == 1 and reports[0]["k"] == 2
+        assert code == 0 and len(reports) == 1 and reports[0]["k"] == 2
 
 
 class TestChainCommand:
     def test_chain_n2(self):
         code, reports = run_json(["chain", "--n", "2"])
-        assert code == EXIT_OK
+        assert code == 0
         assert all(r["equal"] for r in reports)
         idents = {r["identity"] for r in reports}
         assert "simplify-exponent-total" in idents
@@ -64,7 +59,7 @@ class TestChainCommand:
 class TestBruteCommand:
     def test_brute_2_2(self):
         code, reports = run_json(["brute", "--n", "2", "--q", "2"])
-        assert code == EXIT_OK
+        assert code == 0
         (rep,) = reports
         assert rep["brute"] == rep["middle"] == rep["closed"] == 4
         assert rep["agree"] is True
@@ -75,56 +70,87 @@ class TestBruteCommand:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = main(["brute", "--n", "3", "--q", "3", "--limit", "1000"])
-        assert code == EXIT_INFEASIBLE
+        assert code == 3
         (line,) = [json.loads(l) for l in buf.getvalue().splitlines()]
         assert line["error"] == "infeasible"
 
 
 class TestCountsCommand:
     def test_counts_pass(self):
-        code, reports = run_json(["counts", "--q", "2"])
-        assert code == EXIT_OK
-        kinds = {r["params"]["kind"] for r in reports}
-        assert kinds == {"rect-rank", "trace-delta", "grassmann"}
+        # the exact case list: dropping or adding a case, or running one
+        # twice, changes it
+        expected = []
+        for q in (2, 3):
+            expected += [("rect-rank", q, (("k", k), ("s", s), ("t", t)))
+                         for s in range(1, 4) for t in range(1, 4)
+                         for k in range(min(s, t) + 1)]
+            expected += [("trace-delta", q, (("k", k), ("m", size - k)))
+                         for size in range(4) for k in range(size + 1)]
+            expected += [("grassmann", q, (("m", m), ("n", n)))
+                         for n in range(1, 5) for m in range(n + 1)]
+        code, reports = run_json(["counts"])  # the default q list is 2, 3
+        assert code == 0
         assert all(r["equal"] for r in reports)
+        got = []
+        for r in reports:
+            params = dict(r["params"])
+            kind, q = params.pop("kind"), params.pop("q")
+            got.append((kind, q, tuple(sorted(params.items()))))
+        assert sorted(got) == sorted(expected)
 
 
 class TestUsage:
     def test_missing_n(self):
-        assert main(["verify"]) == EXIT_USAGE
+        assert main(["verify"]) == 2
 
     def test_bad_range(self):
-        assert main(["verify", "--n", "3..1"]) == EXIT_USAGE
-        assert main(["verify", "--n", "0"]) == EXIT_USAGE
-        assert main(["verify", "--n", "x..y"]) == EXIT_USAGE
+        assert main(["verify", "--n", "3..1"]) == 2
+        assert main(["verify", "--n", "0"]) == 2
+        assert main(["verify", "--n", "x..y"]) == 2
 
     def test_bad_q(self):
-        assert main(["brute", "--n", "1", "--q", "6"]) == EXIT_USAGE
+        assert main(["brute", "--n", "1", "--q", "6"]) == 2
 
     def test_empty_q_list(self, capsys):
         # a q list with no values would run zero checks and pass
-        assert main(["brute", "--n", "1", "--q", ","]) == EXIT_USAGE
-        assert main(["counts", "--q", ","]) == EXIT_USAGE
+        assert main(["brute", "--n", "1", "--q", ","]) == 2
+        assert main(["counts", "--q", ","]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         with pytest.raises(UsageError):
             RunConfig(command="counts", q_list=[])
 
     def test_k_out_of_range(self, capsys):
-        assert main(["lemma1", "--n", "3", "--k", "5"]) == EXIT_USAGE
+        assert main(["lemma1", "--n", "3", "--k", "5"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         # k must fit the smallest n of the range
-        assert main(["lemma1", "--n", "2..4", "--k", "3"]) == EXIT_USAGE
-        assert main(["lemma1", "--n", "3", "--k", "-1"]) == EXIT_USAGE
+        assert main(["lemma1", "--n", "2..4", "--k", "3"]) == 2
+        assert main(["lemma1", "--n", "3", "--k", "-1"]) == 2
+
+    def test_k_range_bounds_are_accepted(self):
+        # --k may be any of 0..n_min
+        assert main(["lemma1", "--n", "2..3", "--k", "0"]) == 0
+        assert main(["lemma1", "--n", "2..3", "--k", "2"]) == 0
+
+    def test_zero_limit_is_accepted(self):
+        assert main(["verify", "--n", "1", "--limit", "0"]) == 0
+        # accepted, then every enumeration is over the limit
+        code, rows = run_json(["brute", "--n", "1", "--q", "2", "--limit", "0"])
+        assert code == 3 and rows[-1]["error"] == "infeasible"
 
     def test_negative_limit(self, capsys):
-        assert main(["brute", "--n", "1", "--limit", "-1"]) == EXIT_USAGE
+        assert main(["brute", "--n", "1", "--limit", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_config_defaults(self):
+        cfg = RunConfig(command="verify")
+        assert (cfg.n_min, cfg.n_max, cfg.k, cfg.q_list) == (1, 1, None, [2, 3])
+        assert (cfg.feasibility_limit, cfg.output, cfg.format) == (10 ** 9, None, "json")
 
     def test_config_validation(self):
         with pytest.raises(UsageError):
@@ -137,20 +163,20 @@ class TestOutputModes:
     def test_output_file(self, tmp_path):
         path = tmp_path / "out.json"
         code = main(["verify", "--n", "1..2", "--output", str(path)])
-        assert code == EXIT_OK
+        assert code == 0
         rows = [json.loads(l) for l in path.read_text().splitlines()]
         assert len(rows) == 2 and all(r["equal"] for r in rows)
 
     def test_unopenable_output_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.json"
-        assert main(["verify", "--n", "1", "--output", str(path)]) == EXIT_USAGE
+        assert main(["verify", "--n", "1", "--output", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
     def test_csv_format(self, tmp_path):
         path = tmp_path / "out.csv"
         code = main(["lemma1", "--n", "2", "--format", "csv", "--output", str(path)])
-        assert code == EXIT_OK
+        assert code == 0
         lines = path.read_text().splitlines()
         assert lines[0] == "check,n,k,q,ok,detail"
         assert len(lines) == 4  # header + k = 0, 1, 2
@@ -185,14 +211,14 @@ class TestOutputModes:
         proc.stdout.close()
         with proc.stderr:
             err = proc.stderr.read().decode()
-        assert proc.wait() == EXIT_USAGE
+        assert proc.wait() == 2
         assert err.startswith("error: ") and "Traceback" not in err
 
     def test_determinism_modulo_elapsed(self):
         def snap():
             cfg = RunConfig(command="verify", n_min=1, n_max=3)
             buf = io.StringIO()
-            assert run(cfg, buf) == EXIT_OK
+            assert run(cfg, buf) == 0
             rows = [json.loads(l) for l in buf.getvalue().splitlines()]
             return [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in rows]
 
@@ -200,7 +226,7 @@ class TestOutputModes:
 
     def test_all_union(self):
         code, reports = run_json(["all", "--n", "1", "--q", "2"])
-        assert code == EXIT_OK
+        assert code == 0
         idents = set()
         for r in reports:
             idents.add(r.get("identity") or r.get("params", {}).get("kind") or "dimension")
@@ -230,7 +256,7 @@ class TestFailurePath:
 
         monkeypatch.setattr(cli.engine, "verify_main", broken)
         code, rows = run_json(["all", "--n", "3", "--q", "3"])
-        assert code == EXIT_FAILED
+        assert code == 1
         assert rows[0]["identity"] == "main" and rows[0]["equal"] is False
         assert rows[-1]["error"] == "infeasible"
         assert not any("params" in r for r in rows)  # the stream stopped there
@@ -266,7 +292,7 @@ def without_elapsed(reports):
 class TestRecordStream:
     def test_chain_steps_in_order(self):
         code, reports = run_json(["chain", "--n", "1..2"])
-        assert code == EXIT_OK
+        assert code == 0
         assert [(r["n"], r["identity"]) for r in reports] == [
             (n, step) for n in (1, 2) for step in CHAIN_STEPS
         ]
@@ -274,10 +300,10 @@ class TestRecordStream:
     def test_all_is_the_concatenation_of_the_commands(self):
         args = ["--n", "1..2", "--q", "2"]
         code, reports = run_json(["all"] + args)
-        assert code == EXIT_OK
+        assert code == 0
         parts = []
         for command in ("verify", "lemma1", "chain", "brute", "counts"):
             part_code, part = run_json([command] + args)
-            assert part_code == EXIT_OK
+            assert part_code == 0
             parts += part
         assert without_elapsed(reports) == without_elapsed(parts)

@@ -44,6 +44,25 @@ class TestRectRank:
             rect_rank_formula(2, 2, 3, 2)
 
 
+class TestFeasibilityGate:
+    def test_default_limit_is_ten_to_the_ninth(self):
+        assert counting.FEASIBILITY_LIMIT == 10 ** 9
+
+    def test_enumeration_runs_at_the_limit_and_not_one_below(self):
+        # each oracle's candidate count: q^(s*t), q^(size^2), the subspace count
+        runs = [
+            (count_rect_by_rank, (2, 2, 1, 2), 2 ** 4),
+            (count_square_by_rank_trace, (2, 1, 1, 2), 2 ** 4),
+            (prasad_delta, (1, 1, 3), 3 ** 4),
+            (grassmann_count, (3, 1, 2), 7),
+        ]
+        for oracle, args, candidates in runs:
+            oracle(*args, limit=candidates)
+            with pytest.raises(FeasibilityError) as err:
+                oracle(*args, limit=candidates - 1)
+            assert (err.value.candidates, err.value.limit) == (candidates, candidates - 1)
+
+
 class TestSquareRankTrace:
     def test_known_values(self):
         assert count_square_by_rank_trace(2, 1, 1, 2) == 6
@@ -108,71 +127,24 @@ class TestGrassmann:
 
 
 class TestBackendAgreement:
-    def test_pure_matches_selected_backend(self):
-        from whitdim import _gfkernel_py
-
-        for q, rows, cols in [(2, 2, 2), (3, 2, 2), (4, 2, 1), (5, 1, 2), (9, 1, 1)]:
-            f = gf(q)
-            selected = kernels.count_by_rank(f, rows, cols)
-            pure = _gfkernel_py.count_by_rank(q, *f.flat_tables(), rows, cols)
-            assert selected == [int(x) for x in pure]
-        for q, n in [(2, 1), (3, 1), (2, 2)]:
-            f = gf(q)
-            selected = kernels.count_triples_by_rank_bucket(f, n)
-            pure = _gfkernel_py.count_triples_by_rank_bucket(q, *f.flat_tables(), n)
-            assert selected == [[int(x) for x in row] for row in pure]
-
-    def test_triple_kernel_always_runs_pure(self, monkeypatch):
-        # the memoised pure triple kernel beats the compiled full enumeration
-        from whitdim import _gfkernel_py
-
-        class NoTriples:
-            count_triples_by_rank_bucket = None  # a compiled stand-in must not be used
-
-        calls = []
-        pure = _gfkernel_py.count_triples_by_rank_bucket
-
-        def spy(*args):
-            calls.append(args[0])
-            return pure(*args)
-
-        monkeypatch.setattr(kernels, "_impl", NoTriples)
-        monkeypatch.setattr(_gfkernel_py, "count_triples_by_rank_bucket", spy)
-        assert kernels.count_triples_by_rank_bucket(gf(3), 1) == [
-            [int(x) for x in row] for row in pure(3, *gf(3).flat_tables(), 1)
-        ]
-        assert calls == [3]
-
     def test_pure_triples_match_full_rank_reference(self):
-        from whitdim import _gfkernel_py
-
         cases = [(q, 1) for q in SUPPORTED_Q] + [(2, 2)]
         for q, n in cases:
             f = gf(q)
-            pure = _gfkernel_py.count_triples_by_rank_bucket(q, *f.flat_tables(), n)
-            assert pure == _triples_by_full_rank(f, n), (q, n)
+            assert kernels.count_triples_by_rank_bucket(f, n) == _triples_by_full_rank(f, n), (q, n)
 
 
-class TestTableLengths:
-    # the compiled kernels index the flat tables without bounds checks
-    def test_short_table_is_rejected_before_dispatch(self, monkeypatch):
-        from whitdim.gfield import GFq
+class TestKernelShapes:
+    def test_count_by_rank_has_one_entry_per_rank(self):
+        for q, rows, cols in [(2, 1, 1), (2, 2, 3), (3, 3, 1), (4, 2, 2), (5, 1, 2)]:
+            counts = kernels.count_by_rank(gf(q), rows, cols)
+            assert len(counts) == min(rows, cols) + 1, (q, rows, cols)
 
-        class CompiledStandIn:
-            def __getattr__(self, name):
-                raise AssertionError("kernel reached with a short table")
-
-        monkeypatch.setattr(kernels, "_impl", CompiledStandIn())
-        for q in (2, 3, 4):
-            for i, name in enumerate(("add", "sub", "mul", "inv")):
-                field = GFq(q)
-                tables = list(field.flat_tables())
-                tables[i] = tables[i][:-1]
-                field._flat = tuple(tables)
-                with pytest.raises(ValueError, match=name):
-                    kernels.count_by_rank(field, 1, 1)
-                with pytest.raises(ValueError, match=name):
-                    kernels.count_by_rank_trace(field, 1)
+    def test_count_by_rank_trace_has_one_row_per_rank_and_one_entry_per_trace(self):
+        for q, size in [(2, 1), (2, 2), (3, 2), (4, 1), (4, 2), (5, 1)]:
+            counts = kernels.count_by_rank_trace(gf(q), size)
+            assert len(counts) == size + 1, (q, size)
+            assert [len(row) for row in counts] == [q] * (size + 1), (q, size)
 
 
 def _triples_by_full_rank(field, n):

@@ -137,6 +137,7 @@ class TestBlockConstants:
         f = gf(2)
         assert block_constant(f, "I_kn", n=2, k=1).to_rows() == [[1, 0], [0, 0]]
         assert block_constant(f, "I_nm", n=2, m=1).to_rows() == [[0, 0], [0, 1]]
+        assert block_constant(f, "I_nm", n=2, m=0) == GFMatrix.zeros(f, 2, 2)
         assert block_constant(f, "I_klm", n=2, k=1, l=1, m=0).to_rows() == [[0, 0], [1, 0]]
 
     def test_larger_shifted_block(self):

@@ -74,6 +74,17 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             RF(ONE) / RF.zero()
 
+    def test_int_minus_rational_and_polynomial(self):
+        # 3 - (1 + q)/(1 - q) = (2 - 4q)/(1 - q); 3 - (1 + 2q) = 2 - 2q
+        r = 3 - RF(ONE + Q(1), ONE - Q(1))
+        assert r == RF(LaurentPoly(0, [2, -4]), ONE - Q(1))
+        assert r.eval_at(2) == 6
+        assert 3 - LaurentPoly(0, [1, 2]) == LaurentPoly(0, [2, -2])
+
+    def test_monomial_default_coefficient_is_one(self):
+        assert RF.monomial(3) == RF(LaurentPoly(3, [1]))
+        assert RF.monomial(-2).eval_at(2) == Fraction(1, 4)
+
 
 class TestEval:
     def test_polynomial_substitution(self):
