@@ -19,7 +19,8 @@ of the file is left as it is.
 Each mutant is written into a scratch copy of src/ and tests/ and the
 module's non-slow tests (the TESTS map below) run against it with pytest -x.
 The mutant is killed when they fail or run past the timeout (five times the
-unmutated run, at least 30 s), and survives when they pass.  A survivor
+unmutated run, at least 30 s), and survives when they pass.  Each test run
+has a session of its own, killed whole when it ends.  A survivor
 named in EQUIVALENT cannot change any result and is reported as equivalent
 instead.  Each EQUIVALENT entry is pinned to its mutated line and to a hash
 of the source of the function that encloses it; an entry whose id no longer
@@ -46,6 +47,7 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -78,11 +80,45 @@ EQUIVALENT = {
         "d28bbac34ab9",
         "only counts runs without --n, and counts reads neither n_min nor n_max",
     ),
+    "cli.py:_exit_on_eof:const+1:0": (
+        "os.read(fd, 2)",
+        "9b5b30ffa1e0",
+        "nothing is ever written to the lifeline, so a read of any size "
+        "returns only at end of file",
+    ),
+    "cli.py:_exit_on_eof:const+1:1": (
+        "os._exit(2)",
+        "9b5b30ffa1e0",
+        "a worker's exit status is never read: its parent is already gone",
+    ),
+    "cli.py:_records:const+1:2": (
+        "os._exit(1)",
+        "7140e19bd078",
+        "a worker's exit status is never read: the parent judges a worker by "
+        "its frames, and reaps it after a SIGKILL",
+    ),
     "counting.py:grassmann_count:const+1:4": (
         "if m == 1 or GFMatrix.from_rows(field, rows).rank() == m:",
         "33d811bfdc96",
         "a reduced echelon basis always has rank m: at m = 0 the empty 0 x 0 "
         "matrix ranks 0, and at m = 1 the one row has a 1 at its pivot",
+    ),
+    "dimension.py:gaussian_cancellation_check.assemble:const+1:0": (
+        "size = 4 * n",
+        "681dcf243416",
+        "adds n zero rows and columns to u - I; they change no rank, and every "
+        "entry cleared, compared or read as the corner lies in the first 3n",
+    ),
+    "dimension.py:gaussian_cancellation_check:const+1:5": (
+        "y = [entries[i * n : (i + 2) * n] for i in range(n)]",
+        "8c0df6f7d140",
+        "row i of Y gets the next row's entries appended, but only its first n "
+        "are read: by assemble, and the first n - m by the corner comparison",
+    ),
+    "dimension.py:gaussian_cancellation_check:<-><=:1": (
+        "survives = k <= i <= n and j < n - m",
+        "8c0df6f7d140",
+        "i runs over range(n), so both i < n and i <= n always hold",
     ),
     "engine.py:_nested_triple_numerator:const+1:0": (
         "for k in range(n + 2):",
@@ -90,12 +126,17 @@ EQUIVALENT = {
         "widens the outer k range of the triple-sum oracle to n + 1; the inner "
         "sum at k = n + 1 has an empty l range, so it only adds zero",
     ),
-    "engine.py:_conclusion_steps:const+1:24": (
+    "engine.py:_conclusion_steps:const+1:25": (
         "for k in range(n + 2)",
-        "7cec13d86bc8",
+        "fd2e95df301e",
         "widens the k range of the cross-multiplied Pochhammer rewrite in "
         "conclusion-pochhammer-split to n + 1; both sides are (q;q)_(n+k-1), so "
         "it holds for every k >= 0",
+    ),
+    "engine.py:_conclusion_steps:-->+:3": (
+        "reindexed = reindexed - outer if (n + k) % 2 else reindexed + outer",
+        "fd2e95df301e",
+        "(n - k) % 2 -> (n + k) % 2 has the same parity",
     ),
     "engine.py:_close_index_sums:+->-:0": (
         "acc = acc - term if (s - parity) % 2 else acc + term",
@@ -314,18 +355,30 @@ def apply(source: bytes, site) -> bytes:
 
 
 def run_tests(workdir, tests, timeout):
-    """(passed, seconds) for the non-slow tests in the scratch copy."""
+    """(passed, seconds) for the non-slow tests in the scratch copy.
+
+    pytest runs in a session of its own, and every process still in it
+    afterwards is killed: a mutant of the cli's runner can leave forked
+    workers behind, or signal its whole process group.
+    """
     env = dict(os.environ, PYTHONPATH=os.path.join(workdir, "src"),
                PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "-m", "not slow", *tests]
     t0 = time.perf_counter()
+    proc = subprocess.Popen(cmd, cwd=workdir, env=env, start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
-        proc = subprocess.run(cmd, cwd=workdir, env=env, timeout=timeout,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        code = proc.wait(timeout=timeout)
     except subprocess.TimeoutExpired:
-        return False, time.perf_counter() - t0
-    return proc.returncode == 0, time.perf_counter() - t0
+        code = None
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    return code == 0, time.perf_counter() - t0
 
 
 def main():

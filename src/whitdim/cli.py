@@ -1,8 +1,22 @@
 """Command-line front end: run verification suites, stream machine-readable reports.
 
-CHECKS maps each command to the records it streams; `all` streams the other
-five commands' records in turn.  run reads each record's verdict from its
+CHECKS maps each command to its list of work units: one per n for verify,
+lemma1 and chain, one per (n, q) for brute and one per q for counts; `all`
+concatenates the other five commands' units.  A unit is a zero-argument
+callable that yields its records.  run reads each record's verdict from its
 "equal" field (a dimension record's "agree") and sets the exit code.
+
+The units are independent exact computations, so run spreads them over
+w = min(CPUs this process may use, units) worker processes.  With w = 1 (one
+usable CPU, as under `taskset -c 0`, or other threads running) they run
+in-process.  Otherwise w workers are forked; unit i goes to worker 0, 1, ..,
+w-1, w-1, .., 0, 0, .. in turn, and each worker sends every unit's records
+back down its own pipe as one length-prefixed marshal frame.  This process
+only relays: it reads the frames in unit order and writes, checks and exits
+exactly as the in-process run does, so the stream does not depend on w.  A
+unit's failure is raised at its place in the stream.  Every worker is killed
+and reaped however the run ends, and ends by itself if this process is
+killed first.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error
 or unwritable output (an unopenable --output, or a stdout closed early as by
@@ -20,9 +34,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import marshal
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from . import engine
@@ -152,7 +168,7 @@ def config_from_args(args) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# the check table: each command maps a RunConfig to its stream of records
+# the check table: each command maps a RunConfig to its list of work units
 # ---------------------------------------------------------------------------
 
 
@@ -174,42 +190,191 @@ def _counting_cases():
             yield "grassmann", grassmann_count, {"n": n, "m": m}
 
 
-def _count_records(cfg: RunConfig):
-    for q in cfg.q_list:
-        for kind, oracle, params in _counting_cases():
-            enum, formula = oracle(**params, q=q, limit=cfg.feasibility_limit)
-            yield {
-                "params": {"kind": kind, **params, "q": q},
-                "enumerated": enum,
-                "formula": formula,
-                "equal": enum == formula,
-            }
+# A work unit is a zero-argument callable that yields its records.  The
+# engine and oracle functions are looked up when a unit runs, not when the
+# table is built, so they can be replaced at run time.
 
 
-# The engine and oracle functions are looked up when a command runs, not
-# when this table is built, so they can be replaced at run time.
+def _verify_unit(n: int):
+    yield engine.verify_main(n).to_json_dict()
+
+
+def _lemma1_unit(n: int, k: Optional[int]):
+    for j in [k] if k is not None else range(n + 1):
+        yield engine.verify_inner_sum(n, j).to_json_dict()
+
+
+def _chain_unit(n: int):
+    for rep in engine.simplification_chain(n) + engine.conclusion_chain(n):
+        yield rep.to_json_dict()
+
+
+def _brute_unit(n: int, q: int, limit: int):
+    yield dimension_report(n, q, limit)
+
+
+def _counts_unit(q: int, limit: int):
+    # one unit per q, so each (q, shape) enumeration is memoised in one process
+    for kind, oracle, params in _counting_cases():
+        enum, formula = oracle(**params, q=q, limit=limit)
+        yield {
+            "params": {"kind": kind, **params, "q": q},
+            "enumerated": enum,
+            "formula": formula,
+            "equal": enum == formula,
+        }
+
+
 CHECKS = {
-    "verify": lambda cfg: (engine.verify_main(n).to_json_dict() for n in _n_range(cfg)),
-    "lemma1": lambda cfg: (
-        engine.verify_inner_sum(n, k).to_json_dict()
-        for n in _n_range(cfg)
-        for k in ([cfg.k] if cfg.k is not None else range(n + 1))
-    ),
-    "chain": lambda cfg: (
-        rep.to_json_dict()
-        for n in _n_range(cfg)
-        for rep in engine.simplification_chain(n) + engine.conclusion_chain(n)
-    ),
-    "brute": lambda cfg: (
-        dimension_report(n, q, cfg.feasibility_limit)
+    "verify": lambda cfg: [partial(_verify_unit, n) for n in _n_range(cfg)],
+    "lemma1": lambda cfg: [partial(_lemma1_unit, n, cfg.k) for n in _n_range(cfg)],
+    "chain": lambda cfg: [partial(_chain_unit, n) for n in _n_range(cfg)],
+    "brute": lambda cfg: [
+        partial(_brute_unit, n, q, cfg.feasibility_limit)
         for n in _n_range(cfg)
         for q in cfg.q_list
-    ),
-    "counts": _count_records,
-    "all": lambda cfg: (
-        record for command in COMMANDS[:-1] for record in CHECKS[command](cfg)
-    ),
+    ],
+    "counts": lambda cfg: [partial(_counts_unit, q, cfg.feasibility_limit) for q in cfg.q_list],
+    "all": lambda cfg: [unit for command in COMMANDS[:-1] for unit in CHECKS[command](cfg)],
 }
+
+
+# ---------------------------------------------------------------------------
+# the runner: units spread over forked workers, records relayed in unit order
+# ---------------------------------------------------------------------------
+
+
+class UnitError(RuntimeError):
+    """A work unit raised in a worker process; the message is its traceback."""
+
+
+def _worker_count(units: int) -> int:
+    """One worker per CPU this process may run on, at most one per unit.
+
+    fork copies only the calling thread, so a process running other threads
+    gets one worker: the units then run in-process.  So does a platform
+    without os.sched_getaffinity, such as macOS or Windows.
+    """
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), units)
+
+
+def _owner(unit: int, workers: int) -> int:
+    """The worker of a unit, in boustrophedon order: 0, 1, .., w-1, w-1, .., 0, 0, ..
+
+    Units whose cost grows with their index are dealt out evenly.
+    """
+    lap, place = divmod(unit, workers)
+    return workers - 1 - place if lap % 2 else place
+
+
+def _frame(unit) -> tuple:
+    """(records, failure) for one unit; failure is None, or says how it stopped."""
+    records = []
+    try:
+        for record in unit():
+            records.append(record)
+    except FeasibilityError as exc:
+        return records, ("infeasible", exc.candidates, exc.limit)
+    except Exception:
+        import traceback
+
+        return records, ("error", traceback.format_exc())
+    return records, None
+
+
+def _work(units, fd: int, lifeline: int):
+    """A worker's loop: one length-prefixed marshal frame per unit, down fd.
+
+    It stops after the first unit that failed.  The parent holds the only
+    write end of the lifeline, so a read of it returns only once the parent
+    is gone, killed or not; a watcher thread then ends the worker at once,
+    even in the middle of a unit.
+    """
+    import threading
+
+    threading.Thread(target=_exit_on_eof, args=(lifeline,), daemon=True).start()
+    with os.fdopen(fd, "wb") as out:
+        for unit in units:
+            frame = _frame(unit)
+            data = marshal.dumps(frame)
+            out.write(len(data).to_bytes(8, "little") + data)
+            out.flush()
+            if frame[1] is not None:
+                return
+
+
+def _exit_on_eof(fd: int):
+    os.read(fd, 1)
+    os._exit(1)
+
+
+def _read_frame(reader, unit: int) -> tuple:
+    size = int.from_bytes(reader.read(8), "little")
+    data = reader.read(size)
+    if not size or len(data) < size:
+        raise RuntimeError("a worker exited before sending work unit %d" % unit)
+    return marshal.loads(data)
+
+
+def _records(units):
+    """Every unit's records, in unit order, computed over the CPUs this process may use.
+
+    With one worker the units run in-process.  Otherwise each worker is
+    forked with its own pipe and runs its units in order; this process only
+    relays their frames, in unit order.  A unit's failure is raised here, at
+    its place in the stream, after the records the unit made before it.
+    Every worker is killed and reaped however the stream ends, and ends by
+    itself if this process dies first.
+    """
+    workers = _worker_count(len(units))
+    if workers <= 1:
+        for unit in units:
+            yield from unit()
+        return
+    pids, readers = [], []
+    lifeline, parent_end = os.pipe()
+    try:
+        for w in range(workers):
+            r, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # the worker leaves only through os._exit, so it never returns
+                # into the caller and flushes no stream buffer it inherited
+                try:
+                    os.close(r)
+                    os.close(parent_end)
+                    for reader in readers:
+                        reader.close()
+                    mine = [u for i, u in enumerate(units) if _owner(i, workers) == w]
+                    _work(mine, wfd, lifeline)
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            os.close(wfd)
+            readers.append(os.fdopen(r, "rb"))
+        for i in range(len(units)):
+            records, failure = _read_frame(readers[_owner(i, workers)], i)
+            yield from records
+            if failure is None:
+                continue
+            if failure[0] == "infeasible":
+                raise FeasibilityError(*failure[1:])
+            raise UnitError(failure[1])
+    finally:
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
+        os.close(lifeline)
+        os.close(parent_end)
 
 
 def _passed(record: dict) -> bool:
@@ -241,8 +406,9 @@ def run(cfg: RunConfig, stream) -> int:
     if cfg.format == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["check", "n", "k", "q", "ok", "detail"])
+    records = _records(CHECKS[cfg.command](cfg))
     try:
-        for report in CHECKS[cfg.command](cfg):
+        for report in records:
             all_ok = all_ok and _passed(report)
             if writer is not None:
                 writer.writerow(_csv_row(report))
@@ -253,6 +419,8 @@ def run(cfg: RunConfig, stream) -> int:
         stream.write(json.dumps(msg) + "\n")
         # a failed proof step outranks "too large to enumerate"
         return EXIT_INFEASIBLE if all_ok else EXIT_FAILED
+    finally:
+        records.close()  # stops the workers if the stream ends early
     return EXIT_OK if all_ok else EXIT_FAILED
 
 

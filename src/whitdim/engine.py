@@ -7,19 +7,21 @@ identity equates a closed product
 
 with a normalized triple character sum over (m, k, l).  The triple sum is
 evaluated exactly over the fixed common denominator (q;q)_n^5 (the inner
-double sums use (q;q)_n^4).  Each term is a sign and a power of q times
-(q;q)_{3n-s-1} (q;q)_n times a product V of tail factors
+double sums of lemma1 use (q;q)_n^3).  Each term is a sign and a power of q
+times (q;q)_{3n-s-1} (q;q)_n times a product V of tail factors
 T_j = (q;q)_n / (q;q)_j, where s = k + m + l is the index sum.  The walkers
 step V alone from one lattice point to a neighbour, dividing it by and
 multiplying it with a few sparse (1 - q^j) factors, and add each signed,
-shifted V into a PolyAccumulator for its s; the triple walker visits only
-k <= m, since its terms are symmetric in k and m.  The factors that depend
-only on s, or on nothing, are applied once at the end: a Horner pass over s
-(_horner_close) gives every partial sum its (q;q)_{3n-s-1}, and the total is
-multiplied by (q;q)_n.  No per-term polynomial product is ever built, and
-each division asserts exactness.  The triple walker has one form, cached for
-the last n: dimension_sum, compact_sides and conclusion-group-by-k all read
-it, so a chain run walks it once per n.
+shifted V into a PolyAccumulator for its s.  Both walk m innermost: a step
+in m changes two factors, (1 - q^m) and (1 - q^(n-m-l+1)), where a step in
+l changes three.  The triple walker visits only k <= m, since its terms are
+symmetric in k and m.  The factors that depend only on s, or on nothing,
+are applied once at the end: a Horner pass over s (_horner_close) gives
+every partial sum its (q;q)_{3n-s-1}, and the total is multiplied by
+(q;q)_n (the triple sum) or T_k (an inner sum).  No per-term polynomial
+product is ever built, and each division asserts exactness.  The triple
+walker has one form, cached for the last n: dimension_sum, compact_sides and
+conclusion-group-by-k all read it, so a chain run walks it once per n.
 
 The derivation chains compare the walkers with one from-scratch oracle,
 _nested_triple_numerator: the outer-k sum of the inner (m, l) sums that
@@ -154,14 +156,16 @@ def _triple_sum_numerator(n: int) -> LaurentPoly:
       s = k + m + l,
       e = kn + (n-k)m + C(k,2) + C(m,2) + C(l,2).
 
-    Only V is walked.  It starts at (q;q)_n^3, and each lattice step divides
-    out and multiplies in a few (1 - q^j) factors.  V, e and the sign are
-    symmetric in k and m, so only k <= m is walked and the l-walk of each
-    k < m starts from 2V.  The signed, shifted V are summed per index sum s;
-    _horner_close then applies every (q;q)_{3n-s-1}, and the total is
-    multiplied once by (q;q)_n.  Terms are accumulated in lexicographic
-    (k, m, l) order; the exact arithmetic makes the order irrelevant to the
-    value, the fixed order makes runs reproducible.
+    Only V is walked, k outermost and m innermost.  It starts at (q;q)_n^3,
+    and each lattice step divides out and multiplies in a few (1 - q^j)
+    factors: a step in k changes four, in l three, in m two.  V, e and the
+    sign are symmetric in k and m, so only k <= m is walked: the diagonal
+    V(k, k, l) is stepped along l and added once, and the m-walk over
+    m > k starts from 2 V(k, k, l).  The signed, shifted V are summed per
+    index sum s; _horner_close then applies every (q;q)_{3n-s-1}, and the
+    total is multiplied once by (q;q)_n.  Terms are accumulated in
+    lexicographic (k, l, m) order; the exact arithmetic makes the order
+    irrelevant to the value, the fixed order makes runs reproducible.
     """
     by_s = [PolyAccumulator() for _ in range(2 * n + 1)]
     v_kk = qq_power(n, 3)
@@ -173,18 +177,19 @@ def _triple_sum_numerator(n: int) -> LaurentPoly:
                 .div_one_minus_q(k)
                 .times_one_minus_q(n - k + 1)
             )
-        v_km = v_kk
-        for m in range(k, n + 1):
-            if m > k:
-                v_km = v_km.div_one_minus_q(m).times_one_minus_q(n - m + 1)
-            v = v_km * 2 if m > k else v_km  # the l-steps are linear in v
-            for ell in range(n - m + 1):
-                if ell:
-                    v = (
-                        v.div_one_minus_q(ell)
-                        .times_one_minus_q(n - k - ell + 1)
-                        .times_one_minus_q(n - m - ell + 1)
-                    )
+        v_kl = v_kk
+        for ell in range(n - k + 1):
+            if ell:
+                v_kl = (
+                    v_kl.div_one_minus_q(ell)
+                    .times_one_minus_q(n - k - ell + 1)
+                    .times_one_minus_q(n - k - ell + 1)
+                )
+            e = k * n + (n - k) * k + 2 * comb(k, 2) + comb(ell, 2)
+            by_s[2 * k + ell].add_shifted(v_kl, e, ell % 2)
+            v = v_kl * 2  # the m-steps are linear in v
+            for m in range(k + 1, n - ell + 1):
+                v = v.div_one_minus_q(m).times_one_minus_q(n - m - ell + 1)
                 e = k * n + (n - k) * m + comb(k, 2) + comb(m, 2) + comb(ell, 2)
                 by_s[k + m + ell].add_shifted(v, e, (k + m + ell) % 2)
     total = _horner_close([acc.value() for acc in by_s], 3 * n - 1)
@@ -239,33 +244,34 @@ def compact_sides(n: int):
 
 
 def _inner_sum_numerator(n: int, k: int) -> LaurentPoly:
-    """Numerator over (q;q)_n^4 of the inner (m,l) double sum at fixed k.
+    """Numerator over (q;q)_n^3 of the inner (m,l) double sum at fixed k.
 
-    Each term is (-1)^s * q^e * (q;q)_{2n+k-s-1} * (q;q)_n T_k * V with
+    Each term is (-1)^s * q^e * (q;q)_{2n+k-s-1} * T_k * V with
       V = T_m T_l T_{n-m-l} (q;q)_k / (q;q)_{k-l},
       s = m + l,   e = mk + C(m,2) + C(l,2).
 
-    Walked like _triple_sum_numerator: V starts at (q;q)_n^2, the terms are
-    summed per s, _horner_close applies every (q;q)_{2n+k-s-1}, and the
-    total is multiplied once by (q;q)_n T_k.
+    Walked like _triple_sum_numerator, l outer and m inner: V starts at
+    (q;q)_n^2, a step in l changes three factors and a step in m two.  The
+    terms are summed per s, _horner_close applies every (q;q)_{2n+k-s-1},
+    and the total is multiplied once by T_k.
     """
     by_s = [PolyAccumulator() for _ in range(n + 1)]
-    v_m = qq_power(n, 2)
-    for m in range(n + 1):
-        if m:
-            v_m = v_m.div_one_minus_q(m).times_one_minus_q(n - m + 1)
-        v = v_m
-        for ell in range(min(k, n - m) + 1):
-            if ell:
-                v = (
-                    v.div_one_minus_q(ell)
-                    .times_one_minus_q(k - ell + 1)
-                    .times_one_minus_q(n - m - ell + 1)
-                )
+    v_l = qq_power(n, 2)
+    for ell in range(k + 1):
+        if ell:
+            v_l = (
+                v_l.div_one_minus_q(ell)
+                .times_one_minus_q(k - ell + 1)
+                .times_one_minus_q(n - ell + 1)
+            )
+        v = v_l
+        for m in range(n - ell + 1):
+            if m:
+                v = v.div_one_minus_q(m).times_one_minus_q(n - m - ell + 1)
             e = m * k + comb(m, 2) + comb(ell, 2)
             by_s[m + ell].add_shifted(v, e, (m + ell) % 2)
     total = _horner_close([acc.value() for acc in by_s], 2 * n + k - 1)
-    return _times_qq_range(_times_qq_range(total, 1, n), k + 1, n)
+    return _times_qq_range(total, k + 1, n)
 
 
 def inner_sum_rhs_poly(n: int, k: int) -> LaurentPoly:
@@ -280,16 +286,16 @@ def inner_sum_sides(n: int, k: int):
     if not 0 <= k <= n:
         raise ValueError("k must lie in 0..n")
     num = _inner_sum_numerator(n, k)
-    # The value is a polynomial, so 4n checked (1 - q^i) divisions give the
-    # canonical lhs without a long division by (q;q)_n^4.  Falls back to the
+    # The value is a polynomial, so 3n checked (1 - q^i) divisions give the
+    # canonical lhs without a long division by (q;q)_n^3.  Falls back to the
     # generic path if a division is inexact (i.e. if the identity were false).
     quo = num
     try:
-        for _ in range(4):
+        for _ in range(3):
             for i in range(1, n + 1):
                 quo = quo.div_one_minus_q(i)
     except ValueError:
-        lhs = RationalFunctionQ(num, qq_power(n, 4))
+        lhs = RationalFunctionQ(num, qq_power(n, 3))
     else:
         lhs = RationalFunctionQ(quo)
     rhs = RationalFunctionQ(inner_sum_rhs_poly(n, k))
@@ -551,12 +557,12 @@ def _conclusion_steps(n: int):
     yield ("conclusion-group-by-k", flat == nested,
            "triple sum numerator", "nested sum numerator")
 
-    # (b) replacing k by n-k leaves the outer sum unchanged
+    # (b) replacing k by n-k leaves the outer sum unchanged; the inner sums
+    # are numerators over (q;q)_n^3, brought to (q;q)_n^4 here
     reindexed = LaurentPoly.zero()
     for k in range(n + 1):
-        outer = _times_qq_range(
-            _inner_sum_numerator(n, k), n - k + 1, n
-        ).shifted((n - k) * n + comb(n - k, 2))
+        inner = _times_qq_range(_inner_sum_numerator(n, k), 1, n)
+        outer = _times_qq_range(inner, n - k + 1, n).shifted((n - k) * n + comb(n - k, 2))
         reindexed = reindexed - outer if (n - k) % 2 else reindexed + outer
     yield ("conclusion-reindex-outer", nested == reindexed,
            "nested sum numerator", "reindexed sum numerator")

@@ -10,14 +10,18 @@ from whitdim.cli import RunConfig, UsageError, main, run
 # EXIT_* constants, so a changed constant fails here.
 
 
-def run_json(argv):
+def run_text(argv):
     import contextlib
 
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
-    lines = [json.loads(line) for line in buf.getvalue().splitlines() if line]
-    return code, lines
+    return code, buf.getvalue()
+
+
+def run_json(argv):
+    code, text = run_text(argv)
+    return code, [json.loads(line) for line in text.splitlines() if line]
 
 
 class TestVerifyCommand:
@@ -307,3 +311,238 @@ class TestRecordStream:
             assert part_code == 0
             parts += part
         assert without_elapsed(reports) == without_elapsed(parts)
+
+
+def set_cpus(monkeypatch, count):
+    """Make the runner see `count` usable CPUs, and count its forks."""
+    import os
+
+    real_fork = os.fork
+    forks = []
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def strip_elapsed(text):
+    out = []
+    for line in text.splitlines():
+        if line.startswith("{"):
+            row = json.loads(line)
+            row.pop("elapsed_ms", None)
+            line = json.dumps(row)
+        out.append(line)
+    return out
+
+
+class TestParallelRunner:
+    @pytest.fixture(autouse=True)
+    def no_worker_is_left(self):
+        import os
+
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "1..6"],
+        ["lemma1", "--n", "1..5"],
+        ["chain", "--n", "1..4"],
+        ["brute", "--n", "1..2", "--q", "2,3"],
+        ["counts", "--q", "2,3"],
+        ["all", "--n", "1..2", "--q", "2"],
+    ])
+    def test_two_workers_write_the_one_worker_stream(self, monkeypatch, argv, fmt):
+        argv = argv + ["--format", fmt]
+        with monkeypatch.context() as patch:
+            forks = set_cpus(patch, 1)
+            one = run_text(argv)
+            assert forks == []
+        forks = set_cpus(monkeypatch, 2)
+        two = run_text(argv)
+        assert len(forks) == 2
+        assert one[0] == two[0] == 0
+        assert strip_elapsed(one[1]) == strip_elapsed(two[1])
+        assert len(one[1].splitlines()) > 1
+
+    def test_infeasible_unit_stops_the_stream(self, monkeypatch):
+        forks = set_cpus(monkeypatch, 2)
+        code, rows = run_json(["brute", "--n", "1..3", "--q", "2", "--limit", "1000"])
+        assert len(forks) == 2
+        assert code == 3
+        assert [r.get("n") for r in rows] == [1, None]
+        assert rows[1]["error"] == "infeasible" and rows[1]["candidates"] == 2 ** 12
+
+    def test_failed_check_before_an_infeasible_unit_exits_1(self, monkeypatch):
+        from whitdim import cli, engine
+
+        def broken(n):
+            return engine.VerificationReport("main", n, None, False, "x", "y", 0.0)
+
+        monkeypatch.setattr(cli.engine, "verify_main", broken)
+        forks = set_cpus(monkeypatch, 2)
+        code, rows = run_json(["all", "--n", "3", "--q", "3"])
+        assert len(forks) == 2
+        assert code == 1
+        assert rows[0]["equal"] is False and rows[-1]["error"] == "infeasible"
+        assert not any("params" in r for r in rows)
+
+    def test_worker_exception_is_raised_after_the_records_before_it(self, monkeypatch):
+        from whitdim import cli
+
+        real = cli.engine.verify_main
+
+        def failing(n):
+            if n == 3:
+                raise ValueError("unit three failed")
+            return real(n)
+
+        monkeypatch.setattr(cli.engine, "verify_main", failing)
+        cfg = RunConfig(command="verify", n_min=1, n_max=5)
+        for cpus, error in ((1, ValueError), (2, cli.UnitError)):
+            with monkeypatch.context() as patch:
+                forks = set_cpus(patch, cpus)
+                buf = io.StringIO()
+                with pytest.raises(error, match="unit three failed"):
+                    run(cfg, buf)
+                assert len(forks) == (cpus if cpus > 1 else 0)
+            assert [json.loads(l)["n"] for l in buf.getvalue().splitlines()] == [1, 2]
+
+    def test_worker_that_dies_is_an_error(self, monkeypatch):
+        import os
+
+        from whitdim import cli
+
+        real = cli.engine.verify_main
+
+        def dying(n):
+            if n == 2:
+                os._exit(0)
+            return real(n)
+
+        monkeypatch.setattr(cli.engine, "verify_main", dying)
+        set_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="before sending work unit 1"):
+            run(RunConfig(command="verify", n_min=1, n_max=2), io.StringIO())
+
+    def test_closed_stream_stops_the_workers(self, monkeypatch):
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        forks = set_cpus(monkeypatch, 2)
+        with pytest.raises(BrokenPipeError):
+            run(RunConfig(command="verify", n_min=1, n_max=12), Closed())
+        assert len(forks) == 2
+
+    def test_workers_end_when_the_parent_is_killed(self, tmp_path):
+        # SIGKILL runs no cleanup in the parent, so each worker must notice by
+        # itself, even in the middle of a unit
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        def alive(pid):
+            try:
+                with open("/proc/%d/stat" % pid) as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+            except FileNotFoundError:
+                return False
+
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+        script = (
+            "import os, sys, time\n"
+            "from whitdim import cli\n"
+            "def stuck(n):\n"
+            "    open(os.path.join(sys.argv[1], str(os.getpid())), 'w').close()\n"
+            "    time.sleep(60)\n"
+            "cli.engine.verify_main = stuck\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "cli.main(['verify', '--n', '1..2'])\n"
+        )
+        proc = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)], env=env)
+        try:
+            deadline = time.monotonic() + 30
+            while len(os.listdir(tmp_path)) < 2 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            workers = [int(name) for name in os.listdir(tmp_path)]
+            assert len(workers) == 2 and proc.pid not in workers
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait()
+        deadline = time.monotonic() + 10
+        while any(map(alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not any(map(alive, workers))
+
+    def test_one_cpu_affinity_runs_in_process(self):
+        # as under `taskset -c 0`: the process's own affinity, not a patched one
+        import os
+        import subprocess
+        import sys
+
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+        script = (
+            "import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from whitdim import cli\n"
+            "def no_fork():\n"
+            "    raise AssertionError('forked under a one-CPU affinity')\n"
+            "os.fork = no_fork\n"
+            "sys.exit(cli.main(['verify', '--n', '1..3']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert len(proc.stdout.splitlines()) == 3
+
+    def test_one_cpu_never_forks(self, monkeypatch):
+        import os
+
+        def forbidden():
+            raise AssertionError("forked with one CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", forbidden)
+        code, rows = run_json(["all", "--n", "1..2", "--q", "2"])
+        assert code == 0 and len(rows) > 1
+
+    def test_worker_count(self, monkeypatch):
+        import os
+        import threading
+
+        from whitdim.cli import _worker_count
+
+        set_cpus(monkeypatch, 2)
+        assert [_worker_count(u) for u in (1, 2, 5)] == [1, 2, 2]
+        set_cpus(monkeypatch, 4)
+        assert [_worker_count(u) for u in (3, 4, 9)] == [3, 4, 4]
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "sched_getaffinity")
+            assert _worker_count(9) == 1
+        # fork copies only the calling thread: another thread means in-process
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert _worker_count(9) == 1
+        finally:
+            release.set()
+            other.join()
+
+    def test_boustrophedon_owner(self):
+        from whitdim.cli import _owner
+
+        assert [_owner(i, 2) for i in range(8)] == [0, 1, 1, 0, 0, 1, 1, 0]
+        assert [_owner(i, 3) for i in range(9)] == [0, 1, 2, 2, 1, 0, 0, 1, 2]
+        assert [_owner(i, 1) for i in range(3)] == [0, 0, 0]
+

@@ -106,6 +106,16 @@ class TestBucketCollapse:
             fn(1, 3)
 
 
+class TestModuleDim:
+    def test_zero_total_is_dimension_zero(self):
+        assert dimension._module_dim(0, 1, 2) == 0
+        assert dimension._module_dim(2 * 2 ** 3, 1, 2) == 2
+
+    def test_negative_total_raises(self):
+        with pytest.raises(AssertionError, match="negative dimension"):
+            dimension._module_dim(-(3 ** 3), 1, 3)
+
+
 @pytest.mark.slow
 class TestStretch:
     def test_2_4(self):
@@ -130,6 +140,20 @@ class TestCancellation:
         for k in range(3):
             for m in range(3):
                 assert gaussian_cancellation_check(2, 3, k, m, sample_count=30), (k, m)
+
+    def test_default_sample_is_100_candidates(self, monkeypatch):
+        # 4^(2*2) = 256 > 100 possible Y, so Y is sampled; each candidate
+        # builds one canonical rank block
+        real = dimension.block_constant
+        kinds = []
+
+        def counted(field, kind, **kw):
+            kinds.append(kind)
+            return real(field, kind, **kw)
+
+        monkeypatch.setattr(dimension, "block_constant", counted)
+        assert gaussian_cancellation_check(2, 4, 1, 1)
+        assert kinds.count("I_klm") == 100
 
     def test_misplaced_pivots_are_rejected(self, monkeypatch):
         # I_{n,m} with its identity rows at the top instead of the bottom: same

@@ -6,6 +6,7 @@ no shared state), kept independent of the engine's incremental walker.
 """
 
 import json
+import os
 
 import pytest
 import sympy
@@ -150,7 +151,7 @@ class TestInnerSum:
         for n, k in ((1, 0), (3, 1), (4, 4)):
             lhs, rhs = inner_sum_sides(n, k)
             assert lhs != rhs, (n, k)
-            want = RF(faulty(n, k), qq(n) ** 4)
+            want = RF(faulty(n, k), qq(n) ** 3)
             assert lhs.to_json_dict() == want.to_json_dict(), (n, k)
             assert not lhs.denominator_is_one, (n, k)
             assert engine.verify_inner_sum(n, k).equal is False, (n, k)
@@ -261,6 +262,7 @@ class TestGroupedSumOracle:
 
         engine._nested_triple_numerator.cache_clear()
         monkeypatch.setattr(engine, "_nested_inner_numerator", counted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # count in-process
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["chain", "--n", "1..3"]) == EXIT_OK
         assert len(calls) == 9
@@ -290,7 +292,7 @@ class TestWalkers:
                     for ell in range(min(k, n - m) + 1):
                         e = m * k + m * (m - 1) // 2 + ell * (ell - 1) // 2
                         num = (
-                            qq(2 * n + k - m - ell - 1) * qq(n) * _tail(k, n)
+                            qq(2 * n + k - m - ell - 1) * _tail(k, n)
                             * _tail(m, n) * _tail(ell, n) * _tail(n - m - ell, n)
                             * _tail(k - ell, k)
                         ).shifted(e)
@@ -335,6 +337,7 @@ class TestWalkers:
 
         engine._triple_sum_numerator.cache_clear()
         monkeypatch.setattr(engine, "qq_power", counted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # count in-process
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["chain", "--n", "1..3"]) == EXIT_OK
         assert walks == [1, 2, 3]
