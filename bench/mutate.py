@@ -164,18 +164,6 @@ EQUIVALENT = {
         "4c94cdab0af5",
         "the no-pivot sentinel is only tested by pivot < 0, which -2 also meets",
     ),
-    "kernels.py:count_by_rank:const+1:2": (
-        "mat = [list(entries[i * cols : (i + 2) * cols]) for i in range(rows)]",
-        "c42d306b4ab6",
-        "row i gets the next row's entries appended, but _rank reads only "
-        "columns 0..cols-1, which are unchanged",
-    ),
-    "kernels.py:count_by_rank_trace:const+1:3": (
-        "mat = [list(entries[i * size : (i + 2) * size]) for i in range(size)]",
-        "a0299ad0844c",
-        "row i gets the next row's entries appended, but _rank reads only "
-        "columns 0..size-1, which are unchanged",
-    ),
     "laurent.py:LaurentPoly.div_one_minus_q:const+1:1": (
         "out = [1] * n",
         "afe1bd1231af",

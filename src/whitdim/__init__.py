@@ -48,7 +48,6 @@ from .counting import (
     FEASIBILITY_LIMIT,
     FeasibilityError,
     count_rect_by_rank,
-    count_square_by_rank_trace,
     grassmann_count,
     grassmann_formula,
     prasad_delta,
@@ -56,7 +55,6 @@ from .counting import (
 )
 from .dimension import (
     TraceBucketSums,
-    brute_dim,
     closed_dim,
     dimension_report,
     gaussian_cancellation_check,
@@ -81,13 +79,11 @@ __all__ = [
     "TruncatedSeriesX",
     "VerificationReport",
     "block_constant",
-    "brute_dim",
     "closed_dim",
     "closed_product",
     "compact_sides",
     "conclusion_chain",
     "count_rect_by_rank",
-    "count_square_by_rank_trace",
     "dimension_report",
     "dimension_sum",
     "euler_product_truncation",

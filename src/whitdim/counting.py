@@ -3,8 +3,10 @@
 Each oracle returns the pair (enumerated, formula) so callers can assert the
 two agree; nothing here assumes the formulas are right.  Enumerations are
 gated by a candidate-count threshold (default 10^9) that a flag can override.
-Each kernel enumeration runs once per (q, shape) in a process; the results are
-kept as immutable tuples and shared by every rank k and trace asked for.
+Each (q, shape) is enumerated once per process, by the one kernel
+kernels.count_by_rank_trace, into a counts[rank][diagonal sum] table kept as
+immutable tuples: count_rect_by_rank sums a rank's row, and prasad_delta reads
+a square table's row.
 """
 
 from __future__ import annotations
@@ -43,17 +45,11 @@ def _exact_ratio(num: int, den: int) -> int:
 
 
 # Unbounded, but only shapes that passed the feasibility gate get here, and
-# each entry is a handful of integers.
+# each entry is a small table of integers.
 @lru_cache(maxsize=None)
-def _rank_counts(q: int, s: int, t: int) -> tuple:
-    """Counts of s x t matrices over GF(q) by rank, enumerated once."""
-    return tuple(kernels.count_by_rank(gf(q), s, t))
-
-
-@lru_cache(maxsize=None)
-def _rank_trace_counts(q: int, size: int) -> tuple:
-    """counts[rank][trace] over all size x size matrices over GF(q), enumerated once."""
-    return tuple(map(tuple, kernels.count_by_rank_trace(gf(q), size)))
+def _rank_trace_counts(q: int, rows: int, cols: int) -> tuple:
+    """counts[rank][diagonal sum] over all rows x cols matrices over GF(q), enumerated once."""
+    return tuple(map(tuple, kernels.count_by_rank_trace(gf(q), rows, cols)))
 
 
 def rect_rank_formula(s: int, t: int, k: int, q: int) -> int:
@@ -71,18 +67,7 @@ def count_rect_by_rank(s: int, t: int, k: int, q: int, limit: int = FEASIBILITY_
     """(enumerated, formula) count of s x t matrices of rank k over GF(q)."""
     formula = rect_rank_formula(s, t, k, q)
     _gate(q ** (s * t), limit)
-    return _rank_counts(q, s, t)[k], formula
-
-
-def count_square_by_rank_trace(size: int, k: int, alpha: int, q: int,
-                               limit: int = FEASIBILITY_LIMIT) -> int:
-    """Exhaustive count of size x size matrices with rank k and trace alpha."""
-    if not 0 <= k <= size:
-        raise ValueError("rank k must lie in 0..size")
-    if not 0 <= alpha < q:
-        raise ValueError("trace must be a field element index")
-    _gate(q ** (size * size), limit)
-    return _rank_trace_counts(q, size)[k][alpha]
+    return sum(_rank_trace_counts(q, s, t)[k]), formula
 
 
 def grassmann_formula(n: int, m: int, q: int) -> int:
@@ -133,7 +118,7 @@ def prasad_delta(m: int, k: int, q: int, limit: int = FEASIBILITY_LIMIT):
     if m < 0 or k < 0:
         raise ValueError("m and k must be non-negative")
     _gate(q ** (size * size), limit)
-    counts = _rank_trace_counts(q, size)[k]
+    counts = _rank_trace_counts(q, size, size)[k]
     nonzero = {counts[a] for a in range(1, q)}
     if len(nonzero) > 1:
         raise RuntimeError(

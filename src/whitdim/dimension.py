@@ -83,11 +83,6 @@ def trace_bucket_sums(n: int, q: int, limit: int = FEASIBILITY_LIMIT) -> TraceBu
     return TraceBucketSums(n, q, sums, sizes)
 
 
-def brute_dim(n: int, q: int, limit: int = FEASIBILITY_LIMIT) -> int:
-    """Module dimension by exhaustive enumeration of q^(3n^2) triples."""
-    return trace_bucket_sums(n, q, limit).dimension()
-
-
 def closed_dim(n: int, q: int) -> int:
     """Evaluate the closed product q^(n(n-1)/2) * prod (q^n - q^i) at integer q."""
     val = closed_product(n).eval_at(q)

@@ -219,10 +219,6 @@ class GFMatrix:
     def rank(self) -> int:
         return _rank_rows(self.field, self.to_rows(), self.cols)
 
-    @property
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
-
     def __repr__(self):
         return "GFMatrix(GF(%d), %r)" % (self.field.q, self.to_rows())
 

@@ -3,10 +3,13 @@
 Each kernel takes the field and reads its add/sub/mul/inv tables.  Every
 matrix is enumerated and every rank comes from exact Gaussian elimination
 (`_rank`, kept apart from `gfield._rank_rows` so that the tests' reference,
-which ranks through `GFMatrix.rank`, stays independent of the kernels).  The
-two single-matrix kernels visit matrices in lexicographic entry order.  The
-triple kernel is memoised: it ranks each distinct n x 2n block once and
-tallies the triples that share a block in C-level passes over bytes (see
+which ranks through `GFMatrix.rank`, stays independent of the kernels).  One
+enumerator, `_matrices`, visits every matrix of a shape in lexicographic entry
+order with its diagonal sum.  It feeds the one single-matrix kernel,
+count_by_rank_trace, which tallies rank and diagonal sum together for any
+shape, and the n x n blocks of the triple kernel.  The triple kernel is
+memoised: it ranks each distinct n x 2n block once and tallies the triples
+that share a block in C-level passes over bytes (see
 count_triples_by_rank_bucket), so it does q^(2n^2) eliminations for the
 q^(3n^2) triples.  The tests check it against a from-scratch rank of every
 2n x 2n matrix.
@@ -50,27 +53,27 @@ def _rank(rows, ncols, sub, mul, inv):
     return r
 
 
-def count_by_rank(field: GFq, rows: int, cols: int):
-    """Counts of rows x cols matrices over the field, indexed by rank 0..min(rows, cols)."""
-    sub, mul, inv = field.sub_table, field.mul_table, field.inv_table
-    counts = [0] * (min(rows, cols) + 1)
+def _matrices(field: GFq, rows: int, cols: int):
+    """(row lists, diagonal sum) for every rows x cols matrix, in lexicographic entry order.
+
+    Each matrix gets fresh lists.  The diagonal sum adds the entries (i, i)
+    for i < min(rows, cols), so it is the trace when the matrix is square.
+    """
+    add = field.add_table
+    diag = range(0, min(rows, cols) * (cols + 1), cols + 1)
     for entries in product(range(field.q), repeat=rows * cols):
-        mat = [list(entries[i * cols : (i + 1) * cols]) for i in range(rows)]
-        counts[_rank(mat, cols, sub, mul, inv)] += 1
-    return counts
-
-
-def count_by_rank_trace(field: GFq, size: int):
-    """counts[rank][trace] over all size x size matrices over the field."""
-    q = field.q
-    add, sub, mul, inv = field.add_table, field.sub_table, field.mul_table, field.inv_table
-    counts = [[0] * q for _ in range(size + 1)]
-    for entries in product(range(q), repeat=size * size):
         tr = 0
-        for i in range(size):
-            tr = add[tr][entries[i * size + i]]
-        mat = [list(entries[i * size : (i + 1) * size]) for i in range(size)]
-        counts[_rank(mat, size, sub, mul, inv)][tr] += 1
+        for i in diag:
+            tr = add[tr][entries[i]]
+        yield [list(entries[i * cols : (i + 1) * cols]) for i in range(rows)], tr
+
+
+def count_by_rank_trace(field: GFq, rows: int, cols: int):
+    """counts[rank][diagonal sum] over all rows x cols matrices over the field."""
+    sub, mul, inv = field.sub_table, field.mul_table, field.inv_table
+    counts = [[0] * field.q for _ in range(min(rows, cols) + 1)]
+    for mat, tr in _matrices(field, rows, cols):
+        counts[_rank(mat, cols, sub, mul, inv)][tr] += 1
     return counts
 
 
@@ -102,12 +105,7 @@ def count_triples_by_rank_bucket(field: GFq, n: int):
     add, sub, mul, inv = field.add_table, field.sub_table, field.mul_table, field.inv_table
     counts = [[0] * q for _ in range(2 * n + 1)]
 
-    mats = []
-    for entries in product(range(q), repeat=n * n):
-        tr = 0
-        for i in range(n):
-            tr = add[tr][entries[i * n + i]]
-        mats.append(([list(entries[i * n : (i + 1) * n]) for i in range(n)], tr))
+    mats = list(_matrices(field, n, n))
 
     ranks = [
         bytes(_rank([xr + yr for xr, yr in zip(xmat, ymat)], 2 * n, sub, mul, inv)

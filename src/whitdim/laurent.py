@@ -69,11 +69,6 @@ class LaurentPoly:
         return not self.coeffs
 
     @property
-    def is_polynomial(self) -> bool:
-        """True when there are no negative exponents."""
-        return self.is_zero or self.min_exp >= 0
-
-    @property
     def degree(self) -> int:
         if not self.coeffs:
             raise ValueError("zero polynomial has no degree")

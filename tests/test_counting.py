@@ -6,7 +6,6 @@ from whitdim import counting, kernels
 from whitdim.counting import (
     FeasibilityError,
     count_rect_by_rank,
-    count_square_by_rank_trace,
     grassmann_count,
     grassmann_formula,
     prasad_delta,
@@ -30,7 +29,7 @@ class TestRectRank:
         for q in (2, 3):
             for s in range(1, 4):
                 for t in range(1, 4):
-                    counts = kernels.count_by_rank(gf(q), s, t)
+                    counts = [sum(row) for row in kernels.count_by_rank_trace(gf(q), s, t)]
                     assert sum(counts) == q ** (s * t), (s, t, q)
                     for k, c in enumerate(counts):
                         assert c == rect_rank_formula(s, t, k, q), (s, t, k, q)
@@ -52,7 +51,6 @@ class TestFeasibilityGate:
         # each oracle's candidate count: q^(s*t), q^(size^2), the subspace count
         runs = [
             (count_rect_by_rank, (2, 2, 1, 2), 2 ** 4),
-            (count_square_by_rank_trace, (2, 1, 1, 2), 2 ** 4),
             (prasad_delta, (1, 1, 3), 3 ** 4),
             (grassmann_count, (3, 1, 2), 7),
         ]
@@ -65,23 +63,35 @@ class TestFeasibilityGate:
 
 class TestSquareRankTrace:
     def test_known_values(self):
-        assert count_square_by_rank_trace(2, 1, 1, 2) == 6
-        assert count_square_by_rank_trace(2, 1, 0, 2) == 3
-        assert count_square_by_rank_trace(1, 0, 0, 3) == 1
+        assert kernels.count_by_rank_trace(gf(2), 2, 2) == [[1, 0], [3, 6], [4, 2]]
+        assert kernels.count_by_rank_trace(gf(3), 1, 1) == [[1, 0, 0], [0, 1, 1]]
 
     def test_totals_and_nonzero_trace_constancy(self):
         for q in (2, 3, 4):
             for size in (1, 2):
-                counts = kernels.count_by_rank_trace(gf(q), size)
+                counts = kernels.count_by_rank_trace(gf(q), size, size)
                 assert sum(sum(row) for row in counts) == q ** (size * size)
                 for row in counts:
                     assert len({row[a] for a in range(1, q)}) <= 1
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            count_square_by_rank_trace(2, 3, 0, 2)
-        with pytest.raises(ValueError):
-            count_square_by_rank_trace(2, 1, 5, 2)
+
+class TestRectRankTrace:
+    def test_rectangular_shapes_match_a_from_scratch_tally(self):
+        shapes = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+        for q in (2, 3, 4):
+            f = gf(q)
+            for rows, cols in shapes:
+                want = [[0] * q for _ in range(min(rows, cols) + 1)]
+                for e in product(range(q), repeat=rows * cols):
+                    m = GFMatrix(f, rows, cols, e)
+                    diag = 0
+                    for i in range(min(rows, cols)):
+                        diag = f.add(diag, m.entry(i, i))
+                    want[m.rank()][diag] += 1
+                counts = kernels.count_by_rank_trace(f, rows, cols)
+                assert counts == want, (q, rows, cols)
+                for k, row in enumerate(counts):
+                    assert sum(row) == rect_rank_formula(rows, cols, k, q), (q, rows, cols, k)
 
 
 class TestPrasadDelta:
@@ -135,16 +145,13 @@ class TestBackendAgreement:
 
 
 class TestKernelShapes:
-    def test_count_by_rank_has_one_entry_per_rank(self):
-        for q, rows, cols in [(2, 1, 1), (2, 2, 3), (3, 3, 1), (4, 2, 2), (5, 1, 2)]:
-            counts = kernels.count_by_rank(gf(q), rows, cols)
-            assert len(counts) == min(rows, cols) + 1, (q, rows, cols)
-
     def test_count_by_rank_trace_has_one_row_per_rank_and_one_entry_per_trace(self):
-        for q, size in [(2, 1), (2, 2), (3, 2), (4, 1), (4, 2), (5, 1)]:
-            counts = kernels.count_by_rank_trace(gf(q), size)
-            assert len(counts) == size + 1, (q, size)
-            assert [len(row) for row in counts] == [q] * (size + 1), (q, size)
+        shapes = [(2, 1, 1), (2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 3, 1), (4, 1, 1), (4, 2, 2),
+                  (5, 1, 1), (5, 1, 2)]
+        for q, rows, cols in shapes:
+            counts = kernels.count_by_rank_trace(gf(q), rows, cols)
+            assert len(counts) == min(rows, cols) + 1, (q, rows, cols)
+            assert [len(row) for row in counts] == [q] * len(counts), (q, rows, cols)
 
 
 def _triples_by_full_rank(field, n):
@@ -172,31 +179,27 @@ class TestMemoisedOracles:
                 return fn(field, *dims)
             return wrapped
 
-        for name in ("count_by_rank", "count_by_rank_trace"):
+        for name in [n for n in vars(kernels) if n.startswith("count_")]:
             monkeypatch.setattr(kernels, name, spy(name, getattr(kernels, name)))
-        counting._rank_counts.cache_clear()
         counting._rank_trace_counts.cache_clear()
 
-        for k in range(3):
-            enum, formula = count_rect_by_rank(2, 3, k, 3)
+        for k in range(4):
+            enum, formula = count_rect_by_rank(3, 3, k, 2)
             assert enum == formula
         for k in range(4):
             delta, formula = prasad_delta(3 - k, k, 2)
             assert delta == formula
-            for alpha in range(2):
-                count_square_by_rank_trace(3, k, alpha, 2)
-        assert calls == [("count_by_rank", 3, 2, 3), ("count_by_rank_trace", 2, 3)]
+        assert calls == [("count_by_rank_trace", 2, 3, 3)]
 
     def test_mutating_a_returned_count_cannot_corrupt_a_later_call(self):
-        fresh = kernels.count_by_rank(gf(2), 2, 2)
-        fresh[1] = 0
-        assert kernels.count_by_rank(gf(2), 2, 2) == [1, 9, 6]
+        fresh = kernels.count_by_rank_trace(gf(2), 2, 2)
+        fresh[1][1] = 0
+        assert kernels.count_by_rank_trace(gf(2), 2, 2) == [[1, 0], [3, 6], [4, 2]]
 
-        rect = counting._rank_counts(2, 2, 2)
-        trace = counting._rank_trace_counts(2, 2)
+        table = counting._rank_trace_counts(2, 2, 2)
         with pytest.raises(TypeError):
-            rect[1] = 0
+            table[1] = (0, 0)
         with pytest.raises(TypeError):
-            trace[1][1] = 0
+            table[1][1] = 0
         assert count_rect_by_rank(2, 2, 1, 2) == (9, 9)
-        assert count_square_by_rank_trace(2, 1, 1, 2) == 6
+        assert prasad_delta(1, 1, 2) == (3, 3)

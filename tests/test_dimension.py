@@ -6,7 +6,6 @@ from whitdim import dimension
 from whitdim.counting import FeasibilityError
 from whitdim.dimension import (
     TraceBucketSums,
-    brute_dim,
     closed_dim,
     dimension_report,
     gaussian_cancellation_check,
@@ -63,9 +62,9 @@ class TestMiddleDim:
 
 class TestBruteDim:
     def test_small_cases(self):
-        assert brute_dim(1, 2) == 1
-        assert brute_dim(1, 3) == 1
-        assert brute_dim(2, 2) == 4
+        assert trace_bucket_sums(1, 2).dimension() == 1
+        assert trace_bucket_sums(1, 3).dimension() == 1
+        assert dimension_report(2, 2)["brute"] == 4
 
     def test_triple_agreement_small(self):
         for n, q in [(1, 2), (1, 3), (1, 5), (2, 2)]:
@@ -82,15 +81,15 @@ class TestBruteDim:
 
     def test_feasibility_gate(self):
         with pytest.raises(FeasibilityError):
-            brute_dim(3, 3)
+            trace_bucket_sums(3, 3)
         with pytest.raises(FeasibilityError):
-            brute_dim(2, 2, limit=100)
+            dimension_report(2, 2, limit=100)
 
 
 class TestBucketCollapse:
-    """brute_dim and dimension_report share one collapse of the bucket sums."""
+    """dimension_report collapses the bucket sums through TraceBucketSums.dimension."""
 
-    @pytest.mark.parametrize("fn", [brute_dim, dimension_report])
+    @pytest.mark.parametrize("fn", [dimension_report])
     def test_negative_dimension_is_rejected(self, monkeypatch, fn):
         # (S_0 - S_1) / 2^3 = -1
         fake = TraceBucketSums(1, 2, {0: -8, 1: 0}, {0: 4, 1: 4})
@@ -98,7 +97,7 @@ class TestBucketCollapse:
         with pytest.raises(AssertionError, match="negative dimension"):
             fn(1, 2)
 
-    @pytest.mark.parametrize("fn", [brute_dim, dimension_report])
+    @pytest.mark.parametrize("fn", [dimension_report])
     def test_nonconstant_buckets_are_rejected(self, monkeypatch, fn):
         fake = TraceBucketSums(1, 3, {0: 27, 1: 0, 2: 27}, {0: 9, 1: 9, 2: 9})
         monkeypatch.setattr(dimension, "trace_bucket_sums", lambda n, q, limit: fake)
@@ -119,10 +118,10 @@ class TestModuleDim:
 @pytest.mark.slow
 class TestStretch:
     def test_2_4(self):
-        assert brute_dim(2, 4) == closed_dim(2, 4) == 48
+        assert trace_bucket_sums(2, 4).dimension() == closed_dim(2, 4) == 48
 
     def test_3_2(self):
-        assert brute_dim(3, 2) == closed_dim(3, 2) == 192
+        assert trace_bucket_sums(3, 2).dimension() == closed_dim(3, 2) == 192
 
 
 class TestCancellation:

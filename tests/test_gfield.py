@@ -100,14 +100,14 @@ class TestRankFactorize:
         f = gf(3)
         x = block_constant(f, "I_kn", n=3, k=2)
         e1, e3 = rank_factorize(x)
-        assert e1.is_invertible and e3.is_invertible
+        assert e1.rank() == e3.rank() == 3
         assert e1 * block_constant(f, "I_kn", n=3, k=2) * e3 == x
 
     def test_all_ones(self):
         f = gf(2)
         x = GFMatrix.from_rows(f, [[1, 1], [1, 1]])
         e1, e3 = rank_factorize(x)
-        assert e1.is_invertible and e3.is_invertible
+        assert e1.rank() == e3.rank() == 2
         assert e1 * block_constant(f, "I_kn", n=2, k=1) * e3 == x
 
     def test_zero_matrix(self):
@@ -124,7 +124,7 @@ class TestRankFactorize:
             n = rng.randrange(1, 5)
             x = random_matrix(f, n, n, rng)
             e1, e3 = rank_factorize(x)
-            assert e1.is_invertible and e3.is_invertible
+            assert e1.rank() == e3.rank() == n
             assert e1 * block_constant(f, "I_kn", n=n, k=x.rank()) * e3 == x
 
     def test_non_square_rejected(self):
