@@ -145,6 +145,12 @@ class TestBackendAgreement:
 
 
 class TestKernelShapes:
+    def test_count_by_rank_has_one_entry_per_rank(self):
+        for q, rows, cols in [(2, 1, 1), (2, 2, 3), (3, 3, 1), (4, 2, 2), (5, 1, 2)]:
+            counts = [sum(row) for row in kernels.count_by_rank_trace(gf(q), rows, cols)]
+            assert len(counts) == min(rows, cols) + 1, (q, rows, cols)
+            assert sum(counts) == q ** (rows * cols), (q, rows, cols)
+
     def test_count_by_rank_trace_has_one_row_per_rank_and_one_entry_per_trace(self):
         shapes = [(2, 1, 1), (2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 3, 1), (4, 1, 1), (4, 2, 2),
                   (5, 1, 1), (5, 1, 2)]
