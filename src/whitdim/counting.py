@@ -3,10 +3,11 @@
 Each oracle returns the pair (enumerated, formula) so callers can assert the
 two agree; nothing here assumes the formulas are right.  Enumerations are
 gated by a candidate-count threshold (default 10^9) that a flag can override.
-Each (q, shape) is enumerated once per process, by the one kernel
-kernels.count_by_rank_trace, into a counts[rank][diagonal sum] table kept as
-immutable tuples: count_rect_by_rank sums a rank's row, and prasad_delta reads
-a square table's row.
+Each (q, shape) is counted once per process, by the one kernel
+kernels.count_by_rank_trace (a transfer count over row spaces, which counts
+every matrix exactly once without ranking each), into a counts[rank][diagonal
+sum] table kept as immutable tuples: count_rect_by_rank sums a rank's row, and
+prasad_delta reads a square table's row.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def _exact_ratio(num: int, den: int) -> int:
 # each entry is a small table of integers.
 @lru_cache(maxsize=None)
 def _rank_trace_counts(q: int, rows: int, cols: int) -> tuple:
-    """counts[rank][diagonal sum] over all rows x cols matrices over GF(q), enumerated once."""
+    """counts[rank][diagonal sum] over all rows x cols matrices over GF(q), counted once."""
     return tuple(map(tuple, kernels.count_by_rank_trace(gf(q), rows, cols)))
 
 

@@ -1,14 +1,18 @@
-"""Exhaustive counting kernels over GF(q), in pure Python.
+"""Counting kernels over GF(q), in pure Python.
 
-Each kernel takes the field and reads its add/sub/mul/inv tables.  Every
-matrix is enumerated and every rank comes from exact Gaussian elimination
-(`_rank`, kept apart from `gfield._rank_rows` so that the tests' reference,
-which ranks through `GFMatrix.rank`, stays independent of the kernels).  One
-enumerator, `_matrices`, visits every matrix of a shape in lexicographic entry
-order with its diagonal sum.  It feeds the one single-matrix kernel,
-count_by_rank_trace, which tallies rank and diagonal sum together for any
-shape, and the n x n blocks of the triple kernel.  The triple kernel is
-memoised: it ranks each distinct n x 2n block once and tallies the triples
+Each kernel takes the field and reads its add/sub/mul/inv tables.  The
+single-matrix kernel, count_by_rank_trace, tallies rank and diagonal sum
+together for any shape as a transfer count: it builds the matrices row by
+row over states (reduced row-echelon basis of the rows so far, diagonal sum),
+extends each distinct basis by every next row once, and asserts that the
+total is q^(rows*cols).  It ranks no matrix and uses no counting formula.
+
+The triple kernel still enumerates.  Its ranks come from exact Gaussian
+elimination (`_rank`), and its n x n blocks from `_matrices`, which visits
+every matrix of a shape in lexicographic entry order with its diagonal sum.
+Neither kernel calls `gfield._rank_rows`, so the tests' reference, which
+ranks through `GFMatrix.rank`, stays independent of both.  The triple kernel
+is memoised: it ranks each distinct n x 2n block once and tallies the triples
 that share a block in C-level passes over bytes (see
 count_triples_by_rank_bucket), so it does q^(2n^2) eliminations for the
 q^(3n^2) triples.  The tests check it against a from-scratch rank of every
@@ -19,6 +23,7 @@ BACKEND names the implementation; this pure one is the only one.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
 from .gfield import GFq
@@ -68,12 +73,81 @@ def _matrices(field: GFq, rows: int, cols: int):
         yield [list(entries[i * cols : (i + 1) * cols]) for i in range(rows)], tr
 
 
-def count_by_rank_trace(field: GFq, rows: int, cols: int):
-    """counts[rank][diagonal sum] over all rows x cols matrices over the field."""
+def _extensions(field: GFq, basis, vectors):
+    """For each vector v, the reduced row-echelon basis of span(basis + [v]).
+
+    basis is a tuple of rows in reduced row-echelon form, pivots 1, in pivot
+    order.  v is reduced at each pivot column; the zero residue keeps the
+    basis, and the others join it as one more normalised row, which clears
+    its pivot column from the old rows.  Each residue is worked out once.
+    """
     sub, mul, inv = field.sub_table, field.mul_table, field.inv_table
-    counts = [[0] * field.q for _ in range(min(rows, cols) + 1)]
-    for mat, tr in _matrices(field, rows, cols):
-        counts[_rank(mat, cols, sub, mul, inv)][tr] += 1
+    pivots = [(next(j for j, a in enumerate(row) if a), row) for row in basis]
+    spans = {}  # residue of v -> next basis
+    out = []
+    for v in vectors:
+        for c, prow in pivots:
+            f = v[c]
+            if f:
+                frow = mul[f]
+                v = tuple([sub[a][frow[b]] for a, b in zip(v, prow)])
+        nxt = spans.get(v)
+        if nxt is None:
+            if not any(v):
+                nxt = basis
+            else:
+                c0 = next(j for j, a in enumerate(v) if a)
+                w = tuple([mul[inv[v[c0]]][a] for a in v])
+                rows = [(c0, w)]
+                for c, prow in pivots:
+                    f = prow[c0]
+                    if f:
+                        frow = mul[f]
+                        prow = tuple([sub[a][frow[b]] for a, b in zip(prow, w)])
+                    rows.append((c, prow))
+                nxt = tuple(row for _, row in sorted(rows))
+            spans[v] = nxt
+        out.append(nxt)
+    return out
+
+
+def count_by_rank_trace(field: GFq, rows: int, cols: int):
+    """counts[rank][diagonal sum] over all rows x cols matrices over the field.
+
+    A transfer count: the matrices are built row by row, and the state after
+    i rows is the reduced row-echelon basis of their span with the diagonal
+    sum so far.  Each distinct basis is extended by all q^cols next rows once
+    (`_extensions`), and the outcomes are grouped by (next basis, entry i of
+    the row), the entry being 0 once i >= cols.  Every matrix is counted
+    exactly once, so the total must be q^(rows*cols); anything else raises.
+    """
+    q = field.q
+    add = field.add_table
+    vectors = list(product(range(q), repeat=cols))
+    entries = [[v[j] for v in vectors] for j in range(cols)] + [[0] * len(vectors)]
+    steps = {}  # basis -> per column, Counter of (next basis, entry)
+    states = {((), 0): 1}  # (basis, diagonal sum) -> number of partial matrices
+    for i in range(rows):
+        col = min(i, cols)
+        nxt = {}
+        for (basis, tr), c in states.items():
+            step = steps.get(basis)
+            if step is None:
+                ext = _extensions(field, basis, vectors)
+                step = steps[basis] = [Counter(zip(ext, column)) for column in entries]
+            sums = add[tr]
+            for (nb, e), k in step[col].items():
+                key = (nb, sums[e])
+                nxt[key] = nxt.get(key, 0) + c * k
+        states = nxt
+    counts = [[0] * q for _ in range(min(rows, cols) + 1)]
+    for (basis, tr), c in states.items():
+        counts[len(basis)][tr] += c
+    total = sum(map(sum, counts))
+    if total != q ** (rows * cols):
+        raise AssertionError(
+            "transfer count of %d x %d matrices over GF(%d) totals %d, not %d"
+            % (rows, cols, q, total, q ** (rows * cols)))
     return counts
 
 

@@ -102,6 +102,19 @@ class TestCountsCommand:
             got.append((kind, q, tuple(sorted(params.items()))))
         assert sorted(got) == sorted(expected)
 
+    def test_counts_over_gf4_and_gf5(self):
+        code, reports = run_json(["counts", "--q", "4,5"])
+        assert code == 0
+        assert len(reports) == 2 * 47
+        assert all(r["equal"] is True for r in reports)
+
+    @pytest.mark.slow
+    def test_counts_over_gf7_gf8_and_gf9(self):
+        code, reports = run_json(["counts", "--q", "7,8,9"])
+        assert code == 0
+        assert [r["params"]["q"] for r in reports] == [7] * 47 + [8] * 47 + [9] * 47
+        assert all(r["equal"] is True for r in reports)
+
 
 class TestUsage:
     def test_missing_n(self):

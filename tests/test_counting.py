@@ -76,22 +76,38 @@ class TestSquareRankTrace:
 
 
 class TestRectRankTrace:
+    # The package counts single-matrix tables by transfer over row spaces and
+    # ranks none of them, so this from-scratch tally through GFMatrix.rank is
+    # what checks every cell of them.
     def test_rectangular_shapes_match_a_from_scratch_tally(self):
         shapes = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
         for q in (2, 3, 4):
-            f = gf(q)
             for rows, cols in shapes:
-                want = [[0] * q for _ in range(min(rows, cols) + 1)]
-                for e in product(range(q), repeat=rows * cols):
-                    m = GFMatrix(f, rows, cols, e)
-                    diag = 0
-                    for i in range(min(rows, cols)):
-                        diag = f.add(diag, m.entry(i, i))
-                    want[m.rank()][diag] += 1
-                counts = kernels.count_by_rank_trace(f, rows, cols)
-                assert counts == want, (q, rows, cols)
-                for k, row in enumerate(counts):
-                    assert sum(row) == rect_rank_formula(rows, cols, k, q), (q, rows, cols, k)
+                self._check_against_tally(q, rows, cols)
+
+    def test_square_shapes_match_a_from_scratch_tally(self):
+        for q, size in [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]:
+            self._check_against_tally(q, size, size)
+
+    def test_shapes_without_rows_or_columns_hold_only_the_empty_matrix(self):
+        for q in (2, 3, 5):
+            for rows, cols in [(0, 0), (0, 1), (0, 3), (1, 0), (3, 0)]:
+                assert kernels.count_by_rank_trace(gf(q), rows, cols) == [[1] + [0] * (q - 1)]
+
+    @staticmethod
+    def _check_against_tally(q, rows, cols):
+        f = gf(q)
+        want = [[0] * q for _ in range(min(rows, cols) + 1)]
+        for e in product(range(q), repeat=rows * cols):
+            m = GFMatrix(f, rows, cols, e)
+            diag = 0
+            for i in range(min(rows, cols)):
+                diag = f.add(diag, m.entry(i, i))
+            want[m.rank()][diag] += 1
+        counts = kernels.count_by_rank_trace(f, rows, cols)
+        assert counts == want, (q, rows, cols)
+        for k, row in enumerate(counts):
+            assert sum(row) == rect_rank_formula(rows, cols, k, q), (q, rows, cols, k)
 
 
 class TestPrasadDelta:
