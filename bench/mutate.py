@@ -159,11 +159,6 @@ EQUIVALENT = {
         "adds a partial sum for s = 2n + 1, which no term reaches, so it stays "
         "zero and closes to zero",
     ),
-    "kernels.py:_rank:const+1:1": (
-        "pivot = -2",
-        "4c94cdab0af5",
-        "the no-pivot sentinel is only tested by pivot < 0, which -2 also meets",
-    ),
     "laurent.py:LaurentPoly.div_one_minus_q:const+1:1": (
         "out = [1] * n",
         "afe1bd1231af",

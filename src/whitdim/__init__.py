@@ -7,8 +7,9 @@ The package evaluates both sides of the identity
 
 as exact rational functions of q over arbitrary-precision integers, checks
 every rewrite step of the derivation, and independently reconfirms the
-matrix-counting lemmas and the module dimension by brute-force enumeration
-over small finite fields GF(q), q in {2,3,4,5,7,8,9}.
+matrix-counting lemmas and the module dimension by exact counts of every
+matrix, or every block triple, over small finite fields GF(q),
+q in {2,3,4,5,7,8,9}.
 """
 
 from .laurent import LaurentPoly

@@ -1,13 +1,15 @@
 """The module dimension three independent ways: brute force, mid-derivation, closed form.
 
-The brute force enumerates all q^(3n^2) unipotent block triples (X, Y, Z),
-groups the cuspidal character values by the bucket gamma = tr X + tr Z, and
-collapses the additive character using sum_{x != 0} psi0(x) = -1.  No complex
-character is ever materialized: the collapse is valid exactly when the bucket
-sums S_gamma agree for every gamma != 0, and that constancy is asserted at
-runtime instead of being assumed.  The mid-derivation path recombines the
-same quantity from matrix-counting formulas, and the closed form evaluates
-the product side of the main identity.  All three must agree exactly.
+The brute force counts all q^(3n^2) unipotent block triples (X, Y, Z) by the
+rank of [[X, Y], [0, Z]] and the bucket gamma = tr X + tr Z (a transfer count
+in `kernels`, asserted to total q^(3n^2)), sums the cuspidal character values
+by bucket, and collapses the additive character using
+sum_{x != 0} psi0(x) = -1.  No complex character is ever materialized: the
+collapse is valid exactly when the bucket sums S_gamma agree for every
+gamma != 0, and that constancy is asserted at runtime instead of being
+assumed.  The mid-derivation path recombines the same quantity from
+matrix-counting formulas, and the closed form evaluates the product side of
+the main identity.  All three must agree exactly.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def _module_dim(total: int, n: int, q: int) -> int:
 
 
 def trace_bucket_sums(n: int, q: int, limit: int = FEASIBILITY_LIMIT) -> TraceBucketSums:
-    """Enumerate all triples and accumulate Theta by trace bucket."""
+    """Count all triples by rank and trace bucket, and accumulate Theta by bucket."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _gate(q ** (3 * n * n), limit)

@@ -159,6 +159,29 @@ class TestBackendAgreement:
             f = gf(q)
             assert kernels.count_triples_by_rank_bucket(f, n) == _triples_by_full_rank(f, n), (q, n)
 
+    @pytest.mark.slow
+    def test_triples_over_gf3_match_full_rank_reference(self):
+        f = gf(3)
+        assert kernels.count_triples_by_rank_bucket(f, 2) == _triples_by_full_rank(f, 2)
+
+
+class TestTransferTotal:
+    """A transfer count that loses one outcome must raise, not return a short table."""
+
+    @pytest.fixture(autouse=True)
+    def drop_last_outcome(self, monkeypatch):
+        extensions = kernels._extensions
+        monkeypatch.setattr(kernels, "_extensions",
+                            lambda field, basis, vectors: extensions(field, basis, vectors)[:-1])
+
+    def test_single_matrix_table(self):
+        with pytest.raises(AssertionError, match="totals"):
+            kernels.count_by_rank_trace(gf(2), 2, 2)
+
+    def test_triple_table(self):
+        with pytest.raises(AssertionError, match="totals"):
+            kernels.count_triples_by_rank_bucket(gf(2), 1)
+
 
 class TestKernelShapes:
     def test_count_by_rank_has_one_entry_per_rank(self):

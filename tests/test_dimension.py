@@ -123,6 +123,9 @@ class TestStretch:
     def test_3_2(self):
         assert trace_bucket_sums(3, 2).dimension() == closed_dim(3, 2) == 192
 
+    def test_2_5(self):
+        assert trace_bucket_sums(2, 5).dimension() == closed_dim(2, 5) == 100
+
 
 class TestCancellation:
     def test_pivots_cover_everything(self):
