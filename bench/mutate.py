@@ -103,22 +103,23 @@ EQUIVALENT = {
         "a reduced echelon basis always has rank m: at m = 0 the empty 0 x 0 "
         "matrix ranks 0, and at m = 1 the one row has a 1 at its pivot",
     ),
-    "dimension.py:gaussian_cancellation_check.assemble:const+1:0": (
-        "size = 4 * n",
-        "681dcf243416",
-        "adds n zero rows and columns to u - I; they change no rank, and every "
-        "entry cleared, compared or read as the corner lies in the first 3n",
+    "gfield.py:GFq.__init__:const+1:9": (
+        "inv = [1] * q",
+        "9c92aff217c8",
+        "sets inv_table[0] to 1; no code reads it: inv(0) raises first, and "
+        "_rank_rows and kernels._extensions invert only a nonzero pivot",
     ),
-    "dimension.py:gaussian_cancellation_check:const+1:5": (
-        "y = [entries[i * n : (i + 2) * n] for i in range(n)]",
-        "8c0df6f7d140",
-        "row i of Y gets the next row's entries appended, but only its first n "
-        "are read: by assemble, and the first n - m by the corner comparison",
+    "gfield.py:GFq.__init__:>->>=:0": (
+        "if self.deg >= 1:",
+        "9c92aff217c8",
+        "also verifies the axioms of the prime fields, which hold, so it only "
+        "adds time at construction",
     ),
-    "dimension.py:gaussian_cancellation_check:<-><=:1": (
-        "survives = k <= i <= n and j < n - m",
-        "8c0df6f7d140",
-        "i runs over range(n), so both i < n and i <= n always hold",
+    "gfield.py:GFq._poly_mul:const+1:6": (
+        "prod[i] = 1",
+        "3992b4b49179",
+        "the reduction runs i downward and only writes below i, so prod[i] is "
+        "never read again, and only prod[:deg] is encoded",
     ),
     "engine.py:_nested_triple_numerator:const+1:0": (
         "for k in range(n + 2):",

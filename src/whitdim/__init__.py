@@ -16,10 +16,8 @@ from .laurent import LaurentPoly
 from .rational import RationalFunctionQ
 from .qseries import (
     TruncatedSeriesX,
-    euler_product_truncation,
     euler_series,
     poch_power,
-    poch_rewrite_check,
     qbinom_series,
     qq,
     qq_power,
@@ -27,24 +25,13 @@ from .qseries import (
 from .engine import (
     VerificationReport,
     closed_product,
-    compact_sides,
     conclusion_chain,
     dimension_sum,
-    extended_inner_sum_matches,
     inner_sum_sides,
     simplification_chain,
     verify_main,
 )
-from .gfield import (
-    SUPPORTED_Q,
-    GFMatrix,
-    GFq,
-    block_constant,
-    gf,
-    random_invertible,
-    random_matrix,
-    rank_factorize,
-)
+from .gfield import SUPPORTED_Q, GFMatrix, GFq, gf
 from .counting import (
     FEASIBILITY_LIMIT,
     FeasibilityError,
@@ -58,7 +45,6 @@ from .dimension import (
     TraceBucketSums,
     closed_dim,
     dimension_report,
-    gaussian_cancellation_check,
     middle_dim,
     theta_unipotent,
     trace_bucket_sums,
@@ -79,32 +65,23 @@ __all__ = [
     "TraceBucketSums",
     "TruncatedSeriesX",
     "VerificationReport",
-    "block_constant",
     "closed_dim",
     "closed_product",
-    "compact_sides",
     "conclusion_chain",
     "count_rect_by_rank",
     "dimension_report",
     "dimension_sum",
-    "euler_product_truncation",
     "euler_series",
-    "extended_inner_sum_matches",
-    "gaussian_cancellation_check",
     "gf",
     "grassmann_count",
     "grassmann_formula",
     "inner_sum_sides",
     "middle_dim",
     "poch_power",
-    "poch_rewrite_check",
     "prasad_delta",
     "qbinom_series",
     "qq",
     "qq_power",
-    "random_invertible",
-    "random_matrix",
-    "rank_factorize",
     "rect_rank_formula",
     "simplification_chain",
     "theta_unipotent",

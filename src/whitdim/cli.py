@@ -125,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of the dimension identity, its proof "
         "chain, and the finite-field counting oracles.",
     )
+    parser.set_defaults(k=None)  # only lemma1 and all read --k; elsewhere it is a usage error
     sub = parser.add_subparsers(dest="command", required=True)
     descriptions = {
         "verify": "main identity: closed product vs raw dimension sum",
@@ -138,8 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=descriptions[name])
         p.add_argument("--n", "--n-range", dest="n", default=None,
                        help="single n or inclusive range A..B")
-        p.add_argument("--k", type=int, default=None,
-                       help="restrict lemma1 to one k (default: all 0..n)")
+        if name in ("lemma1", "all"):
+            p.add_argument("--k", type=int, default=None,
+                           help="restrict lemma1 to one k (default: all 0..n)")
         p.add_argument("--q", action="append", default=None,
                        help="field sizes, comma-separated or repeated")
         p.add_argument("--limit", type=int, default=FEASIBILITY_LIMIT,

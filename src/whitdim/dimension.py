@@ -14,14 +14,12 @@ the main identity.  All three must agree exactly.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import product
 
 from . import kernels
 from .counting import FEASIBILITY_LIMIT, _exact_ratio, _gate, rect_rank_formula
 from .engine import closed_product
-from .gfield import GFMatrix, block_constant, gf
+from .gfield import gf
 
 
 def theta_unipotent(group_degree: int, t: int, q: int) -> int:
@@ -144,80 +142,3 @@ def dimension_report(n: int, q: int, limit: int = FEASIBILITY_LIMIT) -> dict:
         "agree": brute == middle == closed,
     }
 
-
-def gaussian_cancellation_check(n: int, q: int, k: int, m: int,
-                                sample_count: int = 100, seed: int = 20259) -> bool:
-    """Pivot cancellation on the Y block preserves rank and exposes l.
-
-    For each sampled Y (exhaustive when q^(n^2) <= sample_count): build
-    u - I with blocks I_{k,n}, Y, I_{n,m}; cancel the Y entries reachable from
-    the I_{n,m} pivots (row operations) and the I_{k,n} pivots (column
-    operations); check the rank is unchanged, the surviving corner is the
-    (n-k) x (n-m) sub-block of Y, and that replacing the corner by the
-    canonical rank block of its rank l again leaves the rank at k + m + l.
-    """
-    if n < 1 or not 0 <= k <= n or not 0 <= m <= n:
-        raise ValueError("need n >= 1 and 0 <= k, m <= n")
-    field = gf(q)
-    sub, mul = field.sub_table, field.mul_table
-
-    if q ** (n * n) <= sample_count:
-        candidates = [list(entries) for entries in product(range(q), repeat=n * n)]
-    else:
-        rng = random.Random(seed)
-        candidates = [
-            [rng.randrange(q) for _ in range(n * n)] for _ in range(sample_count)
-        ]
-
-    ikn = block_constant(field, "I_kn", n=n, k=k)
-    inm = block_constant(field, "I_nm", n=n, m=m)
-
-    def assemble(yblock_rows):
-        size = 3 * n
-        rows = [[0] * size for _ in range(size)]
-        for i in range(n):
-            for j in range(n):
-                rows[i][n + j] = ikn.entry(i, j)
-                rows[i][2 * n + j] = yblock_rows[i][j]
-                rows[n + i][2 * n + j] = inm.entry(i, j)
-        return rows
-
-    for entries in candidates:
-        y = [entries[i * n : (i + 1) * n] for i in range(n)]
-        work = assemble(y)
-        r0 = GFMatrix.from_rows(field, work).rank()
-
-        # row operations from the I_{n,m} pivots clear Y columns n-m..n-1
-        for j in range(m):
-            prow = n + (n - m) + j
-            pcol = 2 * n + (n - m) + j
-            for i in range(n):
-                f0 = work[i][pcol]
-                if f0:
-                    work[i] = [sub[v][mul[f0][w]] for v, w in zip(work[i], work[prow])]
-        # column operations from the I_{k,n} pivots clear Y rows 0..k-1
-        for j in range(k):
-            pcol = n + j
-            for c in range(2 * n, 3 * n):
-                f0 = work[j][c]
-                if f0:
-                    for i in range(3 * n):
-                        work[i][c] = sub[work[i][c]][mul[f0][work[i][pcol]]]
-
-        corner = [row[2 * n : 3 * n - m] for row in work[k:n]]
-        expected = [y[i][: n - m] for i in range(k, n)]
-        if corner != expected:
-            return False
-        for i in range(n):
-            for j in range(n):
-                survives = k <= i < n and j < n - m
-                if not survives and work[i][2 * n + j] != 0:
-                    return False
-        ell = GFMatrix.from_rows(field, [r[:] for r in corner]).rank() if corner else 0
-        if GFMatrix.from_rows(field, work).rank() != r0 or r0 != k + m + ell:
-            return False
-
-        canonical = assemble(block_constant(field, "I_klm", n=n, k=k, l=ell, m=m).to_rows())
-        if GFMatrix.from_rows(field, canonical).rank() != r0:
-            return False
-    return True

@@ -20,8 +20,8 @@ are applied once at the end: a Horner pass over s (_horner_close) gives
 every partial sum its (q;q)_{3n-s-1}, and the total is multiplied by
 (q;q)_n (the triple sum) or T_k (an inner sum).  No per-term polynomial
 product is ever built, and each division asserts exactness.  The triple
-walker has one form, cached for the last n: dimension_sum, compact_sides and
-conclusion-group-by-k all read it, so a chain run walks it once per n.
+walker has one form, cached for the last n: dimension_sum and
+conclusion-group-by-k both read it, so a chain run walks it once per n.
 
 The derivation chains compare the walkers with one from-scratch oracle,
 _nested_triple_numerator: the outer-k sum of the inner (m, l) sums that
@@ -67,7 +67,7 @@ from functools import lru_cache
 from math import comb
 from typing import Optional
 
-from .laurent import LaurentPoly, PolyAccumulator, poly_exact_div
+from .laurent import LaurentPoly, PolyAccumulator
 from .qseries import (
     euler_series, poch_power, q_power_minus_one_range, qbinom_series, qq, qq_power,
 )
@@ -224,25 +224,6 @@ def dimension_sum(n: int) -> RationalFunctionQ:
     return RationalFunctionQ(acc if n % 2 else -acc, qq_power(n, 4).shifted(3 * n * n))
 
 
-def compact_sides(n: int):
-    """Both sides of the compact form: q^(4n^2-n)/(1-q^n) vs the (q;q)-triple sum."""
-    _require_positive(n)
-    lhs = RationalFunctionQ(
-        LaurentPoly.monomial(4 * n * n - n), LaurentPoly.one() - LaurentPoly.monomial(n)
-    )
-    acc = _triple_sum_numerator(n)
-    den = qq_power(n, 5)
-    # The value has the single pole 1-q^n; clearing it first keeps the
-    # canonicalization to a toy gcd.  Falls back to the generic path if the
-    # divisibility ever fails (i.e. if the identity were false).
-    cleared = poly_exact_div(acc.times_one_minus_q(n), den)
-    if cleared is not None:
-        rhs = RationalFunctionQ(cleared, LaurentPoly.one() - LaurentPoly.monomial(n))
-    else:
-        rhs = RationalFunctionQ(acc, den)
-    return lhs, rhs
-
-
 def _inner_sum_numerator(n: int, k: int) -> LaurentPoly:
     """Numerator over (q;q)_n^3 of the inner (m,l) double sum at fixed k.
 
@@ -313,40 +294,6 @@ def verify_main(n: int) -> VerificationReport:
 def verify_inner_sum(n: int, k: int) -> VerificationReport:
     """Exact equality of the inner double sum at (n, k) and its closed form."""
     return timed_reports(_one_step("inner-sum", lambda: inner_sum_sides(n, k)), n, k)[0]
-
-
-def extended_inner_sum_matches(n: int, k: int) -> bool:
-    """Extending the l-summation past l = k does not change the inner sum.
-
-    Uses the rewritten summand whose l-factor carries (q^-k;q)_l, which
-    vanishes for l > k; the restricted (l <= min(k, n-m)) and extended
-    (l <= n-m) sums must agree exactly.  The restricted sum must also be the
-    inner sum's closed form: restricted (q;q)_n (q^(k+1);q)_(n-1) equals
-    inner_sum_rhs_poly(n, k), so a wrong summand or l range that changes
-    both sums alike is still caught.
-    """
-    _require_positive(n)
-    if not 0 <= k <= n:
-        raise ValueError("k must lie in 0..n")
-
-    def term(m, ell):
-        num = poch_power(-k, ell) * poch_power(k + n, n - m - ell)
-        num = num.shifted(k * m + k * ell + comb(m, 2))
-        if m % 2:
-            num = -num
-        return RationalFunctionQ(num, qq(m) * qq(ell) * qq(n - m - ell))
-
-    restricted = RationalFunctionQ.zero()
-    extended = RationalFunctionQ.zero()
-    for m in range(n + 1):
-        for ell in range(n - m + 1):
-            t = term(m, ell)
-            extended = extended + t
-            if ell <= min(k, n - m):
-                restricted = restricted + t
-    closed = restricted * RationalFunctionQ(qq(n) * poch_power(k + 1, n - 1))
-    rhs = RationalFunctionQ(inner_sum_rhs_poly(n, k))
-    return restricted == extended and closed == rhs
 
 
 # ---------------------------------------------------------------------------

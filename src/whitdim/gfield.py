@@ -165,10 +165,6 @@ class GFMatrix:
     def zeros(field: GFq, rows: int, cols: int) -> "GFMatrix":
         return GFMatrix(field, rows, cols, [0] * (rows * cols))
 
-    @staticmethod
-    def identity(field: GFq, n: int) -> "GFMatrix":
-        return GFMatrix(field, n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -249,125 +245,3 @@ def _rank_rows(field: GFq, rows, ncols: int) -> int:
         r += 1
     return r
 
-
-def rank_factorize(x: GFMatrix):
-    """Invertible (E1, E3) with x = E1 * I_{k,n} * E3, k = rank(x), x square.
-
-    E1 and E3 are the accumulated inverses of the Gauss-Jordan row and column
-    operations that reduce x to the rank-normal block form, so the
-    postcondition holds by construction and is cheap to re-verify.
-    """
-    if x.rows != x.cols:
-        raise ValueError("rank factorization expects a square matrix")
-    f = x.field
-    n = x.rows
-    add, sub, mul, inv, neg = f.add_table, f.sub_table, f.mul_table, f.inv_table, f.neg_table
-    a = x.to_rows()
-    e1 = GFMatrix.identity(f, n).to_rows()
-    e3 = GFMatrix.identity(f, n).to_rows()
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for r in e1:  # E1 <- E1 * P_ij (swap columns)
-            r[i], r[j] = r[j], r[i]
-
-    def row_scale(i, c):
-        cinv = inv[c]
-        a[i] = [mul[c][v] for v in a[i]]
-        for r in e1:  # column i of E1 scales by c^-1
-            r[i] = mul[cinv][r[i]]
-
-    def row_add(i, j, c):
-        # a[i] += c * a[j]; E1 column j -= c * column i
-        aj = a[j]
-        a[i] = [add[v][mul[c][w]] for v, w in zip(a[i], aj)]
-        for r in e1:
-            r[j] = sub[r[j]][mul[c][r[i]]]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        e3[i], e3[j] = e3[j], e3[i]  # E3 <- P_ij * E3 (swap rows)
-
-    def col_add(i, j, c):
-        # column j of a += c * column i; E3 row i -= c * row j
-        for r in a:
-            r[j] = add[r[j]][mul[c][r[i]]]
-        e3[i] = [sub[v][mul[c][w]] for v, w in zip(e3[i], e3[j])]
-
-    # forward elimination to reduced row echelon form
-    rank = 0
-    pivot_cols = []
-    for c in range(n):
-        pivot = -1
-        for i in range(rank, n):
-            if a[i][c]:
-                pivot = i
-                break
-        if pivot < 0:
-            continue
-        if pivot != rank:
-            row_swap(rank, pivot)
-        if a[rank][c] != 1:
-            row_scale(rank, inv[a[rank][c]])
-        for i in range(n):
-            if i != rank and a[i][c]:
-                row_add(i, rank, neg[a[i][c]])
-        pivot_cols.append(c)
-        rank += 1
-
-    # clear the non-pivot columns in pivot rows, then bring pivots home
-    for r, c in enumerate(pivot_cols):
-        for j in range(n):
-            if j != c and a[r][j]:
-                col_add(c, j, neg[a[r][j]])
-    for r, c in enumerate(pivot_cols):
-        if c != r:
-            # pivot columns ascend, so column r is free by the time we get here
-            col_swap(r, c)
-
-    return GFMatrix.from_rows(f, e1), GFMatrix.from_rows(f, e3)
-
-
-def block_constant(field: GFq, kind: str, *, n: int, k: int = None, m: int = None, l: int = None) -> GFMatrix:
-    """The block constants used by the rank-and-trace decomposition.
-
-    kind "I_kn": identity block of size k in the top-left of an n x n zero matrix.
-    kind "I_nm": identity block of size m in the bottom-right.
-    kind "I_klm": identity block of size l at rows k..k+l-1, columns 0..l-1,
-    the trailing m columns of those rows staying zero; needs k + l <= n and
-    l + m <= n (both hold for every l <= n - max(k, m)).
-    """
-    if kind == "I_kn":
-        if k is None or not 0 <= k <= n:
-            raise ValueError("I_kn needs 0 <= k <= n")
-        return GFMatrix(field, n, n, [1 if i == j and i < k else 0 for i in range(n) for j in range(n)])
-    if kind == "I_nm":
-        if m is None or not 0 <= m <= n:
-            raise ValueError("I_nm needs 0 <= m <= n")
-        return GFMatrix(
-            field, n, n,
-            [1 if i == j and i >= n - m else 0 for i in range(n) for j in range(n)],
-        )
-    if kind == "I_klm":
-        if (
-            k is None or l is None or m is None
-            or min(k, l, m) < 0 or k + l > n or l + m > n
-        ):
-            raise ValueError("I_klm needs k, l, m >= 0 with k + l <= n and l + m <= n")
-        return GFMatrix(
-            field, n, n,
-            [1 if k <= i < k + l and j == i - k else 0 for i in range(n) for j in range(n)],
-        )
-    raise ValueError("unknown block constant kind %r" % kind)
-
-
-def random_matrix(field: GFq, rows: int, cols: int, rng) -> GFMatrix:
-    return GFMatrix(field, rows, cols, [rng.randrange(field.q) for _ in range(rows * cols)])
-
-
-def random_invertible(field: GFq, n: int, rng) -> GFMatrix:
-    while True:
-        m = random_matrix(field, n, n, rng)
-        if m.rank() == n:
-            return m

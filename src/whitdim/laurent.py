@@ -210,15 +210,6 @@ class LaurentPoly:
         # exact: the ends are f[0] and -f[-1], both nonzero
         return LaurentPoly._raw(self.min_exp, tuple(out))
 
-    def truncated(self, max_degree: int) -> "LaurentPoly":
-        """Drop all terms of degree > max_degree."""
-        if not self.coeffs or self.degree <= max_degree:
-            return self
-        keep = max_degree - self.min_exp + 1
-        if keep <= 0:
-            return _ZERO
-        return _poly(self.min_exp, self.coeffs[:keep])
-
     # -- evaluation & comparison --------------------------------------------
 
     def eval_at(self, x) -> Fraction:

@@ -149,10 +149,6 @@ class TruncatedSeriesX:
     def __hash__(self):
         return hash(self.nums)
 
-    def scale_x(self, e: int) -> "TruncatedSeriesX":
-        """Substitute x -> q^e * x."""
-        return TruncatedSeriesX(num.shifted(e * j) for j, num in enumerate(self.nums))
-
     def alternate_x(self) -> "TruncatedSeriesX":
         """Substitute x -> -x."""
         return TruncatedSeriesX(
@@ -181,53 +177,3 @@ def qbinom_series(a_exp: int, order: int) -> TruncatedSeriesX:
     if order < 0:
         raise ValueError("order must be >= 0")
     return TruncatedSeriesX(poch_power(a_exp, j) for j in range(order + 1))
-
-
-def euler_product_truncation(max_q_degree: int, order: int):
-    """Bivariate truncation of prod_{k=0}^{max_q_degree} (1 - x q^k).
-
-    Returns the x^0..x^order coefficients as integer polynomials in q, each
-    trimmed to q-degree <= max_q_degree.  Factors with k > max_q_degree cannot
-    contribute below that degree, so these coefficients agree with the full
-    infinite product up to the trim.
-    """
-    coeffs = [LaurentPoly.one()] + [LaurentPoly.zero()] * order
-    for k in range(max_q_degree + 1):
-        for j in range(min(order, k + 1), 0, -1):
-            coeffs[j] = (coeffs[j] - coeffs[j - 1].shifted(k)).truncated(max_q_degree)
-    return coeffs
-
-
-def poch_rewrite_check(n: int, k: int, m: int, ell: int):
-    """Check the three Pochhammer rewrites used to evaluate the inner double sum.
-
-    1. (q;q)_{2n+k-l-m-1} / (q;q)_{k-l}
-         = (-1)^l (q^k)^l q^(-C(l,2)) (q^{-k};q)_l (q^{k+1};q)_{2n-l-m-1}
-    2. (q^{k+1};q)_{2n-l-m-1} = (q^{k+1};q)_{n-1} * (q^{k+n};q)_{n-m-l}
-    3. (q^{k+1};q)_{n-1} = (q;q)_{n-1} (q^n;q)_k / (q;q)_k
-
-    Each is verified as exact equality of rational-function values; the result
-    is the triple of truth values.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0 <= k <= n or not 0 <= m <= n:
-        raise ValueError("k and m must lie in 0..n")
-    if not 0 <= ell <= min(k, n - m):
-        raise ValueError("l must lie in 0..min(k, n-m)")
-
-    lhs1 = RationalFunctionQ(qq(2 * n + k - ell - m - 1), qq(k - ell))
-    rhs1_num = (
-        poch_power(-k, ell)
-        * poch_power(k + 1, 2 * n - ell - m - 1)
-    ).shifted(k * ell - ell * (ell - 1) // 2)
-    if ell % 2:
-        rhs1_num = -rhs1_num
-    ok1 = lhs1 == RationalFunctionQ(rhs1_num)
-
-    ok2 = poch_power(k + 1, 2 * n - ell - m - 1) == poch_power(k + 1, n - 1) * poch_power(k + n, n - m - ell)
-
-    ok3 = RationalFunctionQ(poch_power(k + 1, n - 1)) == RationalFunctionQ(
-        qq(n - 1) * poch_power(n, k), qq(k)
-    )
-    return ok1, ok2, ok3

@@ -138,20 +138,6 @@ class RationalFunctionQ:
             raise ZeroDivisionError("pole of rational function at q = %s" % (q0,))
         return self.num.eval_at(q0) / d
 
-    def series_coeffs(self, order: int):
-        """Taylor coefficients around q = 0, as Fractions, up to q**order."""
-        if self.den.min_exp > 0:
-            raise ZeroDivisionError("pole at q = 0; no Taylor expansion")
-        d0 = self.den.coeffs[0]
-        dcs = self.den.coeffs
-        out = []
-        for t in range(order + 1):
-            acc = Fraction(self.num.coeff(t))
-            for i in range(1, min(t, len(dcs) - 1) + 1):
-                acc -= dcs[i] * out[t - i]
-            out.append(acc / d0)
-        return out
-
     # -- serialization ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:

@@ -144,6 +144,19 @@ class TestUsage:
         assert main(["lemma1", "--n", "2..4", "--k", "3"]) == 2
         assert main(["lemma1", "--n", "3", "--k", "-1"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "2", "--k", "1"],
+        ["brute", "--n", "1", "--q", "2", "--k", "1"],
+        ["counts", "--q", "2", "--k", "0"],
+        ["chain", "--n", "1", "--k", "1"],
+    ])
+    def test_k_is_rejected_where_it_is_not_read(self, argv, capsys):
+        # only lemma1 and all read --k; elsewhere argparse rejects it
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --k" in capsys.readouterr().err
+
     def test_k_range_bounds_are_accepted(self):
         # --k may be any of 0..n_min
         assert main(["lemma1", "--n", "2..3", "--k", "0"]) == 0

@@ -2,18 +2,19 @@ import random
 
 import pytest
 
+import helpers
+from helpers import gaussian_cancellation_check, random_invertible, random_matrix
 from whitdim import dimension
 from whitdim.counting import FeasibilityError
 from whitdim.dimension import (
     TraceBucketSums,
     closed_dim,
     dimension_report,
-    gaussian_cancellation_check,
     middle_dim,
     theta_unipotent,
     trace_bucket_sums,
 )
-from whitdim.gfield import GFMatrix, gf, random_invertible, random_matrix
+from whitdim.gfield import GFMatrix, gf
 
 
 class TestTheta:
@@ -146,14 +147,14 @@ class TestCancellation:
     def test_default_sample_is_100_candidates(self, monkeypatch):
         # 4^(2*2) = 256 > 100 possible Y, so Y is sampled; each candidate
         # builds one canonical rank block
-        real = dimension.block_constant
+        real = helpers.block_constant
         kinds = []
 
         def counted(field, kind, **kw):
             kinds.append(kind)
             return real(field, kind, **kw)
 
-        monkeypatch.setattr(dimension, "block_constant", counted)
+        monkeypatch.setattr(helpers, "block_constant", counted)
         assert gaussian_cancellation_check(2, 4, 1, 1)
         assert kinds.count("I_klm") == 100
 
@@ -162,7 +163,7 @@ class TestCancellation:
         # rank and pivot columns, so every rank test still holds, but the row
         # operations cannot clear Y's last m columns below row k.  Only the
         # "outside the corner is zero" test sees it.
-        real = dimension.block_constant
+        real = helpers.block_constant
 
         def misplaced(field, kind, **kw):
             block = real(field, kind, **kw)
@@ -172,7 +173,7 @@ class TestCancellation:
             cut = kw["n"] - kw["m"]
             return GFMatrix.from_rows(field, rows[cut:] + rows[:cut])
 
-        monkeypatch.setattr(dimension, "block_constant", misplaced)
+        monkeypatch.setattr(helpers, "block_constant", misplaced)
         assert not gaussian_cancellation_check(2, 2, 0, 1, sample_count=16)
         assert not gaussian_cancellation_check(2, 2, 1, 1, sample_count=16)
 

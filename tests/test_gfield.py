@@ -2,16 +2,8 @@ import random
 
 import pytest
 
-from whitdim.gfield import (
-    SUPPORTED_Q,
-    GFMatrix,
-    GFq,
-    block_constant,
-    gf,
-    random_invertible,
-    random_matrix,
-    rank_factorize,
-)
+from helpers import block_constant, random_invertible, random_matrix
+from whitdim.gfield import SUPPORTED_Q, GFMatrix, GFq, gf
 
 
 class TestFields:
@@ -58,7 +50,7 @@ class TestMatrices:
         assert m.rank() == 0 and m.trace() == 0
 
     def test_identity_trace_wraps(self):
-        m = GFMatrix.identity(gf(3), 3)
+        m = GFMatrix.from_rows(gf(3), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert m.rank() == 3 and m.trace() == 0
 
     def test_rank_one_all_ones(self):
@@ -93,43 +85,6 @@ class TestRankInvariance:
             m = random_matrix(f, n, n, rng)
             e = random_invertible(f, n, rng)
             assert (e * m).rank() == m.rank() == (m * e).rank()
-
-
-class TestRankFactorize:
-    def test_identity_block_fixed_point(self):
-        f = gf(3)
-        x = block_constant(f, "I_kn", n=3, k=2)
-        e1, e3 = rank_factorize(x)
-        assert e1.rank() == e3.rank() == 3
-        assert e1 * block_constant(f, "I_kn", n=3, k=2) * e3 == x
-
-    def test_all_ones(self):
-        f = gf(2)
-        x = GFMatrix.from_rows(f, [[1, 1], [1, 1]])
-        e1, e3 = rank_factorize(x)
-        assert e1.rank() == e3.rank() == 2
-        assert e1 * block_constant(f, "I_kn", n=2, k=1) * e3 == x
-
-    def test_zero_matrix(self):
-        f = gf(5)
-        x = GFMatrix.zeros(f, 3, 3)
-        e1, e3 = rank_factorize(x)
-        assert e1 * block_constant(f, "I_kn", n=3, k=0) * e3 == x
-
-    def test_randomized_postcondition(self):
-        rng = random.Random(97)
-        for _ in range(200):
-            q = rng.choice((2, 3, 4, 5, 9))
-            f = gf(q)
-            n = rng.randrange(1, 5)
-            x = random_matrix(f, n, n, rng)
-            e1, e3 = rank_factorize(x)
-            assert e1.rank() == e3.rank() == n
-            assert e1 * block_constant(f, "I_kn", n=n, k=x.rank()) * e3 == x
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            rank_factorize(GFMatrix.zeros(gf(2), 2, 3))
 
 
 class TestBlockConstants:

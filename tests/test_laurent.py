@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import truncated
 from whitdim.laurent import (
     LaurentPoly,
     PolyAccumulator,
@@ -71,10 +72,10 @@ class TestBasics:
 
     def test_truncated(self):
         p = LaurentPoly(-1, [1, 2, 3])  # q^-1 + 2 + 3q
-        assert p.truncated(5) is p
-        assert p.truncated(0) == LaurentPoly(-1, [1, 2])
-        assert p.truncated(-1) == Q(-1)
-        assert p.truncated(-2) == LaurentPoly.zero()
+        assert truncated(p, 5) is p
+        assert truncated(p, 0) == LaurentPoly(-1, [1, 2])
+        assert truncated(p, -1) == Q(-1)
+        assert truncated(p, -2) == LaurentPoly.zero()
 
 
 class TestSparseKernels:
