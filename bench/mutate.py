@@ -121,12 +121,6 @@ EQUIVALENT = {
         "the reduction runs i downward and only writes below i, so prod[i] is "
         "never read again, and only prod[:deg] is encoded",
     ),
-    "engine.py:_nested_triple_numerator:const+1:0": (
-        "for k in range(n + 2):",
-        "28e7e2e7073d",
-        "widens the outer k range of the triple-sum oracle to n + 1; the inner "
-        "sum at k = n + 1 has an empty l range, so it only adds zero",
-    ),
     "engine.py:_conclusion_steps:const+1:25": (
         "for k in range(n + 2)",
         "fd2e95df301e",
@@ -139,11 +133,6 @@ EQUIVALENT = {
         "fd2e95df301e",
         "(n - k) % 2 -> (n + k) % 2 has the same parity",
     ),
-    "engine.py:_close_index_sums:+->-:0": (
-        "acc = acc - term if (s - parity) % 2 else acc + term",
-        "f435e33ab0fc",
-        "(s + parity) % 2 -> (s - parity) % 2 has the same parity",
-    ),
     "engine.py:_simplification_steps.long_range:+->-:0": (
         "sign = -1 if (n + k + m - 1) % 2 else 1",
         "540ad945c07b",
@@ -153,12 +142,6 @@ EQUIVALENT = {
         "sign = -1 if (n + k - m + 1) % 2 else 1",
         "540ad945c07b",
         "(n + k + m + 1) % 2 -> (n + k - m + 1) % 2 has the same parity",
-    ),
-    "engine.py:_nested_inner_numerator:const+1:1": (
-        "by_s = [LaurentPoly.zero()] * (2 * n + 2)",
-        "a986b5957d8e",
-        "adds a partial sum for s = 2n + 1, which no term reaches, so it stays "
-        "zero and closes to zero",
     ),
     "laurent.py:LaurentPoly.div_one_minus_q:const+1:1": (
         "out = [1] * n",

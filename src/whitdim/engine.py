@@ -24,18 +24,18 @@ walker has one form, cached for the last n: dimension_sum and
 conclusion-group-by-k both read it, so a chain run walks it once per n.
 
 The derivation chains compare the walkers with one from-scratch oracle,
-_nested_triple_numerator: the outer-k sum of the inner (m, l) sums that
-_nested_inner_numerator builds for each k.  The oracle only multiplies:
-each term's tail products T_j = prod_{i=j+1..n} (1 - q^i) are applied as
-sparse (1 - q^i) passes onto cached prefixes, the terms are summed per index
-sum s = k + m + l, and each partial sum is multiplied once by its
-(q;q)_{3n-s-1} in _close_index_sums.  Its l loop runs outside the m loop,
-so every factor that does not depend on m is built once per l, and each
-term multiplies in T_m T_{n-m-l} only.  It never divides out a factor,
-never steps between lattice points and sums with plain LaurentPoly +/-, so
-it shares no stepping, summation or closing code with the walkers it checks.
-Both simplify-regrouped-sum and conclusion-group-by-k compare a walker with
-it; it is cached for the last n, so a chain run builds it once per n.
+_nested_triple_numerator.  The oracle only multiplies: terms that share
+factors share their prefix products, built by sparse (1 - q^i) passes.  Per
+l it walks m downward, multiplying in one factor of T_m per step and
+T_{n-m-l} once, and k innermost and upward, one factor of T_{n-k-l} per
+step, so the whole sum costs O(n^3) passes.  Terms are summed per (s, k);
+per s the k sums are folded with their T_k by nested multiplication and
+then multiplied once by (q;q)_{3n-s-1}, directly and not by a Horner pass
+over s.  It never divides out a factor and sums with plain LaurentPoly +/-,
+so it shares no stepping, summation or closing code with the walkers it
+checks.  Both simplify-regrouped-sum and conclusion-group-by-k compare a
+walker with it; it is cached for the last n, so a chain run builds it once
+per n.
 
 The per-tuple rewrites of the simplification chain are cross-multiplied
 statements between polynomials, built by sparse passes: no division and no
@@ -444,51 +444,56 @@ def _simplification_steps(n: int):
     yield "simplify-exponent-total", l_exp == r_exp, l_exp, r_exp
 
 
-def _nested_inner_numerator(n: int, k: int) -> LaurentPoly:
-    """Numerator over (q;q)_n^4 of the inner (m,l) sum at fixed k, from scratch.
-
-    The (m, l) term is (-1)^(m+l) q^e (q;q)_{3n-s-1} (q;q)_n T_m T_l T_{n-k-l}
-    T_{n-m-l}, with s = k + m + l.  (q;q)_n T_l T_{n-k-l} is built once per
-    l, then T_m, T_{n-m-l} per term; the sign and (q;q)_{3n-s-1} are applied
-    once per s.  No division, no walker, plain +/-.
-    """
-    by_s = [LaurentPoly.zero()] * (2 * n + 1)
-    for ell in range(n - k + 1):
-        head_l = _times_qq_range(qq(n), ell + 1, n)
-        head_l = _times_qq_range(head_l, n - k - ell + 1, n)
-        for m in range(n - ell + 1):
-            u = _times_qq_range(head_l, m + 1, n)
-            u = _times_qq_range(u, n - m - ell + 1, n)
-            e = m * (n - k) + comb(m, 2) + comb(ell, 2)
-            by_s[k + m + ell] += u.shifted(e)
-    return _close_index_sums(by_s, n, k)
-
-
 @lru_cache(maxsize=1)
 def _nested_triple_numerator(n: int) -> LaurentPoly:
     """Numerator over (q;q)_n^5 of the (k, m, l) triple sum, from scratch.
 
-    The outer-k sum of (-1)^k q^(kn + C(k,2)) T_k times the inner (m, l) sum
-    _nested_inner_numerator(n, k).  The one oracle of the triple sum: both
-    simplify-regrouped-sum and conclusion-group-by-k compare a walker with
-    it, and the cache of the last n lets a chain run build it once per n.
+    The term at (k, m, l) is (-1)^s q^e (q;q)_{3n-s-1} (q;q)_n T_k T_m T_l
+    T_{n-k-l} T_{n-m-l}, with s = k + m + l, T_j = prod_{i=j+1..n} (1 - q^i)
+    and e = kn + C(k,2) + m(n-k) + C(m,2) + C(l,2).  Terms that share
+    factors share their prefix products.  Per l, u starts at (q;q)_n T_l
+    T_{n-l} T_{n-l}: the first T_{n-l} is T_{n-k-l} at k = 0, the second T_m
+    at m = n - l.  Each step down in m multiplies in (1 - q^(m+1)), turning
+    T_{m+1} into T_m, and T_{n-m-l} is multiplied in once per m.  Each step
+    up in k multiplies in (1 - q^(n-k-l+1)), turning T_{n-k-l+1} into
+    T_{n-k-l}.  The shifted u is summed into the bucket (s, k).  Per s, the
+    buckets are folded with their T_k by nested multiplication, and the fold
+    is multiplied once by (q;q)_{3n-s-1} and added with the sign (-1)^s.
+    That is O(n^3) sparse passes in all, where rebuilding each term from
+    (q;q)_n takes O(n^4).
+
+    The one oracle of the triple sum: both simplify-regrouped-sum and
+    conclusion-group-by-k compare a walker with it.  It only multiplies and
+    sums with plain LaurentPoly +/-, so it shares no stepping, summation or
+    closing code with the walkers, and the cache of the last n lets a chain
+    run build it once per n.
     """
+    by_sk = [[LaurentPoly.zero()] * (n + 1) for _ in range(2 * n + 1)]
+    for ell in range(n + 1):
+        top = n - ell
+        head = _times_qq_range(qq(n), ell + 1, n)
+        head = _times_qq_range(head, top + 1, n)
+        head = _times_qq_range(head, top + 1, n)
+        for m in range(top, -1, -1):
+            if m < top:
+                head = head.times_one_minus_q(m + 1)
+            u = _times_qq_range(head, top - m + 1, n)
+            for k in range(top + 1):
+                if k:
+                    u = u.times_one_minus_q(top - k + 1)
+                e = k * n + comb(k, 2) + m * (n - k) + comb(m, 2) + comb(ell, 2)
+                row = by_sk[k + m + ell]
+                row[k] = row[k] + u.shifted(e)
     nested = LaurentPoly.zero()
-    for k in range(n + 1):
-        outer = _times_qq_range(
-            _nested_inner_numerator(n, k), k + 1, n
-        ).shifted(k * n + comb(k, 2))
-        nested = nested - outer if k % 2 else nested + outer
+    for s, row in enumerate(by_sk):
+        part = LaurentPoly.zero()
+        for k, bucket in enumerate(row):
+            if k:
+                part = part.times_one_minus_q(k)
+            part = part + bucket
+        part = _times_qq_range(part, 1, 3 * n - s - 1)
+        nested = nested - part if s % 2 else nested + part
     return nested
-
-
-def _close_index_sums(by_s, n: int, parity: int) -> LaurentPoly:
-    """sum over s of (-1)^(s + parity) * (q;q)_{3n-s-1} * by_s[s], with plain +/-."""
-    acc = LaurentPoly.zero()
-    for s, part in enumerate(by_s):
-        term = _times_qq_range(part, 1, 3 * n - s - 1)
-        acc = acc - term if (s + parity) % 2 else acc + term
-    return acc
 
 
 def conclusion_chain(n: int):

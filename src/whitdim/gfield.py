@@ -185,33 +185,6 @@ class GFMatrix:
     def __hash__(self):
         return hash((self.field.q, self.rows, self.cols, self.entries))
 
-    def __mul__(self, other):
-        if not isinstance(other, GFMatrix):
-            return NotImplemented
-        if self.cols != other.rows or self.field.q != other.field.q:
-            raise ValueError("incompatible shapes for matrix product")
-        f = self.field
-        add, mul = f.add_table, f.mul_table
-        a, b = self.to_rows(), other.to_rows()
-        out = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                acc = 0
-                for t in range(self.cols):
-                    acc = add[acc][mul[ai[t]][b[t][j]]]
-                out.append(acc)
-        return GFMatrix(f, self.rows, other.cols, out)
-
-    def trace(self) -> int:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        f = self.field
-        acc = 0
-        for i in range(self.rows):
-            acc = f.add_table[acc][self.entry(i, i)]
-        return acc
-
     def rank(self) -> int:
         return _rank_rows(self.field, self.to_rows(), self.cols)
 

@@ -6,7 +6,12 @@ None of this runs under a whitdim command, so it lives with the tests:
   assembles u - I from), extended_inner_sum_matches and poch_rewrite_check;
 - the Euler-series reference euler_product_truncation, with the plain
   helpers truncated, series_coeffs and scale_x;
-- random_matrix and random_invertible for the randomised rank tests.
+- random_matrix and random_invertible for the randomised rank tests, and
+  the plain matrix product matmul and trace they and the tallies use;
+- the k-outer triple-sum reference k_outer_triple_numerator, with its inner
+  sums nested_inner_numerator and their closing close_index_sums: an
+  O(n^4) build of the triple sum in another loop order, with another
+  closing, that the package's oracle is compared against.
 
 Two fault-injection tests patch names these checks read, so the checks look
 them up at call time: extended_inner_sum_matches reads
@@ -20,6 +25,7 @@ from itertools import product
 from math import comb
 
 from whitdim import engine
+from whitdim.engine import _times_qq_range
 from whitdim.gfield import GFMatrix, GFq, gf
 from whitdim.laurent import LaurentPoly
 from whitdim.qseries import TruncatedSeriesX, poch_power, qq
@@ -27,8 +33,37 @@ from whitdim.rational import RationalFunctionQ
 
 
 # ---------------------------------------------------------------------------
-# random matrices over GF(q)
+# matrices over GF(q)
 # ---------------------------------------------------------------------------
+
+
+def matmul(a: GFMatrix, b: GFMatrix) -> GFMatrix:
+    """The matrix product a * b over their common field."""
+    if a.cols != b.rows or a.field.q != b.field.q:
+        raise ValueError("incompatible shapes for matrix product")
+    f = a.field
+    add, mul = f.add_table, f.mul_table
+    ra, rb = a.to_rows(), b.to_rows()
+    out = []
+    for i in range(a.rows):
+        ai = ra[i]
+        for j in range(b.cols):
+            acc = 0
+            for t in range(a.cols):
+                acc = add[acc][mul[ai[t]][rb[t][j]]]
+            out.append(acc)
+    return GFMatrix(f, a.rows, b.cols, out)
+
+
+def trace(m: GFMatrix) -> int:
+    """The sum of the diagonal entries of a square matrix."""
+    if m.rows != m.cols:
+        raise ValueError("trace of a non-square matrix")
+    f = m.field
+    acc = 0
+    for i in range(m.rows):
+        acc = f.add_table[acc][m.entry(i, i)]
+    return acc
 
 
 def random_matrix(field: GFq, rows: int, cols: int, rng) -> GFMatrix:
@@ -281,3 +316,53 @@ def euler_product_truncation(max_q_degree: int, order: int):
         for j in range(min(order, k + 1), 0, -1):
             coeffs[j] = truncated(coeffs[j] - coeffs[j - 1].shifted(k), max_q_degree)
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# the k-outer reference of the triple-sum oracle
+# ---------------------------------------------------------------------------
+
+
+def nested_inner_numerator(n: int, k: int) -> LaurentPoly:
+    """Numerator over (q;q)_n^4 of the inner (m,l) sum at fixed k, from scratch.
+
+    The (m, l) term is (-1)^(m+l) q^e (q;q)_{3n-s-1} (q;q)_n T_m T_l T_{n-k-l}
+    T_{n-m-l}, with s = k + m + l.  (q;q)_n T_l T_{n-k-l} is built once per
+    l, then T_m, T_{n-m-l} per term; the sign and (q;q)_{3n-s-1} are applied
+    once per s.  No division, no walker, plain +/-.
+    """
+    by_s = [LaurentPoly.zero()] * (2 * n + 1)
+    for ell in range(n - k + 1):
+        head_l = _times_qq_range(qq(n), ell + 1, n)
+        head_l = _times_qq_range(head_l, n - k - ell + 1, n)
+        for m in range(n - ell + 1):
+            u = _times_qq_range(head_l, m + 1, n)
+            u = _times_qq_range(u, n - m - ell + 1, n)
+            e = m * (n - k) + comb(m, 2) + comb(ell, 2)
+            by_s[k + m + ell] += u.shifted(e)
+    return close_index_sums(by_s, n, k)
+
+
+def k_outer_triple_numerator(n: int) -> LaurentPoly:
+    """Numerator over (q;q)_n^5 of the (k, m, l) triple sum, from scratch.
+
+    The outer-k sum of (-1)^k q^(kn + C(k,2)) T_k times the inner (m, l) sum
+    nested_inner_numerator(n, k).  Each term is rebuilt from (q;q)_n, n + l
+    sparse passes, so the sum costs O(n^4) passes.
+    """
+    nested = LaurentPoly.zero()
+    for k in range(n + 1):
+        outer = _times_qq_range(
+            nested_inner_numerator(n, k), k + 1, n
+        ).shifted(k * n + comb(k, 2))
+        nested = nested - outer if k % 2 else nested + outer
+    return nested
+
+
+def close_index_sums(by_s, n: int, parity: int) -> LaurentPoly:
+    """sum over s of (-1)^(s + parity) * (q;q)_{3n-s-1} * by_s[s], with plain +/-."""
+    acc = LaurentPoly.zero()
+    for s, part in enumerate(by_s):
+        term = _times_qq_range(part, 1, 3 * n - s - 1)
+        acc = acc - term if (s + parity) % 2 else acc + term
+    return acc

@@ -8,6 +8,7 @@ import time
 
 from helpers import (
     euler_product_truncation,
+    matmul,
     random_invertible,
     random_matrix,
     scale_x,
@@ -174,7 +175,7 @@ def test_criterion_7_property_suites():
         size = rng.randrange(1, 4)
         m = random_matrix(f, size, size, rng)
         e = random_invertible(f, size, rng)
-        if not ((e * m).rank() == m.rank() == (m * e).rank()):
+        if not (matmul(e, m).rank() == m.rank() == matmul(m, e).rank()):
             failures.append(("rank-invariance", q, size))
             break
     _report(7, not failures, "property suites (failures: %r)" % failures)

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from helpers import trace
 from whitdim import counting, kernels
 from whitdim.counting import (
     FeasibilityError,
@@ -208,8 +209,8 @@ def _triples_by_full_rank(field, n):
         for y in blocks:
             for z in blocks:
                 rows = [xr + yr for xr, yr in zip(x, y)] + [[0] * n + zr for zr in z]
-                gamma = field.add(GFMatrix.from_rows(field, x).trace(),
-                                  GFMatrix.from_rows(field, z).trace())
+                gamma = field.add(trace(GFMatrix.from_rows(field, x)),
+                                  trace(GFMatrix.from_rows(field, z)))
                 counts[GFMatrix.from_rows(field, rows).rank()][gamma] += 1
     return counts
 

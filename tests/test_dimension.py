@@ -3,7 +3,7 @@ import random
 import pytest
 
 import helpers
-from helpers import gaussian_cancellation_check, random_invertible, random_matrix
+from helpers import gaussian_cancellation_check, matmul, random_invertible, random_matrix
 from whitdim import dimension
 from whitdim.counting import FeasibilityError
 from whitdim.dimension import (
@@ -200,5 +200,9 @@ class TestConjugationInvariance:
                 return GFMatrix.from_rows(f, rows)
 
             before = big(x, y, z).rank()
-            after = big(e1 * x * e3, e1 * y * e4, e2 * z * e4).rank()
+            after = big(
+                matmul(matmul(e1, x), e3),
+                matmul(matmul(e1, y), e4),
+                matmul(matmul(e2, z), e4),
+            ).rank()
             assert before == after

@@ -11,7 +11,11 @@ import os
 import pytest
 import sympy
 
-from helpers import extended_inner_sum_matches
+from helpers import (
+    extended_inner_sum_matches,
+    k_outer_triple_numerator,
+    nested_inner_numerator,
+)
 from whitdim.engine import (
     closed_product,
     conclusion_chain,
@@ -217,9 +221,7 @@ class TestOuterInnerFactorization:
                 outer = RF(
                     LaurentPoly.monomial(k * n + k * (k - 1) // 2, (-1) ** k), qq(k)
                 )
-                from whitdim.engine import _nested_inner_numerator
-
-                inner = RF(_nested_inner_numerator(n, k), qq(n) ** 4)
+                inner = RF(nested_inner_numerator(n, k), qq(n) ** 4)
                 assert flat_k == outer * inner, (n, k)
 
 
@@ -233,8 +235,22 @@ class TestGroupedSumOracle:
         for n in range(1, 7):
             assert _nested_triple_numerator(n) == _per_term_triple_sum(n, 1, 0), n
 
+    def test_matches_k_outer_reference_and_walker(self):
+        # the prefix-sharing oracle against the O(n^4) k-outer reference,
+        # and against the triple walker at sizes the reference would make slow
+        from whitdim import engine
+
+        engine._nested_triple_numerator.cache_clear()
+        engine._triple_sum_numerator.cache_clear()
+        for n in range(1, 13):
+            oracle = engine._nested_triple_numerator(n)
+            if n <= 10:
+                assert oracle == k_outer_triple_numerator(n), n
+            assert oracle == engine._triple_sum_numerator(n), n
+
     def test_oracles_never_divide_or_accumulate(self, monkeypatch):
-        # the cross-checks must share no stepping or summation code with the walker
+        # the cross-check must share no stepping, summation or closing code
+        # with the walkers, and call neither of them
         from whitdim import engine
 
         def forbidden(*args, **kwargs):
@@ -242,36 +258,30 @@ class TestGroupedSumOracle:
 
         def run():
             engine._nested_triple_numerator.cache_clear()
-            out = [engine._nested_triple_numerator(4)]
-            return out + [engine._nested_inner_numerator(4, k) for k in range(5)]
+            return [engine._nested_triple_numerator(n) for n in range(1, 6)]
 
         expected = run()
         monkeypatch.setattr(LaurentPoly, "div_one_minus_q", forbidden)
-        monkeypatch.setattr(engine, "PolyAccumulator", forbidden)
+        for name in ("PolyAccumulator", "_horner_close", "_triple_sum_numerator",
+                     "_inner_sum_numerator"):
+            monkeypatch.setattr(engine, name, forbidden)
         assert run() == expected
 
     def test_chain_builds_the_oracle_once_per_n(self, monkeypatch):
         # simplify-regrouped-sum and conclusion-group-by-k share one oracle
-        # value per n: n + 1 inner sums each, 2 + 3 + 4 for n = 1..3
+        # value per n: one build, a cache miss, for each of n = 1..3
         import contextlib
         import io
 
         from whitdim import engine
         from whitdim.cli import EXIT_OK, main
 
-        inner = engine._nested_inner_numerator
-        calls = []
-
-        def counted(n, k):
-            calls.append((n, k))
-            return inner(n, k)
-
         engine._nested_triple_numerator.cache_clear()
-        monkeypatch.setattr(engine, "_nested_inner_numerator", counted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # count in-process
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["chain", "--n", "1..3"]) == EXIT_OK
-        assert len(calls) == 9
+        info = engine._nested_triple_numerator.cache_info()
+        assert (info.misses, info.hits) == (3, 3)
 
 
 class TestWalkers:
@@ -318,9 +328,7 @@ class TestWalkers:
             return out + [engine._inner_sum_numerator(4, k) for k in range(5)]
 
         expected = run()
-        for name in ("_close_index_sums", "_nested_triple_numerator",
-                     "_nested_inner_numerator"):
-            monkeypatch.setattr(engine, name, forbidden)
+        monkeypatch.setattr(engine, "_nested_triple_numerator", forbidden)
         assert run() == expected
 
     def test_chain_walks_the_triple_sum_once_per_n(self, monkeypatch):
@@ -499,6 +507,15 @@ class TestChains:
             assert all(r.equal for r in reports), [
                 (r.identity, r.equal) for r in reports if not r.equal
             ]
+
+    @pytest.mark.slow
+    def test_both_chains_at_n16(self):
+        # the largest size the O(n^3) oracle makes cheap: 1-2 s
+        reports = simplification_chain(16) + conclusion_chain(16)
+        assert len(reports) == 19
+        assert all(r.equal for r in reports), [
+            (r.identity, r.equal) for r in reports if not r.equal
+        ]
 
     def test_tuple_counts_are_pinned(self):
         for n in (1, 2, 3, 4):
