@@ -121,16 +121,16 @@ EQUIVALENT = {
         "the reduction runs i downward and only writes below i, so prod[i] is "
         "never read again, and only prod[:deg] is encoded",
     ),
-    "engine.py:_conclusion_steps:const+1:25": (
+    "engine.py:_conclusion_steps:const+1:26": (
         "for k in range(n + 2)",
-        "fd2e95df301e",
+        "45560f0c1466",
         "widens the k range of the cross-multiplied Pochhammer rewrite in "
         "conclusion-pochhammer-split to n + 1; both sides are (q;q)_(n+k-1), so "
         "it holds for every k >= 0",
     ),
     "engine.py:_conclusion_steps:-->+:3": (
         "reindexed = reindexed - outer if (n + k) % 2 else reindexed + outer",
-        "fd2e95df301e",
+        "45560f0c1466",
         "(n - k) % 2 -> (n + k) % 2 has the same parity",
     ),
     "engine.py:_simplification_steps.long_range:+->-:0": (

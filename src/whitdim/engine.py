@@ -7,21 +7,26 @@ identity equates a closed product
 
 with a normalized triple character sum over (m, k, l).  The triple sum is
 evaluated exactly over the fixed common denominator (q;q)_n^5 (the inner
-double sums of lemma1 use (q;q)_n^3).  Each term is a sign and a power of q
-times (q;q)_{3n-s-1} (q;q)_n times a product V of tail factors
+double sums of lemma1 use (q;q)_n^2 (q;q)_k).  Each term is a sign and a
+power of q times (q;q)_{3n-s-1} (q;q)_n times a product V of tail factors
 T_j = (q;q)_n / (q;q)_j, where s = k + m + l is the index sum.  The walkers
 step V alone from one lattice point to a neighbour, dividing it by and
 multiplying it with a few sparse (1 - q^j) factors, and add each signed,
 shifted V into a PolyAccumulator for its s.  Both walk m innermost: a step
 in m changes two factors, (1 - q^m) and (1 - q^(n-m-l+1)), where a step in
-l changes three.  The triple walker visits only k <= m, since its terms are
-symmetric in k and m.  The factors that depend only on s, or on nothing,
-are applied once at the end: a Horner pass over s (_horner_close) gives
-every partial sum its (q;q)_{3n-s-1}, and the total is multiplied by
-(q;q)_n (the triple sum) or T_k (an inner sum).  No per-term polynomial
-product is ever built, and each division asserts exactness.  The triple
-walker has one form, cached for the last n: dimension_sum and
-conclusion-group-by-k both read it, so a chain run walks it once per n.
+l changes three.  At fixed l, with N = n - l, V pairs each T_j with
+T_{N-j}, so V is unchanged by k -> N-k, by m -> N-m and, in the triple
+sum, by k <-> m.  Each walker steps V once per orbit of these symmetries,
+at its representative, and there adds the term of every point of the
+orbit, each with its own sign, power of q and s: the triple walker steps
+0 <= k <= m <= N/2, about n^3/24 points, the inner walker m <= N/2.  The
+factors that depend only on s, or on nothing, are applied once at the end:
+a Horner pass over s (_horner_close) gives every partial sum its
+(q;q)_{3n-s-1}, and the triple sum's total is multiplied by (q;q)_n.  No
+per-term polynomial product is ever built, and each division asserts
+exactness.  The triple walker has one form, cached for the last n:
+dimension_sum and conclusion-group-by-k both read it, so a chain run walks
+it once per n.
 
 The derivation chains compare the walkers with one from-scratch oracle,
 _nested_triple_numerator.  The oracle only multiplies: terms that share
@@ -156,42 +161,58 @@ def _triple_sum_numerator(n: int) -> LaurentPoly:
       s = k + m + l,
       e = kn + (n-k)m + C(k,2) + C(m,2) + C(l,2).
 
-    Only V is walked, k outermost and m innermost.  It starts at (q;q)_n^3,
-    and each lattice step divides out and multiplies in a few (1 - q^j)
-    factors: a step in k changes four, in l three, in m two.  V, e and the
-    sign are symmetric in k and m, so only k <= m is walked: the diagonal
-    V(k, k, l) is stepped along l and added once, and the m-walk over
-    m > k starts from 2 V(k, k, l).  The signed, shifted V are summed per
-    index sum s; _horner_close then applies every (q;q)_{3n-s-1}, and the
-    total is multiplied once by (q;q)_n.  Terms are accumulated in
-    lexicographic (k, l, m) order; the exact arithmetic makes the order
-    irrelevant to the value, the fixed order makes runs reproducible.
+    At fixed l, with N = n - l, V = T_l (T_k T_{N-k}) (T_m T_{N-m}) is
+    unchanged by k -> N-k, by m -> N-m and by k <-> m.  So V is walked only
+    at the orbit representatives 0 <= a <= b <= N/2, a outermost, then l,
+    then b innermost.  V starts at (q;q)_n^3, and each step divides out and
+    multiplies in a few (1 - q^j) factors: a step in a changes four, in l
+    three, in b two.  Each representative adds the terms of every distinct
+    unordered pair {k, m} with k in {a, N-a} and m in {b, N-b}, each with
+    its own s, e and sign, and twice when k != m (s and e are symmetric in k
+    and m).  Pairs with k = m occur only at b = a, so the b-walk over b > a
+    starts from 2 V(a, a, l).  The signed, shifted V are summed per index
+    sum s; _horner_close then applies every (q;q)_{3n-s-1}, and the total is
+    multiplied once by (q;q)_n.  Terms are accumulated in a fixed order; the
+    exact arithmetic makes the order irrelevant to the value, the fixed
+    order makes runs reproducible.
     """
     by_s = [PolyAccumulator() for _ in range(2 * n + 1)]
-    v_kk = qq_power(n, 3)
-    for k in range(n + 1):
-        if k:
-            v_kk = (
-                v_kk.div_one_minus_q(k)
-                .times_one_minus_q(n - k + 1)
-                .div_one_minus_q(k)
-                .times_one_minus_q(n - k + 1)
+
+    def add(v, k, m, ell):
+        e = k * n + (n - k) * m + comb(k, 2) + comb(m, 2) + comb(ell, 2)
+        by_s[k + m + ell].add_shifted(v, e, (k + m + ell) % 2)
+
+    v_aa = qq_power(n, 3)
+    for a in range(n // 2 + 1):
+        if a:
+            v_aa = (
+                v_aa.div_one_minus_q(a)
+                .times_one_minus_q(n - a + 1)
+                .div_one_minus_q(a)
+                .times_one_minus_q(n - a + 1)
             )
-        v_kl = v_kk
-        for ell in range(n - k + 1):
+        v_al = v_aa
+        for ell in range(n - 2 * a + 1):
             if ell:
-                v_kl = (
-                    v_kl.div_one_minus_q(ell)
-                    .times_one_minus_q(n - k - ell + 1)
-                    .times_one_minus_q(n - k - ell + 1)
+                v_al = (
+                    v_al.div_one_minus_q(ell)
+                    .times_one_minus_q(n - a - ell + 1)
+                    .times_one_minus_q(n - a - ell + 1)
                 )
-            e = k * n + (n - k) * k + 2 * comb(k, 2) + comb(ell, 2)
-            by_s[2 * k + ell].add_shifted(v_kl, e, ell % 2)
-            v = v_kl * 2  # the m-steps are linear in v
-            for m in range(k + 1, n - ell + 1):
-                v = v.div_one_minus_q(m).times_one_minus_q(n - m - ell + 1)
-                e = k * n + (n - k) * m + comb(k, 2) + comb(m, 2) + comb(ell, 2)
-                by_s[k + m + ell].add_shifted(v, e, (k + m + ell) % 2)
+            top = n - ell
+            add(v_al, a, a, ell)
+            if 2 * a == top:
+                continue  # {a, a} is the whole orbit
+            add(v_al, top - a, top - a, ell)
+            v = v_al * 2  # the b-steps are linear in v
+            add(v, a, top - a, ell)
+            for b in range(a + 1, top // 2 + 1):
+                v = v.div_one_minus_q(b).times_one_minus_q(top - b + 1)
+                add(v, a, b, ell)
+                add(v, top - a, top - b, ell)
+                if 2 * b < top:
+                    add(v, a, top - b, ell)
+                    add(v, top - a, b, ell)
     total = _horner_close([acc.value() for acc in by_s], 3 * n - 1)
     return _times_qq_range(total, 1, n)
 
@@ -225,16 +246,19 @@ def dimension_sum(n: int) -> RationalFunctionQ:
 
 
 def _inner_sum_numerator(n: int, k: int) -> LaurentPoly:
-    """Numerator over (q;q)_n^3 of the inner (m,l) double sum at fixed k.
+    """Numerator over (q;q)_n^2 (q;q)_k of the inner (m,l) double sum at fixed k.
 
-    Each term is (-1)^s * q^e * (q;q)_{2n+k-s-1} * T_k * V with
+    Each term is (-1)^s * q^e * (q;q)_{2n+k-s-1} * V with
       V = T_m T_l T_{n-m-l} (q;q)_k / (q;q)_{k-l},
       s = m + l,   e = mk + C(m,2) + C(l,2).
 
     Walked like _triple_sum_numerator, l outer and m inner: V starts at
-    (q;q)_n^2, a step in l changes three factors and a step in m two.  The
-    terms are summed per s, _horner_close applies every (q;q)_{2n+k-s-1},
-    and the total is multiplied once by T_k.
+    (q;q)_n^2, a step in l changes three factors and a step in m two.  At
+    fixed l, with N = n - l, V is unchanged by m -> N-m, so V is walked only
+    for m <= N/2 and adds the terms at m and at N - m, once when 2m = N.
+    The terms are summed per s, and _horner_close applies every
+    (q;q)_{2n+k-s-1}.  The T_k of the summand is left out: the numerator
+    over (q;q)_n^3 is this times T_k.
     """
     by_s = [PolyAccumulator() for _ in range(n + 1)]
     v_l = qq_power(n, 2)
@@ -245,14 +269,15 @@ def _inner_sum_numerator(n: int, k: int) -> LaurentPoly:
                 .times_one_minus_q(k - ell + 1)
                 .times_one_minus_q(n - ell + 1)
             )
+        top = n - ell
         v = v_l
-        for m in range(n - ell + 1):
+        for m in range(top // 2 + 1):
             if m:
-                v = v.div_one_minus_q(m).times_one_minus_q(n - m - ell + 1)
-            e = m * k + comb(m, 2) + comb(ell, 2)
-            by_s[m + ell].add_shifted(v, e, (m + ell) % 2)
-    total = _horner_close([acc.value() for acc in by_s], 2 * n + k - 1)
-    return _times_qq_range(total, k + 1, n)
+                v = v.div_one_minus_q(m).times_one_minus_q(top - m + 1)
+            for j in (m, top - m) if 2 * m < top else (m,):
+                e = j * k + comb(j, 2) + comb(ell, 2)
+                by_s[j + ell].add_shifted(v, e, (j + ell) % 2)
+    return _horner_close([acc.value() for acc in by_s], 2 * n + k - 1)
 
 
 def inner_sum_rhs_poly(n: int, k: int) -> LaurentPoly:
@@ -267,16 +292,17 @@ def inner_sum_sides(n: int, k: int):
     if not 0 <= k <= n:
         raise ValueError("k must lie in 0..n")
     num = _inner_sum_numerator(n, k)
-    # The value is a polynomial, so 3n checked (1 - q^i) divisions give the
-    # canonical lhs without a long division by (q;q)_n^3.  Falls back to the
-    # generic path if a division is inexact (i.e. if the identity were false).
+    # The value is a polynomial, so 2n + k checked (1 - q^i) divisions give
+    # the canonical lhs without a long division by (q;q)_n^2 (q;q)_k.  Falls
+    # back to the generic path if a division is inexact (i.e. if the identity
+    # were false).
     quo = num
     try:
-        for _ in range(3):
-            for i in range(1, n + 1):
+        for top in (n, n, k):
+            for i in range(1, top + 1):
                 quo = quo.div_one_minus_q(i)
     except ValueError:
-        lhs = RationalFunctionQ(num, qq_power(n, 3))
+        lhs = RationalFunctionQ(num, _times_qq_range(qq_power(n, 2), 1, k))
     else:
         lhs = RationalFunctionQ(quo)
     rhs = RationalFunctionQ(inner_sum_rhs_poly(n, k))
@@ -510,10 +536,11 @@ def _conclusion_steps(n: int):
            "triple sum numerator", "nested sum numerator")
 
     # (b) replacing k by n-k leaves the outer sum unchanged; the inner sums
-    # are numerators over (q;q)_n^3, brought to (q;q)_n^4 here
+    # are numerators over (q;q)_n^2 (q;q)_k, brought to (q;q)_n^4 here by
+    # their T_k and one more (q;q)_n
     reindexed = LaurentPoly.zero()
     for k in range(n + 1):
-        inner = _times_qq_range(_inner_sum_numerator(n, k), 1, n)
+        inner = _times_qq_range(_times_qq_range(_inner_sum_numerator(n, k), k + 1, n), 1, n)
         outer = _times_qq_range(inner, n - k + 1, n).shifted((n - k) * n + comb(n - k, 2))
         reindexed = reindexed - outer if (n - k) % 2 else reindexed + outer
     yield ("conclusion-reindex-outer", nested == reindexed,

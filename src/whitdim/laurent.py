@@ -152,19 +152,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        result = _ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:  # no square past the top bit
-                base = base * base
-        return result
-
     def shifted(self, exp: int) -> "LaurentPoly":
         """Multiply by q**exp."""
         if not self.coeffs or exp == 0:

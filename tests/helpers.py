@@ -8,6 +8,8 @@ None of this runs under a whitdim command, so it lives with the tests:
   helpers truncated, series_coeffs and scale_x;
 - random_matrix and random_invertible for the randomised rank tests, and
   the plain matrix product matmul and trace they and the tallies use;
+- poly_pow, the power of a Laurent polynomial by repeated squaring, for
+  the dense (q;q)_n^p of the per-term references;
 - the k-outer triple-sum reference k_outer_triple_numerator, with its inner
   sums nested_inner_numerator and their closing close_index_sums: an
   O(n^4) build of the triple sum in another loop order, with another
@@ -30,6 +32,25 @@ from whitdim.gfield import GFMatrix, GFq, gf
 from whitdim.laurent import LaurentPoly
 from whitdim.qseries import TruncatedSeriesX, poch_power, qq
 from whitdim.rational import RationalFunctionQ
+
+
+# ---------------------------------------------------------------------------
+# powers of Laurent polynomials
+# ---------------------------------------------------------------------------
+
+
+def poly_pow(p: LaurentPoly, e: int) -> LaurentPoly:
+    """p ** e for e >= 0, by repeated squaring."""
+    if e < 0:
+        raise ValueError("negative power of a Laurent polynomial")
+    result = LaurentPoly.one()
+    while e:
+        if e & 1:
+            result = result * p
+        e >>= 1
+        if e:  # no square past the top bit
+            p = p * p
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from helpers import (
     extended_inner_sum_matches,
     k_outer_triple_numerator,
     nested_inner_numerator,
+    poly_pow,
 )
 from whitdim.engine import (
     closed_product,
@@ -91,6 +92,11 @@ class TestVerifyMain:
             rep = verify_main(n)
             assert rep.equal and rep.identity == "main" and rep.n == n
 
+    @pytest.mark.slow
+    def test_n28(self):
+        # a size the orbit walk makes cheap: about 1-2 s
+        assert verify_main(28).equal
+
     def test_report_serializes(self):
         rep = verify_main(2)
         blob = json.dumps(rep.to_json_dict())
@@ -109,7 +115,7 @@ def _compact_sides(n):
     """Both sides of the compact form: q^(4n^2-n)/(1-q^n) vs the (q;q)-triple
     sum over (q;q)_n^5, built term by term by _per_term_triple_sum."""
     lhs = RF(Q(4 * n * n - n), ONE - Q(n))
-    return lhs, RF(_per_term_triple_sum(n, 1, 0), qq(n) ** 5)
+    return lhs, RF(_per_term_triple_sum(n, 1, 0), poly_pow(qq(n), 5))
 
 
 class TestCompactSides:
@@ -161,7 +167,7 @@ class TestInnerSum:
         for n, k in ((1, 0), (3, 1), (4, 4)):
             lhs, rhs = inner_sum_sides(n, k)
             assert lhs != rhs, (n, k)
-            want = RF(faulty(n, k), qq(n) ** 3)
+            want = RF(faulty(n, k), poly_pow(qq(n), 2) * qq(k))
             assert lhs.to_json_dict() == want.to_json_dict(), (n, k)
             assert not lhs.denominator_is_one, (n, k)
             assert engine.verify_inner_sum(n, k).equal is False, (n, k)
@@ -217,11 +223,11 @@ class TestOuterInnerFactorization:
                         restricted = (
                             restricted - num if (k + m + ell) % 2 else restricted + num
                         )
-                flat_k = RF(restricted, qq(n) ** 5)
+                flat_k = RF(restricted, poly_pow(qq(n), 5))
                 outer = RF(
                     LaurentPoly.monomial(k * n + k * (k - 1) // 2, (-1) ** k), qq(k)
                 )
-                inner = RF(nested_inner_numerator(n, k), qq(n) ** 4)
+                inner = RF(nested_inner_numerator(n, k), poly_pow(qq(n), 4))
                 assert flat_k == outer * inner, (n, k)
 
 
@@ -295,10 +301,13 @@ class TestWalkers:
         _triple_sum_numerator.cache_clear()
         for n in range(1, 7):
             assert _triple_sum_numerator(n) == _per_term_triple_sum(n, 1, 0), n
-            expected = RF(_per_term_triple_sum(n, 2, n + 1), (qq(n) ** 5).shifted(3 * n * n))
+            expected = RF(
+                _per_term_triple_sum(n, 2, n + 1), poly_pow(qq(n), 5).shifted(3 * n * n)
+            )
             assert dimension_sum(n) == expected, n
 
     def test_inner_walker_matches_per_term_reference(self):
+        # a numerator over (q;q)_n^2 (q;q)_k: the summand's T_k is left out
         from whitdim.engine import _inner_sum_numerator
 
         for n in range(1, 7):
@@ -308,12 +317,53 @@ class TestWalkers:
                     for ell in range(min(k, n - m) + 1):
                         e = m * k + m * (m - 1) // 2 + ell * (ell - 1) // 2
                         num = (
-                            qq(2 * n + k - m - ell - 1) * _tail(k, n)
+                            qq(2 * n + k - m - ell - 1)
                             * _tail(m, n) * _tail(ell, n) * _tail(n - m - ell, n)
                             * _tail(k - ell, k)
                         ).shifted(e)
                         total = total - num if (m + ell) % 2 else total + num
                 assert _inner_sum_numerator(n, k) == total, (n, k)
+
+    def test_walkers_step_each_orbit_once(self, monkeypatch):
+        # at fixed l, with N = n - l, V is stepped only at the representatives
+        # of its symmetries (k -> N-k, m -> N-m and k <-> m in the triple
+        # sum, m -> N-m in the inner sums), and each term is added once
+        from whitdim import engine
+        from whitdim.laurent import PolyAccumulator
+
+        calls = {}
+        add, div = PolyAccumulator.add_shifted, LaurentPoly.div_one_minus_q
+
+        def counted_add(self, *args):
+            calls["add"] += 1
+            return add(self, *args)
+
+        def counted_div(self, j):
+            calls["div"] += 1
+            return div(self, j)
+
+        def count(walk, *args):
+            calls.update(add=0, div=0)
+            walk(*args)
+            return calls["add"], calls["div"]
+
+        monkeypatch.setattr(PolyAccumulator, "add_shifted", counted_add)
+        monkeypatch.setattr(LaurentPoly, "div_one_minus_q", counted_div)
+        for n in range(1, 9):
+            # every representative but the first is one step from another;
+            # a step in a divides twice, one in l, b or m once
+            tops = range(n, -1, -1)
+            terms = sum((top + 1) * (top + 2) // 2 for top in tops)
+            reps = sum((top // 2 + 1) * (top // 2 + 2) // 2 for top in tops)
+            engine._triple_sum_numerator.cache_clear()
+            assert count(engine._triple_sum_numerator, n) == (terms, reps - 1 + n // 2), n
+            for k in range(n + 1):
+                tops = range(n, n - k - 1, -1)
+                terms = sum(top + 1 for top in tops)
+                reps = sum(top // 2 + 1 for top in tops)
+                assert count(engine._inner_sum_numerator, n, k) == (terms, reps - 1), (n, k)
+                # lemma1 then divides by (q;q)_n^2 (q;q)_k: 2n + k passes
+                assert count(engine.inner_sum_sides, n, k)[1] == reps - 1 + 2 * n + k, (n, k)
 
     def test_walkers_never_close_with_the_oracles(self, monkeypatch):
         # the other side of test_oracles_never_divide_or_accumulate
@@ -425,7 +475,7 @@ def _per_term_triple_sum(n, power, parity):
                     + k * (k - 1) // 2 + m * (m - 1) // 2 + ell * (ell - 1) // 2
                 )
                 num = (
-                    qq(3 * n - k - ell - m - 1) * qq(n) ** power
+                    qq(3 * n - k - ell - m - 1) * poly_pow(qq(n), power)
                     * _tail(k, n) * _tail(m, n) * _tail(ell, n)
                     * _tail(n - k - ell, n) * _tail(n - m - ell, n)
                 ).shifted(e)
