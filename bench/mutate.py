@@ -59,17 +59,26 @@ COUNT = 30
 
 # module -> the test files that exercise it
 TESTS = {
-    "cli.py": ["tests/test_cli.py"],
-    "counting.py": ["tests/test_counting.py", "tests/test_acceptance.py"],
-    "dimension.py": ["tests/test_dimension.py", "tests/test_acceptance.py"],
+    "cli.py": ["tests/test_cli.py", "tests/test_imports.py"],
+    "counting.py": [
+        "tests/test_counting.py", "tests/test_acceptance.py", "tests/test_imports.py",
+    ],
+    "dimension.py": [
+        "tests/test_dimension.py", "tests/test_acceptance.py", "tests/test_imports.py",
+    ],
     "engine.py": [
         "tests/test_engine.py", "tests/test_cli.py", "tests/test_acceptance.py",
+        "tests/test_imports.py",
     ],
     "gfield.py": ["tests/test_gfield.py", "tests/test_counting.py"],
     "kernels.py": ["tests/test_counting.py", "tests/test_dimension.py"],
-    "laurent.py": ["tests/test_laurent.py", "tests/test_rational.py"],
+    "laurent.py": [
+        "tests/test_laurent.py", "tests/test_rational.py", "tests/test_imports.py",
+    ],
     "qseries.py": ["tests/test_qseries.py", "tests/test_engine.py"],
-    "rational.py": ["tests/test_rational.py", "tests/test_laurent.py"],
+    "rational.py": [
+        "tests/test_rational.py", "tests/test_laurent.py", "tests/test_imports.py",
+    ],
 }
 
 # mutant id -> (its mutated line, its func_sha, why no input can tell it
@@ -77,7 +86,7 @@ TESTS = {
 EQUIVALENT = {
     "cli.py:config_from_args:const+1:1": (
         "n_min, n_max = _parse_range(args.n) if args.n is not None else (1, 2)",
-        "d28bbac34ab9",
+        "19c3ddc20363",
         "only counts runs without --n, and counts reads neither n_min nor n_max",
     ),
     "cli.py:_exit_on_eof:const+1:0": (
@@ -99,7 +108,7 @@ EQUIVALENT = {
     ),
     "counting.py:grassmann_count:const+1:4": (
         "if m == 1 or GFMatrix.from_rows(field, rows).rank() == m:",
-        "33d811bfdc96",
+        "a5394bcd1516",
         "a reduced echelon basis always has rank m: at m = 0 the empty 0 x 0 "
         "matrix ranks 0, and at m = 1 the one row has a 1 at its pivot",
     ),

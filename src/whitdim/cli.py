@@ -6,6 +6,13 @@ concatenates the other five commands' units.  A unit is a zero-argument
 callable that yields its records.  run reads each record's verdict from its
 "equal" field (a dimension record's "agree") and sets the exit code.
 
+A process loads only the modules its command runs.  Importing this module
+loads counting and gfield alone, for the parser's feasibility default and
+RunConfig's q check.  A command's table entry imports the rest once, here,
+before any fork: verify, lemma1 and chain load engine with the q-polynomial
+stack (laurent, rational, qseries); counts loads kernels; brute loads
+dimension, which needs both.  csv is imported only under --format csv.
+
 The units are independent exact computations, so run spreads them over
 w = min(CPUs this process may use, units) worker processes.  With w = 1 (one
 usable CPU, as under `taskset -c 0`, or other threads running) they run
@@ -32,24 +39,14 @@ between runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import marshal
 import os
 import sys
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
-from . import engine
-from .counting import (
-    FEASIBILITY_LIMIT,
-    FeasibilityError,
-    count_rect_by_rank,
-    grassmann_count,
-    prasad_delta,
-)
-from .dimension import dimension_report
+from .counting import FEASIBILITY_LIMIT, FeasibilityError
 from .gfield import SUPPORTED_Q
 
 COMMANDS = ("verify", "lemma1", "chain", "brute", "counts", "all")
@@ -64,18 +61,28 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
 class RunConfig:
-    command: str
-    n_min: int = 1
-    n_max: int = 1
-    k: Optional[int] = None
-    q_list: list = field(default_factory=lambda: [2, 3])
-    feasibility_limit: int = FEASIBILITY_LIMIT
-    output: Optional[str] = None
-    format: str = "json"
+    """One run's settings, checked when it is built: a bad one raises UsageError."""
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        command: str,
+        n_min: int = 1,
+        n_max: int = 1,
+        k: Optional[int] = None,
+        q_list: Optional[list] = None,
+        feasibility_limit: int = FEASIBILITY_LIMIT,
+        output: Optional[str] = None,
+        format: str = "json",
+    ):
+        self.command = command
+        self.n_min = n_min
+        self.n_max = n_max
+        self.k = k
+        self.q_list = [2, 3] if q_list is None else q_list
+        self.feasibility_limit = feasibility_limit
+        self.output = output
+        self.format = format
         if self.command not in COMMANDS:
             raise UsageError("unknown command %r" % self.command)
         if self.n_min > self.n_max:
@@ -125,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of the dimension identity, its proof "
         "chain, and the finite-field counting oracles.",
     )
-    parser.set_defaults(k=None)  # only lemma1 and all read --k; elsewhere it is a usage error
+    # counts reads no --n, and only lemma1 and all read --k; elsewhere each is a usage error
+    parser.set_defaults(n=None, k=None)
     sub = parser.add_subparsers(dest="command", required=True)
     descriptions = {
         "verify": "main identity: closed product vs raw dimension sum",
@@ -137,8 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name in COMMANDS:
         p = sub.add_parser(name, help=descriptions[name])
-        p.add_argument("--n", "--n-range", dest="n", default=None,
-                       help="single n or inclusive range A..B")
+        if name != "counts":
+            p.add_argument("--n", "--n-range", dest="n", default=None,
+                           help="single n or inclusive range A..B")
         if name in ("lemma1", "all"):
             p.add_argument("--k", type=int, default=None,
                            help="restrict lemma1 to one k (default: all 0..n)")
@@ -152,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    needs_n = args.command in ("verify", "lemma1", "chain", "brute", "all")
-    if args.n is None and needs_n:
+    if args.n is None and args.command != "counts":
         raise UsageError("--n is required for %r" % args.command)
     n_min, n_max = _parse_range(args.n) if args.n is not None else (1, 1)
     q_list = _parse_q(args.q) if args.q else [2, 3]
@@ -178,46 +186,48 @@ def _n_range(cfg: RunConfig):
     return range(cfg.n_min, cfg.n_max + 1)
 
 
-def _counting_cases():
+def _counting_cases(counting):
     """(kind, enumeration-vs-formula oracle, its arguments but q) per counts record."""
     for s in range(1, 4):
         for t in range(1, 4):
             for k in range(min(s, t) + 1):
-                yield "rect-rank", count_rect_by_rank, {"s": s, "t": t, "k": k}
+                yield "rect-rank", counting.count_rect_by_rank, {"s": s, "t": t, "k": k}
     for size in range(0, 4):
         for k in range(size + 1):
-            yield "trace-delta", prasad_delta, {"m": size - k, "k": k}
+            yield "trace-delta", counting.prasad_delta, {"m": size - k, "k": k}
     for n in range(1, 5):
         for m in range(n + 1):
-            yield "grassmann", grassmann_count, {"n": n, "m": m}
+            yield "grassmann", counting.grassmann_count, {"n": n, "m": m}
 
 
-# A work unit is a zero-argument callable that yields its records.  The
-# engine and oracle functions are looked up when a unit runs, not when the
-# table is built, so they can be replaced at run time.
+# A work unit is a zero-argument callable that yields its records.  Each
+# command's table entry imports the modules its units run, once, in this
+# process and before any fork, and binds each unit to its module.  The engine
+# and oracle functions are looked up in that module when a unit runs, not
+# when the table is built, so they can be replaced at run time.
 
 
-def _verify_unit(n: int):
+def _verify_unit(engine, n: int):
     yield engine.verify_main(n).to_json_dict()
 
 
-def _lemma1_unit(n: int, k: Optional[int]):
+def _lemma1_unit(engine, n: int, k: Optional[int]):
     for j in [k] if k is not None else range(n + 1):
         yield engine.verify_inner_sum(n, j).to_json_dict()
 
 
-def _chain_unit(n: int):
+def _chain_unit(engine, n: int):
     for rep in engine.simplification_chain(n) + engine.conclusion_chain(n):
         yield rep.to_json_dict()
 
 
-def _brute_unit(n: int, q: int, limit: int):
-    yield dimension_report(n, q, limit)
+def _brute_unit(dimension, n: int, q: int, limit: int):
+    yield dimension.dimension_report(n, q, limit)
 
 
-def _counts_unit(q: int, limit: int):
+def _counts_unit(counting, q: int, limit: int):
     # one unit per q, so each (q, shape) enumeration is memoised in one process
-    for kind, oracle, params in _counting_cases():
+    for kind, oracle, params in _counting_cases(counting):
         enum, formula = oracle(**params, q=q, limit=limit)
         yield {
             "params": {"kind": kind, **params, "q": q},
@@ -227,16 +237,35 @@ def _counts_unit(q: int, limit: int):
         }
 
 
-CHECKS = {
-    "verify": lambda cfg: [partial(_verify_unit, n) for n in _n_range(cfg)],
-    "lemma1": lambda cfg: [partial(_lemma1_unit, n, cfg.k) for n in _n_range(cfg)],
-    "chain": lambda cfg: [partial(_chain_unit, n) for n in _n_range(cfg)],
-    "brute": lambda cfg: [
-        partial(_brute_unit, n, q, cfg.feasibility_limit)
+def _engine_units(unit, cfg: RunConfig, *args) -> list:
+    from . import engine
+
+    return [partial(unit, engine, n, *args) for n in _n_range(cfg)]
+
+
+def _brute_units(cfg: RunConfig) -> list:
+    from . import dimension
+
+    return [
+        partial(_brute_unit, dimension, n, q, cfg.feasibility_limit)
         for n in _n_range(cfg)
         for q in cfg.q_list
-    ],
-    "counts": lambda cfg: [partial(_counts_unit, q, cfg.feasibility_limit) for q in cfg.q_list],
+    ]
+
+
+def _counts_units(cfg: RunConfig) -> list:
+    # kernels runs counting's tables: load it here, before any fork
+    from . import counting, kernels  # noqa: F401
+
+    return [partial(_counts_unit, counting, q, cfg.feasibility_limit) for q in cfg.q_list]
+
+
+CHECKS = {
+    "verify": lambda cfg: _engine_units(_verify_unit, cfg),
+    "lemma1": lambda cfg: _engine_units(_lemma1_unit, cfg, cfg.k),
+    "chain": lambda cfg: _engine_units(_chain_unit, cfg),
+    "brute": _brute_units,
+    "counts": _counts_units,
     "all": lambda cfg: [unit for command in COMMANDS[:-1] for unit in CHECKS[command](cfg)],
 }
 
@@ -406,6 +435,8 @@ def run(cfg: RunConfig, stream) -> int:
     all_ok = True
     writer = None
     if cfg.format == "csv":
+        import csv
+
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["check", "n", "k", "q", "ok", "detail"])
     records = _records(CHECKS[cfg.command](cfg))

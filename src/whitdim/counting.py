@@ -7,16 +7,15 @@ Each (q, shape) is counted once per process, by the one kernel
 kernels.count_by_rank_trace (a transfer count over row spaces, which counts
 every matrix exactly once without ranking each), into a counts[rank][diagonal
 sum] table kept as immutable tuples: count_rect_by_rank sums a rank's row, and
-prasad_delta reads a square table's row.
+prasad_delta reads a square table's row.  The field and kernel modules are
+imported only where an enumeration runs, so the command line can read the
+feasibility gate without loading them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-
-from . import kernels
-from .gfield import GFMatrix, gf
 
 FEASIBILITY_LIMIT = 10 ** 9
 
@@ -50,6 +49,9 @@ def _exact_ratio(num: int, den: int) -> int:
 @lru_cache(maxsize=None)
 def _rank_trace_counts(q: int, rows: int, cols: int) -> tuple:
     """counts[rank][diagonal sum] over all rows x cols matrices over GF(q), counted once."""
+    from . import kernels
+    from .gfield import gf
+
     return tuple(map(tuple, kernels.count_by_rank_trace(gf(q), rows, cols)))
 
 
@@ -90,6 +92,8 @@ def grassmann_count(n: int, m: int, q: int, limit: int = FEASIBILITY_LIMIT):
     row-echelon basis exactly once, so no orbit division is needed."""
     formula = grassmann_formula(n, m, q)
     _gate(formula, limit)
+    from .gfield import GFMatrix, gf
+
     field = gf(q)
     count = 0
     for pivots in combinations(range(n), m):

@@ -14,8 +14,6 @@ the main identity.  All three must agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import kernels
 from .counting import FEASIBILITY_LIMIT, _exact_ratio, _gate, rect_rank_formula
 from .engine import closed_product
@@ -36,14 +34,14 @@ def theta_unipotent(group_degree: int, t: int, q: int) -> int:
     return -val if group_degree % 2 == 0 else val
 
 
-@dataclass(frozen=True)
 class TraceBucketSums:
     """Character sums S_gamma over all triples with tr X + tr Z = gamma."""
 
-    n: int
-    q: int
-    sums: dict
-    sizes: dict
+    def __init__(self, n: int, q: int, sums: dict, sizes: dict):
+        self.n = n
+        self.q = q
+        self.sums = sums
+        self.sizes = sizes
 
     def nonzero_constant(self) -> bool:
         return len({self.sums[g] for g in range(1, self.q)}) <= 1

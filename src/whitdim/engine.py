@@ -67,7 +67,6 @@ of the two derivation chains.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Optional
@@ -79,17 +78,18 @@ from .qseries import (
 from .rational import RationalFunctionQ
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one identity check; equal is True iff both canonical values match."""
 
-    identity: str
-    n: int
-    k: Optional[int]
-    equal: bool
-    lhs: object
-    rhs: object
-    elapsed_ms: float
+    def __init__(self, identity: str, n: int, k: Optional[int], equal: bool,
+                 lhs, rhs, elapsed_ms: float):
+        self.identity = identity
+        self.n = n
+        self.k = k
+        self.equal = equal
+        self.lhs = lhs
+        self.rhs = rhs
+        self.elapsed_ms = elapsed_ms
 
     def to_json_dict(self) -> dict:
         d = {"identity": self.identity, "n": self.n}

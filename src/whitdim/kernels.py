@@ -15,11 +15,6 @@ and its first n rows all q^(2n) vectors (x | y).  Neither kernel calls
 `gfield._rank_rows`, so the tests' reference, which ranks through
 `GFMatrix.rank`, stays independent of both: it ranks every matrix, and every
 triple, from scratch.
-
-BACKEND names the implementation; this pure one is the only one.  No command
-reads it, but the benchmark harness's setup probe prints `whitdim.BACKEND`, so
-it stays, and stays exported, until the benchmark change that drops it from
-that probe deletes both.
 """
 
 from __future__ import annotations
@@ -29,8 +24,6 @@ from itertools import product
 from math import prod
 
 from .gfield import GFq
-
-BACKEND = "pure"
 
 
 def _extensions(field: GFq, basis, vectors):

@@ -15,7 +15,6 @@ passes over coefficient slices rather than Python loops over coefficients.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd
 from operator import add, mul, neg, sub
@@ -199,8 +198,10 @@ class LaurentPoly:
 
     # -- evaluation & comparison --------------------------------------------
 
-    def eval_at(self, x) -> Fraction:
-        """Exact value at a rational point (Horner over the window)."""
+    def eval_at(self, x):
+        """Exact value at a rational point, as a Fraction (Horner over the window)."""
+        from fractions import Fraction
+
         x = Fraction(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):

@@ -14,7 +14,6 @@ the quotient domain stays a genuine polynomial fraction field.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .laurent import LaurentPoly, poly_exact_div, poly_gcd
@@ -131,8 +130,8 @@ class RationalFunctionQ:
 
     # -- evaluation -------------------------------------------------------------
 
-    def eval_at(self, q0) -> Fraction:
-        """Exact rational value at q0; raises ZeroDivisionError at a pole."""
+    def eval_at(self, q0):
+        """Exact rational value at q0, as a Fraction; raises ZeroDivisionError at a pole."""
         d = self.den.eval_at(q0)
         if d == 0:
             raise ZeroDivisionError("pole of rational function at q = %s" % (q0,))

@@ -23,7 +23,7 @@ from whitdim.engine import (
     simplification_chain,
     verify_main,
 )
-from whitdim.kernels import BACKEND
+from whitdim import BACKEND
 from whitdim.gfield import SUPPORTED_Q, gf
 from whitdim.qseries import euler_series, qbinom_series
 

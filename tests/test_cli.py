@@ -157,6 +157,18 @@ class TestUsage:
         assert exc.value.code == 2
         assert "unrecognized arguments: --k" in capsys.readouterr().err
 
+    def test_n_is_rejected_on_counts(self, capsys):
+        # counts reads no n, so --n is not silently ignored there
+        with pytest.raises(SystemExit) as exc:
+            main(["counts", "--q", "2", "--n", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n" in capsys.readouterr().err
+
+    def test_each_config_has_its_own_default_q_list(self):
+        first, second = RunConfig("counts"), RunConfig("counts")
+        first.q_list.append(5)
+        assert second.q_list == [2, 3]
+
     def test_k_range_bounds_are_accepted(self):
         # --k may be any of 0..n_min
         assert main(["lemma1", "--n", "2..3", "--k", "0"]) == 0
@@ -265,12 +277,12 @@ class TestOutputModes:
 
 class TestFailurePath:
     def test_failed_check_exits_1(self, monkeypatch):
-        from whitdim import cli, engine
+        from whitdim import engine
 
         def broken(n):
             return engine.VerificationReport("main", n, None, False, "x", "y", 0.0)
 
-        monkeypatch.setattr(cli.engine, "verify_main", broken)
+        monkeypatch.setattr(engine, "verify_main", broken)
         buf = io.StringIO()
         cfg = RunConfig(command="verify", n_min=1, n_max=2)
         code = run(cfg, buf)
@@ -279,12 +291,12 @@ class TestFailurePath:
         assert len(rows) == 2 and all(r["equal"] is False for r in rows)
 
     def test_failed_check_outranks_a_later_infeasible_enumeration(self, monkeypatch):
-        from whitdim import cli, engine
+        from whitdim import engine
 
         def broken(n):
             return engine.VerificationReport("main", n, None, False, "x", "y", 0.0)
 
-        monkeypatch.setattr(cli.engine, "verify_main", broken)
+        monkeypatch.setattr(engine, "verify_main", broken)
         code, rows = run_json(["all", "--n", "3", "--q", "3"])
         assert code == 1
         assert rows[0]["identity"] == "main" and rows[0]["equal"] is False
@@ -333,7 +345,8 @@ class TestRecordStream:
         assert code == 0
         parts = []
         for command in ("verify", "lemma1", "chain", "brute", "counts"):
-            part_code, part = run_json([command] + args)
+            # counts reads no n, and takes no --n
+            part_code, part = run_json([command] + (args[2:] if command == "counts" else args))
             assert part_code == 0
             parts += part
         assert without_elapsed(reports) == without_elapsed(parts)
@@ -406,12 +419,12 @@ class TestParallelRunner:
         assert rows[1]["error"] == "infeasible" and rows[1]["candidates"] == 2 ** 12
 
     def test_failed_check_before_an_infeasible_unit_exits_1(self, monkeypatch):
-        from whitdim import cli, engine
+        from whitdim import engine
 
         def broken(n):
             return engine.VerificationReport("main", n, None, False, "x", "y", 0.0)
 
-        monkeypatch.setattr(cli.engine, "verify_main", broken)
+        monkeypatch.setattr(engine, "verify_main", broken)
         forks = set_cpus(monkeypatch, 2)
         code, rows = run_json(["all", "--n", "3", "--q", "3"])
         assert len(forks) == 2
@@ -420,16 +433,16 @@ class TestParallelRunner:
         assert not any("params" in r for r in rows)
 
     def test_worker_exception_is_raised_after_the_records_before_it(self, monkeypatch):
-        from whitdim import cli
+        from whitdim import cli, engine
 
-        real = cli.engine.verify_main
+        real = engine.verify_main
 
         def failing(n):
             if n == 3:
                 raise ValueError("unit three failed")
             return real(n)
 
-        monkeypatch.setattr(cli.engine, "verify_main", failing)
+        monkeypatch.setattr(engine, "verify_main", failing)
         cfg = RunConfig(command="verify", n_min=1, n_max=5)
         for cpus, error in ((1, ValueError), (2, cli.UnitError)):
             with monkeypatch.context() as patch:
@@ -443,16 +456,16 @@ class TestParallelRunner:
     def test_worker_that_dies_is_an_error(self, monkeypatch):
         import os
 
-        from whitdim import cli
+        from whitdim import engine
 
-        real = cli.engine.verify_main
+        real = engine.verify_main
 
         def dying(n):
             if n == 2:
                 os._exit(0)
             return real(n)
 
-        monkeypatch.setattr(cli.engine, "verify_main", dying)
+        monkeypatch.setattr(engine, "verify_main", dying)
         set_cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="before sending work unit 1"):
             run(RunConfig(command="verify", n_min=1, n_max=2), io.StringIO())
@@ -487,11 +500,11 @@ class TestParallelRunner:
         env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
         script = (
             "import os, sys, time\n"
-            "from whitdim import cli\n"
+            "from whitdim import cli, engine\n"
             "def stuck(n):\n"
             "    open(os.path.join(sys.argv[1], str(os.getpid())), 'w').close()\n"
             "    time.sleep(60)\n"
-            "cli.engine.verify_main = stuck\n"
+            "engine.verify_main = stuck\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "cli.main(['verify', '--n', '1..2'])\n"
         )
