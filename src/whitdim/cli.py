@@ -11,7 +11,8 @@ loads counting and gfield alone, for the parser's feasibility default and
 RunConfig's q check.  A command's table entry imports the rest once, here,
 before any fork: verify, lemma1 and chain load engine with the q-polynomial
 stack (laurent, rational, qseries); counts loads kernels; brute loads
-dimension, which needs both.  csv is imported only under --format csv.
+dimension and kernels, and no q-polynomial code.  csv is imported only under
+--format csv.
 
 The units are independent exact computations, so run spreads them over
 w = min(CPUs this process may use, units) worker processes.  With w = 1 (one
@@ -31,6 +32,14 @@ or unwritable output (an unopenable --output, or a stdout closed early as by
 feasibility limit and no earlier check failed.  The stream stops at the first
 infeasible enumeration with an "infeasible" error line; a check that failed
 before it still makes the exit code 1.
+
+A process ends as soon as its output is out.  main returns the exit code, and
+in-process callers keep their interpreter.  main_entry (the console script,
+also run by `python -m whitdim.cli`) flushes stdout and stderr and leaves
+through os._exit, as the workers do, so it skips the interpreter's teardown.
+An exception from main, argparse's SystemExit among them, propagates as
+usual, with its traceback and exit code.
+
 Reports are emitted one JSON object per line (or CSV rows with --format csv)
 in a deterministic order with stable keys; only the elapsed_ms field varies
 between runs.
@@ -485,8 +494,18 @@ def main(argv=None) -> int:
 
 
 def main_entry():
-    raise SystemExit(main())
+    """The console script: run main, flush both streams, and end the process there.
+
+    os._exit skips the interpreter's teardown, which runs no whitdim code: run
+    has already reaped every worker, and an --output file is closed.  An
+    exception from main, argparse's SystemExit among them, propagates as from
+    any Python program.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    main_entry()

@@ -8,15 +8,18 @@ sum_{x != 0} psi0(x) = -1.  No complex character is ever materialized: the
 collapse is valid exactly when the bucket sums S_gamma agree for every
 gamma != 0, and that constancy is asserted at runtime instead of being
 assumed.  The mid-derivation path recombines the same quantity from
-matrix-counting formulas, and the closed form evaluates the product side of
-the main identity.  All three must agree exactly.
+matrix-counting formulas, and the closed form is the product side of the main
+identity in plain integers.  All three must agree exactly.
+
+Everything here is integer arithmetic at one q: the module loads counting,
+gfield and kernels, and none of the q-polynomial code (engine, laurent,
+rational, qseries), so a brute process compiles none of it.
 """
 
 from __future__ import annotations
 
 from . import kernels
 from .counting import FEASIBILITY_LIMIT, _exact_ratio, _gate, rect_rank_formula
-from .engine import closed_product
 from .gfield import gf
 
 
@@ -82,11 +85,18 @@ def trace_bucket_sums(n: int, q: int, limit: int = FEASIBILITY_LIMIT) -> TraceBu
 
 
 def closed_dim(n: int, q: int) -> int:
-    """Evaluate the closed product q^(n(n-1)/2) * prod (q^n - q^i) at integer q."""
-    val = closed_product(n).eval_at(q)
-    if val.denominator != 1:
-        raise AssertionError("closed form evaluated to a non-integer")
-    return int(val)
+    """The closed form q^(n(n-1)/2) * prod_{i=1}^{n-1} (q^n - q^i) at an integer q.
+
+    The empty product at n = 1 is 1.  This is engine.closed_product(n), the
+    product side of the main identity, evaluated at q; the tests check the
+    two agree.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    val = q ** (n * (n - 1) // 2)
+    for i in range(1, n):
+        val *= q ** n - q ** i
+    return val
 
 
 def _subspace_weight(n: int, j: int, q: int) -> int:

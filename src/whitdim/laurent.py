@@ -196,19 +196,7 @@ class LaurentPoly:
         # exact: the ends are f[0] and -f[-1], both nonzero
         return LaurentPoly._raw(self.min_exp, tuple(out))
 
-    # -- evaluation & comparison --------------------------------------------
-
-    def eval_at(self, x):
-        """Exact value at a rational point, as a Fraction (Horner over the window)."""
-        from fractions import Fraction
-
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        if self.min_exp:
-            acc *= x ** self.min_exp
-        return acc
+    # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -128,15 +128,6 @@ class RationalFunctionQ:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    # -- evaluation -------------------------------------------------------------
-
-    def eval_at(self, q0):
-        """Exact rational value at q0, as a Fraction; raises ZeroDivisionError at a pole."""
-        d = self.den.eval_at(q0)
-        if d == 0:
-            raise ZeroDivisionError("pole of rational function at q = %s" % (q0,))
-        return self.num.eval_at(q0) / d
-
     # -- serialization ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:

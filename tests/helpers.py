@@ -10,6 +10,8 @@ None of this runs under a whitdim command, so it lives with the tests:
   the plain matrix product matmul and trace they and the tallies use;
 - poly_pow, the power of a Laurent polynomial by repeated squaring, for
   the dense (q;q)_n^p of the per-term references;
+- eval_at, the exact value of a Laurent polynomial or a rational function
+  at a rational point, for comparing q-polynomial results with integers;
 - the k-outer triple-sum reference k_outer_triple_numerator, with its inner
   sums nested_inner_numerator and their closing close_index_sums: an
   O(n^4) build of the triple sum in another loop order, with another
@@ -35,7 +37,7 @@ from whitdim.rational import RationalFunctionQ
 
 
 # ---------------------------------------------------------------------------
-# powers of Laurent polynomials
+# powers and values of Laurent polynomials and rational functions
 # ---------------------------------------------------------------------------
 
 
@@ -51,6 +53,26 @@ def poly_pow(p: LaurentPoly, e: int) -> LaurentPoly:
         if e:  # no square past the top bit
             p = p * p
     return result
+
+
+def eval_at(f, x) -> Fraction:
+    """The exact value of a LaurentPoly or RationalFunctionQ at a rational x.
+
+    A polynomial is evaluated by Horner's rule over its coefficient window; a
+    rational function raises ZeroDivisionError at a pole.
+    """
+    if isinstance(f, RationalFunctionQ):
+        d = eval_at(f.den, x)
+        if d == 0:
+            raise ZeroDivisionError("pole of rational function at q = %s" % (x,))
+        return eval_at(f.num, x) / d
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    if f.min_exp:
+        acc *= x ** f.min_exp
+    return acc
 
 
 # ---------------------------------------------------------------------------

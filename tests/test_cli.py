@@ -585,3 +585,103 @@ class TestParallelRunner:
         assert [_owner(i, 3) for i in range(9)] == [0, 1, 2, 2, 1, 0, 0, 1, 2]
         assert [_owner(i, 1) for i in range(3)] == [0, 0, 0]
 
+
+
+def cli_process(argv, script=None):
+    """Run the command line in a fresh interpreter: `python -m whitdim.cli argv`,
+    or, given a script, `python -c script argv`."""
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+    head = ["-m", "whitdim.cli"] if script is None else ["-c", script]
+    return subprocess.run([sys.executable, *head, *argv], env=env, capture_output=True)
+
+
+class TestProcessExit:
+    """A process ends through main_entry: both streams flushed, then os._exit
+    with main's code.  Anything main raises propagates as before."""
+
+    @pytest.mark.parametrize("argv", [
+        ["all", "--n", "1..2", "--q", "2,3"],
+        ["lemma1", "--n", "2", "--format", "csv"],
+    ])
+    def test_piped_stream_is_the_in_process_stream(self, argv):
+        proc = cli_process(argv)
+        assert proc.returncode == 0, proc.stderr.decode()
+        code, text = run_text(argv)
+        assert code == 0 and text.count("\n") > 3
+        assert strip_elapsed(proc.stdout.decode()) == strip_elapsed(text)
+
+    def test_output_file_is_the_in_process_stream(self, tmp_path):
+        argv = ["all", "--n", "1..2", "--q", "2,3"]
+        path = tmp_path / "out.json"
+        proc = cli_process(argv + ["--output", str(path)])
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == b"" == proc.stderr
+        assert strip_elapsed(path.read_text()) == strip_elapsed(run_text(argv)[1])
+
+    def test_passed_checks_exit_0(self):
+        proc = cli_process(["verify", "--n", "1..3"])
+        assert proc.returncode == 0
+        assert len(proc.stdout.splitlines()) == 3
+
+    def test_usage_error_exits_2_with_its_message(self):
+        proc = cli_process(["verify", "--n", "1", "--q", "6"])
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr.startswith(b"error: unsupported q values [6]")
+
+    def test_infeasible_enumeration_exits_3_after_its_error_line(self):
+        proc = cli_process(["brute", "--n", "2", "--limit", "1"])
+        assert proc.returncode == 3
+        assert json.loads(proc.stdout.splitlines()[-1])["error"] == "infeasible"
+
+    def test_failed_check_exits_1_after_its_records(self):
+        script = (
+            "from whitdim import cli, engine\n"
+            "def broken(n):\n"
+            "    return engine.VerificationReport('main', n, None, False, 'x', 'y', 0.0)\n"
+            "engine.verify_main = broken\n"
+            "cli.main_entry()\n"
+        )
+        proc = cli_process(["verify", "--n", "1..2"], script=script)
+        assert proc.returncode == 1, proc.stderr.decode()
+        rows = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [r["equal"] for r in rows] == [False, False]
+
+    def test_argparse_exits_as_before(self):
+        proc = cli_process(["--help"])
+        assert proc.returncode == 0 and proc.stdout.startswith(b"usage: whitdim")
+        proc = cli_process([])
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr.startswith(b"usage: whitdim")
+
+    def test_returned_code_leaves_through_os_exit(self, monkeypatch):
+        import os
+
+        from whitdim import cli
+
+        exits = []
+        monkeypatch.setattr(os, "_exit", exits.append)
+        monkeypatch.setattr(cli, "main", lambda: 3)
+        cli.main_entry()
+        assert exits == [3]
+
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), SystemExit(2)])
+    def test_exception_from_main_is_raised_not_exited(self, monkeypatch, exc):
+        import os
+
+        from whitdim import cli
+
+        exits = []
+
+        def broken():
+            raise exc
+
+        monkeypatch.setattr(os, "_exit", exits.append)
+        monkeypatch.setattr(cli, "main", broken)
+        with pytest.raises(type(exc)) as info:
+            cli.main_entry()
+        assert info.value is exc and exits == []

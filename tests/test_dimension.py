@@ -3,8 +3,14 @@ import random
 import pytest
 
 import helpers
-from helpers import gaussian_cancellation_check, matmul, random_invertible, random_matrix
-from whitdim import dimension
+from helpers import (
+    eval_at,
+    gaussian_cancellation_check,
+    matmul,
+    random_invertible,
+    random_matrix,
+)
+from whitdim import dimension, engine
 from whitdim.counting import FeasibilityError
 from whitdim.dimension import (
     TraceBucketSums,
@@ -14,7 +20,7 @@ from whitdim.dimension import (
     theta_unipotent,
     trace_bucket_sums,
 )
-from whitdim.gfield import GFMatrix, gf
+from whitdim.gfield import SUPPORTED_Q, GFMatrix, gf
 
 
 class TestTheta:
@@ -45,6 +51,18 @@ class TestClosedDim:
             assert closed_dim(1, q) == 1
         assert closed_dim(2, 2) == 4
         assert closed_dim(3, 2) == 192
+
+    def test_is_the_identity_product_side_at_q(self):
+        # the integer form brute reports and the q-polynomial that verify
+        # checks are one closed form
+        for n in range(1, 7):
+            product = engine.closed_product(n)
+            for q in SUPPORTED_Q:
+                assert closed_dim(n, q) == eval_at(product, q), (n, q)
+
+    def test_range_validation(self):
+        with pytest.raises(ValueError):
+            closed_dim(0, 2)
 
 
 class TestMiddleDim:

@@ -61,3 +61,9 @@ def test_counts_loads_no_q_polynomial_code():
     loaded = loaded_after_command(["counts", "--q", "2"])
     assert "whitdim.kernels" in loaded
     assert not loaded & (Q_STACK | {"whitdim.dimension"})
+
+
+def test_brute_loads_no_q_polynomial_code():
+    loaded = loaded_after_command(["brute", "--n", "1..2", "--q", "2,3"])
+    assert {"whitdim.dimension", "whitdim.kernels"} <= loaded
+    assert not loaded & (Q_STACK | {"fractions", "decimal"})
