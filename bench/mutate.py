@@ -106,23 +106,23 @@ EQUIVALENT = {
         "a worker's exit status is never read: the parent judges a worker by "
         "its frames, and reaps it after a SIGKILL",
     ),
-    "counting.py:grassmann_count:const+1:4": (
-        "if m == 1 or GFMatrix.from_rows(field, rows).rank() == m:",
-        "a5394bcd1516",
-        "a reduced echelon basis always has rank m: at m = 0 the empty 0 x 0 "
-        "matrix ranks 0, and at m = 1 the one row has a 1 at its pivot",
-    ),
     "gfield.py:GFq.__init__:const+1:9": (
         "inv = [1] * q",
         "9c92aff217c8",
-        "sets inv_table[0] to 1; no code reads it: inv(0) raises first, and "
-        "_rank_rows and kernels._extensions invert only a nonzero pivot",
+        "sets inv_table[0] to 1; no code reads it: kernels._extensions, and "
+        "the tests' rank reference, invert only a nonzero pivot",
     ),
     "gfield.py:GFq.__init__:>->>=:0": (
         "if self.deg >= 1:",
         "9c92aff217c8",
         "also verifies the axioms of the prime fields, which hold, so it only "
         "adds time at construction",
+    ),
+    "gfield.py:GFq._poly_mul:const+1:1": (
+        "prod = [0] * (3 * self.deg - 1)",
+        "3992b4b49179",
+        "a product of two digit lists reaches only index 2 deg - 2, so the "
+        "longer list only adds zeros, which the reduction skips",
     ),
     "gfield.py:GFq._poly_mul:const+1:6": (
         "prod[i] = 1",

@@ -43,7 +43,6 @@ _MODULE_OF = {
     "simplification_chain": "engine",
     "verify_main": "engine",
     "SUPPORTED_Q": "gfield",
-    "GFMatrix": "gfield",
     "GFq": "gfield",
     "gf": "gfield",
     "FEASIBILITY_LIMIT": "counting",

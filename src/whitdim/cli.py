@@ -141,8 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of the dimension identity, its proof "
         "chain, and the finite-field counting oracles.",
     )
-    # counts reads no --n, and only lemma1 and all read --k; elsewhere each is a usage error
-    parser.set_defaults(n=None, k=None)
+    # counts reads no --n, only lemma1 and all read --k, and only brute, counts
+    # and all read --q and --limit; elsewhere each is a usage error
+    parser.set_defaults(n=None, k=None, q=None, limit=FEASIBILITY_LIMIT)
     sub = parser.add_subparsers(dest="command", required=True)
     descriptions = {
         "verify": "main identity: closed product vs raw dimension sum",
@@ -160,10 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("lemma1", "all"):
             p.add_argument("--k", type=int, default=None,
                            help="restrict lemma1 to one k (default: all 0..n)")
-        p.add_argument("--q", action="append", default=None,
-                       help="field sizes, comma-separated or repeated")
-        p.add_argument("--limit", type=int, default=FEASIBILITY_LIMIT,
-                       help="enumeration feasibility limit (candidates)")
+        if name in ("brute", "counts", "all"):
+            p.add_argument("--q", action="append", default=None,
+                           help="field sizes, comma-separated or repeated")
+            p.add_argument("--limit", type=int, default=FEASIBILITY_LIMIT,
+                           help="enumeration feasibility limit (candidates)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="write reports to PATH")
     return parser

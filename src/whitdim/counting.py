@@ -89,10 +89,16 @@ def grassmann_formula(n: int, m: int, q: int) -> int:
 
 def grassmann_count(n: int, m: int, q: int, limit: int = FEASIBILITY_LIMIT):
     """(enumerated, formula) subspace count; enumeration builds every reduced
-    row-echelon basis exactly once, so no orbit division is needed."""
+    row-echelon basis exactly once, so no orbit division is needed.
+
+    Each basis is rebuilt one row at a time by kernels._extensions and must
+    come back unchanged, that is, be its own reduced row-echelon form: rank
+    m, pivots 1 and in order, pivot columns clear.  Anything else raises.
+    """
     formula = grassmann_formula(n, m, q)
     _gate(formula, limit)
-    from .gfield import GFMatrix, gf
+    from . import kernels
+    from .gfield import gf
 
     field = gf(q)
     count = 0
@@ -108,8 +114,15 @@ def grassmann_count(n: int, m: int, q: int, limit: int = FEASIBILITY_LIMIT):
                 rows[r][pc] = 1
             for (r, c), v in zip(free, values):
                 rows[r][c] = v
-            if m == 0 or GFMatrix.from_rows(field, rows).rank() == m:
-                count += 1
+            basis = tuple(map(tuple, rows))
+            rebuilt = ()
+            for row in basis:
+                [rebuilt] = kernels._extensions(field, rebuilt, [row])
+            if rebuilt != basis:
+                raise AssertionError(
+                    "basis %r of a %d-subspace of GF(%d)^%d is not in reduced "
+                    "row-echelon form" % (basis, m, q, n))
+            count += 1
     return count, formula
 
 

@@ -1,4 +1,4 @@
-"""Small finite fields GF(q) for q in {2,3,4,5,7,8,9} and dense matrices over them.
+"""Small finite fields GF(q) for q in {2,3,4,5,7,8,9}, as element tables.
 
 Field elements are indices 0..q-1.  For prime q these are the residues; for
 prime powers q = p^d an index encodes a polynomial over GF(p) in base-p digits
@@ -6,9 +6,11 @@ prime powers q = p^d an index encodes a polynomial over GF(p) in base-p digits
 
     GF(4): x^2 + x + 1      GF(8): x^3 + x + 1      GF(9): x^2 + 1
 
-Fixing the moduli keeps element indexing reproducible across runs.  Field
-axioms are verified over the full element set at construction time for the
-non-prime fields.  All tables are immutable shared data.
+Fixing the moduli keeps element indexing reproducible across runs.  GFq
+holds the add, sub, neg, mul and inv tables, indexed by elements (inv_table[0]
+is a placeholder 0), and gf(q) builds each field once.  Field axioms are
+verified over the full element set at construction time for the non-prime
+fields.  All tables are immutable shared data.
 """
 
 from __future__ import annotations
@@ -109,24 +111,6 @@ class GFq:
                     if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
                         raise AssertionError("distributivity failed in GF(%d)" % q)
 
-    # element helpers
-    def add(self, a, b):
-        return self.add_table[a][b]
-
-    def sub(self, a, b):
-        return self.sub_table[a][b]
-
-    def mul(self, a, b):
-        return self.mul_table[a][b]
-
-    def neg(self, a):
-        return self.neg_table[a]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(%d)" % self.q)
-        return self.inv_table[a]
-
     def __repr__(self):
         return "GFq(%d)" % self.q
 
@@ -134,87 +118,3 @@ class GFq:
 @lru_cache(maxsize=None)
 def gf(q: int) -> GFq:
     return GFq(q)
-
-
-class GFMatrix:
-    """Dense matrix over GF(q); entries is the row-major tuple of element indices."""
-
-    __slots__ = ("field", "rows", "cols", "entries")
-
-    def __init__(self, field: GFq, rows: int, cols: int, entries):
-        entries = tuple(entries)
-        if len(entries) != rows * cols:
-            raise ValueError("entry count %d != %d x %d" % (len(entries), rows, cols))
-        if any(not 0 <= e < field.q for e in entries):
-            raise ValueError("entry out of range for GF(%d)" % field.q)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GFMatrix is immutable")
-
-    @staticmethod
-    def from_rows(field: GFq, rows) -> "GFMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        return GFMatrix(field, len(rows), ncols, [e for r in rows for e in r])
-
-    @staticmethod
-    def zeros(field: GFq, rows: int, cols: int) -> "GFMatrix":
-        return GFMatrix(field, rows, cols, [0] * (rows * cols))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def to_rows(self):
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-    def __eq__(self, other):
-        if not isinstance(other, GFMatrix):
-            return NotImplemented
-        return (
-            self.field.q == other.field.q
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.field.q, self.rows, self.cols, self.entries))
-
-    def rank(self) -> int:
-        return _rank_rows(self.field, self.to_rows(), self.cols)
-
-    def __repr__(self):
-        return "GFMatrix(GF(%d), %r)" % (self.field.q, self.to_rows())
-
-
-def _rank_rows(field: GFq, rows, ncols: int) -> int:
-    """Rank by exact Gaussian elimination; mutates the given row lists."""
-    sub, mul, inv = field.sub_table, field.mul_table, field.inv_table
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pivot = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot < 0:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        pinv = inv[prow[c]]
-        for i in range(r + 1, nrows):
-            f0 = rows[i][c]
-            if f0:
-                fac = mul[f0][pinv]
-                row = rows[i]
-                for j in range(c, ncols):
-                    row[j] = sub[row[j]][mul[fac][prow[j]]]
-        r += 1
-    return r
-

@@ -11,10 +11,12 @@ the row-set sizes.  It ranks no matrix and uses no counting formula.
 count_by_rank_trace takes every row from all q^cols vectors.
 count_triples_by_rank_bucket counts the 2n x 2n block matrices
 [[X, Y], [0, Z]]: its last n rows, taken first, are the vectors (0...0 | z),
-and its first n rows all q^(2n) vectors (x | y).  Neither kernel calls
-`gfield._rank_rows`, so the tests' reference, which ranks through
-`GFMatrix.rank`, stays independent of both: it ranks every matrix, and every
-triple, from scratch.
+and its first n rows all q^(2n) vectors (x | y).
+
+`_extensions` is the package's only row reduction; counting.grassmann_count
+also runs it, to check each basis it builds.  The tests' reference, `rank`
+in tests/helpers.py, shares no code with it, and ranks every matrix, and
+every triple, from scratch.
 """
 
 from __future__ import annotations

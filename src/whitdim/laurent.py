@@ -216,10 +216,6 @@ class LaurentPoly:
     def to_json_dict(self) -> dict:
         return {"min_exp": self.min_exp, "coeffs": [str(c) for c in self.coeffs]}
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "LaurentPoly":
-        return LaurentPoly(int(d["min_exp"]), [int(c) for c in d["coeffs"]])
-
     def __repr__(self):
         return "LaurentPoly(%r, %r)" % (self.min_exp, list(self.coeffs))
 

@@ -133,12 +133,6 @@ class RationalFunctionQ:
     def to_json_dict(self) -> dict:
         return {"num": self.num.to_json_dict(), "den": self.den.to_json_dict()}
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "RationalFunctionQ":
-        return RationalFunctionQ(
-            LaurentPoly.from_json_dict(d["num"]), LaurentPoly.from_json_dict(d["den"])
-        )
-
     def __repr__(self):
         return "RationalFunctionQ(%r, %r)" % (self.num, self.den)
 

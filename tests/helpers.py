@@ -6,8 +6,12 @@ None of this runs under a whitdim command, so it lives with the tests:
   assembles u - I from), extended_inner_sum_matches and poch_rewrite_check;
 - the Euler-series reference euler_product_truncation, with the plain
   helpers truncated, series_coeffs and scale_x;
+- rank, Gaussian elimination from scratch: the rank reference that the
+  package's one row reduction, kernels._extensions, is checked against;
 - random_matrix and random_invertible for the randomised rank tests, and
-  the plain matrix product matmul and trace they and the tallies use;
+  the plain matrix product matmul and trace they and the tallies use.
+  A matrix over GF(q) is a list of rows of element indices, and each of
+  these takes its field as its first argument;
 - poly_pow, the power of a Laurent polynomial by repeated squaring, for
   the dense (q;q)_n^p of the per-term references;
 - eval_at, the exact value of a Laurent polynomial or a rational function
@@ -30,7 +34,7 @@ from math import comb
 
 from whitdim import engine
 from whitdim.engine import _times_qq_range
-from whitdim.gfield import GFMatrix, GFq, gf
+from whitdim.gfield import GFq, gf
 from whitdim.laurent import LaurentPoly
 from whitdim.qseries import TruncatedSeriesX, poch_power, qq
 from whitdim.rational import RationalFunctionQ
@@ -80,43 +84,66 @@ def eval_at(f, x) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: GFMatrix, b: GFMatrix) -> GFMatrix:
-    """The matrix product a * b over their common field."""
-    if a.cols != b.rows or a.field.q != b.field.q:
+def rank(field: GFq, rows) -> int:
+    """The rank of a matrix given as a list of rows, by Gaussian elimination.
+
+    It works on a copy of the rows, and shares no code with the package's
+    one row reduction, kernels._extensions.
+    """
+    rows = [list(r) for r in rows]
+    sub, mul, inv = field.sub_table, field.mul_table, field.inv_table
+    r = 0
+    nrows = len(rows)
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), -1)
+        if pivot < 0:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        pinv = inv[prow[c]]
+        for row in rows[r + 1:]:
+            if row[c]:
+                fac = mul[row[c]][pinv]
+                row[c:] = [sub[a][mul[fac][b]] for a, b in zip(row[c:], prow[c:])]
+        r += 1
+    return r
+
+
+def matmul(field: GFq, a, b):
+    """The matrix product a * b of two lists of rows."""
+    if any(len(row) != len(b) for row in a):
         raise ValueError("incompatible shapes for matrix product")
-    f = a.field
-    add, mul = f.add_table, f.mul_table
-    ra, rb = a.to_rows(), b.to_rows()
+    add, mul = field.add_table, field.mul_table
     out = []
-    for i in range(a.rows):
-        ai = ra[i]
-        for j in range(b.cols):
+    for ai in a:
+        out_row = []
+        for col in zip(*b):
             acc = 0
-            for t in range(a.cols):
-                acc = add[acc][mul[ai[t]][rb[t][j]]]
-            out.append(acc)
-    return GFMatrix(f, a.rows, b.cols, out)
+            for x, y in zip(ai, col):
+                acc = add[acc][mul[x][y]]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
 
 
-def trace(m: GFMatrix) -> int:
-    """The sum of the diagonal entries of a square matrix."""
-    if m.rows != m.cols:
+def trace(field: GFq, m) -> int:
+    """The sum of the diagonal entries of a square list of rows."""
+    if any(len(row) != len(m) for row in m):
         raise ValueError("trace of a non-square matrix")
-    f = m.field
     acc = 0
-    for i in range(m.rows):
-        acc = f.add_table[acc][m.entry(i, i)]
+    for i, row in enumerate(m):
+        acc = field.add_table[acc][row[i]]
     return acc
 
 
-def random_matrix(field: GFq, rows: int, cols: int, rng) -> GFMatrix:
-    return GFMatrix(field, rows, cols, [rng.randrange(field.q) for _ in range(rows * cols)])
+def random_matrix(field: GFq, rows: int, cols: int, rng):
+    return [[rng.randrange(field.q) for _ in range(cols)] for _ in range(rows)]
 
 
-def random_invertible(field: GFq, n: int, rng) -> GFMatrix:
+def random_invertible(field: GFq, n: int, rng):
     while True:
         m = random_matrix(field, n, n, rng)
-        if m.rank() == n:
+        if rank(field, m) == n:
             return m
 
 
@@ -125,8 +152,8 @@ def random_invertible(field: GFq, n: int, rng) -> GFMatrix:
 # ---------------------------------------------------------------------------
 
 
-def block_constant(field: GFq, kind: str, *, n: int, k: int = None, m: int = None, l: int = None) -> GFMatrix:
-    """The block constants used by the rank-and-trace decomposition.
+def block_constant(field: GFq, kind: str, *, n: int, k: int = None, m: int = None, l: int = None):
+    """The block constants used by the rank-and-trace decomposition, as lists of rows.
 
     kind "I_kn": identity block of size k in the top-left of an n x n zero matrix.
     kind "I_nm": identity block of size m in the bottom-right.
@@ -137,24 +164,18 @@ def block_constant(field: GFq, kind: str, *, n: int, k: int = None, m: int = Non
     if kind == "I_kn":
         if k is None or not 0 <= k <= n:
             raise ValueError("I_kn needs 0 <= k <= n")
-        return GFMatrix(field, n, n, [1 if i == j and i < k else 0 for i in range(n) for j in range(n)])
+        return [[1 if i == j and i < k else 0 for j in range(n)] for i in range(n)]
     if kind == "I_nm":
         if m is None or not 0 <= m <= n:
             raise ValueError("I_nm needs 0 <= m <= n")
-        return GFMatrix(
-            field, n, n,
-            [1 if i == j and i >= n - m else 0 for i in range(n) for j in range(n)],
-        )
+        return [[1 if i == j and i >= n - m else 0 for j in range(n)] for i in range(n)]
     if kind == "I_klm":
         if (
             k is None or l is None or m is None
             or min(k, l, m) < 0 or k + l > n or l + m > n
         ):
             raise ValueError("I_klm needs k, l, m >= 0 with k + l <= n and l + m <= n")
-        return GFMatrix(
-            field, n, n,
-            [1 if k <= i < k + l and j == i - k else 0 for i in range(n) for j in range(n)],
-        )
+        return [[1 if k <= i < k + l and j == i - k else 0 for j in range(n)] for i in range(n)]
     raise ValueError("unknown block constant kind %r" % kind)
 
 
@@ -190,15 +211,15 @@ def gaussian_cancellation_check(n: int, q: int, k: int, m: int,
         rows = [[0] * size for _ in range(size)]
         for i in range(n):
             for j in range(n):
-                rows[i][n + j] = ikn.entry(i, j)
+                rows[i][n + j] = ikn[i][j]
                 rows[i][2 * n + j] = yblock_rows[i][j]
-                rows[n + i][2 * n + j] = inm.entry(i, j)
+                rows[n + i][2 * n + j] = inm[i][j]
         return rows
 
     for entries in candidates:
         y = [entries[i * n : (i + 1) * n] for i in range(n)]
         work = assemble(y)
-        r0 = GFMatrix.from_rows(field, work).rank()
+        r0 = rank(field, work)
 
         # row operations from the I_{n,m} pivots clear Y columns n-m..n-1
         for j in range(m):
@@ -226,12 +247,12 @@ def gaussian_cancellation_check(n: int, q: int, k: int, m: int,
                 survives = k <= i < n and j < n - m
                 if not survives and work[i][2 * n + j] != 0:
                     return False
-        ell = GFMatrix.from_rows(field, [r[:] for r in corner]).rank() if corner else 0
-        if GFMatrix.from_rows(field, work).rank() != r0 or r0 != k + m + ell:
+        ell = rank(field, corner)
+        if rank(field, work) != r0 or r0 != k + m + ell:
             return False
 
-        canonical = assemble(block_constant(field, "I_klm", n=n, k=k, l=ell, m=m).to_rows())
-        if GFMatrix.from_rows(field, canonical).rank() != r0:
+        canonical = assemble(block_constant(field, "I_klm", n=n, k=k, l=ell, m=m))
+        if rank(field, canonical) != r0:
             return False
     return True
 

@@ -149,13 +149,20 @@ class TestUsage:
         ["brute", "--n", "1", "--q", "2", "--k", "1"],
         ["counts", "--q", "2", "--k", "0"],
         ["chain", "--n", "1", "--k", "1"],
+        ["verify", "--n", "2", "--q", "6"],
+        ["verify", "--n", "2", "--limit", "0"],
+        ["lemma1", "--n", "2", "--q", "2"],
+        ["lemma1", "--n", "2", "--limit", "1"],
+        ["chain", "--n", "1", "--q", "3"],
+        ["chain", "--n", "1", "--limit", "1"],
     ])
     def test_k_is_rejected_where_it_is_not_read(self, argv, capsys):
-        # only lemma1 and all read --k; elsewhere argparse rejects it
+        # only lemma1 and all read --k, and only brute, counts and all read
+        # --q and --limit; elsewhere argparse rejects the flag, the last but one
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --k" in capsys.readouterr().err
+        assert "unrecognized arguments: %s" % argv[-2] in capsys.readouterr().err
 
     def test_n_is_rejected_on_counts(self, capsys):
         # counts reads no n, so --n is not silently ignored there
@@ -175,7 +182,6 @@ class TestUsage:
         assert main(["lemma1", "--n", "2..3", "--k", "2"]) == 0
 
     def test_zero_limit_is_accepted(self):
-        assert main(["verify", "--n", "1", "--limit", "0"]) == 0
         # accepted, then every enumeration is over the limit
         code, rows = run_json(["brute", "--n", "1", "--q", "2", "--limit", "0"])
         assert code == 3 and rows[-1]["error"] == "infeasible"
@@ -340,13 +346,14 @@ class TestRecordStream:
         ]
 
     def test_all_is_the_concatenation_of_the_commands(self):
-        args = ["--n", "1..2", "--q", "2"]
-        code, reports = run_json(["all"] + args)
+        n, q = ["--n", "1..2"], ["--q", "2"]
+        code, reports = run_json(["all"] + n + q)
         assert code == 0
         parts = []
-        for command in ("verify", "lemma1", "chain", "brute", "counts"):
-            # counts reads no n, and takes no --n
-            part_code, part = run_json([command] + (args[2:] if command == "counts" else args))
+        # counts reads no n, and only brute and counts read q
+        for argv in (["verify"] + n, ["lemma1"] + n, ["chain"] + n, ["brute"] + n + q,
+                     ["counts"] + q):
+            part_code, part = run_json(argv)
             assert part_code == 0
             parts += part
         assert without_elapsed(reports) == without_elapsed(parts)
@@ -629,7 +636,7 @@ class TestProcessExit:
         assert len(proc.stdout.splitlines()) == 3
 
     def test_usage_error_exits_2_with_its_message(self):
-        proc = cli_process(["verify", "--n", "1", "--q", "6"])
+        proc = cli_process(["brute", "--n", "1", "--q", "6"])
         assert proc.returncode == 2 and proc.stdout == b""
         assert proc.stderr.startswith(b"error: unsupported q values [6]")
 

@@ -1,8 +1,8 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from helpers import trace
+from helpers import rank, trace
 from whitdim import counting, kernels
 from whitdim.counting import (
     FeasibilityError,
@@ -12,7 +12,7 @@ from whitdim.counting import (
     prasad_delta,
     rect_rank_formula,
 )
-from whitdim.gfield import SUPPORTED_Q, GFMatrix, gf
+from whitdim.gfield import SUPPORTED_Q, gf
 
 
 class TestRectRank:
@@ -78,7 +78,7 @@ class TestSquareRankTrace:
 
 class TestRectRankTrace:
     # The package counts single-matrix tables by transfer over row spaces and
-    # ranks none of them, so this from-scratch tally through GFMatrix.rank is
+    # ranks none of them, so this from-scratch tally through helpers.rank is
     # what checks every cell of them.
     def test_rectangular_shapes_match_a_from_scratch_tally(self):
         shapes = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
@@ -100,11 +100,11 @@ class TestRectRankTrace:
         f = gf(q)
         want = [[0] * q for _ in range(min(rows, cols) + 1)]
         for e in product(range(q), repeat=rows * cols):
-            m = GFMatrix(f, rows, cols, e)
+            m = [e[i * cols:(i + 1) * cols] for i in range(rows)]
             diag = 0
             for i in range(min(rows, cols)):
-                diag = f.add(diag, m.entry(i, i))
-            want[m.rank()][diag] += 1
+                diag = f.add_table[diag][m[i][i]]
+            want[rank(f, m)][diag] += 1
         counts = kernels.count_by_rank_trace(f, rows, cols)
         assert counts == want, (q, rows, cols)
         for k, row in enumerate(counts):
@@ -138,11 +138,20 @@ class TestGrassmann:
         assert grassmann_count(3, 1, 3) == (13, 13)
 
     def test_enumeration_matches_formula(self):
-        for q in (2, 3):
+        for q in SUPPORTED_Q:
             for n in range(1, 5):
                 for m in range(n + 1):
                     enum, formula = grassmann_count(n, m, q)
                     assert enum == formula, (n, m, q)
+
+    def test_basis_out_of_pivot_order_raises(self, monkeypatch):
+        # reversed pivot tuples build every basis with its rows in reverse
+        # order: the count still equals the formula, and only the reduced
+        # row-echelon check sees the order
+        monkeypatch.setattr(counting, "combinations",
+                            lambda pool, r: (p[::-1] for p in combinations(pool, r)))
+        with pytest.raises(AssertionError, match="reduced row-echelon"):
+            grassmann_count(3, 2, 3)
 
     def test_duality(self):
         for q in (2, 3):
@@ -204,14 +213,14 @@ def _triples_by_full_rank(field, n):
     """counts[rank][tr X + tr Z] by ranking every [[X, Y], [0, Z]] from scratch."""
     q = field.q
     counts = [[0] * q for _ in range(2 * n + 1)]
-    blocks = [GFMatrix(field, n, n, e).to_rows() for e in product(range(q), repeat=n * n)]
+    blocks = [[list(e[i * n:(i + 1) * n]) for i in range(n)]
+              for e in product(range(q), repeat=n * n)]
     for x in blocks:
         for y in blocks:
             for z in blocks:
                 rows = [xr + yr for xr, yr in zip(x, y)] + [[0] * n + zr for zr in z]
-                gamma = field.add(trace(GFMatrix.from_rows(field, x)),
-                                  trace(GFMatrix.from_rows(field, z)))
-                counts[GFMatrix.from_rows(field, rows).rank()][gamma] += 1
+                gamma = field.add_table[trace(field, x)][trace(field, z)]
+                counts[rank(field, rows)][gamma] += 1
     return counts
 
 

@@ -103,7 +103,7 @@ class TestVerifyMain:
         blob = json.dumps(rep.to_json_dict())
         parsed = json.loads(blob)
         assert parsed["equal"] is True
-        assert RF.from_json_dict(parsed["lhs"]) == closed_product(2)
+        assert parsed["lhs"] == closed_product(2).to_json_dict()
 
     def test_numeric_agreement_everywhere(self):
         for n in (1, 2, 3, 4):

@@ -101,20 +101,6 @@ class TestEval:
         with pytest.raises(ZeroDivisionError):
             series_coeffs(RF(ONE, Q(1)), 3)
 
-    def test_json_roundtrip(self):
-        r = RF((ONE - Q(3)) * 2, (ONE - Q(1)) * 3)
-        assert RF.from_json_dict(r.to_json_dict()) == r
-
-    def test_json_input_is_canonicalised(self):
-        def poly(*coeffs):
-            return {"min_exp": 0, "coeffs": [str(c) for c in coeffs]}
-
-        assert RF.from_json_dict({"num": poly(2), "den": poly(4)}) == RF(1, 2)
-        # (1 - q^2) / (1 - q) is stored as 1 + q
-        assert RF.from_json_dict({"num": poly(1, 0, -1), "den": poly(1, -1)}) == RF(
-            ONE + Q(1)
-        )
-
 
 @settings(max_examples=120)
 @given(rationals(), rationals().filter(lambda r: not r.is_zero))
