@@ -61,7 +61,8 @@ COUNT = 30
 TESTS = {
     "cli.py": ["tests/test_cli.py", "tests/test_imports.py"],
     "counting.py": [
-        "tests/test_counting.py", "tests/test_acceptance.py", "tests/test_imports.py",
+        "tests/test_counting.py", "tests/test_cli.py", "tests/test_acceptance.py",
+        "tests/test_imports.py",
     ],
     "dimension.py": [
         "tests/test_dimension.py", "tests/test_acceptance.py", "tests/test_imports.py",

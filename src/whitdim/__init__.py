@@ -35,7 +35,6 @@ _MODULE_OF = {
     "qbinom_series": "qseries",
     "qq": "qseries",
     "qq_power": "qseries",
-    "VerificationReport": "engine",
     "closed_product": "engine",
     "conclusion_chain": "engine",
     "dimension_sum": "engine",
@@ -52,7 +51,6 @@ _MODULE_OF = {
     "grassmann_formula": "counting",
     "prasad_delta": "counting",
     "rect_rank_formula": "counting",
-    "TraceBucketSums": "dimension",
     "closed_dim": "dimension",
     "dimension_report": "dimension",
     "middle_dim": "dimension",

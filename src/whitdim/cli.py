@@ -3,8 +3,9 @@
 CHECKS maps each command to its list of work units: one per n for verify,
 lemma1 and chain, one per (n, q) for brute and one per q for counts; `all`
 concatenates the other five commands' units.  A unit is a zero-argument
-callable that yields its records.  run reads each record's verdict from its
-"equal" field (a dimension record's "agree") and sets the exit code.
+callable that yields its records, plain dicts built by the module that owns
+the check.  run reads each record's verdict from its "equal" field (a
+dimension record's "agree") and sets the exit code.
 
 A process loads only the modules its command runs.  Importing this module
 loads counting and gfield alone, for the parser's feasibility default and
@@ -30,8 +31,9 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error
 or unwritable output (an unopenable --output, or a stdout closed early as by
 `| head -1`: one stderr line, no traceback), 3 an enumeration exceeded the
 feasibility limit and no earlier check failed.  The stream stops at the first
-infeasible enumeration with an "infeasible" error line; a check that failed
-before it still makes the exit code 1.
+infeasible enumeration with an "infeasible" error line (under --format csv, a
+row whose check is "infeasible", with an empty ok column and the error object
+as its detail); a check that failed before it still makes the exit code 1.
 
 A process ends as soon as its output is out.  main returns the exit code, and
 in-process callers keep their interpreter.  main_entry (the console script,
@@ -197,55 +199,29 @@ def _n_range(cfg: RunConfig):
     return range(cfg.n_min, cfg.n_max + 1)
 
 
-def _counting_cases(counting):
-    """(kind, enumeration-vs-formula oracle, its arguments but q) per counts record."""
-    for s in range(1, 4):
-        for t in range(1, 4):
-            for k in range(min(s, t) + 1):
-                yield "rect-rank", counting.count_rect_by_rank, {"s": s, "t": t, "k": k}
-    for size in range(0, 4):
-        for k in range(size + 1):
-            yield "trace-delta", counting.prasad_delta, {"m": size - k, "k": k}
-    for n in range(1, 5):
-        for m in range(n + 1):
-            yield "grassmann", counting.grassmann_count, {"n": n, "m": m}
-
-
 # A work unit is a zero-argument callable that yields its records.  Each
 # command's table entry imports the modules its units run, once, in this
 # process and before any fork, and binds each unit to its module.  The engine
-# and oracle functions are looked up in that module when a unit runs, not
-# when the table is built, so they can be replaced at run time.
+# and dimension checks, and the oracles counts_report runs, are looked up in
+# their module when a unit runs, not when the table is built, so they can be
+# replaced at run time.
 
 
 def _verify_unit(engine, n: int):
-    yield engine.verify_main(n).to_json_dict()
+    yield engine.verify_main(n)
 
 
 def _lemma1_unit(engine, n: int, k: Optional[int]):
     for j in [k] if k is not None else range(n + 1):
-        yield engine.verify_inner_sum(n, j).to_json_dict()
+        yield engine.verify_inner_sum(n, j)
 
 
 def _chain_unit(engine, n: int):
-    for rep in engine.simplification_chain(n) + engine.conclusion_chain(n):
-        yield rep.to_json_dict()
+    yield from engine.simplification_chain(n) + engine.conclusion_chain(n)
 
 
 def _brute_unit(dimension, n: int, q: int, limit: int):
     yield dimension.dimension_report(n, q, limit)
-
-
-def _counts_unit(counting, q: int, limit: int):
-    # one unit per q, so each (q, shape) enumeration is memoised in one process
-    for kind, oracle, params in _counting_cases(counting):
-        enum, formula = oracle(**params, q=q, limit=limit)
-        yield {
-            "params": {"kind": kind, **params, "q": q},
-            "enumerated": enum,
-            "formula": formula,
-            "equal": enum == formula,
-        }
 
 
 def _engine_units(unit, cfg: RunConfig, *args) -> list:
@@ -268,7 +244,8 @@ def _counts_units(cfg: RunConfig) -> list:
     # kernels runs counting's tables: load it here, before any fork
     from . import counting, kernels  # noqa: F401
 
-    return [partial(_counts_unit, counting, q, cfg.feasibility_limit) for q in cfg.q_list]
+    # one unit per q, so each (q, shape) enumeration is memoised in one process
+    return [partial(counting.counts_report, q, cfg.feasibility_limit) for q in cfg.q_list]
 
 
 CHECKS = {
@@ -460,7 +437,10 @@ def run(cfg: RunConfig, stream) -> int:
                 stream.write(json.dumps(report, separators=(", ", ": ")) + "\n")
     except FeasibilityError as exc:
         msg = {"error": "infeasible", "detail": str(exc), "candidates": exc.candidates}
-        stream.write(json.dumps(msg) + "\n")
+        if writer is not None:
+            writer.writerow(["infeasible", "", "", "", "", json.dumps(msg, separators=(",", ":"))])
+        else:
+            stream.write(json.dumps(msg) + "\n")
         # a failed proof step outranks "too large to enumerate"
         return EXIT_INFEASIBLE if all_ok else EXIT_FAILED
     finally:

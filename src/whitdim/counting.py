@@ -1,7 +1,9 @@
 """Exhaustive matrix-counting oracles and their closed-form counterparts.
 
 Each oracle returns the pair (enumerated, formula) so callers can assert the
-two agree; nothing here assumes the formulas are right.  Enumerations are
+two agree; nothing here assumes the formulas are right.  counts_report runs
+the counts command's fixed case list at one q and yields one JSON record per
+case, with the verdict under "equal".  Enumerations are
 gated by a candidate-count threshold (default 10^9) that a flag can override.
 Each (q, shape) is counted once per process, by the one kernel
 kernels.count_by_rank_trace (a transfer count over row spaces, which counts
@@ -147,3 +149,23 @@ def prasad_delta(m: int, k: int, q: int, limit: int = FEASIBILITY_LIMIT):
     sign = -1 if (k - 1) % 2 else 1
     formula = sign * q ** (k * (k - 1) // 2) * grassmann_formula(m + k, m, q)
     return delta, formula
+
+
+def counts_report(q: int, limit: int = FEASIBILITY_LIMIT):
+    """One JSON-ready record per counts case at q, yielded in a fixed order:
+    params (kind, shape, q), the enumerated and formula counts, and equal.
+    """
+    cases = [("rect-rank", count_rect_by_rank, {"s": s, "t": t, "k": k})
+             for s in range(1, 4) for t in range(1, 4) for k in range(min(s, t) + 1)]
+    cases += [("trace-delta", prasad_delta, {"m": size - k, "k": k})
+              for size in range(4) for k in range(size + 1)]
+    cases += [("grassmann", grassmann_count, {"n": n, "m": m})
+              for n in range(1, 5) for m in range(n + 1)]
+    for kind, oracle, params in cases:
+        enum, formula = oracle(**params, q=q, limit=limit)
+        yield {
+            "params": {"kind": kind, **params, "q": q},
+            "enumerated": enum,
+            "formula": formula,
+            "equal": enum == formula,
+        }

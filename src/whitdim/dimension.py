@@ -37,27 +37,6 @@ def theta_unipotent(group_degree: int, t: int, q: int) -> int:
     return -val if group_degree % 2 == 0 else val
 
 
-class TraceBucketSums:
-    """Character sums S_gamma over all triples with tr X + tr Z = gamma."""
-
-    def __init__(self, n: int, q: int, sums: dict, sizes: dict):
-        self.n = n
-        self.q = q
-        self.sums = sums
-        self.sizes = sizes
-
-    def nonzero_constant(self) -> bool:
-        return len({self.sums[g] for g in range(1, self.q)}) <= 1
-
-    def dimension(self) -> int:
-        """(S_0 - S_1) / q^(3n^2), valid only once S_gamma is constant on gamma != 0."""
-        if not self.nonzero_constant():
-            raise RuntimeError(
-                "bucket sums are not constant on gamma != 0: %r" % self.sums
-            )
-        return _module_dim(self.sums[0] - self.sums[1], self.n, self.q)
-
-
 def _module_dim(total: int, n: int, q: int) -> int:
     """total / q^(3n^2), asserted exact and non-negative."""
     dim = _exact_ratio(total, q ** (3 * n * n))
@@ -66,22 +45,20 @@ def _module_dim(total: int, n: int, q: int) -> int:
     return dim
 
 
-def trace_bucket_sums(n: int, q: int, limit: int = FEASIBILITY_LIMIT) -> TraceBucketSums:
-    """Count all triples by rank and trace bucket, and accumulate Theta by bucket."""
+def trace_bucket_sums(n: int, q: int, limit: int = FEASIBILITY_LIMIT) -> dict:
+    """{gamma: S_gamma}: Theta summed by trace bucket; the sizes must total q^(3n^2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _gate(q ** (3 * n * n), limit)
     field = gf(q)
     counts = kernels.count_triples_by_rank_bucket(field, n)
-    theta = [theta_unipotent(3 * n, 3 * n - r, q) for r in range(2 * n + 1)]
-    sums = {}
-    sizes = {}
-    for gamma in range(q):
-        sums[gamma] = sum(counts[r][gamma] * theta[r] for r in range(2 * n + 1))
-        sizes[gamma] = sum(counts[r][gamma] for r in range(2 * n + 1))
-    if sum(sizes.values()) != q ** (3 * n * n):
+    if sum(map(sum, counts)) != q ** (3 * n * n):
         raise AssertionError("bucket sizes do not add up to q^(3n^2)")
-    return TraceBucketSums(n, q, sums, sizes)
+    theta = [theta_unipotent(3 * n, 3 * n - r, q) for r in range(2 * n + 1)]
+    return {
+        gamma: sum(counts[r][gamma] * theta[r] for r in range(2 * n + 1))
+        for gamma in range(q)
+    }
 
 
 def closed_dim(n: int, q: int) -> int:
@@ -136,8 +113,11 @@ def middle_dim(n: int, q: int) -> int:
 
 def dimension_report(n: int, q: int, limit: int = FEASIBILITY_LIMIT) -> dict:
     """brute/middle/closed values plus the trace buckets, as a JSON-ready dict."""
-    buckets = trace_bucket_sums(n, q, limit)
-    brute = buckets.dimension()
+    sums = trace_bucket_sums(n, q, limit)
+    # brute is (S_0 - S_1) / q^(3n^2) only once S_gamma is constant on gamma != 0
+    if len({sums[g] for g in range(1, q)}) > 1:
+        raise RuntimeError("bucket sums are not constant on gamma != 0: %r" % sums)
+    brute = _module_dim(sums[0] - sums[1], n, q)
     middle = middle_dim(n, q)
     closed = closed_dim(n, q)
     return {
@@ -146,7 +126,6 @@ def dimension_report(n: int, q: int, limit: int = FEASIBILITY_LIMIT) -> dict:
         "brute": brute,
         "middle": middle,
         "closed": closed,
-        "buckets": {str(g): buckets.sums[g] for g in range(q)},
+        "buckets": {str(g): sums[g] for g in range(q)},
         "agree": brute == middle == closed,
     }
-

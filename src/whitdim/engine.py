@@ -58,10 +58,11 @@ Only the values a record serialises are canonicalised.
 
 Every check is reported through one runner, timed_reports.  A check is a
 generator that yields one (identity, equal, lhs, rhs) tuple per step; the
-runner times the work between two yields and wraps each step in a
-VerificationReport.  verify_main and verify_inner_sum are one-step checks,
-simplification_chain and conclusion_chain run the eleven and the eight steps
-of the two derivation chains.
+runner times the work between two yields and makes each step one JSON
+record, a plain dict.  verify_main and verify_inner_sum are one-step checks
+that return their record; simplification_chain and conclusion_chain run the
+eleven and the eight steps of the two derivation chains and return their
+lists of records.
 """
 
 from __future__ import annotations
@@ -78,44 +79,22 @@ from .qseries import (
 from .rational import RationalFunctionQ
 
 
-class VerificationReport:
-    """Outcome of one identity check; equal is True iff both canonical values match."""
-
-    def __init__(self, identity: str, n: int, k: Optional[int], equal: bool,
-                 lhs, rhs, elapsed_ms: float):
-        self.identity = identity
-        self.n = n
-        self.k = k
-        self.equal = equal
-        self.lhs = lhs
-        self.rhs = rhs
-        self.elapsed_ms = elapsed_ms
-
-    def to_json_dict(self) -> dict:
-        d = {"identity": self.identity, "n": self.n}
-        if self.k is not None:
-            d["k"] = self.k
-        d["equal"] = self.equal
-        d["lhs"] = self.lhs
-        d["rhs"] = self.rhs
-        d["elapsed_ms"] = self.elapsed_ms
-        return d
-
-
 def timed_reports(steps, n: int, k: Optional[int] = None) -> list:
-    """Run a check's steps, timing each into a VerificationReport.
+    """Run a check's steps, timing each into a JSON record.
 
     steps yields one (identity, equal, lhs, rhs) tuple per step.  A step's
     elapsed_ms runs from the previous yield (or the start) to its own, so the
     work between two yields is timed alone.
     """
-    reports = []
+    at = {"n": n} if k is None else {"n": n, "k": k}
+    records = []
     t0 = time.perf_counter()
     for identity, equal, lhs, rhs in steps:
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        reports.append(VerificationReport(identity, n, k, equal, lhs, rhs, elapsed_ms))
+        records.append({"identity": identity, **at, "equal": equal, "lhs": lhs,
+                        "rhs": rhs, "elapsed_ms": elapsed_ms})
         t0 = time.perf_counter()
-    return reports
+    return records
 
 
 def _equality(identity: str, lhs, rhs):
@@ -309,15 +288,14 @@ def inner_sum_sides(n: int, k: int):
     return lhs, rhs
 
 
-def verify_main(n: int) -> VerificationReport:
+def verify_main(n: int) -> dict:
     """Exact equality of the closed product and the raw dimension sum."""
-    _require_positive(n)
     return timed_reports(
         _one_step("main", lambda: (closed_product(n), dimension_sum(n))), n
     )[0]
 
 
-def verify_inner_sum(n: int, k: int) -> VerificationReport:
+def verify_inner_sum(n: int, k: int) -> dict:
     """Exact equality of the inner double sum at (n, k) and its closed form."""
     return timed_reports(_one_step("inner-sum", lambda: inner_sum_sides(n, k)), n, k)[0]
 

@@ -36,7 +36,7 @@ def _report(num, ok, detail):
 
 def test_criterion_1_main_identity_to_n12():
     t0 = time.perf_counter()
-    failures = [n for n in range(1, 13) if not verify_main(n).equal]
+    failures = [n for n in range(1, 13) if not verify_main(n)["equal"]]
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 300.0
     _report(
@@ -65,8 +65,8 @@ def test_criterion_3_proof_chains_to_n8():
     failures = []
     for n in range(1, 9):
         for rep in simplification_chain(n) + conclusion_chain(n):
-            if not rep.equal:
-                failures.append((n, rep.identity))
+            if not rep["equal"]:
+                failures.append((n, rep["identity"]))
     # the telescoping product of the inner-sum proof, coefficientwise
     for n in (1, 2, 3):
         for k in range(n + 1):

@@ -286,7 +286,8 @@ class TestFailurePath:
         from whitdim import engine
 
         def broken(n):
-            return engine.VerificationReport("main", n, None, False, "x", "y", 0.0)
+            return {"identity": "main", "n": n, "equal": False, "lhs": "x", "rhs": "y",
+                    "elapsed_ms": 0.0}
 
         monkeypatch.setattr(engine, "verify_main", broken)
         buf = io.StringIO()
@@ -300,7 +301,8 @@ class TestFailurePath:
         from whitdim import engine
 
         def broken(n):
-            return engine.VerificationReport("main", n, None, False, "x", "y", 0.0)
+            return {"identity": "main", "n": n, "equal": False, "lhs": "x", "rhs": "y",
+                    "elapsed_ms": 0.0}
 
         monkeypatch.setattr(engine, "verify_main", broken)
         code, rows = run_json(["all", "--n", "3", "--q", "3"])
@@ -357,6 +359,27 @@ class TestRecordStream:
             assert part_code == 0
             parts += part
         assert without_elapsed(reports) == without_elapsed(parts)
+
+    def test_each_record_type_keeps_its_key_order(self):
+        code, reports = run_json(["all", "--n", "1", "--q", "2"])
+        assert code == 0
+        first = {}
+        for r in reports:
+            first.setdefault(r.get("identity") or r.get("params", {}).get("kind")
+                             or "dimension", r)
+        step = ["identity", "n", "equal", "lhs", "rhs", "elapsed_ms"]
+        assert list(first["main"]) == step
+        assert list(first["inner-sum"]) == ["identity", "n", "k", "equal", "lhs", "rhs",
+                                            "elapsed_ms"]
+        for identity in CHAIN_STEPS:
+            assert list(first[identity]) == step, identity
+        assert list(first["dimension"]) == ["n", "q", "brute", "middle", "closed", "buckets",
+                                            "agree"]
+        shapes = {"rect-rank": ["s", "t", "k"], "trace-delta": ["m", "k"],
+                  "grassmann": ["n", "m"]}
+        for kind, shape in shapes.items():
+            assert list(first[kind]) == ["params", "enumerated", "formula", "equal"], kind
+            assert list(first[kind]["params"]) == ["kind", *shape, "q"], kind
 
 
 def set_cpus(monkeypatch, count):
@@ -425,11 +448,27 @@ class TestParallelRunner:
         assert [r.get("n") for r in rows] == [1, None]
         assert rows[1]["error"] == "infeasible" and rows[1]["candidates"] == 2 ** 12
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_csv_infeasible_row_has_every_column(self, monkeypatch, cpus):
+        import csv
+
+        forks = set_cpus(monkeypatch, cpus)
+        code, text = run_text(["all", "--n", "1", "--q", "2", "--limit", "8",
+                               "--format", "csv"])
+        assert len(forks) == (cpus if cpus > 1 else 0)
+        assert code == 3
+        rows = list(csv.reader(io.StringIO(text)))
+        assert len(rows) > 2 and all(len(row) == 6 for row in rows)
+        assert rows[-1][:5] == ["infeasible", "", "", "", ""]
+        error = json.loads(rows[-1][5])
+        assert error["error"] == "infeasible" and error["candidates"] == 16
+
     def test_failed_check_before_an_infeasible_unit_exits_1(self, monkeypatch):
         from whitdim import engine
 
         def broken(n):
-            return engine.VerificationReport("main", n, None, False, "x", "y", 0.0)
+            return {"identity": "main", "n": n, "equal": False, "lhs": "x", "rhs": "y",
+                    "elapsed_ms": 0.0}
 
         monkeypatch.setattr(engine, "verify_main", broken)
         forks = set_cpus(monkeypatch, 2)
@@ -649,7 +688,8 @@ class TestProcessExit:
         script = (
             "from whitdim import cli, engine\n"
             "def broken(n):\n"
-            "    return engine.VerificationReport('main', n, None, False, 'x', 'y', 0.0)\n"
+            "    return {'identity': 'main', 'n': n, 'equal': False, 'lhs': 'x', 'rhs': 'y',\n"
+            "            'elapsed_ms': 0.0}\n"
             "engine.verify_main = broken\n"
             "cli.main_entry()\n"
         )

@@ -91,16 +91,16 @@ class TestVerifyMain:
     def test_range(self):
         for n in range(1, 9):
             rep = verify_main(n)
-            assert rep.equal and rep.identity == "main" and rep.n == n
+            assert rep["equal"] and rep["identity"] == "main" and rep["n"] == n
 
     @pytest.mark.slow
     def test_n28(self):
         # a size the orbit walk makes cheap: about 1-2 s
-        assert verify_main(28).equal
+        assert verify_main(28)["equal"]
 
     def test_report_serializes(self):
         rep = verify_main(2)
-        blob = json.dumps(rep.to_json_dict())
+        blob = json.dumps(rep)
         parsed = json.loads(blob)
         assert parsed["equal"] is True
         assert parsed["lhs"] == closed_product(2).to_json_dict()
@@ -171,7 +171,7 @@ class TestInnerSum:
             want = RF(faulty(n, k), poly_pow(qq(n), 2) * qq(k))
             assert lhs.to_json_dict() == want.to_json_dict(), (n, k)
             assert not lhs.denominator_is_one, (n, k)
-            assert engine.verify_inner_sum(n, k).equal is False, (n, k)
+            assert engine.verify_inner_sum(n, k)["equal"] is False, (n, k)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -425,7 +425,7 @@ class TestCrossChecksCatchFaults:
         monkeypatch.setattr(engine, "_triple_sum_numerator", faulty)
         for n in (1, 2, 3):
             reports = {
-                r.identity: r.equal
+                r["identity"]: r["equal"]
                 for r in simplification_chain(n) + conclusion_chain(n)
             }
             assert reports["simplify-regrouped-sum"] is False, n
@@ -449,7 +449,7 @@ class TestCrossChecksCatchFaults:
         monkeypatch.setattr(engine, "_nested_triple_numerator", faulty)
         for n in (1, 2, 3):
             reports = {
-                r.identity: r.equal
+                r["identity"]: r["equal"]
                 for r in simplification_chain(n) + conclusion_chain(n)
             }
             assert reports["simplify-regrouped-sum"] is False, n
@@ -545,18 +545,18 @@ class TestChains:
     def test_simplification_all_steps(self):
         for n in (1, 2, 3, 4):
             reports = simplification_chain(n)
-            assert all(r.equal for r in reports), [
-                (r.identity, r.equal) for r in reports if not r.equal
+            assert all(r["equal"] for r in reports), [
+                (r["identity"], r["equal"]) for r in reports if not r["equal"]
             ]
-            labels = [r.identity for r in reports]
+            labels = [r["identity"] for r in reports]
             assert labels[-1] == "simplify-exponent-total"
 
     def test_conclusion_all_steps(self):
         for n in (1, 2, 3, 4):
             reports = conclusion_chain(n)
             assert len(reports) == 8
-            assert all(r.equal for r in reports), [
-                (r.identity, r.equal) for r in reports if not r.equal
+            assert all(r["equal"] for r in reports), [
+                (r["identity"], r["equal"]) for r in reports if not r["equal"]
             ]
 
     @pytest.mark.slow
@@ -564,8 +564,8 @@ class TestChains:
         # the largest size the O(n^3) oracle makes cheap: 1-2 s
         reports = simplification_chain(16) + conclusion_chain(16)
         assert len(reports) == 19
-        assert all(r.equal for r in reports), [
-            (r.identity, r.equal) for r in reports if not r.equal
+        assert all(r["equal"] for r in reports), [
+            (r["identity"], r["equal"]) for r in reports if not r["equal"]
         ]
 
     def test_tuple_counts_are_pinned(self):
@@ -583,9 +583,9 @@ class TestChains:
                 "simplify-m-tail": admissible,
             }
             got = {
-                r.identity: r.lhs
+                r["identity"]: r["lhs"]
                 for r in simplification_chain(n)
-                if r.identity in want
+                if r["identity"] in want
             }
             assert got == {
                 name: "verified for %d parameter tuples" % count
@@ -662,7 +662,7 @@ class TestChains:
                 return real(lo, hi - 1) if (lo, hi) == fault else real(lo, hi)
 
             monkeypatch.setattr(engine, "q_power_minus_one_range", dropped)
-            reports = {r.identity: r for r in simplification_chain(n)}
+            reports = {r["identity"]: r for r in simplification_chain(n)}
             monkeypatch.undo()
             want = {
                 identity: [
@@ -682,8 +682,8 @@ class TestChains:
             ]
             for identity, tuples in want.items():
                 rep = reports[identity]
-                assert rep.equal is not bool(tuples), (fault, identity)
-                assert rep.rhs == (tuples or "all equal"), (fault, identity)
+                assert rep["equal"] is not bool(tuples), (fault, identity)
+                assert rep["rhs"] == (tuples or "all equal"), (fault, identity)
                 if tuples:
                     failed.add(identity)
                     most = max(most, len(tuples))
