@@ -85,11 +85,6 @@ TESTS = {
 # mutant id -> (its mutated line, its func_sha, why no input can tell it
 # from the original)
 EQUIVALENT = {
-    "cli.py:config_from_args:const+1:1": (
-        "n_min, n_max = _parse_range(args.n) if args.n is not None else (1, 2)",
-        "19c3ddc20363",
-        "only counts runs without --n, and counts reads neither n_min nor n_max",
-    ),
     "cli.py:_exit_on_eof:const+1:0": (
         "os.read(fd, 2)",
         "9b5b30ffa1e0",
@@ -103,7 +98,7 @@ EQUIVALENT = {
     ),
     "cli.py:_records:const+1:2": (
         "os._exit(1)",
-        "7140e19bd078",
+        "730fbc4f7742",
         "a worker's exit status is never read: the parent judges a worker by "
         "its frames, and reaps it after a SIGKILL",
     ),

@@ -13,7 +13,8 @@ q in {2,3,4,5,7,8,9}.
 
 Importing the package loads none of its modules: each public name is
 imported from its module on first access (PEP 562), so a process pays only
-for the modules it uses.
+for the modules it uses.  The feasibility gate's FEASIBILITY_LIMIT and
+FeasibilityError are defined here, so the command line need not load counting.
 
 BACKEND names the implementation of the counting kernels; the pure Python
 one in `kernels` is the only one.  No command reads it, but the benchmark
@@ -25,6 +26,20 @@ import importlib
 
 __version__ = "0.1.0"
 BACKEND = "pure"
+FEASIBILITY_LIMIT = 10 ** 9
+
+
+class FeasibilityError(RuntimeError):
+    """An enumeration would exceed the candidate limit; use the formula instead."""
+
+    def __init__(self, candidates: int, limit: int):
+        super().__init__(
+            "enumeration of %d candidates exceeds the limit %d; "
+            "raise the limit to force it" % (candidates, limit)
+        )
+        self.candidates = candidates
+        self.limit = limit
+
 
 _MODULE_OF = {
     "LaurentPoly": "laurent",
@@ -44,8 +59,6 @@ _MODULE_OF = {
     "SUPPORTED_Q": "gfield",
     "GFq": "gfield",
     "gf": "gfield",
-    "FEASIBILITY_LIMIT": "counting",
-    "FeasibilityError": "counting",
     "count_rect_by_rank": "counting",
     "grassmann_count": "counting",
     "grassmann_formula": "counting",
@@ -66,4 +79,4 @@ def __getattr__(name):
     return getattr(importlib.import_module("." + module, __name__), name)
 
 
-__all__ = sorted(["BACKEND", *_MODULE_OF]) + ["__version__"]
+__all__ = ["BACKEND", "FEASIBILITY_LIMIT", "FeasibilityError", *sorted(_MODULE_OF), "__version__"]

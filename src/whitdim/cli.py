@@ -1,18 +1,22 @@
 """Command-line front end: run verification suites, stream machine-readable reports.
 
-CHECKS maps each command to its list of work units: one per n for verify,
-lemma1 and chain, one per (n, q) for brute and one per q for counts; `all`
-concatenates the other five commands' units.  A unit is a zero-argument
-callable that yields its records, plain dicts built by the module that owns
-the check.  run reads each record's verdict from its "equal" field (a
-dimension record's "agree") and sets the exit code.
+COMMANDS is the one table of commands: each name maps to its help line, the
+options it reads besides --format and --output, and its units builder (one
+unit per n for verify, lemma1 and chain, per (n, q) for brute, per q for
+counts); `all` reads the other five's options and runs their units in turn.
+An option not given is absent from the parsed arguments, so RunConfig, built
+from them alone, holds every default.  A unit is a zero-argument callable
+that yields its records, plain dicts built by the module that owns the check.
+run reads each record's verdict from its "equal" field (a dimension record's
+"agree") and sets the exit code.
 
 A process loads only the modules its command runs.  Importing this module
-loads counting and gfield alone, for the parser's feasibility default and
-RunConfig's q check.  A command's table entry imports the rest once, here,
-before any fork: verify, lemma1 and chain load engine with the q-polynomial
-stack (laurent, rational, qseries); counts loads kernels; brute loads
-dimension and kernels, and no q-polynomial code.  csv is imported only under
+loads no other whitdim module (the feasibility limit and error are the
+package's own), and RunConfig loads gfield only to check a --q list.  A
+command's units builder imports the rest once, here, before any fork: verify,
+lemma1 and chain load engine with the q-polynomial stack (laurent, rational,
+qseries); counts loads counting and kernels; brute loads dimension with
+counting and kernels, and no q-polynomial code.  csv is imported only under
 --format csv.
 
 The units are independent exact computations, so run spreads them over
@@ -20,12 +24,11 @@ w = min(CPUs this process may use, units) worker processes.  With w = 1 (one
 usable CPU, as under `taskset -c 0`, or other threads running) they run
 in-process.  Otherwise w workers are forked; unit i goes to worker 0, 1, ..,
 w-1, w-1, .., 0, 0, .. in turn, and each worker sends every unit's records
-back down its own pipe as one length-prefixed marshal frame.  This process
-only relays: it reads the frames in unit order and writes, checks and exits
-exactly as the in-process run does, so the stream does not depend on w.  A
-unit's failure is raised at its place in the stream.  Every worker is killed
-and reaped however the run ends, and ends by itself if this process is
-killed first.
+back down its own pipe as one marshal frame.  This process only relays: it
+reads the frames in unit order and writes, checks and exits exactly as the
+in-process run does, so the stream does not depend on w.  A unit's failure is
+raised at its place in the stream.  Every worker is killed and reaped however
+the run ends, and ends by itself if this process is killed first.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error
 or unwritable output (an unopenable --output, or a stdout closed early as by
@@ -57,10 +60,7 @@ import sys
 from functools import partial
 from typing import Optional
 
-from .counting import FEASIBILITY_LIMIT, FeasibilityError
-from .gfield import SUPPORTED_Q
-
-COMMANDS = ("verify", "lemma1", "chain", "brute", "counts", "all")
+from . import FEASIBILITY_LIMIT, FeasibilityError
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -73,138 +73,82 @@ class UsageError(ValueError):
 
 
 class RunConfig:
-    """One run's settings, checked when it is built: a bad one raises UsageError."""
+    """One run's settings, checked when it is built: a bad one raises UsageError.
+
+    The keyword arguments are the options' dests, so n is the --n text and q
+    the list of --q texts.  Every default is here; a command that reads --n needs it.
+    """
 
     def __init__(
         self,
         command: str,
-        n_min: int = 1,
-        n_max: int = 1,
+        n: Optional[str] = None,
         k: Optional[int] = None,
-        q_list: Optional[list] = None,
-        feasibility_limit: int = FEASIBILITY_LIMIT,
+        q=("2,3",),
+        limit: int = FEASIBILITY_LIMIT,
         output: Optional[str] = None,
         format: str = "json",
     ):
+        if command not in COMMANDS:
+            raise UsageError("unknown command %r" % command)
+        reads = COMMANDS[command][1]
+        if n is None and "--n" in reads:
+            raise UsageError("--n is required for %r" % command)
+        n_min, n_max = _parse_range("1" if n is None else n)
         self.command = command
-        self.n_min = n_min
-        self.n_max = n_max
+        self.n_range = range(n_min, n_max + 1)
         self.k = k
-        self.q_list = [2, 3] if q_list is None else q_list
-        self.feasibility_limit = feasibility_limit
+        self.q_list = _parse_q(q)
+        self.limit = limit
         self.output = output
         self.format = format
-        if self.command not in COMMANDS:
-            raise UsageError("unknown command %r" % self.command)
-        if self.n_min > self.n_max:
-            raise UsageError("empty n range %d..%d" % (self.n_min, self.n_max))
-        if self.n_min < 1:
+        if n_min > n_max:
+            raise UsageError("empty n range %d..%d" % (n_min, n_max))
+        if n_min < 1:
             raise UsageError("n must be >= 1")
-        if not self.q_list:
-            raise UsageError("empty q list")
-        bad = [q for q in self.q_list if q not in SUPPORTED_Q]
-        if bad:
-            raise UsageError("unsupported q values %r (supported: %r)" % (bad, SUPPORTED_Q))
-        if self.format not in ("json", "csv"):
+        if "--q" in reads:
+            from .gfield import SUPPORTED_Q
+
+            if not self.q_list:
+                raise UsageError("empty q list")
+            bad = [value for value in self.q_list if value not in SUPPORTED_Q]
+            if bad:
+                raise UsageError("unsupported q values %r (supported: %r)" % (bad, SUPPORTED_Q))
+        if format not in ("json", "csv"):
             raise UsageError("format must be json or csv")
-        if self.feasibility_limit < 0:
+        if limit < 0:
             raise UsageError("--limit must be >= 0")
-        if self.k is not None and not 0 <= self.k <= self.n_min:
-            raise UsageError("k=%d out of range 0..%d" % (self.k, self.n_min))
+        if k is not None and not 0 <= k <= n_min:
+            raise UsageError("k=%d out of range 0..%d" % (k, n_min))
 
 
 def _parse_range(text: str):
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-    else:
-        lo = hi = text
+    lo, dots, hi = text.partition("..")
     try:
-        return int(lo), int(hi)
+        return int(lo), int(hi if dots else lo)
     except ValueError:
         raise UsageError("bad n range %r (expected N or A..B)" % text) from None
 
 
-def _parse_q(values):
+def _parse_q(texts) -> list:
     out = []
-    for chunk in values:
-        for piece in str(chunk).split(","):
-            piece = piece.strip()
-            if piece:
-                try:
-                    out.append(int(piece))
-                except ValueError:
-                    raise UsageError("bad q value %r" % piece) from None
+    for piece in map(str.strip, ",".join(texts).split(",")):
+        if piece:
+            try:
+                out.append(int(piece))
+            except ValueError:
+                raise UsageError("bad q value %r" % piece) from None
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="whitdim",
-        description="Exact verification of the dimension identity, its proof "
-        "chain, and the finite-field counting oracles.",
-    )
-    # counts reads no --n, only lemma1 and all read --k, and only brute, counts
-    # and all read --q and --limit; elsewhere each is a usage error
-    parser.set_defaults(n=None, k=None, q=None, limit=FEASIBILITY_LIMIT)
-    sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "verify": "main identity: closed product vs raw dimension sum",
-        "lemma1": "inner double sum vs its closed form, per k",
-        "chain": "every rewrite step of the derivation",
-        "brute": "brute-force / mid-derivation / closed dimension agreement",
-        "counts": "matrix-counting enumerations vs closed formulas",
-        "all": "union of every other command's checks",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name])
-        if name != "counts":
-            p.add_argument("--n", "--n-range", dest="n", default=None,
-                           help="single n or inclusive range A..B")
-        if name in ("lemma1", "all"):
-            p.add_argument("--k", type=int, default=None,
-                           help="restrict lemma1 to one k (default: all 0..n)")
-        if name in ("brute", "counts", "all"):
-            p.add_argument("--q", action="append", default=None,
-                           help="field sizes, comma-separated or repeated")
-            p.add_argument("--limit", type=int, default=FEASIBILITY_LIMIT,
-                           help="enumeration feasibility limit (candidates)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--output", default=None, help="write reports to PATH")
-    return parser
-
-
-def config_from_args(args) -> RunConfig:
-    if args.n is None and args.command != "counts":
-        raise UsageError("--n is required for %r" % args.command)
-    n_min, n_max = _parse_range(args.n) if args.n is not None else (1, 1)
-    q_list = _parse_q(args.q) if args.q else [2, 3]
-    return RunConfig(
-        command=args.command,
-        n_min=n_min,
-        n_max=n_max,
-        k=args.k,
-        q_list=q_list,
-        feasibility_limit=args.limit,
-        output=args.output,
-        format=args.format,
-    )
-
-
 # ---------------------------------------------------------------------------
-# the check table: each command maps a RunConfig to its list of work units
+# the command table: help line, options read and units builder of each command
 # ---------------------------------------------------------------------------
 
-
-def _n_range(cfg: RunConfig):
-    return range(cfg.n_min, cfg.n_max + 1)
-
-
-# A work unit is a zero-argument callable that yields its records.  Each
-# command's table entry imports the modules its units run, once, in this
-# process and before any fork, and binds each unit to its module.  The engine
-# and dimension checks, and the oracles counts_report runs, are looked up in
-# their module when a unit runs, not when the table is built, so they can be
-# replaced at run time.
+# A units builder imports the modules its units run, once, in this process and
+# before any fork, and binds each unit to its module.  The engine and dimension
+# checks, and the oracles counts_report runs, are looked up in their module
+# when a unit runs, so they can be replaced at run time.
 
 
 def _verify_unit(engine, n: int):
@@ -227,15 +171,15 @@ def _brute_unit(dimension, n: int, q: int, limit: int):
 def _engine_units(unit, cfg: RunConfig, *args) -> list:
     from . import engine
 
-    return [partial(unit, engine, n, *args) for n in _n_range(cfg)]
+    return [partial(unit, engine, n, *args) for n in cfg.n_range]
 
 
 def _brute_units(cfg: RunConfig) -> list:
     from . import dimension
 
     return [
-        partial(_brute_unit, dimension, n, q, cfg.feasibility_limit)
-        for n in _n_range(cfg)
+        partial(_brute_unit, dimension, n, q, cfg.limit)
+        for n in cfg.n_range
         for q in cfg.q_list
     ]
 
@@ -245,17 +189,53 @@ def _counts_units(cfg: RunConfig) -> list:
     from . import counting, kernels  # noqa: F401
 
     # one unit per q, so each (q, shape) enumeration is memoised in one process
-    return [partial(counting.counts_report, q, cfg.feasibility_limit) for q in cfg.q_list]
+    return [partial(counting.counts_report, q, cfg.limit) for q in cfg.q_list]
 
 
-CHECKS = {
-    "verify": lambda cfg: _engine_units(_verify_unit, cfg),
-    "lemma1": lambda cfg: _engine_units(_lemma1_unit, cfg, cfg.k),
-    "chain": lambda cfg: _engine_units(_chain_unit, cfg),
-    "brute": _brute_units,
-    "counts": _counts_units,
-    "all": lambda cfg: [unit for command in COMMANDS[:-1] for unit in CHECKS[command](cfg)],
+COMMANDS = {
+    "verify": ("main identity: closed product vs raw dimension sum", {"--n"},
+               partial(_engine_units, _verify_unit)),
+    "lemma1": ("inner double sum vs its closed form, per k", {"--n", "--k"},
+               lambda cfg: _engine_units(_lemma1_unit, cfg, cfg.k)),
+    "chain": ("every rewrite step of the derivation", {"--n"},
+              partial(_engine_units, _chain_unit)),
+    "brute": ("brute-force / mid-derivation / closed dimension agreement",
+              {"--n", "--q", "--limit"}, _brute_units),
+    "counts": ("matrix-counting enumerations vs closed formulas", {"--q", "--limit"},
+               _counts_units),
 }
+_PARTS = tuple(COMMANDS.values())
+COMMANDS["all"] = (
+    "union of every other command's checks",
+    set().union(*(reads for _, reads, _ in _PARTS)),
+    lambda cfg: [unit for _, _, units in _PARTS for unit in units(cfg)],
+)
+
+# every option a command may read, keyed by its flags, in the order of its help
+OPTIONS = {
+    ("--n", "--n-range"): dict(help="single n or inclusive range A..B"),
+    ("--k",): dict(type=int, help="restrict lemma1 to one k (default: all 0..n)"),
+    ("--q",): dict(action="append", help="field sizes, comma-separated or repeated"),
+    ("--limit",): dict(type=int, help="enumeration feasibility limit (candidates)"),
+    ("--format",): dict(choices=("json", "csv")),
+    ("--output",): dict(help="write reports to PATH"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="whitdim",
+        description="Exact verification of the dimension identity, its proof "
+        "chain, and the finite-field counting oracles.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, reads, _) in COMMANDS.items():
+        # an option not given is absent from the namespace: RunConfig's default holds
+        p = sub.add_parser(name, help=help_line, argument_default=argparse.SUPPRESS)
+        for flags, kwargs in OPTIONS.items():
+            if flags[0] in reads or flags[0] in ("--format", "--output"):
+                p.add_argument(*flags, **kwargs)
+    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +287,7 @@ def _frame(unit) -> tuple:
 
 
 def _work(units, fd: int, lifeline: int):
-    """A worker's loop: one length-prefixed marshal frame per unit, down fd.
+    """A worker's loop: one marshal frame per unit, down fd.
 
     It stops after the first unit that failed.  The parent holds the only
     write end of the lifeline, so a read of it returns only once the parent
@@ -320,8 +300,7 @@ def _work(units, fd: int, lifeline: int):
     with os.fdopen(fd, "wb") as out:
         for unit in units:
             frame = _frame(unit)
-            data = marshal.dumps(frame)
-            out.write(len(data).to_bytes(8, "little") + data)
+            marshal.dump(frame, out)
             out.flush()
             if frame[1] is not None:
                 return
@@ -330,14 +309,6 @@ def _work(units, fd: int, lifeline: int):
 def _exit_on_eof(fd: int):
     os.read(fd, 1)
     os._exit(1)
-
-
-def _read_frame(reader, unit: int) -> tuple:
-    size = int.from_bytes(reader.read(8), "little")
-    data = reader.read(size)
-    if not size or len(data) < size:
-        raise RuntimeError("a worker exited before sending work unit %d" % unit)
-    return marshal.loads(data)
 
 
 def _records(units):
@@ -377,7 +348,10 @@ def _records(units):
             os.close(wfd)
             readers.append(os.fdopen(r, "rb"))
         for i in range(len(units)):
-            records, failure = _read_frame(readers[_owner(i, workers)], i)
+            try:
+                records, failure = marshal.load(readers[_owner(i, workers)])
+            except EOFError:
+                raise RuntimeError("a worker exited before sending work unit %d" % i) from None
             yield from records
             if failure is None:
                 continue
@@ -427,7 +401,7 @@ def run(cfg: RunConfig, stream) -> int:
 
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["check", "n", "k", "q", "ok", "detail"])
-    records = _records(CHECKS[cfg.command](cfg))
+    records = _records(COMMANDS[cfg.command][2](cfg))
     try:
         for report in records:
             all_ok = all_ok and _passed(report)
@@ -449,10 +423,9 @@ def run(cfg: RunConfig, stream) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        cfg = RunConfig(**vars(args))
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -9,9 +9,9 @@ Each (q, shape) is counted once per process, by the one kernel
 kernels.count_by_rank_trace (a transfer count over row spaces, which counts
 every matrix exactly once without ranking each), into a counts[rank][diagonal
 sum] table kept as immutable tuples: count_rect_by_rank sums a rank's row, and
-prasad_delta reads a square table's row.  The field and kernel modules are
-imported only where an enumeration runs, so the command line can read the
-feasibility gate without loading them.
+prasad_delta reads a square table's row.  The gate's limit and error are
+the package's own (whitdim.FEASIBILITY_LIMIT and whitdim.FeasibilityError),
+and the field and kernel modules are imported only where an enumeration runs.
 """
 
 from __future__ import annotations
@@ -19,19 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-FEASIBILITY_LIMIT = 10 ** 9
-
-
-class FeasibilityError(RuntimeError):
-    """An enumeration would exceed the candidate limit; use the formula instead."""
-
-    def __init__(self, candidates: int, limit: int):
-        super().__init__(
-            "enumeration of %d candidates exceeds the limit %d; "
-            "raise the limit to force it" % (candidates, limit)
-        )
-        self.candidates = candidates
-        self.limit = limit
+from . import FEASIBILITY_LIMIT, FeasibilityError
 
 
 def _gate(candidates: int, limit: int):

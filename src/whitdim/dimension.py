@@ -19,7 +19,7 @@ rational, qseries), so a brute process compiles none of it.
 from __future__ import annotations
 
 from . import kernels
-from .counting import FEASIBILITY_LIMIT, _exact_ratio, _gate, rect_rank_formula
+from .counting import FEASIBILITY_LIMIT, _exact_ratio, _gate, grassmann_formula, rect_rank_formula
 from .gfield import gf
 
 
@@ -76,17 +76,6 @@ def closed_dim(n: int, q: int) -> int:
     return val
 
 
-def _subspace_weight(n: int, j: int, q: int) -> int:
-    """(-1)^j * prod_{i=0}^{j-1} (q^n - q^i) / prod_{i=1}^{j} (q^i - 1), an integer."""
-    num = den = 1
-    for i in range(j):
-        num *= q ** n - q ** i
-    for i in range(1, j + 1):
-        den *= q ** i - 1
-    val = _exact_ratio(num, den)
-    return -val if j % 2 else val
-
-
 def middle_dim(n: int, q: int) -> int:
     """Module dimension from the rank-and-trace decomposition formulas.
 
@@ -98,7 +87,8 @@ def middle_dim(n: int, q: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     total = 0
-    weights = [_subspace_weight(n, j, q) for j in range(n + 1)]
+    weights = [(-1) ** j * q ** (j * (j - 1) // 2) * grassmann_formula(n, j, q)
+               for j in range(n + 1)]
     for m in range(n + 1):
         for k in range(n + 1):
             s_mk = weights[k] * weights[m]

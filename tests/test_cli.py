@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from whitdim.cli import RunConfig, UsageError, main, run
+from whitdim.cli import RunConfig, UsageError, build_parser, main, run
 
 # The exit codes are compared with the literals that the cli docstring and the
 # README document (0 pass, 1 failed check, 2 usage, 3 infeasible), not with the
@@ -135,7 +135,7 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         with pytest.raises(UsageError):
-            RunConfig(command="counts", q_list=[])
+            RunConfig(command="counts", q=[])
 
     def test_k_out_of_range(self, capsys):
         assert main(["lemma1", "--n", "3", "--k", "5"]) == 2
@@ -163,6 +163,28 @@ class TestUsage:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments: %s" % argv[-2] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, reads", [
+        ("verify", {"--n"}),
+        ("chain", {"--n"}),
+        ("lemma1", {"--n", "--k"}),
+        ("brute", {"--n", "--q", "--limit"}),
+        ("counts", {"--q", "--limit"}),
+        ("all", {"--n", "--k", "--q", "--limit"}),
+    ])
+    def test_each_command_accepts_exactly_its_options(self, command, reads, capsys):
+        values = {"--n": "1", "--k": "0", "--q": "2", "--limit": "9"}
+        parsed = {"--n": "1", "--k": 0, "--q": ["2"], "--limit": 9}
+        own = [arg for flag in sorted(reads) for arg in (flag, values[flag])]
+        args = build_parser().parse_args([command, *own, "--format", "csv", "--output", "o"])
+        for flag in reads:
+            assert getattr(args, flag[2:]) == parsed[flag]
+        assert (args.format, args.output) == ("csv", "o")
+        for flag in sorted(set(values) - reads):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, *own, flag, values[flag]])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
 
     def test_n_is_rejected_on_counts(self, capsys):
         # counts reads no n, so --n is not silently ignored there
@@ -196,15 +218,18 @@ class TestUsage:
         assert exc.value.code == 2
 
     def test_config_defaults(self):
-        cfg = RunConfig(command="verify")
-        assert (cfg.n_min, cfg.n_max, cfg.k, cfg.q_list) == (1, 1, None, [2, 3])
-        assert (cfg.feasibility_limit, cfg.output, cfg.format) == (10 ** 9, None, "json")
+        cfg = RunConfig(command="verify", n="1")
+        assert (cfg.n_range, cfg.k, cfg.q_list) == (range(1, 2), None, [2, 3])
+        assert (cfg.limit, cfg.output, cfg.format) == (10 ** 9, None, "json")
 
     def test_config_validation(self):
         with pytest.raises(UsageError):
-            RunConfig(command="verify", n_min=2, n_max=1)
+            RunConfig(command="verify", n="2..1")
         with pytest.raises(UsageError):
             RunConfig(command="nope")
+        # as on the command line, a command that reads --n needs it
+        with pytest.raises(UsageError, match="--n is required for 'verify'"):
+            RunConfig(command="verify")
 
 
 class TestOutputModes:
@@ -264,7 +289,7 @@ class TestOutputModes:
 
     def test_determinism_modulo_elapsed(self):
         def snap():
-            cfg = RunConfig(command="verify", n_min=1, n_max=3)
+            cfg = RunConfig(command="verify", n="1..3")
             buf = io.StringIO()
             assert run(cfg, buf) == 0
             rows = [json.loads(l) for l in buf.getvalue().splitlines()]
@@ -291,7 +316,7 @@ class TestFailurePath:
 
         monkeypatch.setattr(engine, "verify_main", broken)
         buf = io.StringIO()
-        cfg = RunConfig(command="verify", n_min=1, n_max=2)
+        cfg = RunConfig(command="verify", n="1..2")
         code = run(cfg, buf)
         assert code == 1
         rows = [json.loads(l) for l in buf.getvalue().splitlines()]
@@ -489,7 +514,7 @@ class TestParallelRunner:
             return real(n)
 
         monkeypatch.setattr(engine, "verify_main", failing)
-        cfg = RunConfig(command="verify", n_min=1, n_max=5)
+        cfg = RunConfig(command="verify", n="1..5")
         for cpus, error in ((1, ValueError), (2, cli.UnitError)):
             with monkeypatch.context() as patch:
                 forks = set_cpus(patch, cpus)
@@ -514,7 +539,7 @@ class TestParallelRunner:
         monkeypatch.setattr(engine, "verify_main", dying)
         set_cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="before sending work unit 1"):
-            run(RunConfig(command="verify", n_min=1, n_max=2), io.StringIO())
+            run(RunConfig(command="verify", n="1..2"), io.StringIO())
 
     def test_closed_stream_stops_the_workers(self, monkeypatch):
         class Closed:
@@ -523,7 +548,7 @@ class TestParallelRunner:
 
         forks = set_cpus(monkeypatch, 2)
         with pytest.raises(BrokenPipeError):
-            run(RunConfig(command="verify", n_min=1, n_max=12), Closed())
+            run(RunConfig(command="verify", n="1..12"), Closed())
         assert len(forks) == 2
 
     def test_workers_end_when_the_parent_is_killed(self, tmp_path):

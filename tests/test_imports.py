@@ -42,7 +42,7 @@ def test_package_import_loads_no_module():
 
 def test_cli_import_loads_only_the_parser_needs():
     loaded = loaded_after("import whitdim.cli")
-    assert not loaded & (Q_STACK | {"whitdim.kernels", "whitdim.dimension"})
+    assert {m for m in loaded if m.startswith("whitdim")} == {"whitdim", "whitdim.cli"}
     assert not loaded & {"dataclasses", "fractions", "csv"}
 
 
@@ -54,16 +54,18 @@ def test_cli_import_loads_only_the_parser_needs():
 def test_identity_commands_load_no_field_code(argv):
     loaded = loaded_after_command(argv)
     assert "whitdim.engine" in loaded
-    assert not loaded & {"whitdim.kernels", "whitdim.dimension"}
+    assert not loaded & {"whitdim.counting", "whitdim.gfield", "whitdim.kernels",
+                         "whitdim.dimension"}
 
 
 def test_counts_loads_no_q_polynomial_code():
     loaded = loaded_after_command(["counts", "--q", "2"])
-    assert "whitdim.kernels" in loaded
+    assert {"whitdim.counting", "whitdim.gfield", "whitdim.kernels"} <= loaded
     assert not loaded & (Q_STACK | {"whitdim.dimension"})
 
 
 def test_brute_loads_no_q_polynomial_code():
     loaded = loaded_after_command(["brute", "--n", "1..2", "--q", "2,3"])
-    assert {"whitdim.dimension", "whitdim.kernels"} <= loaded
+    assert {"whitdim.counting", "whitdim.gfield", "whitdim.dimension",
+            "whitdim.kernels"} <= loaded
     assert not loaded & (Q_STACK | {"fractions", "decimal"})
