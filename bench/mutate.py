@@ -358,7 +358,8 @@ def main():
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("module", help="path of the module, e.g. src/whitdim/engine.py")
     parser.add_argument("--workdir", default=None,
-                        help="where to make the scratch copy (default: a temp dir)")
+                        help="where to make the scratch copy, created if missing "
+                        "(default: a temp dir)")
     args = parser.parse_args()
 
     module_path = os.path.abspath(args.module)
@@ -375,6 +376,8 @@ def main():
     sample = draw(sites)
     stale = stale_equivalents(sites, module)
 
+    if args.workdir is not None:
+        os.makedirs(args.workdir, exist_ok=True)
     workdir = tempfile.mkdtemp(prefix="whitdim-mutate-", dir=args.workdir)
     try:
         ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis")

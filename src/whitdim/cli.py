@@ -114,6 +114,9 @@ class RunConfig:
             bad = [value for value in self.q_list if value not in SUPPORTED_Q]
             if bad:
                 raise UsageError("unsupported q values %r (supported: %r)" % (bad, SUPPORTED_Q))
+            repeated = sorted({value for value in self.q_list if self.q_list.count(value) > 1})
+            if repeated:
+                raise UsageError("repeated q values %r" % repeated)
         if format not in ("json", "csv"):
             raise UsageError("format must be json or csv")
         if limit < 0:
@@ -175,7 +178,8 @@ def _engine_units(unit, cfg: RunConfig, *args) -> list:
 
 
 def _brute_units(cfg: RunConfig) -> list:
-    from . import dimension
+    # kernels runs dimension's table: load it here, before any fork
+    from . import dimension, kernels  # noqa: F401
 
     return [
         partial(_brute_unit, dimension, n, q, cfg.limit)

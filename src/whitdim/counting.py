@@ -3,15 +3,19 @@
 Each oracle returns the pair (enumerated, formula) so callers can assert the
 two agree; nothing here assumes the formulas are right.  counts_report runs
 the counts command's fixed case list at one q and yields one JSON record per
-case, with the verdict under "equal".  Enumerations are
-gated by a candidate-count threshold (default 10^9) that a flag can override.
-Each (q, shape) is counted once per process, by the one kernel
-kernels.count_by_rank_trace (a transfer count over row spaces, which counts
-every matrix exactly once without ranking each), into a counts[rank][diagonal
-sum] table kept as immutable tuples: count_rect_by_rank sums a rank's row, and
-prasad_delta reads a square table's row.  The gate's limit and error are
-the package's own (whitdim.FEASIBILITY_LIMIT and whitdim.FeasibilityError),
-and the field and kernel modules are imported only where an enumeration runs.
+case, with the verdict under "equal".
+
+Every count is one lookup, rank_trace_table(q, shape, limit).  It gates the
+q^(dim N) candidates of the block unitriangular group N(shape) (default
+limit 10^9, which a flag can override), then reads the counts[rank][psi-sum]
+table of (q, shape): counted once per process, as immutable tuples, by the
+package's one kernel, kernels.count_by_rank_trace (a transfer count over
+row spaces, which counts every element once and ranks none).
+count_rect_by_rank sums a rank's row of the (s, t) table, prasad_delta
+reads a row of the (size, size) table, and dimension.trace_bucket_sums
+reads the (n, n, n) table; grassmann_count is gated on its subspace count.
+The gate's limit and error are the package's own, and the field and kernel
+modules are imported only where a count runs.
 """
 
 from __future__ import annotations
@@ -37,12 +41,20 @@ def _exact_ratio(num: int, den: int) -> int:
 # Unbounded, but only shapes that passed the feasibility gate get here, and
 # each entry is a small table of integers.
 @lru_cache(maxsize=None)
-def _rank_trace_counts(q: int, rows: int, cols: int) -> tuple:
-    """counts[rank][diagonal sum] over all rows x cols matrices over GF(q), counted once."""
+def _rank_trace_counts(q: int, shape: tuple) -> tuple:
     from . import kernels
     from .gfield import gf
 
-    return tuple(map(tuple, kernels.count_by_rank_trace(gf(q), rows, cols)))
+    return tuple(map(tuple, kernels.count_by_rank_trace(gf(q), shape)))
+
+
+def rank_trace_table(q: int, shape: tuple, limit: int = FEASIBILITY_LIMIT) -> tuple:
+    """counts[rank][psi-sum] over N(shape) over GF(q), shape a tuple.
+
+    Raises FeasibilityError if q^(dim N) > limit, dim N = sum over i < j of n_i n_j.
+    """
+    _gate(q ** sum(a * b for a, b in combinations(shape, 2)), limit)
+    return _rank_trace_counts(q, shape)
 
 
 def rect_rank_formula(s: int, t: int, k: int, q: int) -> int:
@@ -59,8 +71,7 @@ def rect_rank_formula(s: int, t: int, k: int, q: int) -> int:
 def count_rect_by_rank(s: int, t: int, k: int, q: int, limit: int = FEASIBILITY_LIMIT):
     """(enumerated, formula) count of s x t matrices of rank k over GF(q)."""
     formula = rect_rank_formula(s, t, k, q)
-    _gate(q ** (s * t), limit)
-    return sum(_rank_trace_counts(q, s, t)[k]), formula
+    return sum(rank_trace_table(q, (s, t), limit)[k]), formula
 
 
 def grassmann_formula(n: int, m: int, q: int) -> int:
@@ -125,8 +136,7 @@ def prasad_delta(m: int, k: int, q: int, limit: int = FEASIBILITY_LIMIT):
     size = m + k
     if m < 0 or k < 0:
         raise ValueError("m and k must be non-negative")
-    _gate(q ** (size * size), limit)
-    counts = _rank_trace_counts(q, size, size)[k]
+    counts = rank_trace_table(q, (size, size), limit)[k]
     nonzero = {counts[a] for a in range(1, q)}
     if len(nonzero) > 1:
         raise RuntimeError(

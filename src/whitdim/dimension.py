@@ -1,26 +1,29 @@
 """The module dimension three independent ways: brute force, mid-derivation, closed form.
 
-The brute force counts all q^(3n^2) unipotent block triples (X, Y, Z) by the
-rank of [[X, Y], [0, Z]] and the bucket gamma = tr X + tr Z (a transfer count
-in `kernels`, asserted to total q^(3n^2)), sums the cuspidal character values
-by bucket, and collapses the additive character using
-sum_{x != 0} psi0(x) = -1.  No complex character is ever materialized: the
-collapse is valid exactly when the bucket sums S_gamma agree for every
-gamma != 0, and that constancy is asserted at runtime instead of being
-assumed.  The mid-derivation path recombines the same quantity from
-matrix-counting formulas, and the closed form is the product side of the main
-identity in plain integers.  All three must agree exactly.
+The brute force reads the counts of all q^(3n^2) elements u of the block
+unitriangular group N(n, n, n) by the rank of u - I, the corner
+[[X, Y], [0, Z]], and the bucket gamma = tr X + tr Z: the (n, n, n) table
+of counting.rank_trace_table, a transfer count asserted to total q^(3n^2).
+It sums the cuspidal character values by bucket, and collapses the
+additive character using sum_{x != 0} psi0(x) = -1.  No complex character
+is ever materialized: the collapse is valid exactly when the bucket sums
+S_gamma agree for every gamma != 0, and that constancy is asserted at
+runtime instead of being assumed.  The mid-derivation path recombines the
+same quantity from matrix-counting formulas, and the closed form is the
+product side of the main identity in plain integers.  All three must agree
+exactly.
 
-Everything here is integer arithmetic at one q: the module loads counting,
-gfield and kernels, and none of the q-polynomial code (engine, laurent,
-rational, qseries), so a brute process compiles none of it.
+Everything here is integer arithmetic at one q: the module loads counting
+(which loads gfield and kernels when a table is first counted), and none
+of the q-polynomial code (engine, laurent, rational, qseries), so a brute
+process compiles none of it.
 """
 
 from __future__ import annotations
 
-from . import kernels
-from .counting import FEASIBILITY_LIMIT, _exact_ratio, _gate, grassmann_formula, rect_rank_formula
-from .gfield import gf
+from .counting import (
+    FEASIBILITY_LIMIT, _exact_ratio, grassmann_formula, rank_trace_table, rect_rank_formula,
+)
 
 
 def theta_unipotent(group_degree: int, t: int, q: int) -> int:
@@ -49,9 +52,7 @@ def trace_bucket_sums(n: int, q: int, limit: int = FEASIBILITY_LIMIT) -> dict:
     """{gamma: S_gamma}: Theta summed by trace bucket; the sizes must total q^(3n^2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _gate(q ** (3 * n * n), limit)
-    field = gf(q)
-    counts = kernels.count_triples_by_rank_bucket(field, n)
+    counts = rank_trace_table(q, (n, n, n), limit)
     if sum(map(sum, counts)) != q ** (3 * n * n):
         raise AssertionError("bucket sizes do not add up to q^(3n^2)")
     theta = [theta_unipotent(3 * n, 3 * n - r, q) for r in range(2 * n + 1)]

@@ -24,9 +24,10 @@ factors that depend only on s, or on nothing, are applied once at the end:
 a Horner pass over s (_horner_close) gives every partial sum its
 (q;q)_{3n-s-1}, and the triple sum's total is multiplied by (q;q)_n.  No
 per-term polynomial product is ever built, and each division asserts
-exactness.  The triple walker has one form, cached for the last n:
-dimension_sum and conclusion-group-by-k both read it, so a chain run walks
-it once per n.
+exactness, as do the passes that divide the totals of dimension_sum and
+lemma1 by their (q;q) denominators (_over_qq).  The triple walker has one
+form, cached for the last n: dimension_sum and conclusion-group-by-k both
+read it, so a chain run walks it once per n.
 
 The derivation chains compare the walkers with one from-scratch oracle,
 _nested_triple_numerator.  The oracle only multiplies: terms that share
@@ -117,6 +118,22 @@ def _times_qq_range(poly: LaurentPoly, lo: int, hi: int) -> LaurentPoly:
     for i in range(lo, hi + 1):
         poly = poly.times_one_minus_q(i)
     return poly
+
+
+def _over_qq(num: LaurentPoly, tops, shift: int = 0) -> RationalFunctionQ:
+    """num / (q^shift * prod over tops of (q;q)_top), by checked (1 - q^i)
+    passes; the generic fraction is built only if a pass is inexact."""
+    quo = num
+    try:
+        for top in tops:
+            for i in range(1, top + 1):
+                quo = quo.div_one_minus_q(i)
+    except ValueError:
+        den = LaurentPoly.one()
+        for top in tops:
+            den = _times_qq_range(den, 1, top)
+        return RationalFunctionQ(num, den.shifted(shift))
+    return RationalFunctionQ(quo.shifted(-shift))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +238,7 @@ def dimension_sum(n: int) -> RationalFunctionQ:
     """
     _require_positive(n)
     acc = _triple_sum_numerator(n)
-    return RationalFunctionQ(acc if n % 2 else -acc, qq_power(n, 4).shifted(3 * n * n))
+    return _over_qq(acc if n % 2 else -acc, (n,) * 4, 3 * n * n)
 
 
 def _inner_sum_numerator(n: int, k: int) -> LaurentPoly:
@@ -270,22 +287,8 @@ def inner_sum_sides(n: int, k: int):
     _require_positive(n)
     if not 0 <= k <= n:
         raise ValueError("k must lie in 0..n")
-    num = _inner_sum_numerator(n, k)
-    # The value is a polynomial, so 2n + k checked (1 - q^i) divisions give
-    # the canonical lhs without a long division by (q;q)_n^2 (q;q)_k.  Falls
-    # back to the generic path if a division is inexact (i.e. if the identity
-    # were false).
-    quo = num
-    try:
-        for top in (n, n, k):
-            for i in range(1, top + 1):
-                quo = quo.div_one_minus_q(i)
-    except ValueError:
-        lhs = RationalFunctionQ(num, _times_qq_range(qq_power(n, 2), 1, k))
-    else:
-        lhs = RationalFunctionQ(quo)
-    rhs = RationalFunctionQ(inner_sum_rhs_poly(n, k))
-    return lhs, rhs
+    lhs = _over_qq(_inner_sum_numerator(n, k), (n, n, k))
+    return lhs, RationalFunctionQ(inner_sum_rhs_poly(n, k))
 
 
 def verify_main(n: int) -> dict:

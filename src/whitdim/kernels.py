@@ -1,29 +1,24 @@
-"""Counting kernels over GF(q), in pure Python.
+"""The package's one count over GF(q), in pure Python.
 
-Both kernels are one transfer count, `_transfer_count`, which reads only the
-field's add/sub/mul/inv tables.  It builds the matrices row by row over
-states (reduced row-echelon basis of the rows so far, diagonal sum), where
-row i takes any vector of its own candidate set and adds one of its entries,
-or none, to the diagonal sum.  It extends each distinct (basis, row set) by
-every vector of the set once, and asserts that the total is the product of
-the row-set sizes.  It ranks no matrix and uses no counting formula.
-
-count_by_rank_trace takes every row from all q^cols vectors.
-count_triples_by_rank_bucket counts the 2n x 2n block matrices
-[[X, Y], [0, Z]]: its last n rows, taken first, are the vectors (0...0 | z),
-and its first n rows all q^(2n) vectors (x | y).
+count_by_rank_trace(field, shape) is a transfer count over the block
+unitriangular group N of a composition: counts[rank of u - I][psi-sum of
+the superdiagonal blocks' diagonals].  (rows, cols) is the single-matrix
+table of the counts oracles, (n, n, n) the triple table of the brute-force
+dimension.  It reads only the field's add/sub/mul/inv tables, builds u - I
+row by row over states (reduced row-echelon basis of the rows so far,
+psi-sum), and asserts that the total is q^(dim N).  It ranks no matrix and
+uses no counting formula.
 
 `_extensions` is the package's only row reduction; counting.grassmann_count
 also runs it, to check each basis it builds.  The tests' reference, `rank`
-in tests/helpers.py, shares no code with it, and ranks every matrix, and
-every triple, from scratch.
+in tests/helpers.py, shares no code with it, and ranks every element of
+N(shape) from scratch.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
-from math import prod
+from itertools import combinations, product, repeat
 
 from .gfield import GFq
 
@@ -66,74 +61,56 @@ def _extensions(field: GFq, basis, vectors):
     return out
 
 
-def _transfer_count(field: GFq, sets, rows):
-    """counts[rank][diagonal sum] over the matrices whose rows are listed by rows.
+def count_by_rank_trace(field: GFq, shape):
+    """counts[rank of u - I][psi-sum] over the block unitriangular group N(shape).
 
-    sets is a list of candidate row sets, each a list of vectors of one
-    width.  rows holds one (s, d) per matrix row: the row is any vector of
-    sets[s], and adds its entry d to the diagonal sum, or nothing when d is
-    the width.  The state after i rows is the reduced row-echelon basis of
-    their span with the diagonal sum so far.  Each distinct (basis, row set)
-    is extended by every vector of the set once (`_extensions`), and its
-    outcomes are grouped once per diagonal column asked for, by (next basis,
-    entry d).  Every matrix is counted exactly once, so the total must be the
-    product of the row-set sizes; anything else raises.
+    shape is a composition (n_1, ..., n_k); the psi-sum adds the diagonals
+    of the superdiagonal blocks.  A row of u - I is a vector on the columns
+    of blocks 2..k (block 1's are zero).  Row i of block j < k is any vector
+    zero on blocks 2..j, and adds its entry at column i of block j + 1 to
+    the psi-sum, nothing once i >= n_(j+1).  So (rows, cols) counts the
+    rows x cols matrices, and (n, n, n) the [[X, Y], [0, Z]] by tr X + tr Z.
+
+    The rows are taken last block first, which changes no rank and extends
+    fewer bases (1823 against 3539 at (3, 3, 3) over GF(2)).  The state is
+    the reduced row-echelon basis of the rows so far with their psi-sum.
+    Each block extends each distinct basis by every vector of its row set
+    once (`_extensions`), and groups the outcomes once per psi column asked
+    for, by (next basis, entry).  The total must be q^(dim N), dim N =
+    sum over i < j of n_i n_j; anything else raises.
     """
     q = field.q
     add = field.add_table
-    width = len(sets[0][0])
-    columns = [list(zip(*vectors)) + [[0] * len(vectors)] for vectors in sets]
-    exts = {}  # (basis, set index) -> next basis for each vector of the set
-    steps = {}  # (basis, set index, column) -> Counter of (next basis, entry)
-    states = {((), 0): 1}  # (basis, diagonal sum) -> number of partial matrices
-    for s, d in rows:
-        nxt = {}
-        for (basis, tr), c in states.items():
-            step = steps.get((basis, s, d))
-            if step is None:
-                ext = exts.get((basis, s))
-                if ext is None:
-                    ext = exts[basis, s] = _extensions(field, basis, sets[s])
-                step = steps[basis, s, d] = Counter(zip(ext, columns[s][d]))
-            sums = add[tr]
-            for (nb, e), k in step.items():
-                key = (nb, sums[e])
-                nxt[key] = nxt.get(key, 0) + c * k
-        states = nxt
-    counts = [[0] * q for _ in range(min(len(rows), width) + 1)]
+    width = sum(shape[1:])
+    states = {((), 0): 1}  # (basis, psi-sum) -> number of partial matrices
+    for j in reversed(range(len(shape) - 1)):
+        zeros = width - sum(shape[j + 1:])
+        vectors = [(0,) * zeros + v for v in product(range(q), repeat=width - zeros)]
+        psi = list(zip(*vectors))[zeros:zeros + shape[j + 1]]
+        exts = {}  # basis -> next basis for each vector of the set
+        steps = {}  # (basis, psi column or None) -> Counter of (next basis, entry)
+        for i in range(shape[j]):
+            d = i if i < shape[j + 1] else None
+            nxt = {}
+            for (basis, tr), c in states.items():
+                step = steps.get((basis, d))
+                if step is None:
+                    ext = exts.get(basis)
+                    if ext is None:
+                        ext = exts[basis] = _extensions(field, basis, vectors)
+                    step = steps[basis, d] = Counter(
+                        zip(ext, repeat(0) if d is None else psi[d]))
+                sums = add[tr]
+                for (nb, e), k in step.items():
+                    key = (nb, sums[e])
+                    nxt[key] = nxt.get(key, 0) + c * k
+            states = nxt
+    counts = [[0] * q for _ in range(min(sum(shape[:-1]), width) + 1)]
     for (basis, tr), c in states.items():
         counts[len(basis)][tr] += c
     total = sum(map(sum, counts))
-    expected = prod(len(sets[s]) for s, _ in rows)
+    expected = q ** sum(a * b for a, b in combinations(shape, 2))
     if total != expected:
-        raise AssertionError(
-            "transfer count of %d rows of width %d over GF(%d) totals %d, not %d"
-            % (len(rows), width, q, total, expected))
+        raise AssertionError("transfer count of shape %r over GF(%d) totals %d, not %d"
+                             % (tuple(shape), q, total, expected))
     return counts
-
-
-def count_by_rank_trace(field: GFq, rows: int, cols: int):
-    """counts[rank][diagonal sum] over all rows x cols matrices over the field.
-
-    Row i is any of the q^cols vectors and adds its entry i to the diagonal
-    sum, nothing once i >= cols.  The total is asserted to be q^(rows*cols).
-    """
-    vectors = list(product(range(field.q), repeat=cols))
-    return _transfer_count(field, [vectors], [(0, min(i, cols)) for i in range(rows)])
-
-
-def count_triples_by_rank_bucket(field: GFq, n: int):
-    """counts[rank][gamma] over all triples (X, Y, Z) of n x n matrices.
-
-    rank is of the 2n x 2n block matrix [[X, Y], [0, Z]] (the nonzero corner
-    of u - I), gamma = tr X + tr Z.  The block matrix is counted as a matrix
-    whose rows come from two sets: first its n rows (0...0 | z), with
-    diagonal columns n..2n-1, then its n rows (x | y) over all q^(2n)
-    vectors, with diagonal columns 0..n-1.  The row order changes no rank;
-    with the Z rows first fewer bases are extended (1823 against 3539 at
-    n = 3 over GF(2)).  The total is asserted to be q^(3n^2).
-    """
-    zs = [(0,) * n + z for z in product(range(field.q), repeat=n)]
-    xys = list(product(range(field.q), repeat=2 * n))
-    rows = [(0, n + i) for i in range(n)] + [(1, i) for i in range(n)]
-    return _transfer_count(field, [zs, xys], rows)

@@ -9,7 +9,9 @@ None of this runs under a whitdim command, so it lives with the tests:
 - rank, Gaussian elimination from scratch: the rank reference that the
   package's one row reduction, kernels._extensions, is checked against;
 - random_matrix and random_invertible for the randomised rank tests, and
-  the plain matrix product matmul and trace they and the tallies use.
+  the plain matrix product matmul and trace that the rank tests use;
+- fresh_table_cache, which gives a test that patches the counting kernel
+  a table cache of its own.
   A matrix over GF(q) is a list of rows of element indices, and each of
   these takes its field as its first argument;
 - poly_pow, the power of a Laurent polynomial by repeated squaring, for
@@ -29,10 +31,11 @@ reads block_constant as a global of this module.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb
 
-from whitdim import engine
+from whitdim import counting, engine
 from whitdim.engine import _times_qq_range
 from whitdim.gfield import GFq, gf
 from whitdim.laurent import LaurentPoly
@@ -134,6 +137,13 @@ def trace(field: GFq, m) -> int:
     for i, row in enumerate(m):
         acc = field.add_table[acc][row[i]]
     return acc
+
+
+def fresh_table_cache(monkeypatch):
+    """Give counting a table cache of the calling test's own, so no table
+    counted by a patched or spied kernel outlives the test."""
+    monkeypatch.setattr(counting, "_rank_trace_counts",
+                        lru_cache(maxsize=None)(counting._rank_trace_counts.__wrapped__))
 
 
 def random_matrix(field: GFq, rows: int, cols: int, rng):

@@ -137,6 +137,19 @@ class TestUsage:
         with pytest.raises(UsageError):
             RunConfig(command="counts", q=[])
 
+    @pytest.mark.parametrize("argv", [
+        ["brute", "--n", "1", "--q", "2,2"],
+        ["counts", "--q", "2", "--q", "2"],
+        ["all", "--n", "1", "--q", "3,2", "--q", "3"],
+    ])
+    def test_repeated_q(self, argv, capsys):
+        # a repeated q would write each of its records twice
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_k_out_of_range(self, capsys):
         assert main(["lemma1", "--n", "3", "--k", "5"]) == 2
         assert capsys.readouterr().err.startswith("error: ")

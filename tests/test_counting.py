@@ -2,7 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
-from helpers import rank, trace
+from helpers import fresh_table_cache, rank
 from whitdim import counting, kernels
 from whitdim.counting import (
     FeasibilityError,
@@ -30,7 +30,7 @@ class TestRectRank:
         for q in (2, 3):
             for s in range(1, 4):
                 for t in range(1, 4):
-                    counts = [sum(row) for row in kernels.count_by_rank_trace(gf(q), s, t)]
+                    counts = [sum(row) for row in kernels.count_by_rank_trace(gf(q), (s, t))]
                     assert sum(counts) == q ** (s * t), (s, t, q)
                     for k, c in enumerate(counts):
                         assert c == rect_rank_formula(s, t, k, q), (s, t, k, q)
@@ -64,51 +64,36 @@ class TestFeasibilityGate:
 
 class TestSquareRankTrace:
     def test_known_values(self):
-        assert kernels.count_by_rank_trace(gf(2), 2, 2) == [[1, 0], [3, 6], [4, 2]]
-        assert kernels.count_by_rank_trace(gf(3), 1, 1) == [[1, 0, 0], [0, 1, 1]]
+        assert kernels.count_by_rank_trace(gf(2), (2, 2)) == [[1, 0], [3, 6], [4, 2]]
+        assert kernels.count_by_rank_trace(gf(3), (1, 1)) == [[1, 0, 0], [0, 1, 1]]
 
     def test_totals_and_nonzero_trace_constancy(self):
         for q in (2, 3, 4):
             for size in (1, 2):
-                counts = kernels.count_by_rank_trace(gf(q), size, size)
+                counts = kernels.count_by_rank_trace(gf(q), (size, size))
                 assert sum(sum(row) for row in counts) == q ** (size * size)
                 for row in counts:
                     assert len({row[a] for a in range(1, q)}) <= 1
 
 
 class TestRectRankTrace:
-    # The package counts single-matrix tables by transfer over row spaces and
-    # ranks none of them, so this from-scratch tally through helpers.rank is
-    # what checks every cell of them.
+    # The package counts its tables by transfer over row spaces and ranks no
+    # matrix, so the from-scratch tally _check_against_tally is what checks
+    # every cell of them.
     def test_rectangular_shapes_match_a_from_scratch_tally(self):
         shapes = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
         for q in (2, 3, 4):
-            for rows, cols in shapes:
-                self._check_against_tally(q, rows, cols)
+            for shape in shapes:
+                _check_against_tally(q, shape)
 
     def test_square_shapes_match_a_from_scratch_tally(self):
         for q, size in [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]:
-            self._check_against_tally(q, size, size)
+            _check_against_tally(q, (size, size))
 
     def test_shapes_without_rows_or_columns_hold_only_the_empty_matrix(self):
         for q in (2, 3, 5):
-            for rows, cols in [(0, 0), (0, 1), (0, 3), (1, 0), (3, 0)]:
-                assert kernels.count_by_rank_trace(gf(q), rows, cols) == [[1] + [0] * (q - 1)]
-
-    @staticmethod
-    def _check_against_tally(q, rows, cols):
-        f = gf(q)
-        want = [[0] * q for _ in range(min(rows, cols) + 1)]
-        for e in product(range(q), repeat=rows * cols):
-            m = [e[i * cols:(i + 1) * cols] for i in range(rows)]
-            diag = 0
-            for i in range(min(rows, cols)):
-                diag = f.add_table[diag][m[i][i]]
-            want[rank(f, m)][diag] += 1
-        counts = kernels.count_by_rank_trace(f, rows, cols)
-        assert counts == want, (q, rows, cols)
-        for k, row in enumerate(counts):
-            assert sum(row) == rect_rank_formula(rows, cols, k, q), (q, rows, cols, k)
+            for shape in [(0, 0), (0, 1), (0, 3), (1, 0), (3, 0)]:
+                assert kernels.count_by_rank_trace(gf(q), shape) == [[1] + [0] * (q - 1)]
 
 
 class TestPrasadDelta:
@@ -164,15 +149,38 @@ class TestGrassmann:
 
 class TestBackendAgreement:
     def test_pure_triples_match_full_rank_reference(self):
-        cases = [(q, 1) for q in SUPPORTED_Q] + [(2, 2)]
-        for q, n in cases:
-            f = gf(q)
-            assert kernels.count_triples_by_rank_bucket(f, n) == _triples_by_full_rank(f, n), (q, n)
+        for q, n in [(q, 1) for q in SUPPORTED_Q] + [(2, 2)]:
+            _check_against_tally(q, (n, n, n))
 
     @pytest.mark.slow
     def test_triples_over_gf3_match_full_rank_reference(self):
-        f = gf(3)
-        assert kernels.count_triples_by_rank_bucket(f, 2) == _triples_by_full_rank(f, 2)
+        _check_against_tally(3, (2, 2, 2))
+
+    def test_asymmetric_shapes_match_a_from_scratch_tally(self):
+        # parts that differ catch a swapped block index, in the zero columns,
+        # the psi columns or the row counts, that (n, ..., n) cannot see; the
+        # two-block ones are test_rectangular_shapes_match_a_from_scratch_tally's
+        shapes = [(2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 1, 2), (1, 1, 1, 1),
+                  (3, 1, 1), (1, 3, 1), (1, 1, 3), (2, 2, 1), (1, 2, 2)]
+        for q in (2, 3):
+            for shape in shapes:
+                _check_against_tally(q, shape)
+
+    def test_triple_table_extends_each_basis_once_per_block(self, monkeypatch):
+        # the last block's rows first, and one _extensions call per distinct
+        # (basis, block): taking the rows first block first does more work
+        extensions = kernels._extensions
+        calls = []
+
+        def counted(field, basis, vectors):
+            calls.append(basis)
+            return extensions(field, basis, vectors)
+
+        monkeypatch.setattr(kernels, "_extensions", counted)
+        for q, work in [(2, 42), (3, 99)]:
+            calls.clear()
+            kernels.count_by_rank_trace(gf(q), (2, 2, 2))
+            assert len(calls) == work, q
 
 
 class TestTransferTotal:
@@ -186,17 +194,17 @@ class TestTransferTotal:
 
     def test_single_matrix_table(self):
         with pytest.raises(AssertionError, match="totals"):
-            kernels.count_by_rank_trace(gf(2), 2, 2)
+            kernels.count_by_rank_trace(gf(2), (2, 2))
 
     def test_triple_table(self):
         with pytest.raises(AssertionError, match="totals"):
-            kernels.count_triples_by_rank_bucket(gf(2), 1)
+            kernels.count_by_rank_trace(gf(2), (1, 1, 1))
 
 
 class TestKernelShapes:
     def test_count_by_rank_has_one_entry_per_rank(self):
         for q, rows, cols in [(2, 1, 1), (2, 2, 3), (3, 3, 1), (4, 2, 2), (5, 1, 2)]:
-            counts = [sum(row) for row in kernels.count_by_rank_trace(gf(q), rows, cols)]
+            counts = [sum(row) for row in kernels.count_by_rank_trace(gf(q), (rows, cols))]
             assert len(counts) == min(rows, cols) + 1, (q, rows, cols)
             assert sum(counts) == q ** (rows * cols), (q, rows, cols)
 
@@ -204,27 +212,52 @@ class TestKernelShapes:
         shapes = [(2, 1, 1), (2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 3, 1), (4, 1, 1), (4, 2, 2),
                   (5, 1, 1), (5, 1, 2)]
         for q, rows, cols in shapes:
-            counts = kernels.count_by_rank_trace(gf(q), rows, cols)
+            counts = kernels.count_by_rank_trace(gf(q), (rows, cols))
             assert len(counts) == min(rows, cols) + 1, (q, rows, cols)
             assert [len(row) for row in counts] == [q] * len(counts), (q, rows, cols)
 
 
-def _triples_by_full_rank(field, n):
-    """counts[rank][tr X + tr Z] by ranking every [[X, Y], [0, Z]] from scratch."""
+def _tally(field, shape):
+    """counts[rank][psi-sum] over N(shape), ranking every u - I from scratch.
+
+    u - I is ranked as its corner above the diagonal blocks: the rows of
+    blocks 1..k-1 on the columns of blocks 2..k, free above the diagonal
+    blocks and zero elsewhere.  The psi-sum adds the diagonal entries (i, i)
+    of each superdiagonal block.
+    """
     q = field.q
-    counts = [[0] * q for _ in range(2 * n + 1)]
-    blocks = [[list(e[i * n:(i + 1) * n]) for i in range(n)]
-              for e in product(range(q), repeat=n * n)]
-    for x in blocks:
-        for y in blocks:
-            for z in blocks:
-                rows = [xr + yr for xr, yr in zip(x, y)] + [[0] * n + zr for zr in z]
-                gamma = field.add_table[trace(field, x)][trace(field, z)]
-                counts[rank(field, rows)][gamma] += 1
+    starts = [sum(shape[:j]) for j in range(len(shape) + 1)]
+    rows, cols = starts[-2], starts[-1] - shape[0]
+    block = [j for j, part in enumerate(shape) for _ in range(part)]
+    free = [(r, c) for r in range(rows) for c in range(cols) if block[r] < block[shape[0] + c]]
+    psi = [free.index((starts[j] + i, starts[j + 1] + i - shape[0]))
+           for j in range(len(shape) - 1) for i in range(min(shape[j], shape[j + 1]))]
+    counts = [[0] * q for _ in range(min(rows, cols) + 1)]
+    for values in product(range(q), repeat=len(free)):
+        m = [[0] * cols for _ in range(rows)]
+        for (r, c), v in zip(free, values):
+            m[r][c] = v
+        tr = 0
+        for i in psi:
+            tr = field.add_table[tr][values[i]]
+        counts[rank(field, m)][tr] += 1
     return counts
 
 
+def _check_against_tally(q, shape):
+    f = gf(q)
+    counts = kernels.count_by_rank_trace(f, shape)
+    assert counts == _tally(f, shape), (q, shape)
+    if len(shape) == 2:
+        for k, row in enumerate(counts):
+            assert sum(row) == rect_rank_formula(*shape, k, q), (q, shape, k)
+
+
 class TestMemoisedOracles:
+    @pytest.fixture(autouse=True)
+    def own_table_cache(self, monkeypatch):
+        fresh_table_cache(monkeypatch)
+
     def test_each_shape_enumerated_once(self, monkeypatch):
         calls = []
 
@@ -236,7 +269,6 @@ class TestMemoisedOracles:
 
         for name in [n for n in vars(kernels) if n.startswith("count_")]:
             monkeypatch.setattr(kernels, name, spy(name, getattr(kernels, name)))
-        counting._rank_trace_counts.cache_clear()
 
         for k in range(4):
             enum, formula = count_rect_by_rank(3, 3, k, 2)
@@ -244,14 +276,30 @@ class TestMemoisedOracles:
         for k in range(4):
             delta, formula = prasad_delta(3 - k, k, 2)
             assert delta == formula
-        assert calls == [("count_by_rank_trace", 2, 3, 3)]
+        assert calls == [("count_by_rank_trace", 2, (3, 3))]
+
+    def test_each_triple_table_counted_once(self, monkeypatch):
+        from whitdim.dimension import dimension_report
+
+        real = kernels.count_by_rank_trace
+        calls = []
+
+        def spy(field, shape):
+            calls.append((field.q, shape))
+            return real(field, shape)
+
+        monkeypatch.setattr(kernels, "count_by_rank_trace", spy)
+        for _ in range(2):
+            assert dimension_report(1, 3)["agree"]
+            assert dimension_report(2, 2)["agree"]
+        assert calls == [(3, (1, 1, 1)), (2, (2, 2, 2))]
 
     def test_mutating_a_returned_count_cannot_corrupt_a_later_call(self):
-        fresh = kernels.count_by_rank_trace(gf(2), 2, 2)
+        fresh = kernels.count_by_rank_trace(gf(2), (2, 2))
         fresh[1][1] = 0
-        assert kernels.count_by_rank_trace(gf(2), 2, 2) == [[1, 0], [3, 6], [4, 2]]
+        assert kernels.count_by_rank_trace(gf(2), (2, 2)) == [[1, 0], [3, 6], [4, 2]]
 
-        table = counting._rank_trace_counts(2, 2, 2)
+        table = counting.rank_trace_table(2, (2, 2))
         with pytest.raises(TypeError):
             table[1] = (0, 0)
         with pytest.raises(TypeError):

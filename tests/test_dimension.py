@@ -98,14 +98,15 @@ class TestBruteDim:
             assert set(sums) == set(range(q))
 
     def test_dropped_count_breaks_the_bucket_total(self, monkeypatch):
-        real = kernels.count_triples_by_rank_bucket
+        real = kernels.count_by_rank_trace
 
-        def short(field, n):
-            counts = real(field, n)
+        def short(field, shape):
+            counts = real(field, shape)
             counts[-1][0] -= 1
             return counts
 
-        monkeypatch.setattr(kernels, "count_triples_by_rank_bucket", short)
+        monkeypatch.setattr(kernels, "count_by_rank_trace", short)
+        helpers.fresh_table_cache(monkeypatch)
         with pytest.raises(AssertionError, match="bucket sizes"):
             trace_bucket_sums(1, 3)
 

@@ -86,6 +86,25 @@ class TestDimensionSum:
         for n in range(1, 9):
             assert dimension_sum(n).denominator_is_one, n
 
+    def test_perturbed_numerator_is_unequal_and_canonical(self, monkeypatch):
+        # an inexact (1 - q^i) division falls back to the generic canonical form
+        from whitdim import engine
+
+        walker = engine._triple_sum_numerator
+
+        def faulty(n):
+            out = walker(n)
+            return out + LaurentPoly.monomial(out.min_exp + 1)  # one coefficient off by 1
+
+        monkeypatch.setattr(engine, "_triple_sum_numerator", faulty)
+        for n in (1, 2, 3):
+            value = dimension_sum(n)
+            num = faulty(n) if n % 2 else -faulty(n)
+            want = RF(num, poly_pow(qq(n), 4).shifted(3 * n * n))
+            assert value.to_json_dict() == want.to_json_dict(), n
+            assert not value.denominator_is_one, n
+            assert value != closed_product(n), n
+
 
 class TestVerifyMain:
     def test_range(self):
