@@ -128,14 +128,14 @@ EQUIVALENT = {
     ),
     "engine.py:_conclusion_steps:const+1:26": (
         "for k in range(n + 2)",
-        "45560f0c1466",
+        "6f37df9b66c9",
         "widens the k range of the cross-multiplied Pochhammer rewrite in "
         "conclusion-pochhammer-split to n + 1; both sides are (q;q)_(n+k-1), so "
         "it holds for every k >= 0",
     ),
     "engine.py:_conclusion_steps:-->+:3": (
         "reindexed = reindexed - outer if (n + k) % 2 else reindexed + outer",
-        "45560f0c1466",
+        "6f37df9b66c9",
         "(n - k) % 2 -> (n + k) % 2 has the same parity",
     ),
     "engine.py:_simplification_steps.long_range:+->-:0": (

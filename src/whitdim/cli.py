@@ -446,8 +446,12 @@ def main(argv=None) -> int:
         code = run(cfg, sys.stdout)
         sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiet exit flush
-        print("error: stdout was closed before the run finished", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # quiet exit flush
+        try:
+            print("error: stdout was closed before the run finished", file=sys.stderr)
+        except BrokenPipeError:  # stderr shares the closed pipe (2>&1)
+            os.dup2(devnull, sys.stderr.fileno())
         return EXIT_USAGE
     return code
 

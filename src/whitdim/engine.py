@@ -30,18 +30,19 @@ form, cached for the last n: dimension_sum and conclusion-group-by-k both
 read it, so a chain run walks it once per n.
 
 The derivation chains compare the walkers with one from-scratch oracle,
-_nested_triple_numerator.  The oracle only multiplies: terms that share
-factors share their prefix products, built by sparse (1 - q^i) passes.  Per
-l it walks m downward, multiplying in one factor of T_m per step and
-T_{n-m-l} once, and k innermost and upward, one factor of T_{n-k-l} per
-step, so the whole sum costs O(n^3) passes.  Terms are summed per (s, k);
-per s the k sums are folded with their T_k by nested multiplication and
-then multiplied once by (q;q)_{3n-s-1}, directly and not by a Horner pass
-over s.  It never divides out a factor and sums with plain LaurentPoly +/-,
-so it shares no stepping, summation or closing code with the walkers it
-checks.  Both simplify-regrouped-sum and conclusion-group-by-k compare a
-walker with it; it is cached for the last n, so a chain run builds it once
-per n.
+_nested_triple_numerator.  The oracle only multiplies.  The (m, l) part of
+each term, T_m T_l T_{n-m-l}, is (q;q)_n^2 times the q-multinomial
+[n; m, l, n-m-l]_q = [n, m]_q [n-m, l]_q, a product of two Gaussian
+binomials from the q-Pascal table of qseries, with no (1 - q^i) pass.  Per
+(m, l) it walks k upward, one sparse factor of T_{n-k-l} per step, so the
+whole sum costs O(n^3) passes.  Terms are summed per (s, k); per s the k
+sums are folded with their T_k by nested multiplication and then multiplied
+once by (q;q)_{3n-s-1}, directly and not by a Horner pass over s.  The
+k-independent (q;q)_n^3 is applied once, to the total.  It never divides
+out a factor and sums with plain LaurentPoly +/-, so it shares no stepping,
+summation or closing code with the walkers it checks.  Both
+simplify-regrouped-sum and conclusion-group-by-k compare a walker with it;
+it is cached for the last n, so a chain run builds it once per n.
 
 The per-tuple rewrites of the simplification chain are cross-multiplied
 statements between polynomials, built by sparse passes: no division and no
@@ -49,13 +50,16 @@ canonicalisation, and exact proofs since every (q;q)_j is nonzero.  The
 long-range and tail rewrites are all prod_{i=lo+1..hi} (q^i - 1) (q;q)_lo ==
 sign (q;q)_hi (_range_rewrite_holds); many tuples map to one (sign, lo, hi),
 so each distinct statement is proved once per n and its verdict is reported
-for every tuple that maps to it.
+for every tuple that maps to it.  Their literal products come from
+poch_power, which extends a cached prefix by one factor, so the products of
+one base share their prefixes.  The factorial-sign statements walk m for
+each k, at two passes per (k, m) (_factorial_sign_table).
 
-The conclusion chain works the same way where its records allow: step (c)
-multiplies each closed form by (q;q)_n^4 as 4n sparse passes, step (e)
-proves its n + 1 Pochhammer rewrites cross-multiplied, and the series
-product of step (f) is a division-free q-binomial convolution (see qseries).
-Only the values a record serialises are canonicalised.
+The conclusion chain works the same way where its records allow: steps (b)
+and (c) apply the k-independent (q;q)_n and (q;q)_n^4 once, to the k-sum,
+step (e) proves its n + 1 Pochhammer rewrites cross-multiplied, and the
+series product of step (f) is a division-free q-binomial convolution (see
+qseries).  Only the values a record serialises are canonicalised.
 
 Every check is reported through one runner, timed_reports.  A check is a
 generator that yields one (identity, equal, lhs, rhs) tuple per step; the
@@ -75,7 +79,8 @@ from typing import Optional
 
 from .laurent import LaurentPoly, PolyAccumulator
 from .qseries import (
-    euler_series, poch_power, q_power_minus_one_range, qbinom_series, qq, qq_power,
+    euler_series, gaussian_binomial, poch_power, q_power_minus_one_range, qbinom_series,
+    qq, qq_power,
 )
 from .rational import RationalFunctionQ
 
@@ -333,18 +338,25 @@ def _range_rewrite_holds(sign: int, lo: int, hi: int) -> bool:
     return lhs == (-qq(hi) if sign < 0 else qq(hi))
 
 
-def _factorial_signs_hold(sign: int, k: int, m: int) -> bool:
-    """1 / (prod_{i=1..k} (q^i - 1) prod_{i=1..m} (q^i - 1)) == sign / ((q;q)_k (q;q)_m).
+def _factorial_sign_table(n: int) -> dict:
+    """{(k, m): sign} for 0 <= k, m <= n, where (q;q)_k (q;q)_m == sign * lit_den.
 
-    Cross-multiplied to (q;q)_k (q;q)_m == sign * lit_den, exact since both
-    denominators are nonzero.  Each side is built by sparse passes: (q;q)_m
-    onto the cached (q;q)_k, and the m literal factors (q^i - 1) onto the
-    literal product over 1..k.
+    lit_den = prod_{i=1..k} (q^i - 1) prod_{i=1..m} (q^i - 1), so sign is the
+    one for which 1 / lit_den == sign / ((q;q)_k (q;q)_m), cross-multiplied
+    and exact since both denominators are nonzero; 0 when neither sign holds.
+    Per k, both sides start from the literal product over 1..k and the cached
+    (q;q)_k, and each step up in m is one sparse pass on each: (1 - q^m) on
+    the (q;q) side, the literal factor (q^m - 1) on the other.
     """
-    lit_den = q_power_minus_one_range(1, k)
-    for i in range(1, m + 1):
-        lit_den = -lit_den.times_one_minus_q(i)
-    return _times_qq_range(qq(k), 1, m) == (-lit_den if sign < 0 else lit_den)
+    signs = {}
+    for k in range(n + 1):
+        lhs, lit_den = qq(k), q_power_minus_one_range(1, k)
+        for m in range(n + 1):
+            if m:
+                lhs = lhs.times_one_minus_q(m)
+                lit_den = -lit_den.times_one_minus_q(m)
+            signs[k, m] = 1 if lhs == lit_den else -1 if lhs == -lit_den else 0
+    return signs
 
 
 def simplification_chain(n: int):
@@ -381,11 +393,14 @@ def _simplification_steps(n: int):
         stated = n * (k + m) - k * m + comb(k, 2) + comb(m, 2)
         return merged == stated
 
-    def factorial_signs(k, m):
-        return _factorial_signs_hold(-1 if (k + m) % 2 else 1, k, m)
-
     yield _for_all("simplify-monomial-merge", ("k", "m"), km, monomial_merge)
-    yield _for_all("simplify-factorial-signs", ("k", "m"), km, factorial_signs)
+    signs = _factorial_sign_table(n)
+    yield _for_all(
+        "simplify-factorial-signs",
+        ("k", "m"),
+        km,
+        lambda k, m: signs[k, m] == (-1 if (k + m) % 2 else 1),
+    )
     yield _for_all(
         "simplify-l-power",
         ("l",),
@@ -457,17 +472,19 @@ def _nested_triple_numerator(n: int) -> LaurentPoly:
 
     The term at (k, m, l) is (-1)^s q^e (q;q)_{3n-s-1} (q;q)_n T_k T_m T_l
     T_{n-k-l} T_{n-m-l}, with s = k + m + l, T_j = prod_{i=j+1..n} (1 - q^i)
-    and e = kn + C(k,2) + m(n-k) + C(m,2) + C(l,2).  Terms that share
-    factors share their prefix products.  Per l, u starts at (q;q)_n T_l
-    T_{n-l} T_{n-l}: the first T_{n-l} is T_{n-k-l} at k = 0, the second T_m
-    at m = n - l.  Each step down in m multiplies in (1 - q^(m+1)), turning
-    T_{m+1} into T_m, and T_{n-m-l} is multiplied in once per m.  Each step
-    up in k multiplies in (1 - q^(n-k-l+1)), turning T_{n-k-l+1} into
-    T_{n-k-l}.  The shifted u is summed into the bucket (s, k).  Per s, the
-    buckets are folded with their T_k by nested multiplication, and the fold
-    is multiplied once by (q;q)_{3n-s-1} and added with the sign (-1)^s.
-    That is O(n^3) sparse passes in all, where rebuilding each term from
-    (q;q)_n takes O(n^4).
+    and e = kn + C(k,2) + m(n-k) + C(m,2) + C(l,2).  Its (m, l) part
+    T_m T_l T_{n-m-l} is (q;q)_n^2 times the q-multinomial [n; m, l, n-m-l]_q
+    = [n, m]_q [n-m, l]_q, a product of two Gaussian binomials from the
+    q-Pascal table, so it costs no (1 - q^i) pass.  Per (m, l), u starts at
+    that product times T_{n-l}, which is T_{n-k-l} at k = 0, and each step up
+    in k multiplies in (1 - q^(n-k-l+1)), turning T_{n-k-l+1} into T_{n-k-l}.
+    The shifted u is summed into the bucket (s, k).  Per s, the buckets are
+    folded with their T_k by nested multiplication, and the fold is
+    multiplied once by (q;q)_{3n-s-1} and added with the sign (-1)^s.  The
+    (q;q)_n^3 that every term shares, its own (q;q)_n and the (q;q)_n^2 of
+    its multinomial, multiplies the total once, as 3n passes.  That is
+    O(n^3) sparse passes in all, on polynomials that carry no (q;q)_n^3
+    until the end.
 
     The one oracle of the triple sum: both simplify-regrouped-sum and
     conclusion-group-by-k compare a walker with it.  It only multiplies and
@@ -478,13 +495,9 @@ def _nested_triple_numerator(n: int) -> LaurentPoly:
     by_sk = [[LaurentPoly.zero()] * (n + 1) for _ in range(2 * n + 1)]
     for ell in range(n + 1):
         top = n - ell
-        head = _times_qq_range(qq(n), ell + 1, n)
-        head = _times_qq_range(head, top + 1, n)
-        head = _times_qq_range(head, top + 1, n)
-        for m in range(top, -1, -1):
-            if m < top:
-                head = head.times_one_minus_q(m + 1)
-            u = _times_qq_range(head, top - m + 1, n)
+        for m in range(top + 1):
+            u = gaussian_binomial(n, m) * gaussian_binomial(n - m, ell)
+            u = _times_qq_range(u, top + 1, n)
             for k in range(top + 1):
                 if k:
                     u = u.times_one_minus_q(top - k + 1)
@@ -500,6 +513,8 @@ def _nested_triple_numerator(n: int) -> LaurentPoly:
             part = part + bucket
         part = _times_qq_range(part, 1, 3 * n - s - 1)
         nested = nested - part if s % 2 else nested + part
+    for _ in range(3):
+        nested = _times_qq_range(nested, 1, n)
     return nested
 
 
@@ -517,27 +532,27 @@ def _conclusion_steps(n: int):
            "triple sum numerator", "nested sum numerator")
 
     # (b) replacing k by n-k leaves the outer sum unchanged; the inner sums
-    # are numerators over (q;q)_n^2 (q;q)_k, brought to (q;q)_n^4 here by
-    # their T_k and one more (q;q)_n
+    # are numerators over (q;q)_n^2 (q;q)_k, brought to (q;q)_n^3 here by
+    # their T_k, and the k-sum to (q;q)_n^4 by one more (q;q)_n
     reindexed = LaurentPoly.zero()
     for k in range(n + 1):
-        inner = _times_qq_range(_times_qq_range(_inner_sum_numerator(n, k), k + 1, n), 1, n)
+        inner = _times_qq_range(_inner_sum_numerator(n, k), k + 1, n)
         outer = _times_qq_range(inner, n - k + 1, n).shifted((n - k) * n + comb(n - k, 2))
         reindexed = reindexed - outer if (n - k) % 2 else reindexed + outer
+    reindexed = _times_qq_range(reindexed, 1, n)
     yield ("conclusion-reindex-outer", nested == reindexed,
            "nested sum numerator", "reindexed sum numerator")
 
-    # (c) substituting the inner sum's closed form
+    # (c) substituting the inner sum's closed form, whose k-sum is brought to
+    # (q;q)_n^4 once, as 4n sparse passes
     plugged = LaurentPoly.zero()
     for k in range(n + 1):
-        # times (q;q)_n^4 as 4n sparse passes
-        closed = inner_sum_rhs_poly(n, k)
-        for _ in range(4):
-            closed = _times_qq_range(closed, 1, n)
-        outer = _times_qq_range(closed, n - k + 1, n).shifted(
+        outer = _times_qq_range(inner_sum_rhs_poly(n, k), n - k + 1, n).shifted(
             (n - k) * n + comb(n - k, 2)
         )
         plugged = plugged - outer if (n - k) % 2 else plugged + outer
+    for _ in range(4):
+        plugged = _times_qq_range(plugged, 1, n)
     yield ("conclusion-plug-closed-form", reindexed == plugged,
            "reindexed sum numerator", "substituted sum numerator")
 

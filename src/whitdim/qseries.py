@@ -55,18 +55,28 @@ def qq_power(j: int, p: int) -> LaurentPoly:
     return out
 
 
-@lru_cache(maxsize=None)
+_POCH = {}  # (base_exp, length) -> poch_power(base_exp, length)
+
+
 def poch_power(base_exp: int, length: int) -> LaurentPoly:
     """(q^base_exp ; q)_length = prod_{k=0}^{length-1} (1 - q^(base_exp+k)), cached.
 
-    The empty product (length 0) is 1.  A base_exp <= 0 is allowed: the
-    product vanishes once it reaches the factor 1 - q^0.
+    Each product is its cached prefix of length - 1 times one more factor,
+    one out - out.shifted(e); a call extends the longest cached prefix of its
+    base in a loop and caches every prefix it passes, so a run of lengths
+    over one base costs one factor each and no length recurses.  The empty
+    product (length 0) is 1.  A base_exp <= 0 is allowed: the product
+    vanishes once it reaches the factor 1 - q^0.
     """
     if length < 0:
         raise ValueError("(q^e;q)_length needs length >= 0")
-    out = LaurentPoly.one()
-    for e in range(base_exp, base_exp + length):
-        out = out - out.shifted(e)
+    done = length
+    while done and (base_exp, done) not in _POCH:
+        done -= 1
+    out = _POCH[base_exp, done] if done else LaurentPoly.one()
+    for k in range(done, length):
+        out = out - out.shifted(base_exp + k)
+        _POCH[base_exp, k + 1] = out
     return out
 
 

@@ -300,6 +300,21 @@ class TestOutputModes:
         assert proc.wait() == 2
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_closed_pipe_shared_by_stdout_and_stderr_is_a_usage_error(self):
+        # `whitdim chain --n 2 2>&1 | head -1`: the error message cannot be
+        # written either, and the exit code must still say so
+        import os
+        import subprocess
+        import sys
+
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+        argv = [sys.executable, "-m", "whitdim.cli", "chain", "--n", "2"]
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.STDOUT)
+        proc.stdout.close()
+        assert proc.wait() == 2
+
     def test_determinism_modulo_elapsed(self):
         def snap():
             cfg = RunConfig(command="verify", n="1..3")

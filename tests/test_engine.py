@@ -477,6 +477,141 @@ class TestCrossChecksCatchFaults:
             assert main(["chain", "--n", "2"]) == EXIT_FAILED
 
 
+def _clear_engine_caches():
+    from whitdim import engine, qseries
+
+    for cached in (qseries.qq, qseries.qq_power, qseries.gaussian_binomial,
+                   engine._nested_triple_numerator, engine._triple_sum_numerator):
+        cached.cache_clear()
+    qseries._POCH.clear()
+
+
+def _step_windows(monkeypatch, n, watch=()):
+    """Run both chains' steps at n from cold caches, one window per step.
+
+    Returns {identity: (times, divs, combines, first calls)}: the
+    times_one_minus_q, div_one_minus_q and laurent._combine calls made
+    between the step's yield and the previous one, and the engine functions
+    named in watch that were called in that window and not before.
+    """
+    from whitdim import engine, laurent
+
+    counts = dict.fromkeys(("times", "div", "combine"), 0)
+    seen, first = set(), []
+
+    def counted(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    def watched(name, real):
+        def wrapper(*args):
+            if name not in seen:
+                seen.add(name)
+                first.append(name)
+            return real(*args)
+        return wrapper
+
+    _clear_engine_caches()
+    monkeypatch.setattr(LaurentPoly, "times_one_minus_q",
+                        counted("times", LaurentPoly.times_one_minus_q))
+    monkeypatch.setattr(LaurentPoly, "div_one_minus_q",
+                        counted("div", LaurentPoly.div_one_minus_q))
+    monkeypatch.setattr(laurent, "_combine", counted("combine", laurent._combine))
+    for name in watch:
+        monkeypatch.setattr(engine, name, watched(name, getattr(engine, name)))
+    windows = {}
+    for steps in (engine._simplification_steps(n), engine._conclusion_steps(n)):
+        for identity, *_ in steps:
+            windows[identity] = (counts["times"], counts["div"], counts["combine"],
+                                 tuple(first))
+            counts.update(times=0, div=0, combine=0)
+            first.clear()
+    monkeypatch.undo()
+    _clear_engine_caches()
+    return windows
+
+
+class TestChainWork:
+    def test_each_step_does_its_pinned_polynomial_work(self, monkeypatch):
+        # (1 - q^j) passes (times, divides) and _combine calls per step at
+        # n = 6 from cold caches.  A step that rebuilds a shared prefix per
+        # tuple or applies a k-independent factor per k does more.
+        want = {
+            "simplify-q-power": (0, 0, 0),
+            "simplify-closed-product": (5, 0, 5),
+            "simplify-monomial-merge": (0, 0, 0),
+            # 2 passes per (k, m) with m >= 1, and (q;q)_n; one poch_power
+            # prefix per literal range over 1..k
+            "simplify-factorial-signs": (2 * 6 * 7 + 1, 0, 6),
+            "simplify-l-power": (0, 0, 0),
+            # lo passes per distinct (sign, lo, hi), and (q;q)_7..(q;q)_17;
+            # one _combine per poch_power prefix, each built once
+            "simplify-long-range": (102, 0, 71),
+            "simplify-k-tail": (20, 0, 0),
+            "simplify-m-tail": (0, 0, 0),
+            "simplify-regrouped-sum": (498, 56, 166),
+            "simplify-normalized-lhs": (0, 0, 1),
+            "simplify-exponent-total": (0, 0, 0),
+            "conclusion-group-by-k": (0, 0, 0),
+            "conclusion-reindex-outer": (238, 71, 48),
+            # T_(n-k) per k, then (q;q)_n^4 once: 21 + 4 * 6
+            "conclusion-plug-closed-form": (21 + 24, 0, 6),
+            "conclusion-normalize-power": (21, 0, 6),
+            "conclusion-pochhammer-split": (98, 0, 6),
+            "conclusion-coefficient-extraction": (0, 0, 21),
+            "conclusion-telescoped-series": (0, 0, 0),
+            "conclusion-exponent-identity": (0, 0, 0),
+        }
+        got = {identity: w[:3] for identity, w in _step_windows(monkeypatch, 6).items()}
+        assert got == want
+
+    def test_no_step_works_before_the_previous_steps_yield(self, monkeypatch):
+        # each step's work runs between its own yield and the previous one,
+        # so its elapsed_ms times it: the factorial table is not built in
+        # simplify-monomial-merge, nor the oracle in an earlier step
+        watch = ("_factorial_sign_table", "_range_rewrite_holds", "_triple_sum_numerator",
+                 "_nested_triple_numerator", "_inner_sum_numerator", "inner_sum_rhs_poly")
+        for n in (1, 4):
+            got = {identity: w[3] for identity, w in _step_windows(monkeypatch, n, watch).items()}
+            assert {identity: calls for identity, calls in got.items() if calls} == {
+                "simplify-factorial-signs": ("_factorial_sign_table",),
+                "simplify-long-range": ("_range_rewrite_holds",),
+                "simplify-regrouped-sum": ("_triple_sum_numerator",
+                                           "_nested_triple_numerator"),
+                "conclusion-reindex-outer": ("_inner_sum_numerator",),
+                "conclusion-plug-closed-form": ("inner_sum_rhs_poly",),
+            }, n
+
+    def test_a_faulty_gaussian_binomial_fails_the_oracle_steps(self, monkeypatch):
+        # the oracle's q-multinomials come from the q-Pascal table; one
+        # coefficient off by one at any (t, i) it reads must be reported
+        from whitdim import engine
+
+        real = engine.gaussian_binomial
+        n = 3
+        try:
+            for fault in [(t, i) for t in range(n + 1) for i in range(t + 1)]:
+                def faulty(t, i, fault=fault):
+                    out = real(t, i)
+                    return out + LaurentPoly.monomial(out.min_exp) if (t, i) == fault else out
+
+                monkeypatch.setattr(engine, "gaussian_binomial", faulty)
+                engine._nested_triple_numerator.cache_clear()
+                failed = {
+                    r["identity"]
+                    for r in simplification_chain(n) + conclusion_chain(n)
+                    if not r["equal"]
+                }
+                monkeypatch.undo()
+                # conclusion-reindex-outer compares its sum with the oracle too
+                assert failed == {"simplify-regrouped-sum", "conclusion-group-by-k",
+                                  "conclusion-reindex-outer"}, fault
+        finally:
+            engine._nested_triple_numerator.cache_clear()
+
+
 def _tail(j, n):
     out = LaurentPoly.one()
     for i in range(j + 1, n + 1):
@@ -626,15 +761,15 @@ class TestChains:
                         assert engine._range_rewrite_holds(sign, lo, hi) == want, (
                             n, k, m, ell, lo, hi, sign,
                         )
+            signs = engine._factorial_sign_table(n)
+            assert set(signs) == {(k, m) for k in range(n + 1) for m in range(n + 1)}
             for k in range(n + 1):
                 for m in range(n + 1):
                     for sign in (1, -1):
                         want = RF(1, lit(1, k) * lit(1, m)) == RF(
                             LaurentPoly.from_int(sign), qq(k) * qq(m)
                         )
-                        assert engine._factorial_signs_hold(sign, k, m) == want, (
-                            n, k, m, sign,
-                        )
+                        assert (signs[k, m] == sign) == want, (n, k, m, sign)
 
     def test_rewrite_predicates_never_divide_or_canonicalise(self, monkeypatch):
         from whitdim import engine, rational
@@ -647,12 +782,13 @@ class TestChains:
             monkeypatch.setattr(module, name, forbidden)
         monkeypatch.setattr(LaurentPoly, "div_one_minus_q", forbidden)
         n = 4
+        signs = engine._factorial_sign_table(n)
         for k, m, ell in _admissible(n):
             assert engine._range_rewrite_holds(
                 (-1) ** (n + k + m + 1), ell, 3 * n - k - m - ell - 1
             )
             assert engine._range_rewrite_holds((-1) ** (k + ell), n - k - ell, n)
-            assert engine._factorial_signs_hold((-1) ** (k + m), k, m)
+            assert signs[k, m] == (-1) ** (k + m)
 
     def test_range_rewrite_rejects_a_negative_lower_index(self):
         from whitdim import engine

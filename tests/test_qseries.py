@@ -45,6 +45,44 @@ class TestPochhammer:
         with pytest.raises(ValueError):
             poch_power(0, -1)
 
+    def test_prefix_cache_in_any_call_order_gives_the_product(self):
+        # a call extends the longest cached prefix of its base, whichever
+        # lengths were asked for before
+        import whitdim.qseries
+
+        whitdim.qseries._POCH.clear()
+        for base in range(-3, 5):
+            for length in (5, 2, 8, 0, 3, 7, 1, 9, 6, 4):
+                want = ONE
+                for e in range(base, base + length):
+                    want = want * (ONE - Q(e))
+                assert poch_power(base, length) == want, (base, length)
+
+    def test_long_products_do_not_recurse(self):
+        # 3000 factors, past the default recursion limit, on a product that
+        # vanishes at its third factor so it stays cheap
+        import sys
+
+        import whitdim.qseries
+
+        assert poch_power(-2, 3000).is_zero
+        # a nonzero product built under a recursion limit 30 frames above
+        # this one, against its factors multiplied out
+        whitdim.qseries._POCH.clear()
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 30)
+        try:
+            got = poch_power(1, 60)
+        finally:
+            sys.setrecursionlimit(limit)
+        want = ONE
+        for e in range(1, 61):
+            want = want.times_one_minus_q(e)
+        assert got == want
+
     def test_qq_cache(self):
         assert qq(0) == ONE
         assert qq(3) == (ONE - Q(1)) * (ONE - Q(2)) * (ONE - Q(3))
