@@ -75,6 +75,7 @@ TESTS = {
     "kernels.py": ["tests/test_counting.py", "tests/test_dimension.py"],
     "laurent.py": [
         "tests/test_laurent.py", "tests/test_rational.py", "tests/test_imports.py",
+        "tests/test_engine.py",
     ],
     "qseries.py": ["tests/test_qseries.py", "tests/test_engine.py"],
     "rational.py": [
@@ -162,11 +163,6 @@ EQUIVALENT = {
         'parts.append(("- " if c <= 0 else "+ ") + term)',
         "64cb3be866b9",
         "zero coefficients are skipped, so c <= 0 iff c < 0",
-    ),
-    "laurent.py:PolyAccumulator.add_shifted:<-><=:0": (
-        "if start <= self.min_exp:",
-        "99cdc282e010",
-        "at start == min_exp it prepends zero zeros and sets min_exp to itself",
     ),
     "rational.py:_reduce:>->>=:0": (
         "if c >= 1:",

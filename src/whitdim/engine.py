@@ -10,24 +10,47 @@ evaluated exactly over the fixed common denominator (q;q)_n^5 (the inner
 double sums of lemma1 use (q;q)_n^2 (q;q)_k).  Each term is a sign and a
 power of q times (q;q)_{3n-s-1} (q;q)_n times a product V of tail factors
 T_j = (q;q)_n / (q;q)_j, where s = k + m + l is the index sum.  The walkers
-step V alone from one lattice point to a neighbour, dividing it by and
-multiplying it with a few sparse (1 - q^j) factors, and add each signed,
-shifted V into a PolyAccumulator for its s.  Both walk m innermost: a step
-in m changes two factors, (1 - q^m) and (1 - q^(n-m-l+1)), where a step in
-l changes three.  At fixed l, with N = n - l, V pairs each T_j with
-T_{N-j}, so V is unchanged by k -> N-k, by m -> N-m and, in the triple
-sum, by k <-> m.  Each walker steps V once per orbit of these symmetries,
-at its representative, and there adds the term of every point of the
-orbit, each with its own sign, power of q and s: the triple walker steps
-0 <= k <= m <= N/2, about n^3/24 points, the inner walker m <= N/2.  The
-factors that depend only on s, or on nothing, are applied once at the end:
-a Horner pass over s (_horner_close) gives every partial sum its
+step V alone from one lattice point to a neighbour, multiplying it with and
+then dividing it by a few sparse (1 - q^j) factors, and add each shifted V
+into the sum for its s.  Both walk m innermost: a step in m changes two
+factors, (1 - q^m) and (1 - q^(n-m-l+1)), where a step in l changes three.
+At fixed l, with N = n - l, V pairs each T_j with T_{N-j}, so V is
+unchanged by k -> N-k, by m -> N-m and, in the triple sum, by k <-> m.
+Each walker steps V once per orbit of these symmetries, at its
+representative, and there adds the term of every point of the orbit, each
+with its own power of q and s: the triple walker steps 0 <= k <= m <= N/2,
+about n^3/24 points, the inner walker m <= N/2.  The factors that depend
+only on s, or on nothing, are applied once at the end: a Horner pass over s
+(_horner_close) gives every partial sum its sign (-1)^s and its
 (q;q)_{3n-s-1}, and the triple sum's total is multiplied by (q;q)_n.  No
-per-term polynomial product is ever built, and each division asserts
-exactness, as do the passes that divide the totals of dimension_sum and
-lemma1 by their (q;q) denominators (_over_qq).  The triple walker has one
-form, cached for the last n: dimension_sum and conclusion-group-by-k both
-read it, so a chain run walks it once per n.
+per-term polynomial product is ever built.  The triple walker has one form,
+cached for the last n: dimension_sum and conclusion-group-by-k both read
+it, so a chain run walks it once per n.
+
+The walkers run on Kronecker-packed ints (see laurent): V, the per-s sums
+and the Horner close are each one int, the polynomial's value at X = 2^B.
+A product by (1 - q^j) is then v - (v << B*j), a power q^e a shift by B*e
+and a sum an int sum, all at C speed, and the division by (1 - q^j) is
+laurent.div_packed.  The result is unpacked into a LaurentPoly once.  Why
+that is a proof:
+
+- every packed operation is exact integer arithmetic on values at X, and
+  div_packed multiplies its quotient back and raises unless it gets the
+  dividend, so each division still asserts exactness and the final int is
+  exactly p(X) for the true numerator p;
+- reading p's coefficients back from p(X) is right when each is below
+  2^(B-1) in absolute value.  B comes from a proved bound: the l1 norm is
+  submultiplicative and bounds the largest coefficient, so the sum over
+  every term of the l1 norms of its factors bounds every coefficient of p
+  (_triple_bound, _inner_bound), and laurent.packed_width makes the bound
+  less than 2^(B-2).  At n = 16 that is B = 80 bits; the largest
+  coefficient has 29.
+
+A width below the true coefficients can return a wrong polynomial without
+any operation failing, so the proved bound is the whole soundness argument:
+no option sets B, and unpack raises if a coefficient it reads exceeds the
+bound.  The totals of dimension_sum and lemma1 are divided by their (q;q)
+denominators as LaurentPoly, by checked list passes (_over_qq).
 
 The derivation chains compare the walkers with one from-scratch oracle,
 _nested_triple_numerator.  The oracle only multiplies.  The (m, l) part of
@@ -77,7 +100,7 @@ from functools import lru_cache
 from math import comb
 from typing import Optional
 
-from .laurent import LaurentPoly, PolyAccumulator
+from .laurent import LaurentPoly, div_packed, pack, packed_width, unpack
 from .qseries import (
     euler_series, gaussian_binomial, poch_power, q_power_minus_one_range, qbinom_series,
     qq, qq_power,
@@ -154,6 +177,41 @@ def closed_product(n: int) -> RationalFunctionQ:
 
 
 @lru_cache(maxsize=1)
+def _l1_norms(n: int):
+    """(tails, qqs): the l1 norms (sums of absolute coefficients) of
+    T_j = (q;q)_n / (q;q)_j for j = 0..n and of (q;q)_i for i = 0..3n-1."""
+    tails = [1] * (n + 1)  # T_n = 1
+    tail = LaurentPoly.one()
+    for j in range(n, 0, -1):
+        tail = tail.times_one_minus_q(j)  # T_(j-1)
+        tails[j - 1] = sum(map(abs, tail.coeffs))
+    # built here rather than read from qq's cache, which would keep them all
+    qqs, poly = [1], LaurentPoly.one()
+    for i in range(1, 3 * n):
+        poly = poly.times_one_minus_q(i)
+        qqs.append(sum(map(abs, poly.coeffs)))
+    return tails, qqs
+
+
+def _triple_bound(n: int) -> int:
+    """A proved bound on every coefficient of _triple_sum_numerator(n).
+
+    The l1 norm is submultiplicative and bounds the largest coefficient, so
+    the sum over every term of ||(q;q)_{3n-s-1}||_1 ||(q;q)_n||_1 times the
+    ||T_j||_1 of its five tail factors bounds the sum's coefficients.
+    """
+    tails, qqs = _l1_norms(n)
+    bound = 0
+    for ell in range(n + 1):
+        top = n - ell
+        for k in range(top + 1):
+            for m in range(top + 1):
+                bound += (qqs[3 * n - k - m - ell - 1] * tails[k] * tails[m]
+                          * tails[ell] * tails[top - k] * tails[top - m])
+    return bound * qqs[n]
+
+
+@lru_cache(maxsize=1)
 def _triple_sum_numerator(n: int) -> LaurentPoly:
     """Numerator over (q;q)_n^5 of the (m,k,l) triple sum, cached for the last n.
 
@@ -165,41 +223,42 @@ def _triple_sum_numerator(n: int) -> LaurentPoly:
     At fixed l, with N = n - l, V = T_l (T_k T_{N-k}) (T_m T_{N-m}) is
     unchanged by k -> N-k, by m -> N-m and by k <-> m.  So V is walked only
     at the orbit representatives 0 <= a <= b <= N/2, a outermost, then l,
-    then b innermost.  V starts at (q;q)_n^3, and each step divides out and
-    multiplies in a few (1 - q^j) factors: a step in a changes four, in l
-    three, in b two.  Each representative adds the terms of every distinct
-    unordered pair {k, m} with k in {a, N-a} and m in {b, N-b}, each with
-    its own s, e and sign, and twice when k != m (s and e are symmetric in k
-    and m).  Pairs with k = m occur only at b = a, so the b-walk over b > a
-    starts from 2 V(a, a, l).  The signed, shifted V are summed per index
-    sum s; _horner_close then applies every (q;q)_{3n-s-1}, and the total is
-    multiplied once by (q;q)_n.  Terms are accumulated in a fixed order; the
-    exact arithmetic makes the order irrelevant to the value, the fixed
-    order makes runs reproducible.
+    then b innermost.  V starts at (q;q)_n^3, and each step multiplies in
+    and then divides out a few (1 - q^j) factors: a step in a changes four,
+    in l three, in b two.  Each representative adds the terms of every
+    distinct unordered pair {k, m} with k in {a, N-a} and m in {b, N-b},
+    each with its own s and e, and twice when k != m (s and e are symmetric
+    in k and m).  Pairs with k = m occur only at b = a, so the b-walk over
+    b > a starts from 2 V(a, a, l).  The shifted V are summed per index sum
+    s; _horner_close then applies every sign (-1)^s and (q;q)_{3n-s-1}, and
+    the total is multiplied once by (q;q)_n.
+
+    All of it runs on packed ints, at the width _triple_bound proves wide
+    enough, and the result is unpacked once.  Terms are accumulated in a
+    fixed order; the exact arithmetic makes the order irrelevant to the
+    value, the fixed order makes runs reproducible.
     """
-    by_s = [PolyAccumulator() for _ in range(2 * n + 1)]
+    bound = _triple_bound(n)
+    width = packed_width(bound)
+    by_s = [0] * (2 * n + 1)
 
     def add(v, k, m, ell):
         e = k * n + (n - k) * m + comb(k, 2) + comb(m, 2) + comb(ell, 2)
-        by_s[k + m + ell].add_shifted(v, e, (k + m + ell) % 2)
+        by_s[k + m + ell] += v << width * e
 
-    v_aa = qq_power(n, 3)
+    def step(v, up, down):
+        # v * (1 - q^up) / (1 - q^down)
+        return div_packed(v - (v << width * up), down, width)
+
+    v_aa = pack(qq_power(n, 3), width)
     for a in range(n // 2 + 1):
         if a:
-            v_aa = (
-                v_aa.div_one_minus_q(a)
-                .times_one_minus_q(n - a + 1)
-                .div_one_minus_q(a)
-                .times_one_minus_q(n - a + 1)
-            )
+            v_aa = step(step(v_aa, n - a + 1, a), n - a + 1, a)
         v_al = v_aa
         for ell in range(n - 2 * a + 1):
             if ell:
-                v_al = (
-                    v_al.div_one_minus_q(ell)
-                    .times_one_minus_q(n - a - ell + 1)
-                    .times_one_minus_q(n - a - ell + 1)
-                )
+                v_al -= v_al << width * (n - a - ell + 1)
+                v_al = step(v_al, n - a - ell + 1, ell)
             top = n - ell
             add(v_al, a, a, ell)
             if 2 * a == top:
@@ -208,30 +267,37 @@ def _triple_sum_numerator(n: int) -> LaurentPoly:
             v = v_al * 2  # the b-steps are linear in v
             add(v, a, top - a, ell)
             for b in range(a + 1, top // 2 + 1):
-                v = v.div_one_minus_q(b).times_one_minus_q(top - b + 1)
+                v = step(v, top - b + 1, b)
                 add(v, a, b, ell)
                 add(v, top - a, top - b, ell)
                 if 2 * b < top:
                     add(v, a, top - b, ell)
                     add(v, top - a, b, ell)
-    total = _horner_close([acc.value() for acc in by_s], 3 * n - 1)
-    return _times_qq_range(total, 1, n)
+    total = _times_qq_packed(_horner_close(by_s, 3 * n - 1, width), n, width)
+    return unpack(total, width, bound)
 
 
-def _horner_close(parts, top: int) -> LaurentPoly:
-    """sum over s of (q;q)_{top-s} * parts[s], by Horner's rule.
+def _times_qq_packed(value: int, top: int, width: int) -> int:
+    """value * (q;q)_top, packed."""
+    for i in range(1, top + 1):
+        value -= value << width * i
+    return value
 
-    With S = len(parts) - 1, (q;q)_{top-s} is (q;q)_{top-S} times the factors
+
+def _horner_close(by_s, top: int, width: int) -> int:
+    """sum over s of (-1)^s (q;q)_{top-s} by_s[s], packed, by Horner's rule.
+
+    With S = len(by_s) - 1, (q;q)_{top-s} is (q;q)_{top-S} times the factors
     (1 - q^j) for j = top-S+1 .. top-s, so each step multiplies the running
     sum by one factor before adding the next part.  The whole sum costs top
-    sparse passes, not one per factor of every (q;q)_{top-s}.
+    products by (1 - q^j), not one per factor of every (q;q)_{top-s}.
     """
-    total = LaurentPoly.zero()
-    for s, part in enumerate(parts):
+    total = 0
+    for s, part in enumerate(by_s):
         if s:
-            total = total.times_one_minus_q(top - s + 1)
-        total = total + part
-    return _times_qq_range(total, 1, top - len(parts) + 1)
+            total -= total << width * (top - s + 1)
+        total += -part if s % 2 else part
+    return _times_qq_packed(total, top - len(by_s) + 1, width)
 
 
 def dimension_sum(n: int) -> RationalFunctionQ:
@@ -246,6 +312,23 @@ def dimension_sum(n: int) -> RationalFunctionQ:
     return _over_qq(acc if n % 2 else -acc, (n,) * 4, 3 * n * n)
 
 
+def _inner_bound(n: int, k: int) -> int:
+    """A proved bound on every coefficient of _inner_sum_numerator(n, k), as
+    _triple_bound: the sum over every term of the l1 norms of its factors,
+    (q;q)_{2n+k-s-1}, the tails T_m T_l T_{n-m-l} and (q;q)_k / (q;q)_{k-l}."""
+    tails, qqs = _l1_norms(n)
+    bound = 0
+    head = LaurentPoly.one()  # (q;q)_k / (q;q)_{k-l}
+    for ell in range(k + 1):
+        if ell:
+            head = head.times_one_minus_q(k - ell + 1)
+        part = 0
+        for m in range(n - ell + 1):
+            part += qqs[2 * n + k - m - ell - 1] * tails[m] * tails[n - m - ell]
+        bound += part * tails[ell] * sum(map(abs, head.coeffs))
+    return bound
+
+
 def _inner_sum_numerator(n: int, k: int) -> LaurentPoly:
     """Numerator over (q;q)_n^2 (q;q)_k of the inner (m,l) double sum at fixed k.
 
@@ -253,32 +336,38 @@ def _inner_sum_numerator(n: int, k: int) -> LaurentPoly:
       V = T_m T_l T_{n-m-l} (q;q)_k / (q;q)_{k-l},
       s = m + l,   e = mk + C(m,2) + C(l,2).
 
-    Walked like _triple_sum_numerator, l outer and m inner: V starts at
-    (q;q)_n^2, a step in l changes three factors and a step in m two.  At
-    fixed l, with N = n - l, V is unchanged by m -> N-m, so V is walked only
-    for m <= N/2 and adds the terms at m and at N - m, once when 2m = N.
-    The terms are summed per s, and _horner_close applies every
-    (q;q)_{2n+k-s-1}.  The T_k of the summand is left out: the numerator
-    over (q;q)_n^3 is this times T_k.
+    Walked like _triple_sum_numerator, on packed ints at the width
+    _inner_bound proves, l outer and m inner: V starts at (q;q)_n^2, a step
+    in l changes three factors and a step in m two.  At fixed l, with
+    N = n - l, V is unchanged by m -> N-m, so V is walked only for m <= N/2
+    and adds the terms at m and at N - m, once when 2m = N.  The terms are
+    summed per s, and _horner_close applies every (-1)^s (q;q)_{2n+k-s-1}.
+    The T_k of the summand is left out: the numerator over (q;q)_n^3 is this
+    times T_k.
     """
-    by_s = [PolyAccumulator() for _ in range(n + 1)]
-    v_l = qq_power(n, 2)
+    bound = _inner_bound(n, k)
+    width = packed_width(bound)
+    by_s = [0] * (n + 1)
+
+    def add(v, j, ell):
+        by_s[j + ell] += v << width * (j * k + comb(j, 2) + comb(ell, 2))
+
+    v_l = pack(qq_power(n, 2), width)
     for ell in range(k + 1):
         if ell:
-            v_l = (
-                v_l.div_one_minus_q(ell)
-                .times_one_minus_q(k - ell + 1)
-                .times_one_minus_q(n - ell + 1)
-            )
+            v_l -= v_l << width * (k - ell + 1)
+            v_l -= v_l << width * (n - ell + 1)
+            v_l = div_packed(v_l, ell, width)
         top = n - ell
         v = v_l
         for m in range(top // 2 + 1):
             if m:
-                v = v.div_one_minus_q(m).times_one_minus_q(top - m + 1)
-            for j in (m, top - m) if 2 * m < top else (m,):
-                e = j * k + comb(j, 2) + comb(ell, 2)
-                by_s[j + ell].add_shifted(v, e, (j + ell) % 2)
-    return _horner_close([acc.value() for acc in by_s], 2 * n + k - 1)
+                v -= v << width * (top - m + 1)
+                v = div_packed(v, m, width)
+            add(v, m, ell)
+            if 2 * m < top:
+                add(v, top - m, ell)
+    return unpack(_horner_close(by_s, 2 * n + k - 1, width), width, bound)
 
 
 def inner_sum_rhs_poly(n: int, k: int) -> LaurentPoly:

@@ -5,12 +5,15 @@ coefficient of ``q**(min_exp + i)``.  Leading and trailing zeros are stripped,
 so the zero polynomial is the unique empty representation with ``min_exp = 0``.
 Coefficients must be ints; the public constructor raises TypeError otherwise.
 Values are immutable; every operation returns a new object, which makes them
-safe to share freely between threads.  The one mutable helper is
-PolyAccumulator, a running sum that adds shifted polynomials in place.
+safe to share freely between threads.
 
 The hot kernels (sums, products, the sparse (1 - q^j) multiply and exact
 divide, the division row update) run as C-level ``map``/``accumulate``
 passes over coefficient slices rather than Python loops over coefficients.
+
+The Kronecker-packed kernels at the end (pack, unpack, div_packed,
+packed_width) hold a polynomial in q as one int, its value at 2^width, for
+the engine's lattice walkers, where every pass is then one big-int operation.
 """
 
 from __future__ import annotations
@@ -275,41 +278,95 @@ def _combine(a: LaurentPoly, b: LaurentPoly, op) -> LaurentPoly:
     return _poly(lo, out)
 
 
-class PolyAccumulator:
-    """A running sum of shifted Laurent polynomials, updated in place.
+# -- Kronecker-packed polynomials --------------------------------------------
+# A polynomial in q (no negative powers) with coefficients c_i is packed into
+# one int, its value sum c_i X^i at X = 2^width.  Sums, q^e (a shift by
+# width * e) and products by (1 - q^j) (v - (v << width * j)) are then exact
+# big-int arithmetic on the packed values, and div_packed divides by
+# (1 - q^j) with a multiply-back check.  None of this needs a width large
+# enough for the coefficients: every packed value is exactly the value at X
+# of the polynomial it stands for.  Only reading the coefficients back does,
+# and unpack is right when every |c_i| < 2^(width - 1).  packed_width makes
+# that hold for coefficients up to a bound the caller proves.
 
-    ``add_shifted(p, e, negate)`` adds (or subtracts) q**e * p with one slice
-    map over p's window, instead of copying the whole sum as ``acc + term``
-    would.  ``value()`` returns the sum so far as a LaurentPoly.
+
+def packed_width(bound: int) -> int:
+    """The width for coefficients up to bound: bit_length(bound) + 2 bits,
+    rounded up to whole bytes, so that bound < 2^(width - 2)."""
+    return -(-(bound.bit_length() + 2) // 8) * 8
+
+
+def _offset(digits: int, width: int) -> int:
+    """2^(width - 1) in each of the digits low digits: it makes balanced
+    digits in [-2^(width-1), 2^(width-1)) the plain digits of a non-negative
+    int, so both directions are one to_bytes or from_bytes pass."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * digits, "little")
+
+
+def pack(poly: LaurentPoly, width: int) -> int:
+    """poly's value at X = 2^width; its coefficients must lie in
+    [-2^(width-1), 2^(width-1)) and its exponents be non-negative."""
+    cs = poly.coeffs
+    if not cs:
+        return 0
+    if poly.min_exp < 0:
+        raise ValueError("only polynomials in q pack, not powers of 1/q")
+    size, half = width // 8, 1 << (width - 1)
+    try:
+        raw = b"".join([(c + half).to_bytes(size, "little") for c in cs])
+    except OverflowError:
+        raise ValueError("a coefficient does not fit in %d bits" % width) from None
+    return (int.from_bytes(raw, "little") - _offset(len(cs), width)) << (width * poly.min_exp)
+
+
+def unpack(value: int, width: int, bound: int) -> LaurentPoly:
+    """The polynomial whose value at X = 2^width is value, read as balanced
+    digits; ValueError if a coefficient exceeds bound in absolute value.
+
+    The digits are the coefficients when they all lie below 2^(width-1) in
+    absolute value, which packed_width(bound) makes true for a value whose
+    coefficients are proved to be at most bound.  A digit past bound means
+    that proof failed, and is raised rather than returned.
     """
+    size, half = width // 8, 1 << (width - 1)
+    digits = value.bit_length() // width + 2  # leaves the offset sum room
+    raw = (value + _offset(digits, width)).to_bytes(digits * size, "little")
+    cs = [int.from_bytes(raw[i : i + size], "little") - half
+          for i in range(0, len(raw), size)]
+    if max(map(abs, cs)) > bound:
+        raise ValueError("a packed coefficient exceeds its bound %d" % bound)
+    return _poly(0, cs)
 
-    __slots__ = ("min_exp", "coeffs")
 
-    def __init__(self):
-        self.min_exp = 0
-        self.coeffs = []
+def div_packed(value: int, j: int, width: int) -> int:
+    """value / (1 - X^j) at X = 2^width; ValueError unless exact.
 
-    def add_shifted(self, poly: LaurentPoly, e: int, negate=False) -> None:
-        f = poly.coeffs
-        if not f:
-            return
-        start = poly.min_exp + e
-        cs = self.coeffs
-        if not cs:
-            self.min_exp = start
-            cs.extend(map(neg, f) if negate else f)
-            return
-        if start < self.min_exp:
-            cs[:0] = repeat(0, self.min_exp - start)
-            self.min_exp = start
-        i = start - self.min_exp
-        end = i + len(f)
-        if end > len(cs):
-            cs.extend(repeat(0, end - len(cs)))
-        cs[i:end] = map(sub if negate else add, cs[i:end], f)
-
-    def value(self) -> LaurentPoly:
-        return _poly(self.min_exp, self.coeffs)
+    Modulo X^D, 1 / (1 - x^j) is the product of (1 + x^(2^t j)) over
+    2^t j < D, so with D one more than the quotient's degree, read off the
+    dividend's bit length, the quotient is value times that product modulo
+    X^D, lifted to the balanced range.  When the coefficients of the
+    dividend and the quotient are below 2^(width-2) in absolute value, D is
+    right and the quotient lies in that range.  Whatever the coefficients, the quotient is multiplied back and
+    compared, so a wrong lift raises, and a value returned is exactly the
+    integer value / (1 - X^j): the quotient polynomial's value at X when the
+    polynomial division is exact.  One that is not exact raises as well
+    when the dividend's sums along each residue class mod j are below
+    2^(width-1) in absolute value, since its remainder at X is then nonzero
+    and smaller than X^j - 1.
+    """
+    digits = value.bit_length() // width + 1 - j
+    size = width * max(digits, 0)
+    mask = (1 << size) - 1
+    quo = value & mask
+    step = j
+    while step < digits:
+        quo = (quo + (quo << width * step)) & mask
+        step *= 2
+    if size and quo >> (size - 1):
+        quo -= 1 << size
+    if quo - (quo << width * j) != value:
+        raise ValueError("inexact division by 1 - q^%d" % j)
+    return quo
 
 
 # -- plain-polynomial division and gcd ---------------------------------------

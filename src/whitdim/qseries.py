@@ -34,12 +34,11 @@ from .rational import RationalFunctionQ
 
 @lru_cache(maxsize=None)
 def qq(j: int) -> LaurentPoly:
-    """(q;q)_j = prod_{i=1}^{j} (1 - q^i), cached."""
+    """(q;q)_j = prod_{i=1}^{j} (1 - q^i), cached; it is poch_power(1, j), so
+    it extends its longest cached prefix in a loop and never recurses."""
     if j < 0:
         raise ValueError("(q;q)_j needs j >= 0")
-    if j == 0:
-        return LaurentPoly.one()
-    return qq(j - 1).times_one_minus_q(j)
+    return poch_power(1, j)
 
 
 @lru_cache(maxsize=None)
@@ -88,18 +87,33 @@ def q_power_minus_one_range(lo: int, hi: int) -> LaurentPoly:
     return -p if length % 2 else p
 
 
-@lru_cache(maxsize=None)
+_QBINOM = {}  # (t, i) -> gaussian_binomial(t, i), for 0 < i < t
+
+
 def gaussian_binomial(t: int, i: int) -> LaurentPoly:
     """The Gaussian binomial [t, i]_q = (q;q)_t / ((q;q)_i (q;q)_(t-i)), cached.
 
     Built by the q-Pascal rule [t, i] = [t-1, i-1] + q^i [t-1, i] from
     [0, 0] = 1, with additions and shifts only; zero for i < 0 or i > t.
+    A missing entry fills the table in a loop, row by row up to row t, with
+    every entry (t', i') that the rule reaches from (t, i): 0 < i' <= i and
+    t' - i' <= t - i.  Each entry the rule reads is then cached or an edge,
+    so no index recurses.
     """
     if i < 0 or i > t:
         return LaurentPoly.zero()
     if i == 0 or i == t:
         return LaurentPoly.one()
-    return gaussian_binomial(t - 1, i - 1) + gaussian_binomial(t - 1, i).shifted(i)
+    out = _QBINOM.get((t, i))
+    if out is None:
+        for row in range(2, t + 1):
+            for col in range(max(1, i - t + row), min(i, row - 1) + 1):
+                if (row, col) not in _QBINOM:
+                    _QBINOM[row, col] = gaussian_binomial(row - 1, col - 1) + (
+                        gaussian_binomial(row - 1, col).shifted(col)
+                    )
+        out = _QBINOM[t, i]
+    return out
 
 
 class TruncatedSeriesX:

@@ -21,7 +21,9 @@ None of this runs under a whitdim command, so it lives with the tests:
 - the k-outer triple-sum reference k_outer_triple_numerator, with its inner
   sums nested_inner_numerator and their closing close_index_sums: an
   O(n^4) build of the triple sum in another loop order, with another
-  closing, that the package's oracle is compared against.
+  closing, that the package's oracle is compared against;
+- triple_l1_bound and inner_l1_bound, the walkers' coefficient bounds
+  recomputed term by term, each factor multiplied out on its own.
 
 Two fault-injection tests patch names these checks read, so the checks look
 them up at call time: extended_inner_sum_matches reads
@@ -440,3 +442,54 @@ def close_index_sums(by_s, n: int, parity: int) -> LaurentPoly:
         term = _times_qq_range(part, 1, 3 * n - s - 1)
         acc = acc - term if (s + parity) % 2 else acc + term
     return acc
+
+
+# ---------------------------------------------------------------------------
+# the walkers' coefficient bounds, from scratch
+# ---------------------------------------------------------------------------
+
+
+def _l1_of_factors(exponents) -> int:
+    """The l1 norm of prod over exponents i of (1 - q^i), multiplied out by
+    generic products."""
+    out = LaurentPoly.one()
+    for i in exponents:
+        out = out * (LaurentPoly.one() - LaurentPoly.monomial(i))
+    return sum(abs(c) for c in out.coeffs)
+
+
+def triple_l1_bound(n: int) -> int:
+    """Sum over every (k, m, l) term of the triple sum of the l1 norms of
+    its factors (q;q)_{3n-s-1}, (q;q)_n and T_k T_m T_l T_{n-k-l} T_{n-m-l},
+    T_j = prod_{i=j+1..n} (1 - q^i), each factor built on its own."""
+    def tail(j):
+        return _l1_of_factors(range(j + 1, n + 1))
+
+    bound = 0
+    for k in range(n + 1):
+        for m in range(n + 1):
+            for ell in range(n - max(k, m) + 1):
+                bound += (
+                    _l1_of_factors(range(1, 3 * n - k - m - ell))
+                    * _l1_of_factors(range(1, n + 1))
+                    * tail(k) * tail(m) * tail(ell) * tail(n - k - ell) * tail(n - m - ell)
+                )
+    return bound
+
+
+def inner_l1_bound(n: int, k: int) -> int:
+    """Sum over every (m, l) term of the inner sum at k of the l1 norms of
+    its factors (q;q)_{2n+k-s-1}, T_m T_l T_{n-m-l} and (q;q)_k / (q;q)_{k-l},
+    each factor built on its own."""
+    def tail(j):
+        return _l1_of_factors(range(j + 1, n + 1))
+
+    bound = 0
+    for m in range(n + 1):
+        for ell in range(min(k, n - m) + 1):
+            bound += (
+                _l1_of_factors(range(1, 2 * n + k - m - ell))
+                * tail(m) * tail(ell) * tail(n - m - ell)
+                * _l1_of_factors(range(k - ell + 1, k + 1))
+            )
+    return bound

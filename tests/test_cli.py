@@ -36,6 +36,13 @@ class TestVerifyCommand:
         code, reports = run_json(["verify", "--n", "2"])
         assert code == 0 and len(reports) == 1
 
+    @pytest.mark.slow
+    def test_n32(self):
+        # the stretch size of the packed walker: about 1 s
+        code, reports = run_json(["verify", "--n", "32"])
+        assert code == 0 and len(reports) == 1
+        assert reports[0]["equal"] is True and reports[0]["n"] == 32
+
 
 class TestLemma1Command:
     def test_all_k(self):

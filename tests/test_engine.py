@@ -14,9 +14,11 @@ import sympy
 from helpers import (
     eval_at,
     extended_inner_sum_matches,
+    inner_l1_bound,
     k_outer_triple_numerator,
     nested_inner_numerator,
     poly_pow,
+    triple_l1_bound,
 )
 from whitdim.engine import (
     closed_product,
@@ -288,8 +290,9 @@ class TestGroupedSumOracle:
 
         expected = run()
         monkeypatch.setattr(LaurentPoly, "div_one_minus_q", forbidden)
-        for name in ("PolyAccumulator", "_horner_close", "_triple_sum_numerator",
-                     "_inner_sum_numerator"):
+        for name in ("_horner_close", "_times_qq_packed", "_triple_sum_numerator",
+                     "_inner_sum_numerator", "pack", "unpack", "div_packed",
+                     "packed_width"):
             monkeypatch.setattr(engine, name, forbidden)
         assert run() == expected
 
@@ -344,31 +347,31 @@ class TestWalkers:
                         total = total - num if (m + ell) % 2 else total + num
                 assert _inner_sum_numerator(n, k) == total, (n, k)
 
-    def test_walkers_step_each_orbit_once(self, monkeypatch):
+    def test_walkers_step_each_orbit_once(self):
         # at fixed l, with N = n - l, V is stepped only at the representatives
         # of its symmetries (k -> N-k, m -> N-m and k <-> m in the triple
-        # sum, m -> N-m in the inner sums), and each term is added once
+        # sum, m -> N-m in the inner sums), and each term is added once.
+        # A step ends in one packed division, and a term is one call of the
+        # walker's add; both are counted by a profile hook
+        import sys
+        from collections import Counter
+
         from whitdim import engine
-        from whitdim.laurent import PolyAccumulator
-
-        calls = {}
-        add, div = PolyAccumulator.add_shifted, LaurentPoly.div_one_minus_q
-
-        def counted_add(self, *args):
-            calls["add"] += 1
-            return add(self, *args)
-
-        def counted_div(self, j):
-            calls["div"] += 1
-            return div(self, j)
 
         def count(walk, *args):
-            calls.update(add=0, div=0)
-            walk(*args)
-            return calls["add"], calls["div"]
+            calls = Counter()
 
-        monkeypatch.setattr(PolyAccumulator, "add_shifted", counted_add)
-        monkeypatch.setattr(LaurentPoly, "div_one_minus_q", counted_div)
+            def profile(frame, event, arg):
+                if event == "call":
+                    calls[frame.f_code.co_qualname] += 1
+
+            sys.setprofile(profile)
+            try:
+                walk(*args)
+            finally:
+                sys.setprofile(None)
+            return calls
+
         for n in range(1, 9):
             # every representative but the first is one step from another;
             # a step in a divides twice, one in l, b or m once
@@ -376,14 +379,61 @@ class TestWalkers:
             terms = sum((top + 1) * (top + 2) // 2 for top in tops)
             reps = sum((top // 2 + 1) * (top // 2 + 2) // 2 for top in tops)
             engine._triple_sum_numerator.cache_clear()
-            assert count(engine._triple_sum_numerator, n) == (terms, reps - 1 + n // 2), n
+            calls = count(engine._triple_sum_numerator, n)
+            assert calls["_triple_sum_numerator.<locals>.add"] == terms, n
+            assert calls["div_packed"] == reps - 1 + n // 2, n
             for k in range(n + 1):
                 tops = range(n, n - k - 1, -1)
                 terms = sum(top + 1 for top in tops)
                 reps = sum(top // 2 + 1 for top in tops)
-                assert count(engine._inner_sum_numerator, n, k) == (terms, reps - 1), (n, k)
-                # lemma1 then divides by (q;q)_n^2 (q;q)_k: 2n + k passes
-                assert count(engine.inner_sum_sides, n, k)[1] == reps - 1 + 2 * n + k, (n, k)
+                calls = count(engine._inner_sum_numerator, n, k)
+                assert calls["_inner_sum_numerator.<locals>.add"] == terms, (n, k)
+                assert calls["div_packed"] == reps - 1, (n, k)
+                # lemma1 then divides by (q;q)_n^2 (q;q)_k: 2n + k list passes
+                calls = count(engine.inner_sum_sides, n, k)
+                assert calls["div_packed"] == reps - 1, (n, k)
+                assert calls["LaurentPoly.div_one_minus_q"] == 2 * n + k, (n, k)
+
+    def test_width_bounds_match_a_from_scratch_l1_sum(self):
+        from whitdim import engine
+
+        for n in range(1, 7):
+            assert engine._triple_bound(n) == triple_l1_bound(n), n
+            for k in range(n + 1):
+                assert engine._inner_bound(n, k) == inner_l1_bound(n, k), (n, k)
+
+    def test_width_bounds_dominate_the_walker_output(self):
+        from whitdim import engine
+
+        def height(p):
+            return max(map(abs, p.coeffs))
+
+        engine._triple_sum_numerator.cache_clear()
+        for n in range(1, 13):
+            assert height(engine._triple_sum_numerator(n)) <= engine._triple_bound(n), n
+            for k in range(n + 1):
+                got = height(engine._inner_sum_numerator(n, k))
+                assert got <= engine._inner_bound(n, k), (n, k)
+
+    def test_an_undersized_width_fails_the_unpack_check(self, monkeypatch):
+        # the proved width is the whole soundness argument: with a bound of
+        # 2^21 the width is 24 bits, below the 29 bits of the numerator's
+        # largest coefficient at n = 16, so the digits read back are not its
+        # coefficients, and the check after unpacking must say so
+        from whitdim import engine
+        from whitdim.laurent import packed_width
+
+        n, false_bound = 16, 2**21 - 1
+        engine._triple_sum_numerator.cache_clear()
+        true = engine._triple_sum_numerator(n)
+        assert max(map(abs, true.coeffs)) >= 2 ** (packed_width(false_bound) - 1)
+        monkeypatch.setattr(engine, "_triple_bound", lambda n: false_bound)
+        engine._triple_sum_numerator.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="exceeds its bound"):
+                engine._triple_sum_numerator(n)
+        finally:
+            engine._triple_sum_numerator.cache_clear()
 
     def test_walkers_never_close_with_the_oracles(self, monkeypatch):
         # the other side of test_oracles_never_divide_or_accumulate
@@ -480,10 +530,11 @@ class TestCrossChecksCatchFaults:
 def _clear_engine_caches():
     from whitdim import engine, qseries
 
-    for cached in (qseries.qq, qseries.qq_power, qseries.gaussian_binomial,
+    for cached in (qseries.qq, qseries.qq_power, engine._l1_norms,
                    engine._nested_triple_numerator, engine._triple_sum_numerator):
         cached.cache_clear()
     qseries._POCH.clear()
+    qseries._QBINOM.clear()
 
 
 def _step_windows(monkeypatch, n, watch=()):
@@ -540,22 +591,29 @@ class TestChainWork:
         # tuple or applies a k-independent factor per k does more.
         want = {
             "simplify-q-power": (0, 0, 0),
-            "simplify-closed-product": (5, 0, 5),
+            # the literal product, and (q;q)_(n-1): one poch_power prefix of
+            # base 1 per factor
+            "simplify-closed-product": (0, 0, 5 + 5),
             "simplify-monomial-merge": (0, 0, 0),
-            # 2 passes per (k, m) with m >= 1, and (q;q)_n; one poch_power
-            # prefix per literal range over 1..k
-            "simplify-factorial-signs": (2 * 6 * 7 + 1, 0, 6),
+            # 2 passes per (k, m) with m >= 1; (q;q)_k is the literal range
+            # over 1..k, poch_power(1, k), so only (q;q)_n adds a prefix
+            "simplify-factorial-signs": (2 * 6 * 7, 0, 1),
             "simplify-l-power": (0, 0, 0),
-            # lo passes per distinct (sign, lo, hi), and (q;q)_7..(q;q)_17;
-            # one _combine per poch_power prefix, each built once
-            "simplify-long-range": (102, 0, 71),
+            # lo passes per distinct (sign, lo, hi); one _combine per
+            # poch_power prefix, each built once, (q;q)_hi among them
+            "simplify-long-range": (91, 0, 71),
             "simplify-k-tail": (20, 0, 0),
             "simplify-m-tail": (0, 0, 0),
-            "simplify-regrouped-sum": (498, 56, 166),
+            # the oracle's passes, dimension_sum's 4n divisions, and n + 3n - 1
+            # passes for the l1 norms of the tails and of (q;q)_0..(q;q)_(3n-1);
+            # the packed walker makes no list pass
+            "simplify-regrouped-sum": (437 + 17, 24, 154),
             "simplify-normalized-lhs": (0, 0, 1),
             "simplify-exponent-total": (0, 0, 0),
             "conclusion-group-by-k": (0, 0, 0),
-            "conclusion-reindex-outer": (238, 71, 48),
+            # n per k (T_k and T_(n-k)), (q;q)_n once and k passes per k for
+            # the inner bound's (q;q)_k / (q;q)_(k-l): 42 + 6 + 21
+            "conclusion-reindex-outer": (42 + 6 + 21, 0, 6),
             # T_(n-k) per k, then (q;q)_n^4 once: 21 + 4 * 6
             "conclusion-plug-closed-form": (21 + 24, 0, 6),
             "conclusion-normalize-power": (21, 0, 6),

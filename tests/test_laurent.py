@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 from helpers import eval_at, poly_pow, truncated
 from whitdim.laurent import (
     LaurentPoly,
-    PolyAccumulator,
     _exact_long_division,
     _pseudo_rem,
+    div_packed,
+    pack,
+    packed_width,
     poly_exact_div,
     poly_gcd,
+    unpack,
 )
 from whitdim.qseries import poch_power, q_power_minus_one_range
 
@@ -241,20 +244,87 @@ def test_div_one_minus_q_rejects_inexact(a, j, data):
         bumped.div_one_minus_q(j)
 
 
+# -- the Kronecker-packed kernels ---------------------------------------------
+
+
+def polys(size=8):
+    """Polynomials in q (no negative powers), the only ones that pack."""
+    return st.builds(LaurentPoly, st.integers(0, 6), st.lists(BIG, max_size=size))
+
+
+def height(p):
+    return max(map(abs, p.coeffs), default=0)
+
+
 @settings(max_examples=100)
-@given(
-    st.lists(
-        st.tuples(big_laurents(), st.integers(-12, 12), st.booleans()), max_size=8
-    )
-)
-def test_accumulator_matches_repeated_add_sub(steps):
-    acc = PolyAccumulator()
-    total = LaurentPoly.zero()
+@given(st.lists(st.tuples(polys(), st.integers(0, 12), st.booleans()), max_size=8))
+def test_packed_sums_match_repeated_add_sub(steps):
+    # the walkers sum shifted polynomials as packed ints, one shift and one
+    # add each; read back at a width for the summed heights, they are the sum
+    bound = sum(height(p) for p, _, _ in steps)
+    width = packed_width(bound)
+    acc, total = 0, LaurentPoly.zero()
     for p, e, negate in steps:
-        acc.add_shifted(p, e, negate)
+        term = pack(p, width) << width * e
+        acc = acc - term if negate else acc + term
         total = total - p.shifted(e) if negate else total + p.shifted(e)
-        assert acc.value() == total
-    assert_normalized(acc.value())
+        assert unpack(acc, width, bound) == total
+    assert_normalized(unpack(acc, width, bound))
+
+
+class TestPacking:
+    def test_width_leaves_two_bits_over_the_bound(self):
+        for bound, width in ((0, 8), (1, 8), (63, 8), (64, 16), (2**78 - 1, 80),
+                             (2**78, 88)):
+            assert packed_width(bound) == width, bound
+            assert bound < 2 ** (width - 2)
+
+    def test_round_trip_at_the_extreme_digits(self):
+        # every digit in [-2^(B-1), 2^(B-1)) reads back, at either end and
+        # in the top and bottom positions
+        for width in (8, 16, 80):
+            top = 2 ** (width - 1)
+            for cs in ((top - 1,), (-top,), (-(top - 1), top - 1, -top, 0, 1, -top),
+                       (-top, 0, 0, top - 1), (top - 1, -top, -top, -(top - 1))):
+                for min_exp in (0, 3):
+                    p = LaurentPoly(min_exp, cs)
+                    assert unpack(pack(p, width), width, top) == p, (width, cs, min_exp)
+            with pytest.raises(ValueError, match="does not fit"):
+                pack(LaurentPoly(0, (1, top)), width)
+            with pytest.raises(ValueError, match="does not fit"):
+                pack(LaurentPoly(0, (-top - 1,)), width)
+
+    def test_pack_rejects_negative_powers(self):
+        with pytest.raises(ValueError, match="1/q"):
+            pack(Q(-1), 8)
+
+    def test_unpack_raises_past_its_bound(self):
+        p = LaurentPoly(2, (5, -7, 3))
+        value = pack(p, 16)
+        assert unpack(value, 16, 7) == p
+        with pytest.raises(ValueError, match="exceeds its bound 6"):
+            unpack(value, 16, 6)
+
+    def test_div_rejects_an_inexact_division(self):
+        # (1 + q) / (1 - q^2) is 1 / (1 - q), not a polynomial
+        with pytest.raises(ValueError, match="inexact division by 1 - q\\^2"):
+            div_packed(pack(ONE + Q(1), 8), 2, 8)
+        assert div_packed(pack(ONE - Q(2), 8), 2, 8) == 1
+        assert div_packed(0, 3, 8) == 0
+
+
+@settings(max_examples=150)
+@given(polys(), st.integers(1, 9), st.data())
+def test_packed_division_inverts_the_product(a, j, data):
+    width = packed_width(2 * height(a))
+    prod = pack(a.times_one_minus_q(j), width)
+    assert prod == pack(a, width) - (pack(a, width) << width * j)
+    assert div_packed(prod, j, width) == pack(a, width)
+    # exact + c*q^e is divisible iff c*q^e is, and no nonzero monomial is
+    e = data.draw(st.integers(0, max(a.degree, 0) + j + 2 if a else j + 2))
+    c = data.draw(st.integers(-(2 ** (width - 3)), 2 ** (width - 3)).filter(bool))
+    with pytest.raises(ValueError, match="inexact"):
+        div_packed(prod + (c << width * e), j, width)
 
 
 @settings(max_examples=100)

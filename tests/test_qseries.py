@@ -83,6 +83,41 @@ class TestPochhammer:
             want = want.times_one_minus_q(e)
         assert got == want
 
+    def test_qq_and_gaussian_binomials_do_not_recurse(self):
+        # both extend their caches in loops: from cleared caches, (q;q)_j is
+        # built under a recursion limit 30 frames above this one, and
+        # [1500, 2]_q, 1500 rows deep, at the default limit
+        import sys
+
+        import whitdim.qseries
+
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        whitdim.qseries._QBINOM.clear()
+        qq.cache_clear()
+        whitdim.qseries._POCH.clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 30)
+        try:
+            got = qq(60)
+            binom = gaussian_binomial(40, 20)
+        finally:
+            sys.setrecursionlimit(limit)
+        want = ONE
+        for e in range(1, 61):
+            want = want * (ONE - Q(e))
+        assert got == want and got.degree == 60 * 61 // 2
+        assert binom.degree == 20 * 20 and binom * qq(20) * qq(20) == qq(40)
+        whitdim.qseries._QBINOM.clear()
+        binom = gaussian_binomial(1500, 2)
+        # [t, 2]_q has degree 2(t - 2), and at q = 1 is C(t, 2)
+        assert binom.min_exp == 0 and binom.degree == 2 * 1498
+        assert sum(binom.coeffs) == 1500 * 1499 // 2
+        whitdim.qseries._QBINOM.clear()
+        qq.cache_clear()
+        whitdim.qseries._POCH.clear()
+
     def test_qq_cache(self):
         assert qq(0) == ONE
         assert qq(3) == (ONE - Q(1)) * (ONE - Q(2)) * (ONE - Q(3))
