@@ -97,9 +97,9 @@ EQUIVALENT = {
         "9b5b30ffa1e0",
         "a worker's exit status is never read: its parent is already gone",
     ),
-    "cli.py:_records:const+1:2": (
+    "cli.py:_records:const+1:4": (
         "os._exit(1)",
-        "730fbc4f7742",
+        "4a6e0ae87cae",
         "a worker's exit status is never read: the parent judges a worker by "
         "its frames, and reaps it after a SIGKILL",
     ),

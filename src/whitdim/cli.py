@@ -22,13 +22,18 @@ counting and kernels, and no q-polynomial code.  csv is imported only under
 The units are independent exact computations, so run spreads them over
 w = min(CPUs this process may use, units) worker processes.  With w = 1 (one
 usable CPU, as under `taskset -c 0`, or other threads running) they run
-in-process.  Otherwise w workers are forked; unit i goes to worker 0, 1, ..,
-w-1, w-1, .., 0, 0, .. in turn, and each worker sends every unit's records
-back down its own pipe as one marshal frame.  This process only relays: it
-reads the frames in unit order and writes, checks and exits exactly as the
-in-process run does, so the stream does not depend on w.  A unit's failure is
-raised at its place in the stream.  Every worker is killed and reaped however
-the run ends, and ends by itself if this process is killed first.
+in-process.  Otherwise w workers are forked, and worker w places itself on
+the w-th CPU of this process's affinity, so no two share a core: in a cpuset
+with load balancing off, the kernel leaves a forked child on its parent's
+CPU, and two unplaced workers each took twice their CPU time in wall time.  A
+CPU the kernel refuses leaves its worker unplaced; placement changes only the
+speed.  Unit i goes to worker 0, 1, .., w-1, w-1, .., 0, 0, .. in turn, and
+each worker sends every unit's records back down its own pipe as one marshal
+frame.  This process only relays: it reads the frames in unit order and
+writes, checks and exits exactly as the in-process run does, so the stream
+does not depend on w.  A unit's failure is raised at its place in the stream.
+Every worker is killed and reaped however the run ends, and ends by itself if
+this process is killed first.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error
 or unwritable output (an unopenable --output, or a stdout closed early as by
@@ -319,17 +324,19 @@ def _records(units):
     """Every unit's records, in unit order, computed over the CPUs this process may use.
 
     With one worker the units run in-process.  Otherwise each worker is
-    forked with its own pipe and runs its units in order; this process only
-    relays their frames, in unit order.  A unit's failure is raised here, at
-    its place in the stream, after the records the unit made before it.
-    Every worker is killed and reaped however the stream ends, and ends by
-    itself if this process dies first.
+    forked with its own pipe, places itself on its own CPU of this process's
+    affinity (or stays unplaced if the kernel refuses that CPU) and runs its
+    units in order; this process only relays their frames, in unit order.
+    A unit's failure is raised here, at its place in the stream, after the
+    records the unit made before it.  Every worker is killed and reaped
+    however the stream ends, and ends by itself if this process dies first.
     """
     workers = _worker_count(len(units))
     if workers <= 1:
         for unit in units:
             yield from unit()
         return
+    cpus = sorted(os.sched_getaffinity(0))
     pids, readers = [], []
     lifeline, parent_end = os.pipe()
     try:
@@ -340,6 +347,10 @@ def _records(units):
                 # the worker leaves only through os._exit, so it never returns
                 # into the caller and flushes no stream buffer it inherited
                 try:
+                    try:
+                        os.sched_setaffinity(0, {cpus[w]})
+                    except OSError:
+                        pass  # a CPU the kernel refuses: the worker stays unplaced
                     os.close(r)
                     os.close(parent_end)
                     for reader in readers:

@@ -650,6 +650,54 @@ class TestParallelRunner:
         assert proc.returncode == 0, proc.stderr.decode()
         assert len(proc.stdout.splitlines()) == 3
 
+    def test_each_worker_runs_on_its_own_cpu(self):
+        # the process's own affinity, not a patched one: worker w runs on its w-th CPU
+        import os
+        import subprocess
+        import sys
+
+        from whitdim.cli import _owner
+
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("placement needs two usable CPUs; this process may use one")
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+        script = (
+            "import json, os, sys\n"
+            "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[-2:])\n"
+            "from whitdim import cli, engine\n"
+            "def where(n):\n"
+            "    return {'n': n, 'equal': True, 'cpus': sorted(os.sched_getaffinity(0))}\n"
+            "engine.verify_main = where\n"
+            "code = cli.main(['verify', '--n', '1..4'])\n"
+            "print(json.dumps({'parent': sorted(os.sched_getaffinity(0))}))\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+        *rows, parent = [json.loads(line) for line in proc.stdout.splitlines()]
+        cpus = sorted(os.sched_getaffinity(0))[-2:]
+        assert parent["parent"] == cpus
+        assert [row["n"] for row in rows] == [1, 2, 3, 4]
+        assert [row["cpus"] for row in rows] == [[cpus[_owner(i, 2)]] for i in range(4)]
+
+    def test_refused_placement_leaves_the_worker_unplaced(self, monkeypatch):
+        import os
+
+        def refused(pid, cpus):
+            raise OSError(22, "Invalid argument")
+
+        argv = ["all", "--n", "1..2", "--q", "2"]
+        with monkeypatch.context() as patch:
+            set_cpus(patch, 1)
+            one = run_text(argv)
+        monkeypatch.setattr(os, "sched_setaffinity", refused)
+        forks = set_cpus(monkeypatch, 2)
+        two = run_text(argv)
+        assert len(forks) == 2
+        assert one[0] == two[0] == 0
+        assert strip_elapsed(one[1]) == strip_elapsed(two[1])
+
     def test_one_cpu_never_forks(self, monkeypatch):
         import os
 
