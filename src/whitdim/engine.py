@@ -23,34 +23,50 @@ about n^3/24 points, the inner walker m <= N/2.  The factors that depend
 only on s, or on nothing, are applied once at the end: a Horner pass over s
 (_horner_close) gives every partial sum its sign (-1)^s and its
 (q;q)_{3n-s-1}, and the triple sum's total is multiplied by (q;q)_n.  No
-per-term polynomial product is ever built.  The triple walker has one form,
-cached for the last n: dimension_sum and conclusion-group-by-k both read
-it, so a chain run walks it once per n.
+per-term polynomial product is ever built.  The triple walk is cached for
+the last n, and so is its decoding, which dimension_sum and
+conclusion-group-by-k both read, so a chain run walks and decodes it once
+per n.
 
 The walkers run on Kronecker-packed ints (see laurent): V, the per-s sums
 and the Horner close are each one int, the polynomial's value at X = 2^B.
 A product by (1 - q^j) is then v - (v << B*j), a power q^e a shift by B*e
 and a sum an int sum, all at C speed, and the division by (1 - q^j) is
-laurent.div_packed.  The result is unpacked into a LaurentPoly once.  Why
-that is a proof:
+laurent.div_packed.  verify_main and verify_inner_sum decide their identity
+at X (_equal_at_x): the closed side, a polynomial, is packed at the
+walker's width and multiplied by the sum's denominator, q^(3n^2) (q;q)_n^4
+or (q;q)_n^2 (q;q)_k, in shift-subtract passes, and the two ints are
+compared.  Why that is a proof:
 
 - every packed operation is exact integer arithmetic on values at X, and
   div_packed multiplies its quotient back and raises unless it gets the
-  dividend, so each division still asserts exactness and the final int is
-  exactly p(X) for the true numerator p;
-- reading p's coefficients back from p(X) is right when each is below
-  2^(B-1) in absolute value.  B comes from a proved bound: the l1 norm is
-  submultiplicative and bounds the largest coefficient, so the sum over
-  every term of the l1 norms of its factors bounds every coefficient of p
-  (_triple_bound, _inner_bound), and laurent.packed_width makes the bound
-  less than 2^(B-2).  At n = 16 that is B = 80 bits; the largest
-  coefficient has 29.
+  dividend, so each division still asserts exactness and the walker's int
+  is exactly p(X) for the true numerator p; the other int is exactly r(X)
+  for r, the closed side times the denominator;
+- B comes from a proved bound: the l1 norm is submultiplicative and bounds
+  the largest coefficient, so the sum over every term of the l1 norms of
+  its factors bounds every coefficient of p (_triple_bound, _inner_bound),
+  and laurent.packed_width makes the bound less than 2^(B-2).  At n = 16
+  that is B = 80 bits; the largest coefficient has 29.  The product of the
+  l1 norms of r's factors bounds r's coefficients (_side_bound), and must
+  need no wider width: at n = 16 it has 37 bits, the walker's bound 75;
+- two polynomials whose coefficients are below 2^(B-2) in absolute value
+  are equal iff their values at X are (the lemma in laurent), so equal
+  ints prove p = r: the identity times its nonzero denominator.
 
-A width below the true coefficients can return a wrong polynomial without
-any operation failing, so the proved bound is the whole soundness argument:
-no option sets B, and unpack raises if a coefficient it reads exceeds the
-bound.  The totals of dimension_sum and lemma1 are divided by their (q;q)
-denominators as LaurentPoly, by checked list passes (_over_qq).
+On equality both sides of the record are the closed side's canonical
+JSON, which is the record the decoded sides give, since canonical forms
+are unique.  Otherwise (unequal ints, or an r whose bound needs a wider
+width) the step decodes, and reports the sides dimension_sum or
+inner_sum_sides return: the walker's int is unpacked into a LaurentPoly,
+the form the chains read, and divided by its (q;q) denominators by checked
+list passes (_over_qq).  Reading p's coefficients back from p(X) is right
+when each is below 2^(B-1) in absolute value.
+
+A width below the true coefficients can return a wrong polynomial, or a
+wrong verdict, without any operation failing, so the proved bound is the
+whole soundness argument: no option sets B, and unpack raises if a
+coefficient it reads exceeds the bound.
 
 The derivation chains compare the walkers with one from-scratch oracle,
 _nested_triple_numerator.  The oracle only multiplies.  The (m, l) part of
@@ -97,6 +113,7 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
+from itertools import count
 from math import comb
 from typing import Optional
 
@@ -129,12 +146,6 @@ def timed_reports(steps, n: int, k: Optional[int] = None) -> list:
 def _equality(identity: str, lhs, rhs):
     """A step comparing two exact values, recorded with both serialised."""
     return identity, lhs == rhs, lhs.to_json_dict(), rhs.to_json_dict()
-
-
-def _one_step(identity: str, sides):
-    """The single step of a check that compares the two values sides() returns."""
-    lhs, rhs = sides()
-    yield _equality(identity, lhs, rhs)
 
 
 def _require_positive(n: int):
@@ -176,21 +187,44 @@ def closed_product(n: int) -> RationalFunctionQ:
     return RationalFunctionQ(q_power_minus_one_range(1, n - 1).shifted(n * (n - 1)))
 
 
+def _l1(poly: LaurentPoly) -> int:
+    """The l1 norm of poly, the sum of its absolute coefficients."""
+    return sum(map(abs, poly.coeffs))
+
+
+def _qq_l1_norms():
+    """||(q;q)_i||_1 for i = 0, 1, 2, ..., one (1 - q^i) pass each; built
+    here rather than read from qq's cache, which would keep every (q;q)_i."""
+    poly = LaurentPoly.one()
+    for i in count(1):
+        yield _l1(poly)
+        poly = poly.times_one_minus_q(i)
+
+
+# ||(q;q)_i||_1 for i < len(_QQ_L1): they do not depend on n, so every n
+# extends the one list from _qq_l1_more
+_QQ_L1 = []
+_qq_l1_more = _qq_l1_norms()
+
+
+def _qq_norms(top: int) -> list:
+    """The shared list of ||(q;q)_i||_1, extended to i = top."""
+    while len(_QQ_L1) <= top:
+        _QQ_L1.append(next(_qq_l1_more))
+    return _QQ_L1
+
+
 @lru_cache(maxsize=1)
 def _l1_norms(n: int):
     """(tails, qqs): the l1 norms (sums of absolute coefficients) of
-    T_j = (q;q)_n / (q;q)_j for j = 0..n and of (q;q)_i for i = 0..3n-1."""
+    T_j = (q;q)_n / (q;q)_j for j = 0..n and of (q;q)_i for i = 0..3n-1
+    (qqs is the shared list of _qq_norms, which may go further)."""
     tails = [1] * (n + 1)  # T_n = 1
     tail = LaurentPoly.one()
     for j in range(n, 0, -1):
         tail = tail.times_one_minus_q(j)  # T_(j-1)
-        tails[j - 1] = sum(map(abs, tail.coeffs))
-    # built here rather than read from qq's cache, which would keep them all
-    qqs, poly = [1], LaurentPoly.one()
-    for i in range(1, 3 * n):
-        poly = poly.times_one_minus_q(i)
-        qqs.append(sum(map(abs, poly.coeffs)))
-    return tails, qqs
+        tails[j - 1] = _l1(tail)
+    return tails, _qq_norms(3 * n - 1)
 
 
 def _triple_bound(n: int) -> int:
@@ -213,7 +247,16 @@ def _triple_bound(n: int) -> int:
 
 @lru_cache(maxsize=1)
 def _triple_sum_numerator(n: int) -> LaurentPoly:
-    """Numerator over (q;q)_n^5 of the (m,k,l) triple sum, cached for the last n.
+    """Numerator over (q;q)_n^5 of the (m,k,l) triple sum, cached for the
+    last n: _packed_triple_sum(n) unpacked, once per n for the chains."""
+    return unpack(*_packed_triple_sum(n))
+
+
+@lru_cache(maxsize=1)
+def _packed_triple_sum(n: int):
+    """(value, width, bound): the numerator over (q;q)_n^5 of the (m,k,l)
+    triple sum packed at the width, its coefficients proved at most bound;
+    cached for the last n.
 
     Each term is (-1)^s * q^e * (q;q)_{3n-s-1} * (q;q)_n * V with
       V = T_k T_m T_l T_{n-k-l} T_{n-m-l},   T_j = (q;q)_n / (q;q)_j,
@@ -234,7 +277,7 @@ def _triple_sum_numerator(n: int) -> LaurentPoly:
     the total is multiplied once by (q;q)_n.
 
     All of it runs on packed ints, at the width _triple_bound proves wide
-    enough, and the result is unpacked once.  Terms are accumulated in a
+    enough, (q;q)_n^3 too, built by 3n passes.  Terms are accumulated in a
     fixed order; the exact arithmetic makes the order irrelevant to the
     value, the fixed order makes runs reproducible.
     """
@@ -250,7 +293,7 @@ def _triple_sum_numerator(n: int) -> LaurentPoly:
         # v * (1 - q^up) / (1 - q^down)
         return div_packed(v - (v << width * up), down, width)
 
-    v_aa = pack(qq_power(n, 3), width)
+    v_aa = _times_qq_packed(1, width, n, n, n)
     for a in range(n // 2 + 1):
         if a:
             v_aa = step(step(v_aa, n - a + 1, a), n - a + 1, a)
@@ -273,14 +316,14 @@ def _triple_sum_numerator(n: int) -> LaurentPoly:
                 if 2 * b < top:
                     add(v, a, top - b, ell)
                     add(v, top - a, b, ell)
-    total = _times_qq_packed(_horner_close(by_s, 3 * n - 1, width), n, width)
-    return unpack(total, width, bound)
+    return _times_qq_packed(_horner_close(by_s, 3 * n - 1, width), width, n), width, bound
 
 
-def _times_qq_packed(value: int, top: int, width: int) -> int:
-    """value * (q;q)_top, packed."""
-    for i in range(1, top + 1):
-        value -= value << width * i
+def _times_qq_packed(value: int, width: int, *tops: int) -> int:
+    """value * prod over tops of (q;q)_top, packed."""
+    for top in tops:
+        for i in range(1, top + 1):
+            value -= value << width * i
     return value
 
 
@@ -297,7 +340,7 @@ def _horner_close(by_s, top: int, width: int) -> int:
         if s:
             total -= total << width * (top - s + 1)
         total += -part if s % 2 else part
-    return _times_qq_packed(total, top - len(by_s) + 1, width)
+    return _times_qq_packed(total, width, top - len(by_s) + 1)
 
 
 def dimension_sum(n: int) -> RationalFunctionQ:
@@ -325,25 +368,33 @@ def _inner_bound(n: int, k: int) -> int:
         part = 0
         for m in range(n - ell + 1):
             part += qqs[2 * n + k - m - ell - 1] * tails[m] * tails[n - m - ell]
-        bound += part * tails[ell] * sum(map(abs, head.coeffs))
+        bound += part * tails[ell] * _l1(head)
     return bound
 
 
 def _inner_sum_numerator(n: int, k: int) -> LaurentPoly:
-    """Numerator over (q;q)_n^2 (q;q)_k of the inner (m,l) double sum at fixed k.
+    """Numerator over (q;q)_n^2 (q;q)_k of the inner (m,l) double sum at
+    fixed k: _packed_inner_sum(n, k) unpacked."""
+    return unpack(*_packed_inner_sum(n, k))
+
+
+def _packed_inner_sum(n: int, k: int):
+    """(value, width, bound): the numerator over (q;q)_n^2 (q;q)_k of the
+    inner (m,l) double sum at fixed k, packed at the width, its coefficients
+    proved at most bound.
 
     Each term is (-1)^s * q^e * (q;q)_{2n+k-s-1} * V with
       V = T_m T_l T_{n-m-l} (q;q)_k / (q;q)_{k-l},
       s = m + l,   e = mk + C(m,2) + C(l,2).
 
-    Walked like _triple_sum_numerator, on packed ints at the width
-    _inner_bound proves, l outer and m inner: V starts at (q;q)_n^2, a step
-    in l changes three factors and a step in m two.  At fixed l, with
-    N = n - l, V is unchanged by m -> N-m, so V is walked only for m <= N/2
-    and adds the terms at m and at N - m, once when 2m = N.  The terms are
-    summed per s, and _horner_close applies every (-1)^s (q;q)_{2n+k-s-1}.
-    The T_k of the summand is left out: the numerator over (q;q)_n^3 is this
-    times T_k.
+    Walked like _packed_triple_sum, on packed ints at the width
+    _inner_bound proves, l outer and m inner: V starts at (q;q)_n^2, built
+    by 2n passes, a step in l changes three factors and a step in m two.
+    At fixed l, with N = n - l, V is unchanged by m -> N-m, so V is walked
+    only for m <= N/2 and adds the terms at m and at N - m, once when
+    2m = N.  The terms are summed per s, and _horner_close applies every
+    (-1)^s (q;q)_{2n+k-s-1}.  The T_k of the summand is left out: the
+    numerator over (q;q)_n^3 is this times T_k.
     """
     bound = _inner_bound(n, k)
     width = packed_width(bound)
@@ -352,7 +403,7 @@ def _inner_sum_numerator(n: int, k: int) -> LaurentPoly:
     def add(v, j, ell):
         by_s[j + ell] += v << width * (j * k + comb(j, 2) + comb(ell, 2))
 
-    v_l = pack(qq_power(n, 2), width)
+    v_l = _times_qq_packed(1, width, n, n)
     for ell in range(k + 1):
         if ell:
             v_l -= v_l << width * (k - ell + 1)
@@ -367,7 +418,7 @@ def _inner_sum_numerator(n: int, k: int) -> LaurentPoly:
             add(v, m, ell)
             if 2 * m < top:
                 add(v, top - m, ell)
-    return unpack(_horner_close(by_s, 2 * n + k - 1, width), width, bound)
+    return _horner_close(by_s, 2 * n + k - 1, width), width, bound
 
 
 def inner_sum_rhs_poly(n: int, k: int) -> LaurentPoly:
@@ -376,25 +427,83 @@ def inner_sum_rhs_poly(n: int, k: int) -> LaurentPoly:
     return -poly if n % 2 else poly
 
 
-def inner_sum_sides(n: int, k: int):
-    """Both sides of the inner-sum evaluation at (n, k), as rational functions."""
+def _require_inner_range(n: int, k: int):
     _require_positive(n)
     if not 0 <= k <= n:
         raise ValueError("k must lie in 0..n")
+
+
+def inner_sum_sides(n: int, k: int):
+    """Both sides of the inner-sum evaluation at (n, k), as rational functions."""
+    _require_inner_range(n, k)
     lhs = _over_qq(_inner_sum_numerator(n, k), (n, n, k))
     return lhs, RationalFunctionQ(inner_sum_rhs_poly(n, k))
 
 
+def _side_bound(side: LaurentPoly, tops) -> int:
+    """A proved bound on every coefficient of side * prod over tops of
+    (q;q)_top: the product of the factors' l1 norms."""
+    qqs = _qq_norms(max(tops))
+    bound = _l1(side)
+    for top in tops:
+        bound *= qqs[top]
+    return bound
+
+
+def _equal_at_x(packed, side: RationalFunctionQ, tops, shift: int = 0) -> bool:
+    """Whether packed = (value, width, bound), a walker's numerator p, is
+    side * q^shift * prod over tops of (q;q)_top, decided at X = 2^width.
+
+    The other side is packed and multiplied out by shift-subtract passes at
+    the walker's width, and the two ints are compared.  By the lemma in
+    laurent, equal ints prove equal polynomials when both sides'
+    coefficients are below 2^(width-2) in absolute value: the walker's
+    bound makes that true of p, and _side_bound of the other side must
+    need no wider width.  False when the ints differ, and when side is not
+    a polynomial or its bound needs a wider width: the caller then decodes.
+    """
+    value, width, _ = packed
+    if not side.denominator_is_one or packed_width(_side_bound(side.num, tops)) > width:
+        return False
+    other = _times_qq_packed(pack(side.num, width) << width * shift, width, *tops)
+    return value == other
+
+
+def _agreed(identity: str, side: RationalFunctionQ):
+    """The step of a check decided equal at X: both sides are side, whose
+    canonical form is unique, so the record is the one the decoded sides
+    give; its lhs and rhs are one dict."""
+    sides = side.to_json_dict()
+    return identity, True, sides, sides
+
+
 def verify_main(n: int) -> dict:
     """Exact equality of the closed product and the raw dimension sum."""
-    return timed_reports(
-        _one_step("main", lambda: (closed_product(n), dimension_sum(n))), n
-    )[0]
+    return timed_reports(_main_step(n), n)[0]
+
+
+def _main_step(n: int):
+    closed = closed_product(n)
+    # dimension_sum(n) is (-1)^(n+1) the triple sum's numerator over
+    # q^(3n^2) (q;q)_n^4
+    if _equal_at_x(_packed_triple_sum(n), closed if n % 2 else -closed, (n,) * 4, 3 * n * n):
+        yield _agreed("main", closed)
+    else:
+        yield _equality("main", closed, dimension_sum(n))
 
 
 def verify_inner_sum(n: int, k: int) -> dict:
     """Exact equality of the inner double sum at (n, k) and its closed form."""
-    return timed_reports(_one_step("inner-sum", lambda: inner_sum_sides(n, k)), n, k)[0]
+    return timed_reports(_inner_step(n, k), n, k)[0]
+
+
+def _inner_step(n: int, k: int):
+    _require_inner_range(n, k)
+    rhs = RationalFunctionQ(inner_sum_rhs_poly(n, k))
+    if _equal_at_x(_packed_inner_sum(n, k), rhs, (n, n, k)):
+        yield _agreed("inner-sum", rhs)
+    else:
+        yield _equality("inner-sum", *inner_sum_sides(n, k))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ passes over coefficient slices rather than Python loops over coefficients.
 The Kronecker-packed kernels at the end (pack, unpack, div_packed,
 packed_width) hold a polynomial in q as one int, its value at 2^width, for
 the engine's lattice walkers, where every pass is then one big-int operation.
+Two packed polynomials with small enough coefficients are equal iff their
+ints are, so an identity can be decided on the ints, without unpacking (the
+lemma beside pack and unpack).
 """
 
 from __future__ import annotations
@@ -288,6 +291,13 @@ def _combine(a: LaurentPoly, b: LaurentPoly, op) -> LaurentPoly:
 # of the polynomial it stands for.  Only reading the coefficients back does,
 # and unpack is right when every |c_i| < 2^(width - 1).  packed_width makes
 # that hold for coefficients up to a bound the caller proves.
+#
+# Comparing needs no unpacking.  Lemma: two polynomials in q whose
+# coefficients are below 2^(width - 2) in absolute value are equal iff their
+# values at X are.  Their difference d has coefficients below
+# 2^(width - 1) < X in absolute value.  If d were nonzero with d(X) = 0, its
+# lowest nonzero coefficient d_i would satisfy d_i X^i = -(the higher terms
+# at X), a multiple of X^(i+1), so X would divide d_i, which is impossible.
 
 
 def packed_width(bound: int) -> int:

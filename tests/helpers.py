@@ -23,7 +23,8 @@ None of this runs under a whitdim command, so it lives with the tests:
   O(n^4) build of the triple sum in another loop order, with another
   closing, that the package's oracle is compared against;
 - triple_l1_bound and inner_l1_bound, the walkers' coefficient bounds
-  recomputed term by term, each factor multiplied out on its own.
+  recomputed term by term, each factor multiplied out on its own, and
+  side_l1_bound, the bound on a closed side times its denominator.
 
 Two fault-injection tests patch names these checks read, so the checks look
 them up at call time: extended_inner_sum_matches reads
@@ -456,6 +457,15 @@ def _l1_of_factors(exponents) -> int:
     for i in exponents:
         out = out * (LaurentPoly.one() - LaurentPoly.monomial(i))
     return sum(abs(c) for c in out.coeffs)
+
+
+def side_l1_bound(side: LaurentPoly, tops) -> int:
+    """The l1 norm of side times those of the (q;q)_top for top in tops,
+    each factor multiplied out on its own."""
+    bound = sum(abs(c) for c in side.coeffs)
+    for top in tops:
+        bound *= _l1_of_factors(range(1, top + 1))
+    return bound
 
 
 def triple_l1_bound(n: int) -> int:

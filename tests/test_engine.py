@@ -18,6 +18,7 @@ from helpers import (
     k_outer_triple_numerator,
     nested_inner_numerator,
     poly_pow,
+    side_l1_bound,
     triple_l1_bound,
 )
 from whitdim.engine import (
@@ -140,6 +141,162 @@ def _compact_sides(n):
     return lhs, RF(_per_term_triple_sum(n, 1, 0), poly_pow(qq(n), 5))
 
 
+def _record(identity, at, lhs, rhs):
+    """The record of a step comparing lhs and rhs, decoded, but its elapsed_ms."""
+    return {"identity": identity, **at, "equal": lhs == rhs,
+            "lhs": lhs.to_json_dict(), "rhs": rhs.to_json_dict()}
+
+
+def _untimed(record):
+    return {key: value for key, value in record.items() if key != "elapsed_ms"}
+
+
+class TestDecidedAtX:
+    # verify_main and verify_inner_sum compare the walker's packed numerator
+    # with the closed side times the denominator, both at X = 2^width, and
+    # decode only to report a failure
+
+    def test_records_equal_the_decoded_records(self):
+        from whitdim import engine
+
+        for n in range(1, 13):
+            want = _record("main", {"n": n}, closed_product(n), dimension_sum(n))
+            assert _untimed(verify_main(n)) == want, n
+            for k in range(n + 1):
+                want = _record("inner-sum", {"n": n, "k": k}, *inner_sum_sides(n, k))
+                assert _untimed(engine.verify_inner_sum(n, k)) == want, (n, k)
+
+    def test_the_success_path_never_decodes_or_divides_a_list(self, monkeypatch):
+        from whitdim import engine
+
+        def forbidden(*args):
+            raise AssertionError("decoded on the success path")
+
+        engine._packed_triple_sum.cache_clear()
+        monkeypatch.setattr(engine, "unpack", forbidden)
+        monkeypatch.setattr(LaurentPoly, "div_one_minus_q", forbidden)
+        for n in range(1, 7):
+            assert verify_main(n)["equal"], n
+            for k in range(n + 1):
+                assert engine.verify_inner_sum(n, k)["equal"], (n, k)
+
+    def test_other_sides_need_no_wider_width_than_the_walkers(self):
+        # the lemma needs both sides' coefficients below 2^(width-2); the
+        # closed sides times their denominators stay under the walkers'
+        # bounds, and their bounds are the product of the factors' l1 norms
+        from whitdim import engine
+        from whitdim.engine import inner_sum_rhs_poly
+
+        for n in range(1, 7):
+            side, tops = closed_product(n).num, (n,) * 4
+            assert engine._side_bound(side, tops) == side_l1_bound(side, tops), n
+            for k in range(n + 1):
+                side, tops = inner_sum_rhs_poly(n, k), (n, n, k)
+                assert engine._side_bound(side, tops) == side_l1_bound(side, tops), (n, k)
+        for n in range(1, 33):
+            side = engine._side_bound(closed_product(n).num, (n,) * 4)
+            assert side <= engine._triple_bound(n), n
+        for n in range(1, 17):
+            for k in range(n + 1):
+                side = engine._side_bound(inner_sum_rhs_poly(n, k), (n, n, k))
+                assert side <= engine._inner_bound(n, k), (n, k)
+
+    def test_a_faulty_packed_numerator_fails_with_the_decoded_record(self, monkeypatch):
+        # one coefficient off by 1 in the walkers' packed ints, read by both
+        # the at-X comparison and the decoded report
+        from whitdim import engine
+        from whitdim.laurent import unpack
+
+        def faulty(walk):
+            def walked(*args):
+                value, width, bound = walk(*args)
+                low = unpack(value, width, bound).min_exp
+                return value + (1 << width * (low + 1)), width, bound
+            return walked
+
+        walk = engine._packed_triple_sum
+
+        def clear():
+            engine._triple_sum_numerator.cache_clear()
+            walk.cache_clear()
+
+        clear()
+        monkeypatch.setattr(engine, "_packed_triple_sum", faulty(walk))
+        monkeypatch.setattr(engine, "_packed_inner_sum", faulty(engine._packed_inner_sum))
+        try:
+            for n in (1, 2, 3, 4):
+                lhs, rhs = closed_product(n), dimension_sum(n)
+                assert lhs != rhs, n
+                assert _untimed(verify_main(n)) == _record("main", {"n": n}, lhs, rhs), n
+            for n, k in ((1, 0), (3, 1), (4, 4)):
+                lhs, rhs = inner_sum_sides(n, k)
+                assert lhs != rhs, (n, k)
+                want = _record("inner-sum", {"n": n, "k": k}, lhs, rhs)
+                assert _untimed(engine.verify_inner_sum(n, k)) == want, (n, k)
+        finally:
+            clear()
+
+    def test_a_side_past_the_width_is_decoded(self, monkeypatch):
+        # when the other side's bound would need a wider width, the lemma
+        # does not apply, and the step reports the decoded sides
+        from whitdim import engine
+
+        decoded = []
+        unpack = engine.unpack
+
+        def counted(*args):
+            decoded.append(args[1])
+            return unpack(*args)
+
+        def clear():
+            engine._triple_sum_numerator.cache_clear()
+            engine._packed_triple_sum.cache_clear()
+
+        clear()
+        monkeypatch.setattr(engine, "unpack", counted)
+        try:
+            for n in (2, 5):
+                width = engine._packed_triple_sum(n)[1]
+                # the widest bound that still fits, then the first that does not
+                for bound, decodes in ((2 ** (width - 2) - 1, 0), (2 ** (width - 2), 1)):
+                    monkeypatch.setattr(engine, "_side_bound", lambda side, tops: bound)
+                    want = _record("main", {"n": n}, closed_product(n), dimension_sum(n))
+                    clear()
+                    decoded.clear()
+                    assert _untimed(verify_main(n)) == want, (n, bound)
+                    assert len(decoded) == decodes, (n, bound)
+        finally:
+            clear()
+
+    def test_bad_parameters_are_rejected_before_walking(self, monkeypatch):
+        from whitdim import engine
+
+        def forbidden(*args):
+            raise AssertionError("walked out of range")
+
+        monkeypatch.setattr(engine, "_packed_inner_sum", forbidden)
+        monkeypatch.setattr(engine, "_packed_triple_sum", forbidden)
+        for n, k in ((2, 3), (2, -1), (0, 0)):
+            with pytest.raises(ValueError):
+                engine.verify_inner_sum(n, k)
+        with pytest.raises(ValueError):
+            verify_main(0)
+
+    def test_a_side_with_a_denominator_is_never_equal_at_x(self):
+        # only a polynomial packs: a side over 2 with the closed product's
+        # numerator is not the sum, though its numerator's value at X is
+        from whitdim import engine
+
+        for n in (1, 3):
+            closed = closed_product(n)
+            packed = engine._packed_triple_sum(n)
+            tops, shift = (n,) * 4, 3 * n * n
+            assert engine._equal_at_x(packed, closed, tops, shift)
+            halved = RF(closed.num, LaurentPoly.from_int(2))
+            assert halved.num == closed.num and not halved.denominator_is_one
+            assert not engine._equal_at_x(packed, halved, tops, shift), n
+
+
 class TestCompactSides:
     def test_n1_sides(self):
         lhs, rhs = _compact_sides(1)
@@ -192,7 +349,6 @@ class TestInnerSum:
             want = RF(faulty(n, k), poly_pow(qq(n), 2) * qq(k))
             assert lhs.to_json_dict() == want.to_json_dict(), (n, k)
             assert not lhs.denominator_is_one, (n, k)
-            assert engine.verify_inner_sum(n, k)["equal"] is False, (n, k)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -291,8 +447,8 @@ class TestGroupedSumOracle:
         expected = run()
         monkeypatch.setattr(LaurentPoly, "div_one_minus_q", forbidden)
         for name in ("_horner_close", "_times_qq_packed", "_triple_sum_numerator",
-                     "_inner_sum_numerator", "pack", "unpack", "div_packed",
-                     "packed_width"):
+                     "_inner_sum_numerator", "_packed_triple_sum", "_packed_inner_sum",
+                     "pack", "unpack", "div_packed", "packed_width"):
             monkeypatch.setattr(engine, name, forbidden)
         assert run() == expected
 
@@ -378,16 +534,16 @@ class TestWalkers:
             tops = range(n, -1, -1)
             terms = sum((top + 1) * (top + 2) // 2 for top in tops)
             reps = sum((top // 2 + 1) * (top // 2 + 2) // 2 for top in tops)
-            engine._triple_sum_numerator.cache_clear()
-            calls = count(engine._triple_sum_numerator, n)
-            assert calls["_triple_sum_numerator.<locals>.add"] == terms, n
+            engine._packed_triple_sum.cache_clear()
+            calls = count(engine._packed_triple_sum, n)
+            assert calls["_packed_triple_sum.<locals>.add"] == terms, n
             assert calls["div_packed"] == reps - 1 + n // 2, n
             for k in range(n + 1):
                 tops = range(n, n - k - 1, -1)
                 terms = sum(top + 1 for top in tops)
                 reps = sum(top // 2 + 1 for top in tops)
-                calls = count(engine._inner_sum_numerator, n, k)
-                assert calls["_inner_sum_numerator.<locals>.add"] == terms, (n, k)
+                calls = count(engine._packed_inner_sum, n, k)
+                assert calls["_packed_inner_sum.<locals>.add"] == terms, (n, k)
                 assert calls["div_packed"] == reps - 1, (n, k)
                 # lemma1 then divides by (q;q)_n^2 (q;q)_k: 2n + k list passes
                 calls = count(engine.inner_sum_sides, n, k)
@@ -423,17 +579,21 @@ class TestWalkers:
         from whitdim import engine
         from whitdim.laurent import packed_width
 
+        def clear():
+            engine._triple_sum_numerator.cache_clear()
+            engine._packed_triple_sum.cache_clear()
+
         n, false_bound = 16, 2**21 - 1
-        engine._triple_sum_numerator.cache_clear()
+        clear()
         true = engine._triple_sum_numerator(n)
         assert max(map(abs, true.coeffs)) >= 2 ** (packed_width(false_bound) - 1)
         monkeypatch.setattr(engine, "_triple_bound", lambda n: false_bound)
-        engine._triple_sum_numerator.cache_clear()
+        clear()
         try:
             with pytest.raises(ValueError, match="exceeds its bound"):
                 engine._triple_sum_numerator(n)
         finally:
-            engine._triple_sum_numerator.cache_clear()
+            clear()
 
     def test_walkers_never_close_with_the_oracles(self, monkeypatch):
         # the other side of test_oracles_never_divide_or_accumulate
@@ -453,28 +613,23 @@ class TestWalkers:
 
     def test_chain_walks_the_triple_sum_once_per_n(self, monkeypatch):
         # dimension_sum (simplify-regrouped-sum) and conclusion-group-by-k
-        # share one cached walk per n; only the triple walk starts from
-        # (q;q)_n^3
+        # share one cached walk per n, and one decoding of it: one cache
+        # miss of each for each of n = 1..3
         import contextlib
         import io
 
         from whitdim import engine
         from whitdim.cli import EXIT_OK, main
 
-        power = engine.qq_power
-        walks = []
-
-        def counted(j, p):
-            if p == 3:
-                walks.append(j)
-            return power(j, p)
-
         engine._triple_sum_numerator.cache_clear()
-        monkeypatch.setattr(engine, "qq_power", counted)
+        engine._packed_triple_sum.cache_clear()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # count in-process
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["chain", "--n", "1..3"]) == EXIT_OK
-        assert walks == [1, 2, 3]
+        walks = engine._packed_triple_sum.cache_info()
+        decodings = engine._triple_sum_numerator.cache_info()
+        assert (walks.misses, walks.hits) == (3, 0)
+        assert (decodings.misses, decodings.hits) == (3, 3)
 
 
 class TestCrossChecksCatchFaults:
@@ -531,8 +686,11 @@ def _clear_engine_caches():
     from whitdim import engine, qseries
 
     for cached in (qseries.qq, qseries.qq_power, engine._l1_norms,
-                   engine._nested_triple_numerator, engine._triple_sum_numerator):
+                   engine._nested_triple_numerator, engine._triple_sum_numerator,
+                   engine._packed_triple_sum):
         cached.cache_clear()
+    engine._QQ_L1.clear()
+    engine._qq_l1_more = engine._qq_l1_norms()
     qseries._POCH.clear()
     qseries._QBINOM.clear()
 
