@@ -79,7 +79,7 @@ TESTS = {
     ],
     "qseries.py": ["tests/test_qseries.py", "tests/test_engine.py"],
     "rational.py": [
-        "tests/test_rational.py", "tests/test_laurent.py", "tests/test_imports.py",
+        "tests/test_rational.py", "tests/test_qseries.py", "tests/test_imports.py",
     ],
 }
 
@@ -164,20 +164,34 @@ EQUIVALENT = {
         "64cb3be866b9",
         "zero coefficients are skipped, so c <= 0 iff c < 0",
     ),
-    "rational.py:_reduce:>->>=:0": (
-        "if c >= 1:",
-        "b9369fc9e7a5",
-        "c is the gcd of the contents of a nonzero denominator, so c >= 1, and "
-        "dividing by c = 1 changes nothing",
+    "laurent.py:div_packed:const+1:1": (
+        "size = width * max(digits, 1)",
+        "1299194e478b",
+        "digits <= 0 means |value| < 2^(width j) <= |c| (X^j - 1) for every "
+        "int c != 0, so value is 0 or no multiple of 1 - X^j; a one-digit "
+        "window then multiplies back to value only at quo = 0, as the empty "
+        "window does",
     ),
-    "rational.py:_reduce:<-><=:0": (
+    "rational.py:_cancel:const+1:0": (
+        "for j in range(max(tops, default=1), 0, -1):",
+        "812b9a47b888",
+        "the default is read only when tops is empty, and then no top is >= 1, "
+        "so j = 1 is tried zero times",
+    ),
+    "rational.py:_cancel:const+1:5": (
+        "for d in range(1, j + 2):",
+        "812b9a47b888",
+        "j >= 1, so j + 1 never divides j",
+    ),
+    "rational.py:_cancel:<-><=:0": (
         "if den.leading_coeff <= 0:",
-        "b9369fc9e7a5",
-        "the denominator is nonzero, so its leading coefficient is never 0",
+        "812b9a47b888",
+        "the denominator is a nonzero product of (1 - q^e) factors, so its "
+        "leading coefficient is never 0",
     ),
-    "rational.py:_reduce:const+1:1": (
+    "rational.py:_cancel:const+1:8": (
         "if den.leading_coeff < 1:",
-        "b9369fc9e7a5",
+        "812b9a47b888",
         "the leading coefficient of a nonzero denominator is a nonzero int, so "
         "< 1 iff < 0",
     ),

