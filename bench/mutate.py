@@ -75,7 +75,7 @@ TESTS = {
     "kernels.py": ["tests/test_counting.py", "tests/test_dimension.py"],
     "laurent.py": [
         "tests/test_laurent.py", "tests/test_rational.py", "tests/test_imports.py",
-        "tests/test_engine.py",
+        "tests/test_engine.py", "tests/test_qseries.py",
     ],
     "qseries.py": ["tests/test_qseries.py", "tests/test_engine.py"],
     "rational.py": [
@@ -127,16 +127,17 @@ EQUIVALENT = {
         "the reduction runs i downward and only writes below i, so prod[i] is "
         "never read again, and only prod[:deg] is encoded",
     ),
-    "engine.py:_conclusion_steps:const+1:26": (
+    "engine.py:_conclusion_steps:const+1:36": (
         "for k in range(n + 2)",
-        "6f37df9b66c9",
+        "48d2524312aa",
         "widens the k range of the cross-multiplied Pochhammer rewrite in "
         "conclusion-pochhammer-split to n + 1; both sides are (q;q)_(n+k-1), so "
-        "it holds for every k >= 0",
+        "it holds for every k >= 0, and equal polynomials have equal values at "
+        "X whatever the width",
     ),
-    "engine.py:_conclusion_steps:-->+:3": (
-        "reindexed = reindexed - outer if (n + k) % 2 else reindexed + outer",
-        "6f37df9b66c9",
+    "engine.py:_conclusion_steps:-->+:4": (
+        "value = value - outer if (n + k) % 2 else value + outer",
+        "48d2524312aa",
         "(n - k) % 2 -> (n + k) % 2 has the same parity",
     ),
     "engine.py:_simplification_steps.long_range:+->-:0": (

@@ -49,7 +49,6 @@ _MODULE_OF = {
     "poch_power": "qseries",
     "qbinom_series": "qseries",
     "qq": "qseries",
-    "qq_power": "qseries",
     "closed_product": "engine",
     "conclusion_chain": "engine",
     "dimension_sum": "engine",

@@ -21,19 +21,19 @@ representative, and there adds the term of every point of the orbit, each
 with its own power of q and s: the triple walker steps 0 <= k <= m <= N/2,
 about n^3/24 points, the inner walker m <= N/2.  The factors that depend
 only on s, or on nothing, are applied once at the end: a Horner pass over s
-(_horner_close) gives every partial sum its sign (-1)^s and its
+(laurent.horner_close) gives every partial sum its sign (-1)^s and its
 (q;q)_{3n-s-1}, and the triple sum's total is multiplied by (q;q)_n.  No
 per-term polynomial product is ever built.  The triple walk is cached for
 the last n, and so is its decoding, which dimension_sum and
-conclusion-group-by-k both read, so a chain run walks and decodes it once
-per n.
+simplify-regrouped-sum read, so a chain run walks and decodes it once per
+n.
 
 The walkers run on Kronecker-packed ints (see laurent): V, the per-s sums
 and the Horner close are each one int, the polynomial's value at X = 2^B.
 A product by (1 - q^j) is then v - (v << B*j), a power q^e a shift by B*e
 and a sum an int sum, all at C speed, and the division by (1 - q^j) is
 laurent.div_packed.  verify_main and verify_inner_sum decide their identity
-at X (_equal_at_x): the closed side, a polynomial, is packed at the
+at X (laurent.equal_at_x): the closed side, a polynomial, is packed at the
 walker's width and multiplied by the sum's denominator, q^(3n^2) (q;q)_n^4
 or (q;q)_n^2 (q;q)_k, in shift-subtract passes, and the two ints are
 compared.  Why that is a proof:
@@ -48,7 +48,8 @@ compared.  Why that is a proof:
   its factors bounds every coefficient of p (_triple_bound, _inner_bound),
   and laurent.packed_width makes the bound less than 2^(B-2).  At n = 16
   that is B = 80 bits; the largest coefficient has 29.  The product of the
-  l1 norms of r's factors bounds r's coefficients (_side_bound), and must
+  l1 norms of r's factors bounds r's coefficients (laurent.product_bound),
+  and must
   need no wider width: at n = 16 it has 37 bits, the walker's bound 75;
 - two polynomials whose coefficients are below 2^(B-2) in absolute value
   are equal iff their values at X are (the lemma in laurent), so equal
@@ -69,39 +70,60 @@ wrong verdict, without any operation failing, so the proved bound is the
 whole soundness argument: no option sets B, and unpack raises if a
 coefficient it reads exceeds the bound.
 
-The derivation chains compare the walkers with one from-scratch oracle,
-_nested_triple_numerator.  The oracle only multiplies.  The (m, l) part of
+The derivation chains are decided at X the same way.  Every polynomial a
+step compares is built as a packed int, at a width that fits a bound proved
+from its own factors (a sum over its terms of the products of their l1
+norms), and two sides are compared at the wider of their two widths, where
+both bounds fit, the narrower side decoded and packed again there
+(laurent.same_at_x).  No bound is read from the value it checks.  A step
+decodes only a value its record serialises, or the sides of a comparison
+that fails, and a step decided equal records one canonicalised side as
+both, as verify does.
+
+The chains compare the walkers with one from-scratch oracle,
+_packed_nested_triple.  The oracle only multiplies.  The (m, l) part of
 each term, T_m T_l T_{n-m-l}, is (q;q)_n^2 times the q-multinomial
-[n; m, l, n-m-l]_q = [n, m]_q [n-m, l]_q, a product of two Gaussian
-binomials from the q-Pascal table of qseries, with no (1 - q^i) pass.  Per
-(m, l) it walks k upward, one sparse factor of T_{n-k-l} per step, so the
-whole sum costs O(n^3) passes.  Terms are summed per (s, k); per s the k
-sums are folded with their T_k by nested multiplication and then multiplied
-once by (q;q)_{3n-s-1}, directly and not by a Horner pass over s.  The
-k-independent (q;q)_n^3 is applied once, to the total.  It never divides
-out a factor and sums with plain LaurentPoly +/-, so it shares no stepping,
-summation or closing code with the walkers it checks.  Both
-simplify-regrouped-sum and conclusion-group-by-k compare a walker with it;
-it is cached for the last n, so a chain run builds it once per n.
+[n; m, l, n-m-l]_q = [n, m]_q [n-m, l]_q, one int product of two entries of
+the packed q-Pascal table of qseries, with no (1 - q^i) pass.  Per (m, l)
+it walks k upward, one shift-subtract pass for a factor of T_{n-k-l} per
+step, so the whole sum costs O(n^3) passes.  Terms are summed per (s, k);
+per s the k sums are folded with their T_k by nested multiplication and
+then multiplied once by (q;q)_{3n-s-1}, directly and not by a Horner pass
+over s.  The k-independent (q;q)_n^3 is applied once, to the total.  Its
+width comes from its own bound (_nested_bound), summed over its own terms
+from the norms of the factors it multiplies, the Gaussian binomials' C(t, i)
+among them.  For n <= 32 that width is never narrower than the walker's,
+and often wider (n = 5, 8, 10, 12, 14, 16 and every n from 18 to 32, by one
+or two bytes); the walker's decoding is then packed again at the oracle's
+width (_walker_agrees_with_oracle).
+It never divides out a factor, calls no horner_close and no walker, so it
+shares no stepping, summation or closing code with the walkers it checks;
+what they share is exact integer arithmetic at X and the lemma behind
+comparing there.  simplify-regrouped-sum, conclusion-group-by-k and
+conclusion-reindex-outer compare with it; it is cached for the last n, so a
+chain run builds it once per n.
 
 The per-tuple rewrites of the simplification chain are cross-multiplied
-statements between polynomials, built by sparse passes: no division and no
-canonicalisation, and exact proofs since every (q;q)_j is nonzero.  The
-long-range and tail rewrites are all prod_{i=lo+1..hi} (q^i - 1) (q;q)_lo ==
-sign (q;q)_hi (_range_rewrite_holds); many tuples map to one (sign, lo, hi),
-so each distinct statement is proved once per n and its verdict is reported
-for every tuple that maps to it.  Their literal products come from
-poch_power, which extends a cached prefix by one factor, so the products of
-one base share their prefixes.  The factorial-sign statements walk m for
-each k, at two passes per (k, m) (_factorial_sign_table).
+statements between polynomials, built by shift-subtract passes at X: no
+division and no canonicalisation, and exact proofs since every (q;q)_j is
+nonzero.  The long-range and tail rewrites are all prod_{i=lo+1..hi}
+(q^i - 1) (q;q)_lo == sign (q;q)_hi (_range_rewrite_holds), both sides
+products of hi factors of l1 norm 2, so 2^hi bounds them; many tuples map
+to one (sign, lo, hi), so each distinct statement is proved once per n and
+its verdict is reported for every tuple that maps to it.  The
+factorial-sign statements walk m for each k, at two passes per (k, m)
+(_factorial_sign_table), at one width from 2^(2n).
 
-The conclusion chain works the same way where its records allow: steps (b)
-and (c) apply the k-independent (q;q)_n and (q;q)_n^4 once, to the k-sum,
-step (e) proves its n + 1 Pochhammer rewrites cross-multiplied, and the
-series product of step (f) is a division-free q-binomial convolution (see
-qseries).  Only the values a record serialises are canonicalised, each
+The conclusion chain works the same way: steps (b) and (c) apply the
+k-independent (q;q)_n and (q;q)_n^4 once, to the packed k-sum, steps (d)
+and (e) compare their fractions cross-multiplied, step (e) proves its
+n + 1 Pochhammer rewrites at X, and the series product of steps (f) and
+(g) is the q-binomial convolution on packed ints (qseries), its width from
+the bound sum_i C(t, i) ||f_i||_1 ||g_(t-i)||_1 on each numerator h_t.
+Only the values a record serialises are decoded and canonicalised, each
 built as its numerator over q^shift and (q;q) factors, never by fraction
-arithmetic.
+arithmetic: the single k-sum over (q;q)_n, which steps (d) and (e) record,
+and the x^n coefficient of step (f).
 
 Every check is reported through one runner, timed_reports.  A check is a
 generator that yields one (identity, equal, lhs, rhs) tuple per step; the
@@ -116,13 +138,17 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from itertools import count
 from math import comb
 from typing import Optional
 
-from .laurent import LaurentPoly, div_packed, pack, packed_width, unpack
+from .laurent import (
+    LaurentPoly, div_packed, equal_at_x, head_norms, horner_close, pack, packed_width,
+    qq_norms, repacked, same_at_x, tail_norms, times_literal_range_packed, times_qq_packed,
+    times_range_packed, unpack,
+)
 from .qseries import (
-    euler_series, gaussian_binomial, poch_power, q_power_minus_one_range, qbinom_series, qq,
+    euler_series, packed_qpascal, packed_series_product, poch_power, q_power_minus_one_range,
+    qbinom_series, qq, series_product_bounds,
 )
 from .rational import RationalFunctionQ
 
@@ -150,15 +176,17 @@ def _equality(identity: str, lhs, rhs):
     return identity, lhs == rhs, lhs.to_json_dict(), rhs.to_json_dict()
 
 
+def _agreed(identity: str, side: RationalFunctionQ):
+    """The step of a check decided equal at X: both sides are side, whose
+    canonical form is unique, so the record is the one the decoded sides
+    give; its lhs and rhs are one dict."""
+    sides = side.to_json_dict()
+    return identity, True, sides, sides
+
+
 def _require_positive(n: int):
     if n < 1:
         raise ValueError("n must be a positive integer")
-
-
-def _times_qq_range(poly: LaurentPoly, lo: int, hi: int) -> LaurentPoly:
-    for i in range(lo, hi + 1):
-        poly = poly.times_one_minus_q(i)
-    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -173,46 +201,6 @@ def closed_product(n: int) -> RationalFunctionQ:
     return RationalFunctionQ(q_power_minus_one_range(1, n - 1).shifted(n * (n - 1)))
 
 
-def _l1(poly: LaurentPoly) -> int:
-    """The l1 norm of poly, the sum of its absolute coefficients."""
-    return sum(map(abs, poly.coeffs))
-
-
-def _qq_l1_norms():
-    """||(q;q)_i||_1 for i = 0, 1, 2, ..., one (1 - q^i) pass each; built
-    here rather than read from qq's cache, which would keep every (q;q)_i."""
-    poly = LaurentPoly.one()
-    for i in count(1):
-        yield _l1(poly)
-        poly = poly.times_one_minus_q(i)
-
-
-# ||(q;q)_i||_1 for i < len(_QQ_L1): they do not depend on n, so every n
-# extends the one list from _qq_l1_more
-_QQ_L1 = []
-_qq_l1_more = _qq_l1_norms()
-
-
-def _qq_norms(top: int) -> list:
-    """The shared list of ||(q;q)_i||_1, extended to i = top."""
-    while len(_QQ_L1) <= top:
-        _QQ_L1.append(next(_qq_l1_more))
-    return _QQ_L1
-
-
-@lru_cache(maxsize=1)
-def _l1_norms(n: int):
-    """(tails, qqs): the l1 norms (sums of absolute coefficients) of
-    T_j = (q;q)_n / (q;q)_j for j = 0..n and of (q;q)_i for i = 0..3n-1
-    (qqs is the shared list of _qq_norms, which may go further)."""
-    tails = [1] * (n + 1)  # T_n = 1
-    tail = LaurentPoly.one()
-    for j in range(n, 0, -1):
-        tail = tail.times_one_minus_q(j)  # T_(j-1)
-        tails[j - 1] = _l1(tail)
-    return tails, _qq_norms(3 * n - 1)
-
-
 def _triple_bound(n: int) -> int:
     """A proved bound on every coefficient of _triple_sum_numerator(n).
 
@@ -220,7 +208,7 @@ def _triple_bound(n: int) -> int:
     the sum over every term of ||(q;q)_{3n-s-1}||_1 ||(q;q)_n||_1 times the
     ||T_j||_1 of its five tail factors bounds the sum's coefficients.
     """
-    tails, qqs = _l1_norms(n)
+    tails, qqs = tail_norms(n), qq_norms(3 * n - 1)
     bound = 0
     for ell in range(n + 1):
         top = n - ell
@@ -259,7 +247,7 @@ def _packed_triple_sum(n: int):
     each with its own s and e, and twice when k != m (s and e are symmetric
     in k and m).  Pairs with k = m occur only at b = a, so the b-walk over
     b > a starts from 2 V(a, a, l).  The shifted V are summed per index sum
-    s; _horner_close then applies every sign (-1)^s and (q;q)_{3n-s-1}, and
+    s; laurent.horner_close then applies every sign (-1)^s and (q;q)_{3n-s-1}, and
     the total is multiplied once by (q;q)_n.
 
     All of it runs on packed ints, at the width _triple_bound proves wide
@@ -279,7 +267,7 @@ def _packed_triple_sum(n: int):
         # v * (1 - q^up) / (1 - q^down)
         return div_packed(v - (v << width * up), down, width)
 
-    v_aa = _times_qq_packed(1, width, n, n, n)
+    v_aa = times_qq_packed(1, width, n, n, n)
     for a in range(n // 2 + 1):
         if a:
             v_aa = step(step(v_aa, n - a + 1, a), n - a + 1, a)
@@ -302,31 +290,7 @@ def _packed_triple_sum(n: int):
                 if 2 * b < top:
                     add(v, a, top - b, ell)
                     add(v, top - a, b, ell)
-    return _times_qq_packed(_horner_close(by_s, 3 * n - 1, width), width, n), width, bound
-
-
-def _times_qq_packed(value: int, width: int, *tops: int) -> int:
-    """value * prod over tops of (q;q)_top, packed."""
-    for top in tops:
-        for i in range(1, top + 1):
-            value -= value << width * i
-    return value
-
-
-def _horner_close(by_s, top: int, width: int) -> int:
-    """sum over s of (-1)^s (q;q)_{top-s} by_s[s], packed, by Horner's rule.
-
-    With S = len(by_s) - 1, (q;q)_{top-s} is (q;q)_{top-S} times the factors
-    (1 - q^j) for j = top-S+1 .. top-s, so each step multiplies the running
-    sum by one factor before adding the next part.  The whole sum costs top
-    products by (1 - q^j), not one per factor of every (q;q)_{top-s}.
-    """
-    total = 0
-    for s, part in enumerate(by_s):
-        if s:
-            total -= total << width * (top - s + 1)
-        total += -part if s % 2 else part
-    return _times_qq_packed(total, width, top - len(by_s) + 1)
+    return times_qq_packed(horner_close(by_s, 3 * n - 1, width), width, n), width, bound
 
 
 def dimension_sum(n: int) -> RationalFunctionQ:
@@ -341,31 +305,13 @@ def dimension_sum(n: int) -> RationalFunctionQ:
     return RationalFunctionQ(acc if n % 2 else -acc, (n,) * 4, 3 * n * n)
 
 
-# ||(q;q)_k / (q;q)_(k-l)||_1 for l = 0..k at index k of _HEAD_L1: they do
-# not depend on n, so every n extends the one list
-_HEAD_L1 = []
-
-
-def _head_norms(k: int) -> list:
-    """||(q;q)_k / (q;q)_(k-l)||_1 for l = 0..k, from the shared list
-    _HEAD_L1, extended to k by k (1 - q^j) passes per new k."""
-    while len(_HEAD_L1) <= k:
-        top = len(_HEAD_L1)
-        head, norms = LaurentPoly.one(), [1]
-        for ell in range(1, top + 1):
-            head = head.times_one_minus_q(top - ell + 1)
-            norms.append(_l1(head))
-        _HEAD_L1.append(norms)
-    return _HEAD_L1[k]
-
-
 def _inner_bound(n: int, k: int) -> int:
     """A proved bound on every coefficient of _inner_sum_numerator(n, k), as
     _triple_bound: the sum over every term of the l1 norms of its factors,
     (q;q)_{2n+k-s-1}, the tails T_m T_l T_{n-m-l} and (q;q)_k / (q;q)_{k-l}."""
-    tails, qqs = _l1_norms(n)
+    tails, qqs = tail_norms(n), qq_norms(3 * n - 1)
     bound = 0
-    for ell, head in enumerate(_head_norms(k)):
+    for ell, head in enumerate(head_norms(k)):
         part = 0
         for m in range(n - ell + 1):
             part += qqs[2 * n + k - m - ell - 1] * tails[m] * tails[n - m - ell]
@@ -393,7 +339,7 @@ def _packed_inner_sum(n: int, k: int):
     by 2n passes, a step in l changes three factors and a step in m two.
     At fixed l, with N = n - l, V is unchanged by m -> N-m, so V is walked
     only for m <= N/2 and adds the terms at m and at N - m, once when
-    2m = N.  The terms are summed per s, and _horner_close applies every
+    2m = N.  The terms are summed per s, and horner_close applies every
     (-1)^s (q;q)_{2n+k-s-1}.  The T_k of the summand is left out: the
     numerator over (q;q)_n^3 is this times T_k.
     """
@@ -404,7 +350,7 @@ def _packed_inner_sum(n: int, k: int):
     def add(v, j, ell):
         by_s[j + ell] += v << width * (j * k + comb(j, 2) + comb(ell, 2))
 
-    v_l = _times_qq_packed(1, width, n, n)
+    v_l = times_qq_packed(1, width, n, n)
     for ell in range(k + 1):
         if ell:
             v_l -= v_l << width * (k - ell + 1)
@@ -419,7 +365,7 @@ def _packed_inner_sum(n: int, k: int):
             add(v, m, ell)
             if 2 * m < top:
                 add(v, top - m, ell)
-    return _horner_close(by_s, 2 * n + k - 1, width), width, bound
+    return horner_close(by_s, 2 * n + k - 1, width), width, bound
 
 
 def inner_sum_rhs_poly(n: int, k: int) -> LaurentPoly:
@@ -441,43 +387,6 @@ def inner_sum_sides(n: int, k: int):
     return lhs, RationalFunctionQ(inner_sum_rhs_poly(n, k))
 
 
-def _side_bound(side: LaurentPoly, tops) -> int:
-    """A proved bound on every coefficient of side * prod over tops of
-    (q;q)_top: the product of the factors' l1 norms."""
-    qqs = _qq_norms(max(tops))
-    bound = _l1(side)
-    for top in tops:
-        bound *= qqs[top]
-    return bound
-
-
-def _equal_at_x(packed, side: RationalFunctionQ, tops, shift: int = 0) -> bool:
-    """Whether packed = (value, width, bound), a walker's numerator p, is
-    side * q^shift * prod over tops of (q;q)_top, decided at X = 2^width.
-
-    The other side is packed and multiplied out by shift-subtract passes at
-    the walker's width, and the two ints are compared.  By the lemma in
-    laurent, equal ints prove equal polynomials when both sides'
-    coefficients are below 2^(width-2) in absolute value: the walker's
-    bound makes that true of p, and _side_bound of the other side must
-    need no wider width.  False when the ints differ, and when side is not
-    a polynomial or its bound needs a wider width: the caller then decodes.
-    """
-    value, width, _ = packed
-    if not side.denominator_is_one or packed_width(_side_bound(side.num, tops)) > width:
-        return False
-    other = _times_qq_packed(pack(side.num, width) << width * shift, width, *tops)
-    return value == other
-
-
-def _agreed(identity: str, side: RationalFunctionQ):
-    """The step of a check decided equal at X: both sides are side, whose
-    canonical form is unique, so the record is the one the decoded sides
-    give; its lhs and rhs are one dict."""
-    sides = side.to_json_dict()
-    return identity, True, sides, sides
-
-
 def verify_main(n: int) -> dict:
     """Exact equality of the closed product and the raw dimension sum."""
     return timed_reports(_main_step(n), n)[0]
@@ -487,7 +396,8 @@ def _main_step(n: int):
     closed = closed_product(n)
     # dimension_sum(n) is (-1)^(n+1) the triple sum's numerator over
     # q^(3n^2) (q;q)_n^4
-    if _equal_at_x(_packed_triple_sum(n), closed if n % 2 else -closed, (n,) * 4, 3 * n * n):
+    side = closed.num if n % 2 else -closed.num
+    if closed.denominator_is_one and equal_at_x(_packed_triple_sum(n), side, (n,) * 4, 3 * n * n):
         yield _agreed("main", closed)
     else:
         yield _equality("main", closed, dimension_sum(n))
@@ -501,7 +411,7 @@ def verify_inner_sum(n: int, k: int) -> dict:
 def _inner_step(n: int, k: int):
     _require_inner_range(n, k)
     rhs = RationalFunctionQ(inner_sum_rhs_poly(n, k))
-    if _equal_at_x(_packed_inner_sum(n, k), rhs, (n, n, k)):
+    if rhs.denominator_is_one and equal_at_x(_packed_inner_sum(n, k), rhs.num, (n, n, k)):
         yield _agreed("inner-sum", rhs)
     else:
         yield _equality("inner-sum", *inner_sum_sides(n, k))
@@ -524,17 +434,22 @@ def _for_all(identity: str, keys, tuples: list, holds):
 
 
 def _range_rewrite_holds(sign: int, lo: int, hi: int) -> bool:
-    """prod_{i=lo+1..hi} (q^i - 1) * (q;q)_lo == sign * (q;q)_hi.
+    """prod_{i=lo+1..hi} (q^i - 1) * (q;q)_lo == sign * (q;q)_hi, decided at X.
 
     The cross-multiplied form of prod_{i=lo+1..hi} (q^i - 1) == sign *
-    (q;q)_hi / (q;q)_lo, and an exact proof of it since (q;q)_lo != 0.  The
-    lo factors of (q;q)_lo are sparse passes onto the literal product, so
-    nothing is divided or canonicalised.
+    (q;q)_hi / (q;q)_lo, and an exact proof of it since (q;q)_lo != 0.  Both
+    sides are products of hi factors of l1 norm 2, so 2^hi bounds their
+    coefficients and fixes the width.  Each side is hi shift-subtract passes
+    from 1: the literal factors (q^i - 1) and those of (q;q)_lo on one, the
+    factors (1 - q^i) of (q;q)_hi on the other.  Nothing is divided or
+    canonicalised.
     """
     if lo < 0:
         raise ValueError("(q;q)_lo needs lo >= 0")
-    lhs = _times_qq_range(q_power_minus_one_range(lo + 1, hi), 1, lo)
-    return lhs == (-qq(hi) if sign < 0 else qq(hi))
+    width = packed_width(1 << hi)
+    lhs = times_range_packed(times_literal_range_packed(1, width, lo + 1, hi), width, 1, lo)
+    rhs = times_range_packed(1, width, 1, hi)
+    return lhs == (-rhs if sign < 0 else rhs)
 
 
 def _factorial_sign_table(n: int) -> dict:
@@ -543,17 +458,23 @@ def _factorial_sign_table(n: int) -> dict:
     lit_den = prod_{i=1..k} (q^i - 1) prod_{i=1..m} (q^i - 1), so sign is the
     one for which 1 / lit_den == sign / ((q;q)_k (q;q)_m), cross-multiplied
     and exact since both denominators are nonzero; 0 when neither sign holds.
-    Per k, both sides start from the literal product over 1..k and the cached
-    (q;q)_k, and each step up in m is one sparse pass on each: (1 - q^m) on
-    the (q;q) side, the literal factor (q^m - 1) on the other.
+    Decided at X: both sides are products of k + m <= 2n factors of l1 norm
+    2, so one width from 2^(2n) serves the table.  Per k, the (q;q) side
+    starts from (q;q)_k, one pass from (q;q)_(k-1), and the other from the
+    literal product over 1..k; each step up in m is one pass on each:
+    (1 - q^m) on the (q;q) side, the literal factor (q^m - 1) on the other.
     """
+    width = packed_width(1 << 2 * n)
     signs = {}
+    qq_k = 1
     for k in range(n + 1):
-        lhs, lit_den = qq(k), q_power_minus_one_range(1, k)
+        if k:
+            qq_k = times_range_packed(qq_k, width, k, k)
+        lhs, lit_den = qq_k, times_literal_range_packed(1, width, 1, k)
         for m in range(n + 1):
             if m:
-                lhs = lhs.times_one_minus_q(m)
-                lit_den = -lit_den.times_one_minus_q(m)
+                lhs = times_range_packed(lhs, width, m, m)
+                lit_den = times_literal_range_packed(lit_den, width, m, m)
             signs[k, m] = 1 if lhs == lit_den else -1 if lhs == -lit_den else 0
     return signs
 
@@ -565,8 +486,8 @@ def simplification_chain(n: int):
     n, each as an exact, cross-multiplied identity between the literal
     (q^i - 1) products and their (q;q) forms.  Then the normalized raw sum,
     from the walker, is compared with the regrouped (q;q) triple sum, from
-    the oracle _nested_triple_numerator; then the normalized closed side,
-    and finally the exponent bookkeeping.
+    the oracle _packed_nested_triple; then the normalized closed side, and
+    finally the exponent bookkeeping.
     """
     _require_positive(n)
     return timed_reports(_simplification_steps(n), n)
@@ -641,73 +562,139 @@ def _simplification_steps(n: int):
 
     # regrouping: raw * q^(3n^2) / ((-1)^(n-1) (q;q)_n) == grouped (q;q) triple
     # sum; the raw sum is (-1)^(n+1) the walker's numerator over q^(3n^2)
-    # (q;q)_n^4, so the normalised side is that numerator over (q;q)_n^5
+    # (q;q)_n^4, so the normalised side is that numerator over (q;q)_n^5,
+    # and so is the oracle's: equal numerators, decided at X, are the step
     normalized = RationalFunctionQ(_triple_sum_numerator(n), (n,) * 5)
-    grouped = RationalFunctionQ(_nested_triple_numerator(n), (n,) * 5)
-    yield _equality("simplify-regrouped-sum", normalized, grouped)
+    if _walker_agrees_with_oracle(n):
+        yield _agreed("simplify-regrouped-sum", normalized)
+    else:
+        grouped = RationalFunctionQ(unpack(*_packed_nested_triple(n)), (n,) * 5)
+        yield _equality("simplify-regrouped-sum", normalized, grouped)
 
     # the closed side normalised alike, against q^e / (1 - q^n), which is
-    # q^e (q;q)_(n-1) / (q;q)_n
+    # q^e (q;q)_(n-1) / (q;q)_n: over one denominator, equal numerators are
+    # the step
     closed = closed_product(n).num.shifted(3 * n * n)
-    normalized_lhs = RationalFunctionQ(closed if n % 2 else -closed, (n,))
-    target = RationalFunctionQ(qq(n - 1).shifted(3 * n * n + 2 * comb(n, 2)), (n,))
-    yield _equality("simplify-normalized-lhs", normalized_lhs, target)
+    normalized_lhs = closed if n % 2 else -closed
+    target = qq(n - 1).shifted(3 * n * n + 2 * comb(n, 2))
+    if normalized_lhs == target:
+        yield _agreed("simplify-normalized-lhs", RationalFunctionQ(target, (n,)))
+    else:
+        yield _equality("simplify-normalized-lhs", RationalFunctionQ(normalized_lhs, (n,)),
+                        RationalFunctionQ(target, (n,)))
 
     l_exp = 3 * n * n + 2 * comb(n, 2)
     r_exp = 4 * n * n - n
     yield "simplify-exponent-total", l_exp == r_exp, l_exp, r_exp
 
 
+def _nested_bound(n: int) -> int:
+    """A proved bound on every coefficient of the oracle's triple sum, from
+    its own terms: the sum over every (k, m, l) of the l1 norms of the
+    factors it multiplies, C(n, m) C(n-m, l) for [n, m]_q [n-m, l]_q,
+    ||T_(n-k-l)||_1 ||T_k||_1, ||(q;q)_(3n-s-1)||_1 and ||(q;q)_n||_1^3."""
+    tails, qqs = tail_norms(n), qq_norms(3 * n - 1)
+    bound = 0
+    for ell in range(n + 1):
+        top = n - ell
+        for m in range(top + 1):
+            part = 0
+            for k in range(top + 1):
+                part += tails[top - k] * tails[k] * qqs[3 * n - k - m - ell - 1]
+            bound += comb(n, m) * comb(n - m, ell) * part
+    return bound * qqs[n] ** 3
+
+
 @lru_cache(maxsize=1)
-def _nested_triple_numerator(n: int) -> LaurentPoly:
-    """Numerator over (q;q)_n^5 of the (k, m, l) triple sum, from scratch.
+def _packed_nested_triple(n: int):
+    """(value, width, bound): numerator over (q;q)_n^5 of the (k, m, l)
+    triple sum, from scratch, packed at the width _nested_bound proves.
 
     The term at (k, m, l) is (-1)^s q^e (q;q)_{3n-s-1} (q;q)_n T_k T_m T_l
     T_{n-k-l} T_{n-m-l}, with s = k + m + l, T_j = prod_{i=j+1..n} (1 - q^i)
     and e = kn + C(k,2) + m(n-k) + C(m,2) + C(l,2).  Its (m, l) part
     T_m T_l T_{n-m-l} is (q;q)_n^2 times the q-multinomial [n; m, l, n-m-l]_q
-    = [n, m]_q [n-m, l]_q, a product of two Gaussian binomials from the
-    q-Pascal table, so it costs no (1 - q^i) pass.  Per (m, l), u starts at
-    that product times T_{n-l}, which is T_{n-k-l} at k = 0, and each step up
-    in k multiplies in (1 - q^(n-k-l+1)), turning T_{n-k-l+1} into T_{n-k-l}.
+    = [n, m]_q [n-m, l]_q, one int product of two entries of the packed
+    q-Pascal table, with no (1 - q^i) pass.  Per (m, l), u starts at that
+    product times T_{n-l}, which is T_{n-k-l} at k = 0, and each step up in
+    k multiplies in (1 - q^(n-k-l+1)), turning T_{n-k-l+1} into T_{n-k-l}.
     The shifted u is summed into the bucket (s, k).  Per s, the buckets are
     folded with their T_k by nested multiplication, and the fold is
     multiplied once by (q;q)_{3n-s-1} and added with the sign (-1)^s.  The
     (q;q)_n^3 that every term shares, its own (q;q)_n and the (q;q)_n^2 of
     its multinomial, multiplies the total once, as 3n passes.  That is
-    O(n^3) sparse passes in all, on polynomials that carry no (q;q)_n^3
+    O(n^3) shift-subtract passes in all, on ints that carry no (q;q)_n^3
     until the end.
 
-    The one oracle of the triple sum: both simplify-regrouped-sum and
-    conclusion-group-by-k compare a walker with it.  It only multiplies and
-    sums with plain LaurentPoly +/-, so it shares no stepping, summation or
-    closing code with the walkers, and the cache of the last n lets a chain
-    run build it once per n.
+    The one oracle of the triple sum: simplify-regrouped-sum,
+    conclusion-group-by-k and conclusion-reindex-outer compare with it.  Its
+    bound is its own, from the factors it multiplies, and it only
+    multiplies: it calls no div_packed, no horner_close and no walker, so it
+    shares no stepping, summation or closing code with the walkers.  What it
+    shares with them is exact integer arithmetic at X, and the lemma behind
+    comparing there.  The cache of the last n lets a chain run build it once
+    per n.
     """
-    by_sk = [[LaurentPoly.zero()] * (n + 1) for _ in range(2 * n + 1)]
+    bound = _nested_bound(n)
+    width = packed_width(bound)
+    pascal = packed_qpascal(n, width)
+    by_sk = [[0] * (n + 1) for _ in range(2 * n + 1)]
     for ell in range(n + 1):
         top = n - ell
         for m in range(top + 1):
-            u = gaussian_binomial(n, m) * gaussian_binomial(n - m, ell)
-            u = _times_qq_range(u, top + 1, n)
+            u = times_range_packed(pascal[n][m] * pascal[n - m][ell], width, top + 1, n)
             for k in range(top + 1):
                 if k:
-                    u = u.times_one_minus_q(top - k + 1)
+                    u = times_range_packed(u, width, top - k + 1, top - k + 1)
                 e = k * n + comb(k, 2) + m * (n - k) + comb(m, 2) + comb(ell, 2)
-                row = by_sk[k + m + ell]
-                row[k] = row[k] + u.shifted(e)
-    nested = LaurentPoly.zero()
+                by_sk[k + m + ell][k] += u << width * e
+    nested = 0
     for s, row in enumerate(by_sk):
-        part = LaurentPoly.zero()
+        part = 0
         for k, bucket in enumerate(row):
             if k:
-                part = part.times_one_minus_q(k)
-            part = part + bucket
-        part = _times_qq_range(part, 1, 3 * n - s - 1)
+                part = times_range_packed(part, width, k, k)
+            part += bucket
+        part = times_range_packed(part, width, 1, 3 * n - s - 1)
         nested = nested - part if s % 2 else nested + part
-    for _ in range(3):
-        nested = _times_qq_range(nested, 1, n)
-    return nested
+    return times_qq_packed(nested, width, n, n, n), width, bound
+
+
+def _walker_agrees_with_oracle(n: int) -> bool:
+    """Whether the triple walker and the oracle give one numerator, decided
+    at X at the wider of their widths.  Where the oracle's own bound needs
+    the wider one (n = 5, 8, 10, ...), the walker is packed again there from
+    its decoding, which the chains make once per n anyway."""
+    walk, nested = _packed_triple_sum(n), _packed_nested_triple(n)
+    if walk[1] < nested[1]:
+        walk = pack(_triple_sum_numerator(n), nested[1]), nested[1], walk[2]
+    return same_at_x(walk, nested)
+
+
+def _reindexed_bound(n: int, inner_bounds) -> int:
+    """A proved bound on every coefficient of conclusion-reindex-outer's
+    sum: over k, inner_bounds[k] (the inner sum's own) times ||T_k||_1
+    ||T_(n-k)||_1, all times ||(q;q)_n||_1."""
+    tails = tail_norms(n)
+    return qq_norms(n)[n] * sum(b * tails[k] * tails[n - k] for k, b in enumerate(inner_bounds))
+
+
+def _single_bound(n: int) -> int:
+    """A proved bound on every coefficient of the single k-sum
+    sum_k (-1)^k (q^(k+1);q)_(n-1) T_(n-k) q^C(n-k,2): each Pochhammer
+    product has n - 1 factors, so l1 norm at most 2^(n-1).  The substituted
+    sum of conclusion-plug-closed-form is this sum, shifted, times
+    (q;q)_n^4."""
+    tails = tail_norms(n)
+    return 2 ** (n - 1) * sum(tails[n - k] for k in range(n + 1))
+
+
+def _pulled_bound(n: int) -> int:
+    """A proved bound on every coefficient of the pulled k-sum
+    sum_k (-1)^k (q^n;q)_k T_k T_(n-k) q^C(n-k,2): (q^n;q)_k has l1 norm
+    at most 2^k."""
+    tails = tail_norms(n)
+    return sum(2 ** k * tails[k] * tails[n - k] for k in range(n + 1))
 
 
 def conclusion_chain(n: int):
@@ -717,75 +704,110 @@ def conclusion_chain(n: int):
 
 
 def _conclusion_steps(n: int):
+    # Every polynomial comparison is decided at X: each side is packed at a
+    # width that fits its own proved bound, a sum over its terms of the l1
+    # norms of their factors, and two sides are compared at the wider of
+    # their widths (laurent.same_at_x).  A value is decoded only for a
+    # record that serialises it, or when a comparison fails.
+    qqs = qq_norms(3 * n - 1)
+
     # (a) flat triple sum == outer-k sum of inner double sums
-    flat = _triple_sum_numerator(n)
-    nested = _nested_triple_numerator(n)
-    yield ("conclusion-group-by-k", flat == nested,
+    yield ("conclusion-group-by-k", _walker_agrees_with_oracle(n),
            "triple sum numerator", "nested sum numerator")
 
     # (b) replacing k by n-k leaves the outer sum unchanged; the inner sums
     # are numerators over (q;q)_n^2 (q;q)_k, brought to (q;q)_n^3 here by
     # their T_k, and the k-sum to (q;q)_n^4 by one more (q;q)_n
-    reindexed = LaurentPoly.zero()
-    for k in range(n + 1):
-        inner = _times_qq_range(_inner_sum_numerator(n, k), k + 1, n)
-        outer = _times_qq_range(inner, n - k + 1, n).shifted((n - k) * n + comb(n - k, 2))
-        reindexed = reindexed - outer if (n - k) % 2 else reindexed + outer
-    reindexed = _times_qq_range(reindexed, 1, n)
-    yield ("conclusion-reindex-outer", nested == reindexed,
+    nested = _packed_nested_triple(n)
+    inners = [_packed_inner_sum(n, k) for k in range(n + 1)]
+    bound = _reindexed_bound(n, [inner[2] for inner in inners])
+    width = max(packed_width(bound), nested[1])
+    value = 0
+    for k, inner in enumerate(inners):
+        outer = times_range_packed(repacked(inner, width), width, k + 1, n)
+        outer = times_range_packed(outer, width, n - k + 1, n) << width * (
+            (n - k) * n + comb(n - k, 2))
+        value = value - outer if (n - k) % 2 else value + outer
+    reindexed = times_qq_packed(value, width, n), width, bound
+    yield ("conclusion-reindex-outer", same_at_x(nested, reindexed),
            "nested sum numerator", "reindexed sum numerator")
 
     # (c) substituting the inner sum's closed form, whose k-sum is brought to
-    # (q;q)_n^4 once, as 4n sparse passes
-    plugged = LaurentPoly.zero()
+    # (q;q)_n^4 once, as 4n passes
+    bound = _single_bound(n) * qqs[n] ** 4
+    width = max(packed_width(bound), width)
+    value = 0
     for k in range(n + 1):
-        outer = _times_qq_range(inner_sum_rhs_poly(n, k), n - k + 1, n).shifted(
-            (n - k) * n + comb(n - k, 2)
-        )
-        plugged = plugged - outer if (n - k) % 2 else plugged + outer
-    for _ in range(4):
-        plugged = _times_qq_range(plugged, 1, n)
-    yield ("conclusion-plug-closed-form", reindexed == plugged,
+        outer = times_range_packed(pack(inner_sum_rhs_poly(n, k), width), width, n - k + 1, n)
+        outer <<= width * ((n - k) * n + comb(n - k, 2))
+        value = value - outer if (n - k) % 2 else value + outer
+    plugged = times_qq_packed(value, width, n, n, n, n), width, bound
+    yield ("conclusion-plug-closed-form", same_at_x(reindexed, plugged),
            "reindexed sum numerator", "substituted sum numerator")
 
-    # (d) dividing by q^(2n^2 + C(n,2)) gives the single k-sum
-    single_num = LaurentPoly.zero()
-    for k in range(n + 1):
-        term = _times_qq_range(poch_power(k + 1, n - 1), n - k + 1, n).shifted(
-            comb(n - k, 2)
-        )
-        single_num = single_num - term if k % 2 else single_num + term
+    # (d) dividing by q^(2n^2 + C(n,2)) gives the single k-sum: plugged over
+    # q^shift (q;q)_n^5 against single over (q;q)_n, cross-multiplied
     shift = 2 * n * n + comb(n, 2)
-    lhs_d = RationalFunctionQ(plugged, (n,) * 5, shift)
-    rhs_d = RationalFunctionQ(single_num, (n,))
-    yield _equality("conclusion-normalize-power", lhs_d, rhs_d)
+    single_bound = _single_bound(n)
+    width = max(packed_width(plugged[2] * qqs[n]), packed_width(single_bound * qqs[n] ** 5))
+    value = 0
+    for k in range(n + 1):
+        term = times_range_packed(pack(poch_power(k + 1, n - 1), width), width, n - k + 1, n)
+        term <<= width * comb(n - k, 2)
+        value = value - term if k % 2 else value + term
+    single = value, width, single_bound
+    rhs_d = RationalFunctionQ(unpack(*single), (n,))
+    if (times_qq_packed(repacked(plugged, width), width, n)
+            == times_qq_packed(value << width * shift, width, n, n, n, n, n)):
+        yield _agreed("conclusion-normalize-power", rhs_d)
+    else:
+        lhs_d = RationalFunctionQ(unpack(*plugged), (n,) * 5, shift)
+        yield _equality("conclusion-normalize-power", lhs_d, rhs_d)
 
     # (e) Pochhammer rewrite pulls out (q;q)_{n-1}:
-    # (q^(k+1);q)_(n-1) == (q;q)_(n-1) (q^n;q)_k / (q;q)_k, cross-multiplied
+    # (q^(k+1);q)_(n-1) == (q;q)_(n-1) (q^n;q)_k / (q;q)_k, cross-multiplied;
+    # both sides are products of n - 1 + k <= 2n - 1 factors
+    width = packed_width(1 << 2 * n - 1)
     rewrites_ok = all(
-        _times_qq_range(poch_power(k + 1, n - 1), 1, k)
-        == _times_qq_range(poch_power(n, k), 1, n - 1)
+        times_range_packed(pack(poch_power(k + 1, n - 1), width), width, 1, k)
+        == times_range_packed(pack(poch_power(n, k), width), width, 1, n - 1)
         for k in range(n + 1)
     )
-    ksum_num = LaurentPoly.zero()
+    # pulled = (q;q)_(n-1) ksum / (q;q)_n^2 against rhs_d = single / (q;q)_n,
+    # cross-multiplied: (q;q)_(n-1) ksum == single (q;q)_n
+    ksum_bound = _pulled_bound(n)
+    width = max(packed_width(qqs[n - 1] * ksum_bound), packed_width(single_bound * qqs[n]))
+    value = 0
     for k in range(n + 1):
-        term = poch_power(n, k)
-        term = _times_qq_range(term, k + 1, n)
-        term = _times_qq_range(term, n - k + 1, n).shifted(comb(n - k, 2))
-        ksum_num = ksum_num - term if k % 2 else ksum_num + term
-    pulled = RationalFunctionQ(qq(n - 1) * ksum_num, (n, n))
-    yield ("conclusion-pochhammer-split", rewrites_ok and pulled == rhs_d,
-           pulled.to_json_dict(), rhs_d.to_json_dict())
+        term = times_range_packed(pack(poch_power(n, k), width), width, k + 1, n)
+        term = times_range_packed(term, width, n - k + 1, n) << width * comb(n - k, 2)
+        value = value - term if k % 2 else value + term
+    ksum = value, width, ksum_bound
+    pulled = times_range_packed(value, width, 1, n - 1)
+    split = pulled == times_qq_packed(repacked(single, width), width, n)
+    rhs_side = rhs_d.to_json_dict()
+    pulled_side = rhs_side if split else RationalFunctionQ(
+        unpack(pulled, width, qqs[n - 1] * ksum_bound), (n, n)).to_json_dict()
+    yield ("conclusion-pochhammer-split", rewrites_ok and split, pulled_side, rhs_side)
 
-    # (f) the k-sum is the coefficient of x^n in the product series
+    # (f) the k-sum is the coefficient of x^n in the product series: h_n over
+    # (q;q)_n against ksum over (q;q)_n^2, cross-multiplied; the product's
+    # numerators are int products at one width that fits every h_t
     bracket1 = qbinom_series(n, n).alternate_x()
     bracket2 = euler_series(0, n).alternate_x()
-    product = bracket1 * bracket2
-    ksum = RationalFunctionQ(ksum_num, (n, n))
-    yield _equality("conclusion-coefficient-extraction", product.coeff(n), ksum)
+    bounds = series_product_bounds(bracket1, bracket2)
+    width = max(packed_width(max(bounds)), packed_width(bounds[n] * qqs[n]), ksum[1])
+    product = packed_series_product(bracket1, bracket2, width)
+    coefficient = RationalFunctionQ(unpack(product[n], width, bounds[n]), (n,))
+    if times_qq_packed(product[n], width, n) == repacked(ksum, width):
+        yield _agreed("conclusion-coefficient-extraction", coefficient)
+    else:
+        yield _equality("conclusion-coefficient-extraction", coefficient,
+                        RationalFunctionQ(unpack(*ksum), (n, n)))
 
-    # (g) the product telescopes to the single series with base -q^n
-    telescoped = euler_series(n, n).alternate_x()
+    # (g) the product telescopes to the single series with base -q^n, whose
+    # numerators are monomials of l1 norm 1: compared at the product's width
+    telescoped = [pack(num, width) for num in euler_series(n, n).alternate_x().nums]
     yield ("conclusion-telescoped-series", product == telescoped,
            "bracket product coefficients", "telescoped coefficients")
 

@@ -7,23 +7,32 @@ Coefficients must be ints; the public constructor raises TypeError otherwise.
 Values are immutable; every operation returns a new object, which makes them
 safe to share freely between threads.
 
-The hot kernels (sums, products, the sparse (1 - q^j) multiply and exact
-divide) run as C-level ``map``/``accumulate`` passes over coefficient slices
-rather than Python loops over coefficients.  There is no general polynomial
-division: every denominator the package divides by is a product of
-(1 - q^j) factors and a power of q (see rational).
+The hot kernels (differences, products, the sparse (1 - q^j) multiply and
+exact divide) run as C-level ``map``/``accumulate`` passes over coefficient
+slices rather than Python loops over coefficients.  There is no general
+polynomial division: every denominator the package divides by is a product
+of (1 - q^j) factors and a power of q (see rational).  The package never
+adds two LaurentPolys, so the class subtracts and does not add, and it has
+no hash: equal values are compared, never used as keys.
 
-The Kronecker-packed kernels at the end (pack, unpack, div_packed,
-packed_width) hold a polynomial in q as one int, its value at 2^width, for
-the engine's lattice walkers, where every pass is then one big-int operation.
-Two packed polynomials with small enough coefficients are equal iff their
-ints are, so an identity can be decided on the ints, without unpacking (the
-lemma beside pack and unpack).
+The Kronecker-packed kernels at the end hold a polynomial in q as one int,
+its value at 2^width, for the engine's lattice walkers, its triple-sum
+oracle and its derivation chains, where every pass is then one big-int
+operation.  Two packed polynomials with small enough coefficients are equal
+iff their ints are, so an identity can be decided on the ints, without
+unpacking (the lemma beside pack and unpack).  This is the one home of
+packed arithmetic: the conversions (pack, unpack, repacked), the checked
+division by 1 - q^j (div_packed), the products by (1 - q^j) and (q^j - 1)
+factors (times_range_packed, times_literal_range_packed, times_qq_packed,
+horner_close), the comparisons at X (equal_at_x, same_at_x), and the l1
+norms that the widths are proved from (l1, qq_norms, tail_norms,
+head_norms, product_bound, packed_width).
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
+from functools import lru_cache
+from itertools import accumulate, count, repeat
 from operator import add, mul, neg, sub
 
 
@@ -53,20 +62,12 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return _ZERO
-
-    @staticmethod
     def one() -> "LaurentPoly":
         return _ONE
 
     @staticmethod
     def monomial(exp: int, coeff: int = 1) -> "LaurentPoly":
         return LaurentPoly(exp, (coeff,))
-
-    @staticmethod
-    def from_int(c: int) -> "LaurentPoly":
-        return LaurentPoly(0, (c,))
 
     # -- basic structure ----------------------------------------------------
 
@@ -75,54 +76,24 @@ class LaurentPoly:
         return not self.coeffs
 
     @property
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return self.min_exp + len(self.coeffs) - 1
-
-    @property
     def leading_coeff(self) -> int:
         if not self.coeffs:
             return 0
         return self.coeffs[-1]
 
-    def coeff(self, exp: int) -> int:
-        i = exp - self.min_exp
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
     # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if not self.coeffs:
-            return other
-        if not other.coeffs:
-            return self
-        return _combine(self, other, add)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return LaurentPoly._raw(self.min_exp, tuple(list(map(neg, self.coeffs))))
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
-        elif not isinstance(other, LaurentPoly):
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         if not other.coeffs:
             return self
         if not self.coeffs:
             return -other
-        return _combine(self, other, sub)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return _combine(self, other)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -197,17 +168,9 @@ class LaurentPoly:
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.min_exp == other.min_exp and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.min_exp, self.coeffs))
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
     # -- serialization ------------------------------------------------------
 
@@ -260,8 +223,8 @@ def _poly(min_exp: int, cs) -> LaurentPoly:
     return LaurentPoly._raw(*_trimmed(min_exp, cs))
 
 
-def _combine(a: LaurentPoly, b: LaurentPoly, op) -> LaurentPoly:
-    """a op b for op in (add, sub), both nonzero: one map over b's window."""
+def _combine(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a - b, both nonzero: one map over b's window."""
     fa, fb = a.coeffs, b.coeffs
     lo = min(a.min_exp, b.min_exp)
     hi = max(a.min_exp + len(fa), b.min_exp + len(fb))
@@ -269,7 +232,7 @@ def _combine(a: LaurentPoly, b: LaurentPoly, op) -> LaurentPoly:
     i = a.min_exp - lo
     out[i : i + len(fa)] = fa
     i = b.min_exp - lo
-    out[i : i + len(fb)] = map(op, out[i : i + len(fb)], fb)
+    out[i : i + len(fb)] = map(sub, out[i : i + len(fb)], fb)
     return _poly(lo, out)
 
 
@@ -370,3 +333,162 @@ def div_packed(value: int, j: int, width: int) -> int:
         raise ValueError("inexact division by 1 - q^%d" % j)
     return quo
 
+
+
+def repacked(packed, width: int) -> int:
+    """The value at X = 2^width of packed = (value, w, bound), a polynomial
+    whose coefficients are proved at most bound: value itself when w is
+    width, else decoded (unpack checks the bound) and packed again.  The
+    bound must fit width, so that the lemma applies there too."""
+    value, w, bound = packed
+    if packed_width(bound) > width:
+        raise ValueError("a bound of %d bits does not fit width %d" % (bound.bit_length(), width))
+    return value if w == width else pack(unpack(value, w, bound), width)
+
+
+def same_at_x(a, b) -> bool:
+    """Whether a and b, each (value, width, bound) with its coefficients
+    proved at most bound, are one polynomial: decided at the wider of the
+    two widths, where both bounds fit, with the narrower one repacked."""
+    width = max(a[1], b[1])
+    return repacked(a, width) == repacked(b, width)
+
+
+# -- products by (1 - q^j) factors at X ----------------------------------------
+# A product by (1 - q^j) is v - (v << width * j), one shift-subtract.  Each
+# is exact on any int, so these need no bound; only comparing and decoding do.
+
+
+def times_range_packed(value: int, width: int, lo: int, hi: int) -> int:
+    """value * prod_{i=lo..hi} (1 - q^i), packed: one shift-subtract per
+    factor, none when hi < lo."""
+    for i in range(lo, hi + 1):
+        value -= value << width * i
+    return value
+
+
+def times_literal_range_packed(value: int, width: int, lo: int, hi: int) -> int:
+    """value * prod_{i=lo..hi} (q^i - 1), packed: the displayed literal
+    factors, one shift-subtract v X^i - v each, none when hi < lo."""
+    for i in range(lo, hi + 1):
+        value = (value << width * i) - value
+    return value
+
+
+def times_qq_packed(value: int, width: int, *tops: int) -> int:
+    """value * prod over tops of (q;q)_top, packed."""
+    for top in tops:
+        value = times_range_packed(value, width, 1, top)
+    return value
+
+
+def horner_close(by_s, top: int, width: int) -> int:
+    """sum over s of (-1)^s (q;q)_{top-s} by_s[s], packed, by Horner's rule.
+
+    With S = len(by_s) - 1, (q;q)_{top-s} is (q;q)_{top-S} times the factors
+    (1 - q^j) for j = top-S+1 .. top-s, so each step multiplies the running
+    sum by one factor before adding the next part.  The whole sum costs top
+    products by (1 - q^j), not one per factor of every (q;q)_{top-s}.
+    """
+    total = 0
+    for s, part in enumerate(by_s):
+        if s:
+            total -= total << width * (top - s + 1)
+        total += -part if s % 2 else part
+    return times_qq_packed(total, width, top - len(by_s) + 1)
+
+
+# -- l1 norms: the bounds that the widths are proved from ----------------------
+# The l1 norm (the sum of the absolute coefficients) is submultiplicative and
+# bounds the largest coefficient, so the product of its factors' l1 norms
+# bounds every coefficient of a product, and a sum of such products bounds a
+# sum of products.  ||1 - q^j||_1 = 2, so 2^r bounds a product of r factors
+# (1 - q^j) or (q^j - 1), and a Gaussian binomial [t, i]_q, whose
+# coefficients are non-negative, has l1 norm C(t, i), its value at q = 1.
+
+
+def l1(poly: LaurentPoly) -> int:
+    """The l1 norm of poly, the sum of its absolute coefficients."""
+    return sum(map(abs, poly.coeffs))
+
+
+def _qq_l1_norms():
+    """||(q;q)_i||_1 for i = 0, 1, 2, ..., one (1 - q^i) pass each; built
+    here rather than read from qseries.qq's cache, which would keep every
+    (q;q)_i."""
+    poly = _ONE
+    for i in count(1):
+        yield l1(poly)
+        poly = poly.times_one_minus_q(i)
+
+
+# ||(q;q)_i||_1 for i < len(_QQ_L1): they do not depend on n, so every n
+# extends the one list from _qq_l1_more
+_QQ_L1 = []
+_qq_l1_more = _qq_l1_norms()
+
+
+def qq_norms(top: int) -> list:
+    """The shared list of ||(q;q)_i||_1, extended to i = top."""
+    while len(_QQ_L1) <= top:
+        _QQ_L1.append(next(_qq_l1_more))
+    return _QQ_L1
+
+
+@lru_cache(maxsize=1)
+def tail_norms(n: int) -> list:
+    """||T_j||_1 for T_j = (q;q)_n / (q;q)_j, j = 0..n, cached for the last
+    n: n (1 - q^j) passes."""
+    tails = [1] * (n + 1)  # T_n = 1
+    tail = _ONE
+    for j in range(n, 0, -1):
+        tail = tail.times_one_minus_q(j)  # T_(j-1)
+        tails[j - 1] = l1(tail)
+    return tails
+
+
+# ||(q;q)_k / (q;q)_(k-l)||_1 for l = 0..k at index k of _HEAD_L1: they do
+# not depend on n, so every n extends the one list
+_HEAD_L1 = []
+
+
+def head_norms(k: int) -> list:
+    """||(q;q)_k / (q;q)_(k-l)||_1 for l = 0..k, from the shared list
+    _HEAD_L1, extended to k by k (1 - q^j) passes per new k."""
+    while len(_HEAD_L1) <= k:
+        top = len(_HEAD_L1)
+        head, norms = _ONE, [1]
+        for ell in range(1, top + 1):
+            head = head.times_one_minus_q(top - ell + 1)
+            norms.append(l1(head))
+        _HEAD_L1.append(norms)
+    return _HEAD_L1[k]
+
+
+def product_bound(side: LaurentPoly, tops) -> int:
+    """A proved bound on every coefficient of side * prod over tops of
+    (q;q)_top: the product of the factors' l1 norms."""
+    qqs = qq_norms(max(tops))
+    bound = l1(side)
+    for top in tops:
+        bound *= qqs[top]
+    return bound
+
+
+def equal_at_x(packed, side: LaurentPoly, tops, shift: int = 0) -> bool:
+    """Whether packed = (value, width, bound), a polynomial p whose
+    coefficients are proved at most bound, is side * q^shift * prod over
+    tops of (q;q)_top, decided at X = 2^width.
+
+    The other side is packed and multiplied out by shift-subtract passes at
+    p's width, and the two ints are compared.  By the lemma above, equal
+    ints prove equal polynomials when both sides' coefficients are below
+    2^(width-2) in absolute value: packed's bound makes that true of p, and
+    product_bound of the other side must need no wider width.  False when
+    the ints differ, and when that bound needs a wider width: the caller
+    then decodes.
+    """
+    value, width, _ = packed
+    if packed_width(product_bound(side, tops)) > width:
+        return False
+    return value == times_qq_packed(pack(side, width) << width * shift, width, *tops)

@@ -19,17 +19,19 @@ The Cauchy product becomes the q-binomial convolution
 
     h_t = sum_{i=0}^{t} [t, i]_q f_i g_(t-i),
 
-with the Gaussian binomials [t, i]_q from a cached q-Pascal table, so series
-arithmetic neither divides nor canonicalises; only coeff() builds the
-canonical rational function of one coefficient.
+which packed_series_product evaluates on Kronecker-packed ints (see laurent),
+with the Gaussian binomials [t, i]_q from a q-Pascal table built on packed
+ints (packed_qpascal), so series arithmetic neither divides nor
+canonicalises.  series_product_bounds gives the l1 bounds that the width of
+such a product is proved from.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
-from .laurent import LaurentPoly
-from .rational import RationalFunctionQ
+from .laurent import LaurentPoly, l1, pack
 
 
 @lru_cache(maxsize=None)
@@ -39,19 +41,6 @@ def qq(j: int) -> LaurentPoly:
     if j < 0:
         raise ValueError("(q;q)_j needs j >= 0")
     return poch_power(1, j)
-
-
-@lru_cache(maxsize=None)
-def qq_power(j: int, p: int) -> LaurentPoly:
-    """(q;q)_j ** p, cached; each further power is j sparse (1 - q^i) passes."""
-    if p < 0:
-        raise ValueError("(q;q)_j ** p needs p >= 0")
-    if p <= 1:
-        return qq(j) if p else LaurentPoly.one()
-    out = qq_power(j, p - 1)
-    for i in range(1, j + 1):
-        out = out.times_one_minus_q(i)
-    return out
 
 
 _POCH = {}  # (base_exp, length) -> poch_power(base_exp, length)
@@ -87,33 +76,20 @@ def q_power_minus_one_range(lo: int, hi: int) -> LaurentPoly:
     return -p if length % 2 else p
 
 
-_QBINOM = {}  # (t, i) -> gaussian_binomial(t, i), for 0 < i < t
+def packed_qpascal(top: int, width: int) -> list:
+    """The q-Pascal table on packed ints: rows[t][i] is [t, i]_q at
+    X = 2^width, for 0 <= i <= t <= top.
 
-
-def gaussian_binomial(t: int, i: int) -> LaurentPoly:
-    """The Gaussian binomial [t, i]_q = (q;q)_t / ((q;q)_i (q;q)_(t-i)), cached.
-
-    Built by the q-Pascal rule [t, i] = [t-1, i-1] + q^i [t-1, i] from
-    [0, 0] = 1, with additions and shifts only; zero for i < 0 or i > t.
-    A missing entry fills the table in a loop, row by row up to row t, with
-    every entry (t', i') that the rule reaches from (t, i): 0 < i' <= i and
-    t' - i' <= t - i.  Each entry the rule reads is then cached or an edge,
-    so no index recurses.
+    Built by the rule [t, i] = [t-1, i-1] + q^i [t-1, i] from [0, 0] = 1,
+    with additions and shifts only, row by row in a loop.  Every entry is
+    exactly [t, i]_q at X, whatever the width; a caller that compares or
+    decodes must prove its own width (||[t, i]_q||_1 = C(t, i)).
     """
-    if i < 0 or i > t:
-        return LaurentPoly.zero()
-    if i == 0 or i == t:
-        return LaurentPoly.one()
-    out = _QBINOM.get((t, i))
-    if out is None:
-        for row in range(2, t + 1):
-            for col in range(max(1, i - t + row), min(i, row - 1) + 1):
-                if (row, col) not in _QBINOM:
-                    _QBINOM[row, col] = gaussian_binomial(row - 1, col - 1) + (
-                        gaussian_binomial(row - 1, col).shifted(col)
-                    )
-        out = _QBINOM[t, i]
-    return out
+    rows = [[1]]
+    for t in range(1, top + 1):
+        prev = rows[-1]
+        rows.append([1, *(prev[i - 1] + (prev[i] << width * i) for i in range(1, t)), 1])
+    return rows
 
 
 class TruncatedSeriesX:
@@ -140,47 +116,11 @@ class TruncatedSeriesX:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeriesX is immutable")
 
-    def coeff(self, j: int) -> RationalFunctionQ:
-        """The x^j coefficient nums[j] / (q;q)_j, canonicalised."""
-        if not 0 <= j <= self.order:
-            raise IndexError(
-                "coefficient index %d beyond truncation order %d" % (j, self.order)
-            )
-        return RationalFunctionQ(self.nums[j], (j,))
-
-    def __mul__(self, other):
-        """The Cauchy product as a q-binomial convolution of the numerators:
-        h_t = sum_i [t, i]_q f_i g_(t-i), since (q;q)_t / ((q;q)_i (q;q)_(t-i))
-        is [t, i]_q.  No division and no canonicalisation."""
-        if not isinstance(other, TruncatedSeriesX):
-            return NotImplemented
-        order = min(self.order, other.order)
-        f, g = self.nums, other.nums
-        out = []
-        for t in range(order + 1):
-            acc = LaurentPoly.zero()
-            for i in range(t + 1):
-                if f[i] and g[t - i]:
-                    acc = acc + gaussian_binomial(t, i) * f[i] * g[t - i]
-            out.append(acc)
-        return TruncatedSeriesX(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeriesX):
-            return NotImplemented
-        return self.nums == other.nums
-
-    def __hash__(self):
-        return hash(self.nums)
-
     def alternate_x(self) -> "TruncatedSeriesX":
         """Substitute x -> -x."""
         return TruncatedSeriesX(
             (-num if j % 2 else num) for j, num in enumerate(self.nums)
         )
-
-    def __repr__(self):
-        return "TruncatedSeriesX(order=%d)" % self.order
 
 
 def euler_series(e: int, order: int) -> TruncatedSeriesX:
@@ -201,3 +141,29 @@ def qbinom_series(a_exp: int, order: int) -> TruncatedSeriesX:
     if order < 0:
         raise ValueError("order must be >= 0")
     return TruncatedSeriesX(poch_power(a_exp, j) for j in range(order + 1))
+
+
+def series_product_bounds(f: TruncatedSeriesX, g: TruncatedSeriesX) -> list:
+    """Proved bounds on the coefficients of the numerators h_t of f * g, for
+    t up to the lower order: sum_i C(t, i) ||f_i||_1 ||g_(t-i)||_1, since
+    [t, i]_q has non-negative coefficients that sum to C(t, i) and the l1
+    norm is submultiplicative and bounds the largest coefficient."""
+    fl, gl = [l1(num) for num in f.nums], [l1(num) for num in g.nums]
+    return [sum(comb(t, i) * fl[i] * gl[t - i] for i in range(t + 1))
+            for t in range(min(f.order, g.order) + 1)]
+
+
+def packed_series_product(f: TruncatedSeriesX, g: TruncatedSeriesX, width: int) -> list:
+    """The numerators h_t = sum_i [t, i]_q f_i g_(t-i) of f * g, packed at
+    X = 2^width, for t up to the lower order.
+
+    Each h_t is a sum of int products, exact at any width; reading or
+    comparing h_t needs width to fit series_product_bounds(f, g)[t].  Only
+    numerators with no negative power of q pack, so pack raises ValueError
+    on any other.
+    """
+    order = min(f.order, g.order)
+    fp = [pack(num, width) for num in f.nums[: order + 1]]
+    gp = [pack(num, width) for num in g.nums[: order + 1]]
+    return [sum(row[i] * fp[i] * gp[t - i] for i in range(t + 1))
+            for t, row in enumerate(packed_qpascal(order, width))]

@@ -92,9 +92,6 @@ class RationalFunctionQ:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     # -- serialization ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:

@@ -14,8 +14,10 @@ None of this runs under a whitdim command, so it lives with the tests:
   a table cache of its own.
   A matrix over GF(q) is a list of rows of element indices, and each of
   these takes its field as its first argument;
-- poly_pow, the power of a Laurent polynomial by repeated squaring, for
-  the dense (q;q)_n^p of the per-term references;
+- poly_add, degree and coeff, the sum, degree and coefficient of Laurent
+  polynomials, which the package does not use, and poly_pow, the power
+  of a Laurent polynomial by repeated squaring, for the dense (q;q)_n^p of
+  the per-term references;
 - eval_at, the exact value of a Laurent polynomial or a rational function
   at a rational point, for comparing q-polynomial results with integers;
 - gcd_fraction, the reference canonical form of num / den for any nonzero
@@ -24,10 +26,21 @@ None of this runs under a whitdim command, so it lives with the tests:
   only over q^shift and (q;q) factors, by cancelling cyclotomic factors, so
   the two reductions share no code.  frac_add, frac_mul and frac_div are the
   fraction arithmetic the lemma checks and tests need, each through it;
+- the LaurentPoly triple-sum oracle nested_triple_numerator, the loops of
+  the package's packed oracle on LaurentPoly values, with its Gaussian
+  binomials from the LaurentPoly q-Pascal table gaussian_binomial: the
+  reference that the packed oracle's decoded value is compared against;
 - the k-outer triple-sum reference k_outer_triple_numerator, with its inner
   sums nested_inner_numerator and their closing close_index_sums: an
   O(n^4) build of the triple sum in another loop order, with another
   closing, that the package's oracle is compared against;
+- times_qq_range, the product by (1 - q^lo) ... (1 - q^hi) by sparse
+  LaurentPoly passes, for the references above;
+- the series arithmetic the tests need: packed_product (the package's
+  packed_series_product, decoded, Laurent numerators allowed), its
+  LaurentPoly reference series_mul (the q-binomial convolution on
+  LaurentPoly values) and series_coeff (one coefficient as a canonical
+  rational function);
 - triple_l1_bound and inner_l1_bound, the walkers' coefficient bounds
   recomputed term by term, each factor multiplied out on its own, and
   side_l1_bound, the bound on a closed side times its denominator.
@@ -46,16 +59,43 @@ from math import comb, gcd
 from operator import mul, sub
 
 from whitdim import counting, engine
-from whitdim.engine import _times_qq_range
 from whitdim.gfield import GFq, gf
-from whitdim.laurent import LaurentPoly
-from whitdim.qseries import TruncatedSeriesX, poch_power, qq
+from whitdim.laurent import LaurentPoly, packed_width, unpack
+from whitdim.qseries import (
+    TruncatedSeriesX, packed_series_product, poch_power, qq, series_product_bounds,
+)
 from whitdim.rational import RationalFunctionQ
 
 
 # ---------------------------------------------------------------------------
-# powers and values of Laurent polynomials and rational functions
+# sums, degrees, coefficients, powers and values of Laurent polynomials and
+# rational functions
 # ---------------------------------------------------------------------------
+
+ZERO = LaurentPoly()
+
+
+def poly_add(*polys: LaurentPoly) -> LaurentPoly:
+    """The sum of LaurentPolys, as differences: the package's LaurentPoly
+    subtracts but does not add."""
+    out = ZERO
+    for p in polys:
+        out = out - (-p)
+    return out
+
+
+def degree(p: LaurentPoly) -> int:
+    """The exponent of p's leading term; ValueError for the zero polynomial."""
+    if not p.coeffs:
+        raise ValueError("zero polynomial has no degree")
+    return p.min_exp + len(p.coeffs) - 1
+
+
+def coeff(p: LaurentPoly, exp: int) -> int:
+    """The coefficient of q^exp in p."""
+    i = exp - p.min_exp
+    return p.coeffs[i] if 0 <= i < len(p.coeffs) else 0
+
 
 
 def poly_pow(p: LaurentPoly, e: int) -> LaurentPoly:
@@ -131,7 +171,7 @@ def poly_exact_div(num: LaurentPoly, den: LaurentPoly):
     if den.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if num.is_zero:
-        return LaurentPoly.zero()
+        return ZERO
     shift = num.min_exp - den.min_exp
     if shift < 0:
         return None
@@ -153,7 +193,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """
     parts = [p for p in (a, b) if p.coeffs]
     if not parts:
-        return LaurentPoly.zero()
+        return ZERO
     shift = min(p.min_exp for p in parts)
     f = list(a.coeffs)
     g = list(b.coeffs)
@@ -215,13 +255,13 @@ def gcd_fraction(num, den=1) -> RationalFunctionQ:
     RationalFunctionQ, so it compares, prints and serialises like one.
     """
     if isinstance(num, int):
-        num = LaurentPoly.from_int(num)
+        num = LaurentPoly(0, (num,))
     if isinstance(den, int):
-        den = LaurentPoly.from_int(den)
+        den = LaurentPoly(0, (den,))
     if den.is_zero:
         raise ZeroDivisionError("zero denominator in rational function")
     if num.is_zero:
-        num, den = LaurentPoly.zero(), LaurentPoly.one()
+        num, den = ZERO, LaurentPoly.one()
     else:
         shift = min(num.min_exp, den.min_exp)
         num, den = num.shifted(-shift), den.shifted(-shift)
@@ -246,7 +286,7 @@ def gcd_fraction(num, den=1) -> RationalFunctionQ:
 
 
 def frac_add(a: RationalFunctionQ, b: RationalFunctionQ) -> RationalFunctionQ:
-    return gcd_fraction(a.num * b.den + b.num * a.den, a.den * b.den)
+    return gcd_fraction(poly_add(a.num * b.den, b.num * a.den), a.den * b.den)
 
 
 def frac_mul(a: RationalFunctionQ, b: RationalFunctionQ) -> RationalFunctionQ:
@@ -525,11 +565,11 @@ def poch_rewrite_check(n: int, k: int, m: int, ell: int):
 
 def truncated(poly: LaurentPoly, max_degree: int) -> LaurentPoly:
     """poly with all terms of degree > max_degree dropped."""
-    if not poly.coeffs or poly.degree <= max_degree:
+    if not poly.coeffs or degree(poly) <= max_degree:
         return poly
     keep = max_degree - poly.min_exp + 1
     if keep <= 0:
-        return LaurentPoly.zero()
+        return ZERO
     return LaurentPoly(poly.min_exp, poly.coeffs[:keep])
 
 
@@ -541,7 +581,7 @@ def series_coeffs(rf: RationalFunctionQ, order: int):
     dcs = rf.den.coeffs
     out = []
     for t in range(order + 1):
-        acc = Fraction(rf.num.coeff(t))
+        acc = Fraction(coeff(rf.num, t))
         for i in range(1, min(t, len(dcs) - 1) + 1):
             acc -= dcs[i] * out[t - i]
         out.append(acc / d0)
@@ -561,11 +601,116 @@ def euler_product_truncation(max_q_degree: int, order: int):
     contribute below that degree, so these coefficients agree with the full
     infinite product up to the trim.
     """
-    coeffs = [LaurentPoly.one()] + [LaurentPoly.zero()] * order
+    coeffs = [LaurentPoly.one()] + [ZERO] * order
     for k in range(max_q_degree + 1):
         for j in range(min(order, k + 1), 0, -1):
             coeffs[j] = truncated(coeffs[j] - coeffs[j - 1].shifted(k), max_q_degree)
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# LaurentPoly references of the q-Pascal table, the series product and the
+# triple-sum oracle
+# ---------------------------------------------------------------------------
+
+
+def times_qq_range(poly: LaurentPoly, lo: int, hi: int) -> LaurentPoly:
+    """poly * prod_{i=lo..hi} (1 - q^i), by sparse passes."""
+    for i in range(lo, hi + 1):
+        poly = poly.times_one_minus_q(i)
+    return poly
+
+
+_QBINOM = {}  # (t, i) -> gaussian_binomial(t, i), for 0 < i < t
+
+
+def gaussian_binomial(t: int, i: int) -> LaurentPoly:
+    """The Gaussian binomial [t, i]_q as a LaurentPoly, cached: the q-Pascal
+    rule [t, i] = [t-1, i-1] + q^i [t-1, i] from [0, 0] = 1, filled row by
+    row in a loop; zero for i < 0 or i > t."""
+    if i < 0 or i > t:
+        return ZERO
+    if i == 0 or i == t:
+        return LaurentPoly.one()
+    if (t, i) not in _QBINOM:
+        for row in range(2, t + 1):
+            for col in range(max(1, i - t + row), min(i, row - 1) + 1):
+                if (row, col) not in _QBINOM:
+                    _QBINOM[row, col] = poly_add(gaussian_binomial(row - 1, col - 1),
+                                                 gaussian_binomial(row - 1, col).shifted(col))
+    return _QBINOM[t, i]
+
+
+def series_mul(a: TruncatedSeriesX, b: TruncatedSeriesX) -> TruncatedSeriesX:
+    """The Cauchy product as a q-binomial convolution of the numerators,
+    h_t = sum_i [t, i]_q a_i b_(t-i), on LaurentPoly values (Laurent
+    numerators allowed), to the lower order."""
+    order = min(a.order, b.order)
+    out = []
+    for t in range(order + 1):
+        acc = ZERO
+        for i in range(t + 1):
+            acc = poly_add(acc, gaussian_binomial(t, i) * a.nums[i] * b.nums[t - i])
+        out.append(acc)
+    return TruncatedSeriesX(out)
+
+
+def packed_product(a: TruncatedSeriesX, b: TruncatedSeriesX) -> TruncatedSeriesX:
+    """a * b by the package's packed_series_product, decoded: at the width
+    that fits series_product_bounds(a, b), with Laurent numerators first
+    shifted into polynomials (a's by q^sa, b's by q^sb, which shifts the
+    product by q^(sa + sb)) and the decoded product shifted back."""
+    sa = max([0] + [-num.min_exp for num in a.nums if num.coeffs])
+    sb = max([0] + [-num.min_exp for num in b.nums if num.coeffs])
+    a = TruncatedSeriesX(num.shifted(sa) for num in a.nums)
+    b = TruncatedSeriesX(num.shifted(sb) for num in b.nums)
+    bounds = series_product_bounds(a, b)
+    width = packed_width(max(bounds))
+    return TruncatedSeriesX(unpack(h, width, bound).shifted(-sa - sb)
+                            for h, bound in zip(packed_series_product(a, b, width), bounds))
+
+
+def series_coeff(series: TruncatedSeriesX, j: int) -> RationalFunctionQ:
+    """The x^j coefficient nums[j] / (q;q)_j, canonicalised."""
+    if not 0 <= j <= series.order:
+        raise IndexError("coefficient index %d beyond truncation order %d" % (j, series.order))
+    return RationalFunctionQ(series.nums[j], (j,))
+
+
+def nested_triple_numerator(n: int) -> LaurentPoly:
+    """Numerator over (q;q)_n^5 of the (k, m, l) triple sum: the loops of
+    the package's oracle engine._packed_nested_triple on LaurentPoly values.
+
+    Per (m, l), u starts at [n, m]_q [n-m, l]_q T_(n-l), and each step up
+    in k multiplies in (1 - q^(n-k-l+1)); the shifted u is summed per
+    (s, k), the buckets are folded with their T_k per s, each fold is
+    multiplied by (q;q)_(3n-s-1) and added with the sign (-1)^s, and the
+    total by (q;q)_n^3.  Plain +/-, no packing and no division.
+    """
+    by_sk = [[ZERO] * (n + 1) for _ in range(2 * n + 1)]
+    for ell in range(n + 1):
+        top = n - ell
+        for m in range(top + 1):
+            u = gaussian_binomial(n, m) * gaussian_binomial(n - m, ell)
+            u = times_qq_range(u, top + 1, n)
+            for k in range(top + 1):
+                if k:
+                    u = u.times_one_minus_q(top - k + 1)
+                e = k * n + comb(k, 2) + m * (n - k) + comb(m, 2) + comb(ell, 2)
+                row = by_sk[k + m + ell]
+                row[k] = poly_add(row[k], u.shifted(e))
+    nested = ZERO
+    for s, row in enumerate(by_sk):
+        part = ZERO
+        for k, bucket in enumerate(row):
+            if k:
+                part = part.times_one_minus_q(k)
+            part = poly_add(part, bucket)
+        part = times_qq_range(part, 1, 3 * n - s - 1)
+        nested = nested - part if s % 2 else poly_add(nested, part)
+    for _ in range(3):
+        nested = times_qq_range(nested, 1, n)
+    return nested
 
 
 # ---------------------------------------------------------------------------
@@ -581,15 +726,15 @@ def nested_inner_numerator(n: int, k: int) -> LaurentPoly:
     l, then T_m, T_{n-m-l} per term; the sign and (q;q)_{3n-s-1} are applied
     once per s.  No division, no walker, plain +/-.
     """
-    by_s = [LaurentPoly.zero()] * (2 * n + 1)
+    by_s = [ZERO] * (2 * n + 1)
     for ell in range(n - k + 1):
-        head_l = _times_qq_range(qq(n), ell + 1, n)
-        head_l = _times_qq_range(head_l, n - k - ell + 1, n)
+        head_l = times_qq_range(qq(n), ell + 1, n)
+        head_l = times_qq_range(head_l, n - k - ell + 1, n)
         for m in range(n - ell + 1):
-            u = _times_qq_range(head_l, m + 1, n)
-            u = _times_qq_range(u, n - m - ell + 1, n)
+            u = times_qq_range(head_l, m + 1, n)
+            u = times_qq_range(u, n - m - ell + 1, n)
             e = m * (n - k) + comb(m, 2) + comb(ell, 2)
-            by_s[k + m + ell] += u.shifted(e)
+            by_s[k + m + ell] = poly_add(by_s[k + m + ell], u.shifted(e))
     return close_index_sums(by_s, n, k)
 
 
@@ -600,21 +745,21 @@ def k_outer_triple_numerator(n: int) -> LaurentPoly:
     nested_inner_numerator(n, k).  Each term is rebuilt from (q;q)_n, n + l
     sparse passes, so the sum costs O(n^4) passes.
     """
-    nested = LaurentPoly.zero()
+    nested = ZERO
     for k in range(n + 1):
-        outer = _times_qq_range(
+        outer = times_qq_range(
             nested_inner_numerator(n, k), k + 1, n
         ).shifted(k * n + comb(k, 2))
-        nested = nested - outer if k % 2 else nested + outer
+        nested = nested - outer if k % 2 else poly_add(nested, outer)
     return nested
 
 
 def close_index_sums(by_s, n: int, parity: int) -> LaurentPoly:
     """sum over s of (-1)^(s + parity) * (q;q)_{3n-s-1} * by_s[s], with plain +/-."""
-    acc = LaurentPoly.zero()
+    acc = ZERO
     for s, part in enumerate(by_s):
-        term = _times_qq_range(part, 1, 3 * n - s - 1)
-        acc = acc - term if (s + parity) % 2 else acc + term
+        term = times_qq_range(part, 1, 3 * n - s - 1)
+        acc = acc - term if (s + parity) % 2 else poly_add(acc, term)
     return acc
 
 

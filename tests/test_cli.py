@@ -66,6 +66,14 @@ class TestChainCommand:
         assert "simplify-exponent-total" in idents
         assert "conclusion-telescoped-series" in idents
 
+    @pytest.mark.slow
+    def test_n24(self):
+        # the stretch size of the chains decided at X: about 0.7-0.9 s and
+        # 27 MB peak RSS as a CLI process on a 2-core container
+        code, reports = run_json(["chain", "--n", "24"])
+        assert code == 0 and len(reports) == 19
+        assert all(r["equal"] is True and r["n"] == 24 for r in reports)
+
 
 class TestBruteCommand:
     def test_brute_2_2(self):

@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ZERO,
+    degree,
     eval_at,
     exact_long_division,
+    poly_add,
     poly_exact_div,
     poly_gcd,
     poly_pow,
@@ -30,7 +33,7 @@ def laurents(min_exp=-4, max_exp=4, coeff=9, size=6):
 
 class TestBasics:
     def test_difference_of_squares(self):
-        assert (ONE - Q(1)) * (ONE + Q(1)) == ONE - Q(2)
+        assert (ONE - Q(1)) * poly_add(ONE, Q(1)) == ONE - Q(2)
 
     def test_negative_exponent_cancellation(self):
         assert Q(-1) * Q(1) == ONE
@@ -44,9 +47,9 @@ class TestBasics:
     def test_normalization_strips_zeros(self):
         p = LaurentPoly(-2, (0, 0, 5, 0, 0))
         assert p.min_exp == 0 and p.coeffs == (5,)
-        assert LaurentPoly(3, ()) == LaurentPoly.zero()
+        assert LaurentPoly(3, ()) == ZERO
         assert LaurentPoly(7, (0, 0)).min_exp == 0
-        assert LaurentPoly(coeffs=(1, 2)) == ONE + Q(1, 2)  # the window starts at q^0
+        assert LaurentPoly(coeffs=(1, 2)) == poly_add(ONE, Q(1, 2))  # the window starts at q^0
 
     def test_zero_is_unique_empty(self):
         z = Q(5) - Q(5)
@@ -57,7 +60,7 @@ class TestBasics:
             ONE.min_exp = 3
 
     def test_eval_with_negative_exponents(self):
-        p = Q(-2, 3) + Q(1)  # 3q^-2 + q
+        p = poly_add(Q(-2, 3), Q(1))  # 3q^-2 + q
         assert eval_at(p, 2) == Fraction(3, 4) + 2
 
     def test_pow(self):
@@ -67,9 +70,9 @@ class TestBasics:
             poly_pow(ONE - Q(1), -1)
 
     def test_str_and_json_roundtrip(self):
-        p = Q(3) - Q(2) + LaurentPoly.from_int(-7)
+        p = Q(3) - Q(2) - LaurentPoly(0, (7,))
         assert p.to_json_dict() == {"min_exp": 0, "coeffs": ["-7", "0", "-1", "1"]}
-        assert str(LaurentPoly.zero()) == "0"
+        assert str(ZERO) == "0"
         assert str(LaurentPoly(0, [3, -1, 0, 2])) == "3 - q + 2*q^3"
         assert str(-Q(1) - Q(2, 5)) == "-q - 5*q^2"
 
@@ -78,14 +81,14 @@ class TestBasics:
         assert truncated(p, 5) is p
         assert truncated(p, 0) == LaurentPoly(-1, [1, 2])
         assert truncated(p, -1) == Q(-1)
-        assert truncated(p, -2) == LaurentPoly.zero()
+        assert truncated(p, -2) == ZERO
 
 
 class TestSparseKernels:
     def test_times_div_one_minus_q(self):
-        p = (ONE + Q(2, 3)).times_one_minus_q(4)
-        assert p == (ONE + Q(2, 3)) * (ONE - Q(4))
-        assert p.div_one_minus_q(4) == ONE + Q(2, 3)
+        p = poly_add(ONE, Q(2, 3)).times_one_minus_q(4)
+        assert p == poly_add(ONE, Q(2, 3)) * (ONE - Q(4))
+        assert p.div_one_minus_q(4) == poly_add(ONE, Q(2, 3))
 
     def test_div_inexact_raises(self):
         with pytest.raises(ValueError):
@@ -107,27 +110,29 @@ class TestSparseKernels:
 class TestDivGcd:
     # the exact division and gcd of the tests' reference canonical form
     def test_exact_div(self):
-        num = (ONE - Q(2)) * (ONE + Q(1) * 3)
-        assert poly_exact_div(num, ONE - Q(2)) == ONE + Q(1) * 3
-        assert poly_exact_div(ONE - Q(2), ONE - Q(1)) == ONE + Q(1)
+        num = (ONE - Q(2)) * poly_add(ONE, Q(1) * 3)
+        assert poly_exact_div(num, ONE - Q(2)) == poly_add(ONE, Q(1) * 3)
+        assert poly_exact_div(ONE - Q(2), ONE - Q(1)) == poly_add(ONE, Q(1))
         assert poly_exact_div(Q(3), ONE - Q(1)) is None
 
     def test_gcd_positive_leading_primitive(self):
         g = poly_gcd((ONE - Q(2)) * 4, (ONE - Q(1)) * 6)
         assert g == Q(1) - ONE  # positive leading coefficient
         assert poly_gcd(Q(3), Q(1)) == Q(1)
-        assert poly_gcd(LaurentPoly.zero(), Q(2) * -3) == Q(2)
-        assert poly_gcd(LaurentPoly(2, [-6, -4]), LaurentPoly.zero()) == LaurentPoly(2, [3, 2])
-        assert poly_gcd(LaurentPoly.zero(), LaurentPoly.zero()) == LaurentPoly.zero()
+        assert poly_gcd(ZERO, Q(2) * -3) == Q(2)
+        assert poly_gcd(LaurentPoly(2, [-6, -4]), ZERO) == LaurentPoly(2, [3, 2])
+        assert poly_gcd(ZERO, ZERO) == ZERO
 
 
 @settings(max_examples=150)
 @given(laurents(), laurents(), laurents())
 def test_ring_axioms(a, b, c):
-    assert (a + b) + c == a + (b + c)
+    # the package's LaurentPoly subtracts, and the tests' poly_add adds by
+    # subtracting a negation
+    assert (a - b) - c == a - poly_add(b, c)
     assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a + b == b + a
+    assert a * (b - c) == a * b - a * c
+    assert poly_add(a, b) == poly_add(b, a) == a - (-b)
     assert a * b == b * a
 
 
@@ -151,11 +156,11 @@ def test_binomial_kernels_agree_with_mul(a, j):
 @settings(max_examples=100)
 @given(laurents(), st.fractions(min_value=-5, max_value=5))
 def test_eval_is_a_homomorphism(a, x):
-    b = a + Q(2, 3)
+    b = poly_add(a, Q(2, 3))
     if x == 0 and min(a.min_exp, b.min_exp) < 0:
         return  # pole of the Laurent part
     assert eval_at(a * b, x) == eval_at(a, x) * eval_at(b, x)
-    assert eval_at(a + b, x) == eval_at(a, x) + eval_at(b, x)
+    assert eval_at(a - b, x) == eval_at(a, x) - eval_at(b, x)
 
 
 # -- the slice-map kernels against schoolbook references ----------------------
@@ -200,7 +205,8 @@ def assert_normalized(p):
 @settings(max_examples=150)
 @given(big_laurents(), big_laurents())
 def test_add_sub_match_schoolbook(a, b):
-    for got, want in ((a + b, ref_sum((1, a), (1, b))), (a - b, ref_sum((1, a), (-1, b)))):
+    # a sum is a difference with a negation, the only way the package adds
+    for got, want in ((a - (-b), ref_sum((1, a), (1, b))), (a - b, ref_sum((1, a), (-1, b)))):
         assert_normalized(got)
         assert terms(got) == want
     assert_normalized(a - a)
@@ -210,7 +216,7 @@ def test_add_sub_match_schoolbook(a, b):
 @settings(max_examples=150)
 @given(big_laurents(), big_laurents(), BIG)
 def test_mul_matches_schoolbook(a, b, c):
-    for got, want in ((a * b, ref_mul(a, b)), (a * c, ref_mul(a, LaurentPoly.from_int(c)))):
+    for got, want in ((a * b, ref_mul(a, b)), (a * c, ref_mul(a, LaurentPoly(0, (c,))))):
         assert_normalized(got)
         assert terms(got) == want
 
@@ -228,17 +234,17 @@ def test_one_minus_q_kernels_match_schoolbook(a, j):
 
 
 @settings(max_examples=150)
-@given(big_laurents().filter(bool), st.integers(1, 9), st.data())
+@given(big_laurents().filter(lambda p: not p.is_zero), st.integers(1, 9), st.data())
 def test_div_one_minus_q_rejects_inexact(a, j, data):
     exact = a.times_one_minus_q(j)
     # doubling the top coefficient leaves every running sum but the last of
     # the j tail sums at zero
-    top_only = exact + LaurentPoly.monomial(exact.degree, exact.leading_coeff)
+    top_only = poly_add(exact, LaurentPoly.monomial(degree(exact), exact.leading_coeff))
     with pytest.raises(ValueError, match="inexact"):
         top_only.div_one_minus_q(j)
     # exact + c*q^e is divisible iff c*q^e is, and no nonzero monomial is
-    e = data.draw(st.integers(exact.min_exp - 2, exact.degree + 2))
-    bumped = exact + LaurentPoly.monomial(e, data.draw(BIG.filter(bool)))
+    e = data.draw(st.integers(exact.min_exp - 2, degree(exact) + 2))
+    bumped = poly_add(exact, LaurentPoly.monomial(e, data.draw(BIG.filter(bool))))
     with pytest.raises(ValueError, match="inexact"):
         bumped.div_one_minus_q(j)
 
@@ -262,11 +268,11 @@ def test_packed_sums_match_repeated_add_sub(steps):
     # add each; read back at a width for the summed heights, they are the sum
     bound = sum(height(p) for p, _, _ in steps)
     width = packed_width(bound)
-    acc, total = 0, LaurentPoly.zero()
+    acc, total = 0, ZERO
     for p, e, negate in steps:
         term = pack(p, width) << width * e
         acc = acc - term if negate else acc + term
-        total = total - p.shifted(e) if negate else total + p.shifted(e)
+        total = total - p.shifted(e) if negate else poly_add(total, p.shifted(e))
         assert unpack(acc, width, bound) == total
     assert_normalized(unpack(acc, width, bound))
 
@@ -307,7 +313,7 @@ class TestPacking:
     def test_div_rejects_an_inexact_division(self):
         # (1 + q) / (1 - q^2) is 1 / (1 - q), not a polynomial
         with pytest.raises(ValueError, match="inexact division by 1 - q\\^2"):
-            div_packed(pack(ONE + Q(1), 8), 2, 8)
+            div_packed(pack(poly_add(ONE, Q(1)), 8), 2, 8)
         assert div_packed(pack(ONE - Q(2), 8), 2, 8) == 1
         assert div_packed(0, 3, 8) == 0
 
@@ -320,7 +326,7 @@ def test_packed_division_inverts_the_product(a, j, data):
     assert prod == pack(a, width) - (pack(a, width) << width * j)
     assert div_packed(prod, j, width) == pack(a, width)
     # exact + c*q^e is divisible iff c*q^e is, and no nonzero monomial is
-    e = data.draw(st.integers(0, max(a.degree, 0) + j + 2 if a else j + 2))
+    e = data.draw(st.integers(0, j + 2 if a.is_zero else max(degree(a), 0) + j + 2))
     c = data.draw(st.integers(-(2 ** (width - 3)), 2 ** (width - 3)).filter(bool))
     with pytest.raises(ValueError, match="inexact"):
         div_packed(prod + (c << width * e), j, width)
@@ -342,7 +348,7 @@ def test_exact_div_inverts_mul(a, b):
 def divmod_route(num, den):
     """poly_exact_div through long division, for any divisor."""
     if num.is_zero:
-        return LaurentPoly.zero()
+        return ZERO
     shift = num.min_exp - den.min_exp
     if shift < 0:
         return None
@@ -375,7 +381,7 @@ def rational_quotient(num, den):
     """num / den by schoolbook division over the rationals, if it is an
     integer polynomial; else None.  Shares nothing with the integer kernel."""
     if num.is_zero:
-        return LaurentPoly.zero()
+        return ZERO
     a = [Fraction(c) for c in num.coeffs]
     b = den.coeffs
     quo = []
@@ -399,7 +405,7 @@ def rational_quotient(num, den):
     st.builds(LaurentPoly, st.integers(0, 3), st.lists(st.integers(-6, 6), max_size=5)),
     st.builds(LaurentPoly, st.integers(0, 2), st.lists(st.integers(-4, 4), max_size=4)),
     st.integers(1, 4),
-    st.sampled_from([LaurentPoly.zero(), ONE, Q(1, 2), Q(0, 3)]),
+    st.sampled_from([ZERO, ONE, Q(1, 2), Q(0, 3)]),
 )
 def test_exact_div_matches_rational_division(c, b, d, r):
     # num / den = c / d over the rationals, integral iff d divides c; the
@@ -407,7 +413,7 @@ def test_exact_div_matches_rational_division(c, b, d, r):
     den = b * d
     if den.is_zero:
         return
-    num = b * c + r
+    num = poly_add(b * c, r)
     assert poly_exact_div(num, den) == rational_quotient(num, den)
 
 
@@ -422,13 +428,13 @@ class TestExactDivByMonomial:
     def test_negative_shift_and_zero(self):
         assert poly_exact_div(Q(1, 7), Q(2)) is None
         assert poly_exact_div(Q(1, 7), Q(2, -1)) is None
-        assert poly_exact_div(LaurentPoly.zero(), Q(3, -1)) == LaurentPoly.zero()
+        assert poly_exact_div(ZERO, Q(3, -1)) == ZERO
 
     def test_other_constants_stay_checked(self):
-        assert poly_exact_div(LaurentPoly(0, [4, 6]), LaurentPoly.from_int(2)) == (
+        assert poly_exact_div(LaurentPoly(0, [4, 6]), LaurentPoly(0, (2,))) == (
             LaurentPoly(0, [2, 3])
         )
-        assert poly_exact_div(LaurentPoly(0, [4, 5]), LaurentPoly.from_int(2)) is None
+        assert poly_exact_div(LaurentPoly(0, [4, 5]), LaurentPoly(0, (2,))) is None
 
 
 def ref_pseudo_rem(f, g):
@@ -470,4 +476,4 @@ class TestCoefficientTypes:
             LaurentPoly(0, [1, 2.0])
 
     def test_int_subclasses_accepted(self):
-        assert LaurentPoly(0, [True, 2]) == ONE + Q(1, 2)
+        assert LaurentPoly(0, [True, 2]) == poly_add(ONE, Q(1, 2))

@@ -2,24 +2,31 @@ import pytest
 
 import whitdim.rational
 from helpers import (
+    coeff,
+    degree,
     euler_product_truncation,
     eval_at,
     frac_add,
     frac_mul,
+    gaussian_binomial,
     gcd_fraction,
+    packed_product,
     poch_rewrite_check,
+    poly_add,
     scale_x,
+    series_coeff,
     series_coeffs,
 )
-from whitdim.laurent import LaurentPoly
+from whitdim.laurent import LaurentPoly, packed_width, unpack
 from whitdim.qseries import (
     TruncatedSeriesX,
     euler_series,
-    gaussian_binomial,
+    packed_qpascal,
+    packed_series_product,
     poch_power,
     qbinom_series,
     qq,
-    qq_power,
+    series_product_bounds,
 )
 from whitdim.rational import RationalFunctionQ as RF
 
@@ -92,9 +99,9 @@ class TestPochhammer:
         assert got == want
 
     def test_qq_and_gaussian_binomials_do_not_recurse(self):
-        # both extend their caches in loops: from cleared caches, (q;q)_j is
-        # built under a recursion limit 30 frames above this one, and
-        # [1500, 2]_q, 1500 rows deep, at the default limit
+        # qq extends its cache in a loop, and packed_qpascal builds its rows
+        # in one: from cleared caches, (q;q)_60 and the rows to [40, 20]_q
+        # are built under a recursion limit 30 frames above this one
         import sys
 
         import whitdim.qseries
@@ -102,27 +109,21 @@ class TestPochhammer:
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
-        whitdim.qseries._QBINOM.clear()
         qq.cache_clear()
         whitdim.qseries._POCH.clear()
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 30)
         try:
             got = qq(60)
-            binom = gaussian_binomial(40, 20)
+            rows = packed_qpascal(40, 64)
         finally:
             sys.setrecursionlimit(limit)
         want = ONE
         for e in range(1, 61):
             want = want * (ONE - Q(e))
-        assert got == want and got.degree == 60 * 61 // 2
-        assert binom.degree == 20 * 20 and binom * qq(20) * qq(20) == qq(40)
-        whitdim.qseries._QBINOM.clear()
-        binom = gaussian_binomial(1500, 2)
-        # [t, 2]_q has degree 2(t - 2), and at q = 1 is C(t, 2)
-        assert binom.min_exp == 0 and binom.degree == 2 * 1498
-        assert sum(binom.coeffs) == 1500 * 1499 // 2
-        whitdim.qseries._QBINOM.clear()
+        assert got == want and degree(got) == 60 * 61 // 2
+        binom = unpack(rows[40][20], 64, 2 ** 40)
+        assert degree(binom) == 20 * 20 and binom * qq(20) * qq(20) == qq(40)
         qq.cache_clear()
         whitdim.qseries._POCH.clear()
 
@@ -130,39 +131,30 @@ class TestPochhammer:
         assert qq(0) == ONE
         assert qq(3) == (ONE - Q(1)) * (ONE - Q(2)) * (ONE - Q(3))
 
-    def test_qq_power_is_repeated_multiplication(self):
-        for j in range(7):
-            want = ONE
-            for p in range(7):
-                assert qq_power(j, p) == want, (j, p)
-                want = want * qq(j)
-        with pytest.raises(ValueError):
-            qq_power(2, -1)
-
 
 class TestEulerSeries:
     def test_first_coefficients(self):
         s = euler_series(0, 8)
-        assert s.coeff(0) == RF(ONE)
-        assert s.coeff(1) == gcd_fraction(-ONE, ONE - Q(1))
-        assert s.coeff(2) == gcd_fraction(Q(1), (ONE - Q(1)) * (ONE - Q(2)))
+        assert series_coeff(s, 0) == RF(ONE)
+        assert series_coeff(s, 1) == gcd_fraction(-ONE, ONE - Q(1))
+        assert series_coeff(s, 2) == gcd_fraction(Q(1), (ONE - Q(1)) * (ONE - Q(2)))
 
     def test_shifted_base_coefficient(self):
         # coefficient of x^n in (q^(k+n) x;q)_inf
         n, k = 3, 2
-        c = euler_series(n + k, n).coeff(n)
+        c = series_coeff(euler_series(n + k, n), n)
         want = gcd_fraction(Q((k + n) * n + n * (n - 1) // 2, (-1) ** n), qq(n))
         assert c == want
 
     def test_coeff_out_of_range(self):
         with pytest.raises(IndexError):
-            euler_series(0, 8).coeff(9)
+            series_coeff(euler_series(0, 8), 9)
 
     def test_order_bounds(self):
         # order 0 is the constant term alone; a negative order is rejected
         for series in (euler_series, qbinom_series):
             s = series(2, 0)
-            assert s.order == 0 and s.coeff(0) == RF(ONE)
+            assert s.order == 0 and series_coeff(s, 0) == RF(ONE)
             with pytest.raises(ValueError):
                 series(2, -1)
 
@@ -170,32 +162,34 @@ class TestEulerSeries:
 class TestQBinomSeries:
     def test_constant_term(self):
         for a in (-2, 0, 1, 5):
-            assert qbinom_series(a, 4).coeff(0) == RF(ONE)
+            assert series_coeff(qbinom_series(a, 4), 0) == RF(ONE)
 
     def test_linear_term(self):
         n, k = 2, 3
         s = qbinom_series(n + k, 4)
-        assert s.coeff(1) == gcd_fraction(ONE - Q(n + k), ONE - Q(1))
+        assert series_coeff(s, 1) == gcd_fraction(ONE - Q(n + k), ONE - Q(1))
 
     def test_base_one_collapses(self):
         s = qbinom_series(0, 6)
-        assert all(s.coeff(j).is_zero for j in range(1, 7))
+        assert all(series_coeff(s, j).is_zero for j in range(1, 7))
 
 
 class TestSeriesOps:
+    # products through the package's packed q-binomial convolution, decoded
+    # (helpers.packed_product); a series equals another when its numerators do
     def test_mul_with_unit_series(self):
         e = euler_series(0, 8)
-        assert e * qbinom_series(0, 8) == e
+        assert packed_product(e, qbinom_series(0, 8)).nums == e.nums
 
     def test_cauchy_coefficient(self):
         e = euler_series(0, 6)
-        sq = e * e
-        assert sq.coeff(1) == gcd_fraction(-2, ONE - Q(1))
+        sq = packed_product(e, e)
+        assert series_coeff(sq, 1) == gcd_fraction(-2, ONE - Q(1))
 
     def test_ratio_collapses_shifted_euler(self):
         for k in (1, 2, 3):
             ratio = scale_x(qbinom_series(-k, 6), k)
-            assert euler_series(k, 6) * ratio == euler_series(0, 6)
+            assert packed_product(euler_series(k, 6), ratio).nums == euler_series(0, 6).nums
 
     def test_telescoping_three_factors(self):
         for n in (1, 2, 3):
@@ -203,18 +197,19 @@ class TestSeriesOps:
                 order = 5
                 ratio1 = scale_x(qbinom_series(-k, order), k)
                 ratio2 = qbinom_series(k + n, order)
-                prod = euler_series(k, order) * ratio1 * ratio2
-                assert prod == euler_series(k + n, order), (n, k)
+                prod = packed_product(packed_product(euler_series(k, order), ratio1), ratio2)
+                assert prod.nums == euler_series(k + n, order).nums, (n, k)
 
     def test_truncation_to_smaller_order(self):
         a = euler_series(0, 6)
         b = euler_series(1, 3)
-        assert (a * b).order == 3
+        assert packed_product(a, b).order == 3
+        assert len(packed_series_product(a, b, 16)) == 4
 
     def test_alternate_and_scale(self):
         s = euler_series(0, 4)
-        assert s.alternate_x().alternate_x() == s
-        assert scale_x(scale_x(s, 2), -2) == s
+        assert s.alternate_x().alternate_x().nums == s.nums
+        assert scale_x(scale_x(s, 2), -2).nums == s.nums
 
 
 def reference_product(a, b):
@@ -223,30 +218,44 @@ def reference_product(a, b):
     for t in range(min(a.order, b.order) + 1):
         acc = gcd_fraction(0)
         for i in range(t + 1):
-            acc = frac_add(acc, frac_mul(a.coeff(i), b.coeff(t - i)))
+            acc = frac_add(acc, frac_mul(series_coeff(a, i), series_coeff(b, t - i)))
         out.append(acc)
     return out
 
 
 class TestGaussianBinomial:
+    # the package's q-Pascal table on packed ints, decoded at a width that
+    # fits C(t, i) >= every coefficient of [t, i]_q
     def test_cross_multiplied_definition(self):
         # [t, i] (q;q)_i (q;q)_(t-i) == (q;q)_t, the left side by sparse passes
+        width = packed_width(2 ** 12)
+        rows = packed_qpascal(12, width)
         for t in range(13):
             for i in range(t + 1):
-                lhs = gaussian_binomial(t, i)
+                lhs = unpack(rows[t][i], width, 2 ** 12)
                 for j in (*range(1, i + 1), *range(1, t - i + 1)):
                     lhs = lhs.times_one_minus_q(j)
                 assert lhs == qq(t), (t, i)
 
     def test_zero_outside_the_triangle(self):
-        for t in range(6):
-            assert gaussian_binomial(t, -1).is_zero
-            assert gaussian_binomial(t, t + 1).is_zero
-            assert gaussian_binomial(t, t + 3).is_zero
+        # the rule reads [t-1, -1] and [t-1, t] as 0: each row has the t + 1
+        # entries 0 <= i <= t, with [t, 0] = [t, t] = 1, and the table stops
+        # at row top
+        for width in (8, 16):
+            rows = packed_qpascal(5, width)
+            assert [len(row) for row in rows] == [1, 2, 3, 4, 5, 6]
+            assert all(row[0] == row[-1] == 1 for row in rows)
+        assert packed_qpascal(0, 8) == [[1]]
 
     def test_small_values(self):
-        assert gaussian_binomial(2, 1) == ONE + Q(1)
-        assert gaussian_binomial(4, 2) == LaurentPoly(0, (1, 1, 2, 1, 1))
+        rows = packed_qpascal(4, 8)
+        assert unpack(rows[2][1], 8, 2) == poly_add(ONE, Q(1))
+        assert unpack(rows[4][2], 8, 6) == LaurentPoly(0, (1, 1, 2, 1, 1))
+        # the packed entries are the values at X = 2^8 of the LaurentPoly table
+        assert rows[4][2] == sum(c << 8 * e for e, c in enumerate((1, 1, 2, 1, 1)))
+        for t in range(5):
+            for i in range(t + 1):
+                assert unpack(rows[t][i], 8, 6) == gaussian_binomial(t, i), (t, i)
 
 
 class TestSeriesRepresentation:
@@ -261,10 +270,10 @@ class TestSeriesRepresentation:
 
     def test_coeff_index_bounds(self):
         s = TruncatedSeriesX([ONE, Q(1)])
-        assert s.order == 1 and s.coeff(1) == gcd_fraction(Q(1), ONE - Q(1))
+        assert s.order == 1 and series_coeff(s, 1) == gcd_fraction(Q(1), ONE - Q(1))
         for j in (-1, 2):
             with pytest.raises(IndexError):
-                s.coeff(j)
+                series_coeff(s, j)
 
     def test_numerators_over_fixed_denominators(self):
         s = qbinom_series(-2, 5)
@@ -274,11 +283,11 @@ class TestSeriesRepresentation:
 
 class TestProductMatchesReference:
     def _check(self, a, b):
-        prod = a * b
+        prod = packed_product(a, b)
         want = reference_product(a, b)
         assert prod.order == len(want) - 1
         for j, c in enumerate(want):
-            assert prod.coeff(j) == c, j
+            assert series_coeff(prod, j) == c, j
 
     def test_negative_bases(self):
         for k in range(4):
@@ -298,7 +307,9 @@ class TestProductMatchesReference:
             self._check(euler_series(2, la), qbinom_series(-1, lb))
 
     def test_product_builds_no_rational_function(self, monkeypatch):
-        a = scale_x(qbinom_series(-3, 6), 2)
+        # the packed product and its bounds are int arithmetic: no fraction
+        # is built or reduced
+        a = qbinom_series(3, 6)
         b = euler_series(1, 6).alternate_x()
         calls = []
         init = RF.__init__
@@ -312,13 +323,31 @@ class TestProductMatchesReference:
         monkeypatch.setattr(RF, "__init__", counted("RationalFunctionQ", init))
         monkeypatch.setattr(whitdim.rational, "_cancel",
                             counted("_cancel", whitdim.rational._cancel))
-        a * b
-        a * a
+        width = packed_width(max(series_product_bounds(a, b)))
+        packed_series_product(a, b, width)
+        packed_series_product(a, a, width)
         assert calls == []
-        a.coeff(6)  # a zero numerator: nothing to reduce
-        assert calls == ["RationalFunctionQ"]
-        a.coeff(2)
-        assert calls[1:] == ["RationalFunctionQ", "_cancel"]
+
+    def test_bounds_dominate_the_product(self):
+        # series_product_bounds is at least the largest coefficient of every
+        # numerator of the product, which the LaurentPoly reference builds
+        from helpers import series_mul
+
+        for a, b in ((qbinom_series(3, 8), euler_series(0, 8).alternate_x()),
+                     (qbinom_series(1, 7), qbinom_series(2, 7)),
+                     (euler_series(2, 6), qbinom_series(5, 6).alternate_x())):
+            bounds = series_product_bounds(a, b)
+            want = series_mul(a, b).nums
+            assert len(bounds) == len(want)
+            for t, (bound, num) in enumerate(zip(bounds, want)):
+                assert max(map(abs, num.coeffs), default=0) <= bound, t
+            width = packed_width(max(bounds))
+            got = packed_series_product(a, b, width)
+            assert [unpack(h, width, bd) for h, bd in zip(got, bounds)] == list(want)
+
+    def test_laurent_numerators_do_not_pack(self):
+        with pytest.raises(ValueError, match="1/q"):
+            packed_series_product(qbinom_series(-1, 3), euler_series(0, 3), 16)
 
 
 class TestEulerProductCrossCheck:
@@ -327,18 +356,18 @@ class TestEulerProductCrossCheck:
         product = euler_product_truncation(max_deg, order)
         series = euler_series(0, order)
         for j in range(order + 1):
-            expansion = series_coeffs(series.coeff(j), max_deg)
+            expansion = series_coeffs(series_coeff(series, j), max_deg)
             assert all(c.denominator == 1 for c in expansion)
             assert [int(c) for c in expansion] == [
-                product[j].coeff(t) for t in range(max_deg + 1)
+                coeff(product[j], t) for t in range(max_deg + 1)
             ], j
 
 
 class TestQBinomCrossCheck:
     def test_product_with_euler_base(self):
         for a_exp in range(6):
-            lhs = euler_series(0, 8) * qbinom_series(a_exp, 8)
-            assert lhs == euler_series(a_exp, 8), a_exp
+            lhs = packed_product(euler_series(0, 8), qbinom_series(a_exp, 8))
+            assert lhs.nums == euler_series(a_exp, 8).nums, a_exp
 
 
 class TestPochRewrites:
