@@ -127,9 +127,9 @@ EQUIVALENT = {
         "the reduction runs i downward and only writes below i, so prod[i] is "
         "never read again, and only prod[:deg] is encoded",
     ),
-    "engine.py:_conclusion_steps:const+1:36": (
+    "engine.py:_conclusion_steps:const+1:40": (
         "for k in range(n + 2)",
-        "48d2524312aa",
+        "622e0ab62c97",
         "widens the k range of the cross-multiplied Pochhammer rewrite in "
         "conclusion-pochhammer-split to n + 1; both sides are (q;q)_(n+k-1), so "
         "it holds for every k >= 0, and equal polynomials have equal values at "
@@ -137,7 +137,7 @@ EQUIVALENT = {
     ),
     "engine.py:_conclusion_steps:-->+:4": (
         "value = value - outer if (n + k) % 2 else value + outer",
-        "48d2524312aa",
+        "622e0ab62c97",
         "(n - k) % 2 -> (n + k) % 2 has the same parity",
     ),
     "engine.py:_simplification_steps.long_range:+->-:0": (

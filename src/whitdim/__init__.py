@@ -44,10 +44,7 @@ class FeasibilityError(RuntimeError):
 _MODULE_OF = {
     "LaurentPoly": "laurent",
     "RationalFunctionQ": "rational",
-    "TruncatedSeriesX": "qseries",
-    "euler_series": "qseries",
     "poch_power": "qseries",
-    "qbinom_series": "qseries",
     "qq": "qseries",
     "closed_product": "engine",
     "conclusion_chain": "engine",

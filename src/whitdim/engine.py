@@ -118,12 +118,15 @@ The conclusion chain works the same way: steps (b) and (c) apply the
 k-independent (q;q)_n and (q;q)_n^4 once, to the packed k-sum, steps (d)
 and (e) compare their fractions cross-multiplied, step (e) proves its
 n + 1 Pochhammer rewrites at X, and the series product of steps (f) and
-(g) is the q-binomial convolution on packed ints (qseries), its width from
-the bound sum_i C(t, i) ||f_i||_1 ||g_(t-i)||_1 on each numerator h_t.
-Only the values a record serialises are decoded and canonicalised, each
-built as its numerator over q^shift and (q;q) factors, never by fraction
-arithmetic: the single k-sum over (q;q)_n, which steps (d) and (e) record,
-and the x^n coefficient of step (f).
+(g) is the q-binomial convolution on packed ints (qseries).  Every
+operand from step (d) on is built packed: each Pochhammer product is one
+times_range_packed from 1, the series numerators come packed from
+qseries.euler_numerators and qbinom_numerators, and every numerator h_t
+of the product is bounded by 3^t.  Only the values a record serialises
+are decoded and canonicalised, each built as its numerator over q^shift
+and (q;q) factors, never by fraction arithmetic: the single k-sum over
+(q;q)_n, which steps (d) and (e) record, and the x^n coefficient of step
+(f).
 
 Every check is reported through one runner, timed_reports.  A check is a
 generator that yields one (identity, equal, lhs, rhs) tuple per step; the
@@ -147,8 +150,8 @@ from .laurent import (
     times_range_packed, unpack,
 )
 from .qseries import (
-    euler_series, packed_qpascal, packed_series_product, poch_power, q_power_minus_one_range,
-    qbinom_series, qq, series_product_bounds,
+    euler_numerators, packed_qpascal, packed_series_product, poch_power, q_power_minus_one_range,
+    qbinom_numerators, qq,
 )
 from .rational import RationalFunctionQ
 
@@ -752,8 +755,9 @@ def _conclusion_steps(n: int):
     width = max(packed_width(plugged[2] * qqs[n]), packed_width(single_bound * qqs[n] ** 5))
     value = 0
     for k in range(n + 1):
-        term = times_range_packed(pack(poch_power(k + 1, n - 1), width), width, n - k + 1, n)
-        term <<= width * comb(n - k, 2)
+        # (q^(k+1);q)_(n-1) T_(n-k) q^C(n-k,2)
+        term = times_range_packed(times_range_packed(1, width, k + 1, k + n - 1), width,
+                                  n - k + 1, n) << width * comb(n - k, 2)
         value = value - term if k % 2 else value + term
     single = value, width, single_bound
     rhs_d = RationalFunctionQ(unpack(*single), (n,))
@@ -769,8 +773,8 @@ def _conclusion_steps(n: int):
     # both sides are products of n - 1 + k <= 2n - 1 factors
     width = packed_width(1 << 2 * n - 1)
     rewrites_ok = all(
-        times_range_packed(pack(poch_power(k + 1, n - 1), width), width, 1, k)
-        == times_range_packed(pack(poch_power(n, k), width), width, 1, n - 1)
+        times_range_packed(times_range_packed(1, width, k + 1, k + n - 1), width, 1, k)
+        == times_range_packed(times_range_packed(1, width, n, n + k - 1), width, 1, n - 1)
         for k in range(n + 1)
     )
     # pulled = (q;q)_(n-1) ksum / (q;q)_n^2 against rhs_d = single / (q;q)_n,
@@ -779,7 +783,8 @@ def _conclusion_steps(n: int):
     width = max(packed_width(qqs[n - 1] * ksum_bound), packed_width(single_bound * qqs[n]))
     value = 0
     for k in range(n + 1):
-        term = times_range_packed(pack(poch_power(n, k), width), width, k + 1, n)
+        # (q^n;q)_k T_k T_(n-k) q^C(n-k,2)
+        term = times_range_packed(times_range_packed(1, width, n, n + k - 1), width, k + 1, n)
         term = times_range_packed(term, width, n - k + 1, n) << width * comb(n - k, 2)
         value = value - term if k % 2 else value + term
     ksum = value, width, ksum_bound
@@ -790,25 +795,26 @@ def _conclusion_steps(n: int):
         unpack(pulled, width, qqs[n - 1] * ksum_bound), (n, n)).to_json_dict()
     yield ("conclusion-pochhammer-split", rewrites_ok and split, pulled_side, rhs_side)
 
-    # (f) the k-sum is the coefficient of x^n in the product series: h_n over
-    # (q;q)_n against ksum over (q;q)_n^2, cross-multiplied; the product's
-    # numerators are int products at one width that fits every h_t
-    bracket1 = qbinom_series(n, n).alternate_x()
-    bracket2 = euler_series(0, n).alternate_x()
-    bounds = series_product_bounds(bracket1, bracket2)
-    width = max(packed_width(max(bounds)), packed_width(bounds[n] * qqs[n]), ksum[1])
-    product = packed_series_product(bracket1, bracket2, width)
-    coefficient = RationalFunctionQ(unpack(product[n], width, bounds[n]), (n,))
+    # (f) the k-sum is the coefficient of x^n in the product of the series
+    # with numerators (-1)^j (q^n;q)_j and q^C(j,2), that is of
+    # (-q^n x;q)_inf / (-x;q)_inf and (-x;q)_inf: h_n over (q;q)_n against
+    # ksum over (q;q)_n^2, cross-multiplied.  Every h_t is bounded by
+    # sum_i C(t, i) 2^i = 3^t, since [t, i]_q has l1 norm C(t, i), (q^n;q)_i
+    # has i factors of l1 norm 2 and q^C(t-i,2) is a monomial; so one width
+    # fits every h_t and h_n (q;q)_n
+    width = max(packed_width(3 ** n * qqs[n]), ksum[1])
+    product = packed_series_product(
+        qbinom_numerators(n, n, width), euler_numerators(0, n, width), width)
+    coefficient = RationalFunctionQ(unpack(product[n], width, 3 ** n), (n,))
     if times_qq_packed(product[n], width, n) == repacked(ksum, width):
         yield _agreed("conclusion-coefficient-extraction", coefficient)
     else:
         yield _equality("conclusion-coefficient-extraction", coefficient,
                         RationalFunctionQ(unpack(*ksum), (n, n)))
 
-    # (g) the product telescopes to the single series with base -q^n, whose
-    # numerators are monomials of l1 norm 1: compared at the product's width
-    telescoped = [pack(num, width) for num in euler_series(n, n).alternate_x().nums]
-    yield ("conclusion-telescoped-series", product == telescoped,
+    # (g) the product telescopes to the series (-q^n x;q)_inf, whose
+    # numerators q^(C(j,2)+nj) have l1 norm 1: compared at the product's width
+    yield ("conclusion-telescoped-series", product == euler_numerators(n, n, width),
            "bracket product coefficients", "telescoped coefficients")
 
     # (h) final exponent bookkeeping

@@ -96,13 +96,6 @@ class LaurentPoly:
         return _combine(self, other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return _ZERO
-            cs = self.coeffs
-            return LaurentPoly._raw(
-                self.min_exp, tuple(list(map(mul, cs, repeat(other, len(cs)))))
-            )
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:

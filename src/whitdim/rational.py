@@ -74,18 +74,8 @@ class RationalFunctionQ:
     # -- structure ------------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @property
     def denominator_is_one(self) -> bool:
         return self.den == LaurentPoly.one()
-
-    def __neg__(self):
-        out = object.__new__(RationalFunctionQ)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunctionQ):

@@ -4,8 +4,12 @@ None of this runs under a whitdim command, so it lives with the tests:
 
 - the lemma checks gaussian_cancellation_check (with the block constants it
   assembles u - I from), extended_inner_sum_matches and poch_rewrite_check;
-- the Euler-series reference euler_product_truncation, with the plain
-  helpers truncated, series_coeffs and scale_x;
+- the truncated series references: TruncatedSeriesX (numerators over
+  (q;q)_j, with alternate_x), euler_series and qbinom_series (the
+  classical expansions, Laurent numerators allowed), and
+  series_product_bounds (the l1 bounds on a product's numerators); the
+  Euler-series reference euler_product_truncation, with the plain helpers
+  truncated, series_coeffs and scale_x;
 - rank, Gaussian elimination from scratch: the rank reference that the
   package's one row reduction, kernels._extensions, is checked against;
 - random_matrix and random_invertible for the randomised rank tests, and
@@ -24,8 +28,8 @@ None of this runs under a whitdim command, so it lives with the tests:
   den, by a primitive polynomial gcd (poly_gcd, with pseudo_rem) and exact
   long division (poly_exact_div, exact_long_division); the package reduces
   only over q^shift and (q;q) factors, by cancelling cyclotomic factors, so
-  the two reductions share no code.  frac_add, frac_mul and frac_div are the
-  fraction arithmetic the lemma checks and tests need, each through it;
+  the two reductions share no code.  frac_add, frac_mul, frac_neg and frac_div
+  are the fraction arithmetic the lemma checks and tests need, each through it;
 - the LaurentPoly triple-sum oracle nested_triple_numerator, the loops of
   the package's packed oracle on LaurentPoly values, with its Gaussian
   binomials from the LaurentPoly q-Pascal table gaussian_binomial: the
@@ -37,7 +41,8 @@ None of this runs under a whitdim command, so it lives with the tests:
 - times_qq_range, the product by (1 - q^lo) ... (1 - q^hi) by sparse
   LaurentPoly passes, for the references above;
 - the series arithmetic the tests need: packed_product (the package's
-  packed_series_product, decoded, Laurent numerators allowed), its
+  packed_series_product on packed numerators, decoded, Laurent numerators
+  allowed), its
   LaurentPoly reference series_mul (the q-binomial convolution on
   LaurentPoly values) and series_coeff (one coefficient as a canonical
   rational function);
@@ -60,10 +65,8 @@ from operator import mul, sub
 
 from whitdim import counting, engine
 from whitdim.gfield import GFq, gf
-from whitdim.laurent import LaurentPoly, packed_width, unpack
-from whitdim.qseries import (
-    TruncatedSeriesX, packed_series_product, poch_power, qq, series_product_bounds,
-)
+from whitdim.laurent import LaurentPoly, l1, pack, packed_width, unpack
+from whitdim.qseries import packed_series_product, poch_power, qq
 from whitdim.rational import RationalFunctionQ
 
 
@@ -293,8 +296,12 @@ def frac_mul(a: RationalFunctionQ, b: RationalFunctionQ) -> RationalFunctionQ:
     return gcd_fraction(a.num * b.num, a.den * b.den)
 
 
+def frac_neg(a: RationalFunctionQ) -> RationalFunctionQ:
+    return gcd_fraction(-a.num, a.den)
+
+
 def frac_div(a: RationalFunctionQ, b: RationalFunctionQ) -> RationalFunctionQ:
-    if b.is_zero:
+    if b.num.is_zero:
         raise ZeroDivisionError("division by the zero rational function")
     return gcd_fraction(a.num * b.den, a.den * b.num)
 
@@ -588,6 +595,42 @@ def series_coeffs(rf: RationalFunctionQ, order: int):
     return out
 
 
+class TruncatedSeriesX:
+    """Formal power series in x up to x**order, Eulerian-normalised: nums[j]
+    is the integer Laurent numerator of the x^j coefficient over the fixed
+    denominator (q;q)_j, so equal numerators mean equal series."""
+
+    __slots__ = ("order", "nums")
+
+    def __init__(self, nums):
+        self.nums = tuple(nums)
+        self.order = len(self.nums) - 1
+
+    def alternate_x(self) -> "TruncatedSeriesX":
+        """Substitute x -> -x."""
+        return TruncatedSeriesX((-num if j % 2 else num) for j, num in enumerate(self.nums))
+
+
+def euler_series(e: int, order: int) -> TruncatedSeriesX:
+    """(q^e x ; q)_inf as a truncated series: coeff_j = (-1)^j q^(C(j,2)+e*j)/(q;q)_j."""
+    return TruncatedSeriesX(LaurentPoly.monomial(comb(j, 2) + e * j, -1 if j % 2 else 1)
+                            for j in range(order + 1))
+
+
+def qbinom_series(a_exp: int, order: int) -> TruncatedSeriesX:
+    """(q^a_exp x;q)_inf / (x;q)_inf: coeff_j = (q^a_exp;q)_j / (q;q)_j.
+    Negative a_exp is allowed: the numerators are then Laurent polynomials."""
+    return TruncatedSeriesX(poch_power(a_exp, j) for j in range(order + 1))
+
+
+def series_product_bounds(f: TruncatedSeriesX, g: TruncatedSeriesX) -> list:
+    """Bounds on the coefficients of the numerators h_t of f * g, for t up
+    to the lower order: sum_i C(t, i) ||f_i||_1 ||g_(t-i)||_1."""
+    fl, gl = [l1(num) for num in f.nums], [l1(num) for num in g.nums]
+    return [sum(comb(t, i) * fl[i] * gl[t - i] for i in range(t + 1))
+            for t in range(min(f.order, g.order) + 1)]
+
+
 def scale_x(series: TruncatedSeriesX, e: int) -> TruncatedSeriesX:
     """series with x -> q^e * x substituted."""
     return TruncatedSeriesX(num.shifted(e * j) for j, num in enumerate(series.nums))
@@ -666,8 +709,10 @@ def packed_product(a: TruncatedSeriesX, b: TruncatedSeriesX) -> TruncatedSeriesX
     b = TruncatedSeriesX(num.shifted(sb) for num in b.nums)
     bounds = series_product_bounds(a, b)
     width = packed_width(max(bounds))
+    product = packed_series_product([pack(num, width) for num in a.nums],
+                                    [pack(num, width) for num in b.nums], width)
     return TruncatedSeriesX(unpack(h, width, bound).shifted(-sa - sb)
-                            for h, bound in zip(packed_series_product(a, b, width), bounds))
+                            for h, bound in zip(product, bounds))
 
 
 def series_coeff(series: TruncatedSeriesX, j: int) -> RationalFunctionQ:

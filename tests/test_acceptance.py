@@ -9,8 +9,10 @@ import time
 from helpers import (
     coeff,
     euler_product_truncation,
+    euler_series,
     matmul,
     packed_product,
+    qbinom_series,
     random_invertible,
     random_matrix,
     rank,
@@ -29,7 +31,6 @@ from whitdim.engine import (
 )
 from whitdim import BACKEND
 from whitdim.gfield import SUPPORTED_Q, gf
-from whitdim.qseries import euler_series, qbinom_series
 
 
 def _report(num, ok, detail):

@@ -36,7 +36,7 @@ from whitdim.engine import (
     verify_main,
 )
 from whitdim.laurent import LaurentPoly
-from whitdim.qseries import TruncatedSeriesX, q_power_minus_one_range, qq
+from whitdim.qseries import q_power_minus_one_range, qq
 from whitdim.rational import RationalFunctionQ as RF
 
 Q = LaurentPoly.monomial
@@ -753,27 +753,31 @@ def _fault_inner_closed_form(monkeypatch, engine, n):
     monkeypatch.setattr(engine, "inner_sum_rhs_poly", _poly_plus_one(engine.inner_sum_rhs_poly))
 
 
-def _fault_poch(when):
-    # poch_power off on the calls when accepts; the inner sums' closed forms,
-    # which read it too, keep their true values
+def _fault_poch(lo, hi):
+    # the packed Pochhammer product prod_{i=lo..hi} (1 - q^i), built by
+    # times_range_packed from 1, one coefficient off; at n = 2 no other
+    # product from 1 has this (lo, hi)
     def fault(monkeypatch, engine, n):
-        closed_forms = {k: engine.inner_sum_rhs_poly(n, k) for k in range(n + 1)}
-        monkeypatch.setattr(engine, "inner_sum_rhs_poly", lambda n, k: closed_forms[k])
-        monkeypatch.setattr(engine, "poch_power", _poly_plus_one(engine.poch_power, when))
+        real = engine.times_range_packed
+
+        def faulty(value, width, a, b):
+            out = real(value, width, a, b)
+            return out + 1 if (value, a, b) == (1, lo, hi) else out
+        monkeypatch.setattr(engine, "times_range_packed", faulty)
     return fault
 
 
-def _fault_series(name, when):
+def _fault_series(name, when, j=1):
+    # the packed numerator list from qseries that name builds, its x^j
+    # numerator one coefficient off on the calls when accepts
     def fault(monkeypatch, engine, n):
         real = getattr(engine, name)
 
         def faulty(*args):
-            series = real(*args)
-            if not when(*args):
-                return series
-            nums = list(series.nums)
-            nums[1] = poly_add(nums[1], LaurentPoly.one())
-            return TruncatedSeriesX(nums)
+            nums = real(*args)
+            if when(*args):
+                nums[j] += 1
+            return nums
         monkeypatch.setattr(engine, name, faulty)
     return fault
 
@@ -792,13 +796,21 @@ FAULTS = {
                                            "conclusion-plug-closed-form"}),
     "inner-closed-form": (_fault_inner_closed_form, {"conclusion-plug-closed-form",
                                                      "conclusion-normalize-power"}),
-    "single-k-sum": (_fault_poch(lambda base, length: base == 1), {
+    # (q^(k+1);q)_(n-1) at k = 2, of the single k-sum and of the rewrites
+    "single-k-sum": (_fault_poch(3, 3), {
         "conclusion-normalize-power", "conclusion-pochhammer-split"}),
-    "pulled-k-sum": (_fault_poch(lambda base, length: (base, length) == (2, 2)), {
+    # (q^n;q)_k at k = 2, of the pulled k-sum and of the rewrites
+    "pulled-k-sum": (_fault_poch(2, 3), {
         "conclusion-pochhammer-split", "conclusion-coefficient-extraction"}),
-    "bracket-series": (_fault_series("qbinom_series", lambda a, order: True), {
+    # a numerator of either bracket one off moves h_n, by [n, j]_q times a
+    # nonzero numerator of the other: (-1)^j (q^n;q)_j at j = 1, q^C(j,2)
+    # at j = n
+    "bracket-series": (_fault_series("qbinom_numerators", lambda a, order, width: True), {
         "conclusion-coefficient-extraction", "conclusion-telescoped-series"}),
-    "telescoped-series": (_fault_series("euler_series", lambda e, order: e == 2), {
+    "euler-bracket-series": (_fault_series("euler_numerators",
+                                           lambda e, order, width: e == 0, j=2), {
+        "conclusion-coefficient-extraction", "conclusion-telescoped-series"}),
+    "telescoped-series": (_fault_series("euler_numerators", lambda e, order, width: e == 2), {
         "conclusion-telescoped-series"}),
 }
 
@@ -882,11 +894,11 @@ class TestChainWidths:
     def test_chain_bounds_dominate_what_they_bound(self):
         # every bound a chain step packs a side at, against the largest
         # coefficient of that side built as a LaurentPoly, for n <= 12
-        from helpers import series_mul, times_qq_range
+        from helpers import euler_series, qbinom_series, series_mul, times_qq_range
 
         from whitdim import engine
         from whitdim.laurent import qq_norms
-        from whitdim.qseries import euler_series, poch_power, qbinom_series, series_product_bounds
+        from whitdim.qseries import poch_power
 
         for n in range(1, 13):
             qqs = qq_norms(3 * n - 1)
@@ -922,13 +934,14 @@ class TestChainWidths:
             for k in range(n + 1):
                 rewrite = times_qq_range(poch_power(k + 1, n - 1), 1, k)
                 assert _height(rewrite) <= 2 ** (2 * n - 1), (n, k)
-            # the series product, and its x^n numerator times (q;q)_n
+            # the series product: every h_t is bounded by 3^t, and its x^n
+            # numerator times (q;q)_n by 3^n ||(q;q)_n||_1
             bracket1 = qbinom_series(n, n).alternate_x()
             bracket2 = euler_series(0, n).alternate_x()
-            bounds = series_product_bounds(bracket1, bracket2)
             product = series_mul(bracket1, bracket2).nums
-            assert all(_height(h) <= bound for h, bound in zip(product, bounds)), n
-            assert _height(times_qq_range(product[n], 1, n)) <= bounds[n] * qqs[n], n
+            assert len(product) == n + 1
+            assert all(_height(h) <= 3 ** t for t, h in enumerate(product)), n
+            assert _height(times_qq_range(product[n], 1, n)) <= 3 ** n * qqs[n], n
     def _records(self, n):
         return [_untimed(r) for r in simplification_chain(n) + conclusion_chain(n)]
 
@@ -1014,7 +1027,6 @@ def _clear_engine_caches():
     laurent._QQ_L1.clear()
     laurent._HEAD_L1.clear()
     laurent._qq_l1_more = laurent._qq_l1_norms()
-    qseries._POCH.clear()
 
 
 def _step_windows(monkeypatch, n, watch=()):
@@ -1024,7 +1036,8 @@ def _step_windows(monkeypatch, n, watch=()):
     calls)}: the LaurentPoly times_one_minus_q, div_one_minus_q and
     laurent._combine calls made between the step's yield and the previous
     one; the packed shift-subtract passes, one per factor of each
-    times_range_packed and times_literal_range_packed call; the int
+    times_range_packed and times_literal_range_packed call from laurent,
+    engine or qseries; the int
     products of an entry of the packed q-Pascal table with another int; and
     the engine functions named in watch that were called in that window and
     not before.
@@ -1071,9 +1084,10 @@ def _step_windows(monkeypatch, n, watch=()):
     monkeypatch.setattr(LaurentPoly, "div_one_minus_q",
                         counted("div", LaurentPoly.div_one_minus_q))
     monkeypatch.setattr(laurent, "_combine", counted("combine", laurent._combine))
-    for module in (laurent, engine):
+    for module in (laurent, engine, qseries):
         for name in ("times_range_packed", "times_literal_range_packed"):
-            monkeypatch.setattr(module, name, counted("passes", getattr(module, name), factors))
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted("passes", getattr(module, name), factors))
     for module in (engine, qseries):
         monkeypatch.setattr(module, "packed_qpascal", pascal(module.packed_qpascal))
     for name in watch:
@@ -1105,8 +1119,8 @@ class TestChainWork:
         # reduce one side only, and only that side's record is built.
         want = {
             "simplify-q-power": (0, 0, 0, 0, 0),
-            # the literal product, and (q;q)_(n-1): one poch_power prefix of
-            # base 1 per factor
+            # the literal product, and (q;q)_(n-1): one combine per factor
+            # of each
             "simplify-closed-product": (0, 0, 5 + 5, 0, 0),
             "simplify-monomial-merge": (0, 0, 0, 0, 0),
             # per k >= 1 one pass from (q;q)_(k-1) and k literal passes from
@@ -1130,8 +1144,9 @@ class TestChainWork:
             # (q;q)_(3n-s-1) for s = 0..2n, and (q;q)_n^3 at the end:
             # 168 + 78 + 143 + 18; one product per (m, l)
             "simplify-regrouped-sum": (23 + 5, 34, 0, 29 + 407, 28),
-            # one side over (q;q)_n; (q;q)_(n-1) is cached
-            "simplify-normalized-lhs": (5, 6 + 4, 0, 0, 0),
+            # one side over (q;q)_n; closed_product's (q;q)_(n-1) is
+            # poch_power(1, n - 1) again, 5 combines (qq's is cached)
+            "simplify-normalized-lhs": (5, 6 + 4, 5, 0, 0),
             "simplify-exponent-total": (0, 0, 0, 0, 0),
             # at n = 6 the walker's width is the oracle's: no re-packing
             "conclusion-group-by-k": (0, 0, 0, 0, 0),
@@ -1140,20 +1155,24 @@ class TestChainWork:
             # ends, 12 and n + k - 1 per k; then n per k (T_k and T_(n-k))
             # and (q;q)_n once: 84 + 56 + 42 + 6
             "conclusion-reindex-outer": (21, 0, 0, 84 + 56 + 42 + 6, 0),
-            # the closed forms (q^(k+1);q)_(n-1), 5 prefixes for each base
-            # but 1; T_(n-k) per k, then (q;q)_n^4 once: 21 + 4 * 6
-            "conclusion-plug-closed-form": (0, 0, 30, 21 + 24, 0),
-            # T_(n-k) per k, then (q;q)_n on one side and (q;q)_n^5 on the
-            # other: 21 + 6 + 30; the single k-sum's side over (q;q)_n
-            "conclusion-normalize-power": (5, 6 + 4, 0, 21 + 6 + 30, 0),
-            # (q^n;q)_n is the one new prefix; the rewrites, k + n - 1 per
-            # k, T_k and T_(n-k) per k, then (q;q)_(n-1) and (q;q)_n:
-            # 56 + 42 + 5 + 6.  The record reuses normalize-power's side
-            "conclusion-pochhammer-split": (0, 0, 1, 56 + 42 + 5 + 6, 0),
+            # the closed forms (q^(k+1);q)_(n-1), n - 1 = 5 combines for
+            # each of the 7 bases; T_(n-k) per k, then (q;q)_n^4 once:
+            # 21 + 4 * 6
+            "conclusion-plug-closed-form": (0, 0, 7 * 5, 21 + 24, 0),
+            # (q^(k+1);q)_(n-1) from 1, 5 passes per k, and T_(n-k) per k,
+            # then (q;q)_n on one side and (q;q)_n^5 on the other:
+            # 35 + 21 + 6 + 30; the single k-sum's side over (q;q)_n
+            "conclusion-normalize-power": (5, 6 + 4, 0, 35 + 21 + 6 + 30, 0),
+            # the rewrites, each side built from 1, 2 (k + n - 1) per k;
+            # (q^n;q)_k from 1, k per k, T_k and T_(n-k) per k, then
+            # (q;q)_(n-1) and (q;q)_n: 112 + 21 + 42 + 5 + 6.  The record
+            # reuses normalize-power's side
+            "conclusion-pochhammer-split": (0, 0, 0, 112 + 21 + 42 + 5 + 6, 0),
             # the coefficient over (q;q)_6 keeps every (1 - q^j): 6 + 6
-            # products and divisions; h_n times (q;q)_n; one product per
-            # q-Pascal entry [t, i], t <= 6
-            "conclusion-coefficient-extraction": (6 + 6, 6 + 6, 0, 6, 28),
+            # products and divisions; the numerators (-1)^j (q^n;q)_j, one
+            # pass per j >= 1, and h_n times (q;q)_n: 6 + 6; one product
+            # per q-Pascal entry [t, i], t <= 6
+            "conclusion-coefficient-extraction": (6 + 6, 6 + 6, 0, 6 + 6, 28),
             "conclusion-telescoped-series": (0, 0, 0, 0, 0),
             "conclusion-exponent-identity": (0, 0, 0, 0, 0),
         }
@@ -1353,7 +1372,7 @@ class TestChains:
                 top = 3 * n - k - ell - m - 1
                 for lo, hi in ((ell, top), (n - k - ell, n), (n - m - ell, n)):
                     for sign in (1, -1):
-                        want = gcd_fraction(lit(lo + 1, hi)) == RF(qq(hi) * sign, (lo,))
+                        want = gcd_fraction(lit(lo + 1, hi)) == RF(qq(hi) if sign > 0 else -qq(hi), (lo,))
                         assert engine._range_rewrite_holds(sign, lo, hi) == want, (
                             n, k, m, ell, lo, hi, sign,
                         )
