@@ -140,14 +140,22 @@ EQUIVALENT = {
         "622e0ab62c97",
         "(n - k) % 2 -> (n + k) % 2 has the same parity",
     ),
+    "engine.py:_range_signs:const+1:1": (
+        "width = packed_width(1 << 4 * n - 1)",
+        "493283f737ab",
+        "a wider width than the bound 2^(3n-1) needs: both sides' coefficients "
+        "stay below 2^(width-2), where equal values at X are equal polynomials, "
+        "and equal polynomials have equal values at any width, so every sign "
+        "is the same",
+    ),
     "engine.py:_simplification_steps.long_range:+->-:0": (
-        "sign = -1 if (n + k + m - 1) % 2 else 1",
-        "540ad945c07b",
+        "return signs[ell, top] == (-1 if (n + k + m - 1) % 2 else 1)",
+        "c27153b1770e",
         "(n + k + m + 1) % 2 -> (n + k + m - 1) % 2 has the same parity",
     ),
     "engine.py:_simplification_steps.long_range:+->-:1": (
-        "sign = -1 if (n + k - m + 1) % 2 else 1",
-        "540ad945c07b",
+        "return signs[ell, top] == (-1 if (n + k - m + 1) % 2 else 1)",
+        "c27153b1770e",
         "(n + k + m + 1) % 2 -> (n + k - m + 1) % 2 has the same parity",
     ),
     "laurent.py:LaurentPoly.div_one_minus_q:const+1:1": (
@@ -165,9 +173,9 @@ EQUIVALENT = {
         "64cb3be866b9",
         "zero coefficients are skipped, so c <= 0 iff c < 0",
     ),
-    "laurent.py:div_packed:const+1:1": (
+    "laurent.py:div_packed:const+1:2": (
         "size = width * max(digits, 1)",
-        "1299194e478b",
+        "297aa566160d",
         "digits <= 0 means |value| < 2^(width j) <= |c| (X^j - 1) for every "
         "int c != 0, so value is 0 or no multiple of 1 - X^j; a one-digit "
         "window then multiplies back to value only at quo = 0, as the empty "

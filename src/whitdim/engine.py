@@ -107,12 +107,11 @@ The per-tuple rewrites of the simplification chain are cross-multiplied
 statements between polynomials, built by shift-subtract passes at X: no
 division and no canonicalisation, and exact proofs since every (q;q)_j is
 nonzero.  The long-range and tail rewrites are all prod_{i=lo+1..hi}
-(q^i - 1) (q;q)_lo == sign (q;q)_hi (_range_rewrite_holds), both sides
-products of hi factors of l1 norm 2, so 2^hi bounds them; many tuples map
-to one (sign, lo, hi), so each distinct statement is proved once per n and
-its verdict is reported for every tuple that maps to it.  The
-factorial-sign statements walk m for each k, at two passes per (k, m)
-(_factorial_sign_table), at one width from 2^(2n).
+(q^i - 1) (q;q)_lo == sign (q;q)_hi, and each factorial sign is the product
+of two of them at lo = 0.  One table (_range_signs) records, for every
+0 <= lo <= n and lo <= hi < 3n, which sign makes that statement true, at
+one width from 2^(3n-1) and two passes per (lo, hi); the table is built
+once per chain n, and each step reads the sign of every tuple from it.
 
 The conclusion chain works the same way: steps (b) and (c) apply the
 k-independent (q;q)_n and (q;q)_n^4 once, to the packed k-sum, steps (d)
@@ -145,7 +144,7 @@ from math import comb
 from typing import Optional
 
 from .laurent import (
-    LaurentPoly, div_packed, equal_at_x, head_norms, horner_close, pack, packed_width,
+    LaurentPoly, div_packed, equal_at_x, horner_close, pack, packed_width,
     qq_norms, repacked, same_at_x, tail_norms, times_literal_range_packed, times_qq_packed,
     times_range_packed, unpack,
 )
@@ -311,14 +310,15 @@ def dimension_sum(n: int) -> RationalFunctionQ:
 def _inner_bound(n: int, k: int) -> int:
     """A proved bound on every coefficient of _inner_sum_numerator(n, k), as
     _triple_bound: the sum over every term of the l1 norms of its factors,
-    (q;q)_{2n+k-s-1}, the tails T_m T_l T_{n-m-l} and (q;q)_k / (q;q)_{k-l}."""
-    tails, qqs = tail_norms(n), qq_norms(3 * n - 1)
+    (q;q)_{2n+k-s-1}, the tails T_m T_l T_{n-m-l} and (q;q)_k / (q;q)_{k-l},
+    the tail T_{k-l} of k: tail_norms(k)[k - l]."""
+    tails, heads, qqs = tail_norms(n), tail_norms(k), qq_norms(3 * n - 1)
     bound = 0
-    for ell, head in enumerate(head_norms(k)):
+    for ell in range(k + 1):
         part = 0
         for m in range(n - ell + 1):
             part += qqs[2 * n + k - m - ell - 1] * tails[m] * tails[n - m - ell]
-        bound += part * tails[ell] * head
+        bound += part * tails[ell] * heads[k - ell]
     return bound
 
 
@@ -436,49 +436,31 @@ def _for_all(identity: str, keys, tuples: list, holds):
     )
 
 
-def _range_rewrite_holds(sign: int, lo: int, hi: int) -> bool:
-    """prod_{i=lo+1..hi} (q^i - 1) * (q;q)_lo == sign * (q;q)_hi, decided at X.
+def _range_signs(n: int) -> dict:
+    """{(lo, hi): sign} for 0 <= lo <= n and lo <= hi < 3n, where
+    prod_{i=lo+1..hi} (q^i - 1) (q;q)_lo == sign (q;q)_hi; 0 when neither
+    sign holds.
 
     The cross-multiplied form of prod_{i=lo+1..hi} (q^i - 1) == sign *
-    (q;q)_hi / (q;q)_lo, and an exact proof of it since (q;q)_lo != 0.  Both
-    sides are products of hi factors of l1 norm 2, so 2^hi bounds their
-    coefficients and fixes the width.  Each side is hi shift-subtract passes
-    from 1: the literal factors (q^i - 1) and those of (q;q)_lo on one, the
-    factors (1 - q^i) of (q;q)_hi on the other.  Nothing is divided or
-    canonicalised.
+    (q;q)_hi / (q;q)_lo, and an exact proof of it since (q;q)_lo != 0.
+    Decided at X: both sides are products of hi <= 3n - 1 factors of l1 norm
+    2, so one width from 2^(3n-1) serves the table.  Per lo both sides start
+    from (q;q)_lo, one pass from (q;q)_(lo-1), and each step up in hi is one
+    pass on each: the literal factor (q^hi - 1) on one, (1 - q^hi) on the
+    other.  Nothing is divided or canonicalised.
     """
-    if lo < 0:
-        raise ValueError("(q;q)_lo needs lo >= 0")
-    width = packed_width(1 << hi)
-    lhs = times_range_packed(times_literal_range_packed(1, width, lo + 1, hi), width, 1, lo)
-    rhs = times_range_packed(1, width, 1, hi)
-    return lhs == (-rhs if sign < 0 else rhs)
-
-
-def _factorial_sign_table(n: int) -> dict:
-    """{(k, m): sign} for 0 <= k, m <= n, where (q;q)_k (q;q)_m == sign * lit_den.
-
-    lit_den = prod_{i=1..k} (q^i - 1) prod_{i=1..m} (q^i - 1), so sign is the
-    one for which 1 / lit_den == sign / ((q;q)_k (q;q)_m), cross-multiplied
-    and exact since both denominators are nonzero; 0 when neither sign holds.
-    Decided at X: both sides are products of k + m <= 2n factors of l1 norm
-    2, so one width from 2^(2n) serves the table.  Per k, the (q;q) side
-    starts from (q;q)_k, one pass from (q;q)_(k-1), and the other from the
-    literal product over 1..k; each step up in m is one pass on each:
-    (1 - q^m) on the (q;q) side, the literal factor (q^m - 1) on the other.
-    """
-    width = packed_width(1 << 2 * n)
+    width = packed_width(1 << 3 * n - 1)
     signs = {}
-    qq_k = 1
-    for k in range(n + 1):
-        if k:
-            qq_k = times_range_packed(qq_k, width, k, k)
-        lhs, lit_den = qq_k, times_literal_range_packed(1, width, 1, k)
-        for m in range(n + 1):
-            if m:
-                lhs = times_range_packed(lhs, width, m, m)
-                lit_den = times_literal_range_packed(lit_den, width, m, m)
-            signs[k, m] = 1 if lhs == lit_den else -1 if lhs == -lit_den else 0
+    qq_lo = 1
+    for lo in range(n + 1):
+        if lo:
+            qq_lo = times_range_packed(qq_lo, width, lo, lo)
+        lhs = rhs = qq_lo
+        for hi in range(lo, 3 * n):
+            if hi > lo:
+                lhs = times_literal_range_packed(lhs, width, hi, hi)
+                rhs = times_range_packed(rhs, width, hi, hi)
+            signs[lo, hi] = 1 if lhs == rhs else -1 if lhs == -rhs else 0
     return signs
 
 
@@ -517,12 +499,14 @@ def _simplification_steps(n: int):
         return merged == stated
 
     yield _for_all("simplify-monomial-merge", ("k", "m"), km, monomial_merge)
-    signs = _factorial_sign_table(n)
+    # 1 / lit_den == sign / ((q;q)_k (q;q)_m), lit_den the literal products
+    # over 1..k and 1..m: the product of the two proved range statements
+    signs = _range_signs(n)
     yield _for_all(
         "simplify-factorial-signs",
         ("k", "m"),
         km,
-        lambda k, m: signs[k, m] == (-1 if (k + m) % 2 else 1),
+        lambda k, m: signs[0, k] * signs[0, m] == (-1 if (k + m) % 2 else 1),
     )
     yield _for_all(
         "simplify-l-power",
@@ -538,25 +522,14 @@ def _simplification_steps(n: int):
         for ell in range(n - max(k, m) + 1)
     ]
 
-    proved = {}
-
-    def range_rewrite(sign, lo, hi):
-        # many tuples share one (sign, lo, hi); each is proved once per n
-        key = (sign, lo, hi)
-        if key not in proved:
-            proved[key] = _range_rewrite_holds(sign, lo, hi)
-        return proved[key]
-
     def long_range(k, m, ell):
         # prod_{i=l+1..3n-k-m-l-1} (q^i - 1) == (-1)^(n+k+m+1) (q;q)_top / (q;q)_l
         top = 3 * n - k - ell - m - 1
-        sign = -1 if (n + k + m + 1) % 2 else 1
-        return range_rewrite(sign, ell, top)
+        return signs[ell, top] == (-1 if (n + k + m + 1) % 2 else 1)
 
     def tail(j, ell):
         # prod_{i=n-j-l+1..n} (q^i - 1) == (-1)^(j+l) (q;q)_n / (q;q)_{n-j-l}
-        sign = -1 if (j + ell) % 2 else 1
-        return range_rewrite(sign, n - j - ell, n)
+        return signs[n - j - ell, n] == (-1 if (j + ell) % 2 else 1)
 
     keys = ("k", "m", "l")
     yield _for_all("simplify-long-range", keys, admissible, long_range)

@@ -3,7 +3,8 @@
 A LaurentPoly stores a dense coefficient window: ``coeffs[i]`` is the integer
 coefficient of ``q**(min_exp + i)``.  Leading and trailing zeros are stripped,
 so the zero polynomial is the unique empty representation with ``min_exp = 0``.
-Coefficients must be ints; the public constructor raises TypeError otherwise.
+Coefficients must be ints; the public constructor raises TypeError otherwise,
+and stores an int subclass (bool) as the plain int it equals.
 Values are immutable; every operation returns a new object, which makes them
 safe to share freely between threads.
 
@@ -20,13 +21,18 @@ its value at 2^width, for the engine's lattice walkers, its triple-sum
 oracle and its derivation chains, where every pass is then one big-int
 operation.  Two packed polynomials with small enough coefficients are equal
 iff their ints are, so an identity can be decided on the ints, without
-unpacking (the lemma beside pack and unpack).  This is the one home of
-packed arithmetic: the conversions (pack, unpack, repacked), the checked
+unpacking (the lemma beside pack and unpack).  This is the home of the
+packed kernels: the conversions (pack, unpack, repacked), the checked
 division by 1 - q^j (div_packed), the products by (1 - q^j) and (q^j - 1)
 factors (times_range_packed, times_literal_range_packed, times_qq_packed,
 horner_close), the comparisons at X (equal_at_x, same_at_x), and the l1
 norms that the widths are proved from (l1, qq_norms, tail_norms,
-head_norms, product_bound, packed_width).
+product_bound, packed_width).  Other code computes on packed ints too, with
+these kernels and plain int arithmetic: qseries builds its q-Pascal table
+and series numerators packed and multiplies packed series
+(packed_qpascal, euler_numerators, qbinom_numerators,
+packed_series_product), and the engine's walkers shift and subtract their
+ints inline.
 """
 
 from __future__ import annotations
@@ -44,7 +50,8 @@ class LaurentPoly:
         for t in set(map(type, coeffs)):
             if not issubclass(t, int):
                 raise TypeError("LaurentPoly coefficients must be ints, got %s" % t.__name__)
-        min_exp, coeffs = _trimmed(min_exp, coeffs)
+        # an int subclass such as bool is stored as the plain int it equals
+        min_exp, coeffs = _trimmed(min_exp, list(map(int, coeffs)))
         object.__setattr__(self, "min_exp", min_exp)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -312,6 +319,8 @@ def div_packed(value: int, j: int, width: int) -> int:
     2^(width-1) in absolute value, since its remainder at X is then nonzero
     and smaller than X^j - 1.
     """
+    if j < 1:
+        raise ValueError("exponent must be >= 1")
     digits = value.bit_length() // width + 1 - j
     size = width * max(digits, 0)
     mask = (1 << size) - 1
@@ -428,34 +437,17 @@ def qq_norms(top: int) -> list:
     return _QQ_L1
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def tail_norms(n: int) -> list:
     """||T_j||_1 for T_j = (q;q)_n / (q;q)_j, j = 0..n, cached for the last
-    n: n (1 - q^j) passes."""
+    two n, so that a bound reading the tails of n and of each k <= n
+    builds those of n once: n (1 - q^j) passes."""
     tails = [1] * (n + 1)  # T_n = 1
     tail = _ONE
     for j in range(n, 0, -1):
         tail = tail.times_one_minus_q(j)  # T_(j-1)
         tails[j - 1] = l1(tail)
     return tails
-
-
-# ||(q;q)_k / (q;q)_(k-l)||_1 for l = 0..k at index k of _HEAD_L1: they do
-# not depend on n, so every n extends the one list
-_HEAD_L1 = []
-
-
-def head_norms(k: int) -> list:
-    """||(q;q)_k / (q;q)_(k-l)||_1 for l = 0..k, from the shared list
-    _HEAD_L1, extended to k by k (1 - q^j) passes per new k."""
-    while len(_HEAD_L1) <= k:
-        top = len(_HEAD_L1)
-        head, norms = _ONE, [1]
-        for ell in range(1, top + 1):
-            head = head.times_one_minus_q(top - ell + 1)
-            norms.append(l1(head))
-        _HEAD_L1.append(norms)
-    return _HEAD_L1[k]
 
 
 def product_bound(side: LaurentPoly, tops) -> int:

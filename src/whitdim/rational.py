@@ -59,6 +59,7 @@ class RationalFunctionQ:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, tops=(), shift: int = 0):
+        tops = tuple(tops)  # read twice: checked here, then cancelled
         if shift < 0 or any(top < 0 for top in tops):
             raise ValueError("a denominator q^shift * prod (q;q)_top needs shift, top >= 0")
         if num.is_zero:

@@ -1025,7 +1025,6 @@ def _clear_engine_caches():
                    engine._triple_sum_numerator, engine._packed_triple_sum):
         cached.cache_clear()
     laurent._QQ_L1.clear()
-    laurent._HEAD_L1.clear()
     laurent._qq_l1_more = laurent._qq_l1_norms()
 
 
@@ -1123,17 +1122,13 @@ class TestChainWork:
             # of each
             "simplify-closed-product": (0, 0, 5 + 5, 0, 0),
             "simplify-monomial-merge": (0, 0, 0, 0, 0),
-            # per k >= 1 one pass from (q;q)_(k-1) and k literal passes from
-            # 1, then 2 passes per (k, m) with m >= 1: 6 + 21 + 2 * 6 * 7
-            "simplify-factorial-signs": (0, 0, 0, 6 + 21 + 84, 0),
+            # the range-sign table, which the four range steps read: per
+            # lo >= 1 one pass from (q;q)_(lo-1), then 2 passes per (lo, hi)
+            # with lo < hi < 3n: 6 + 2 * (17 + 16 + ... + 11)
+            "simplify-factorial-signs": (0, 0, 0, 6 + 2 * 98, 0),
             "simplify-l-power": (0, 0, 0, 0, 0),
-            # 2 hi passes per distinct (sign, lo, hi): at lo = l the
-            # admissible k + m = c run over 0..2(n-l), hi = 3n-c-l-1, so
-            # the sum of 2 (3n - c - l - 1) over l = 0..6, c = 0..2(6-l)
-            "simplify-long-range": (0, 0, 0, 1078, 0),
-            # (lo, n) for lo = 2..6: (0, 6) and (1, 6) are long-range
-            # statements, proved there; 2 * 6 passes each
-            "simplify-k-tail": (0, 0, 0, 5 * 12, 0),
+            "simplify-long-range": (0, 0, 0, 0, 0),
+            "simplify-k-tail": (0, 0, 0, 0, 0),
             "simplify-m-tail": (0, 0, 0, 0, 0),
             # n + 3n - 1 passes for the l1 norms of the tails and of
             # (q;q)_0..(q;q)_(3n-1), then one side over (q;q)_n^5.  The
@@ -1150,11 +1145,11 @@ class TestChainWork:
             "simplify-exponent-total": (0, 0, 0, 0, 0),
             # at n = 6 the walker's width is the oracle's: no re-packing
             "conclusion-group-by-k": (0, 0, 0, 0, 0),
-            # k passes per k for the inner bounds' (q;q)_k / (q;q)_(k-l),
-            # each k once; the inner walkers' (q;q)_n^2 starts and Horner
-            # ends, 12 and n + k - 1 per k; then n per k (T_k and T_(n-k))
-            # and (q;q)_n once: 84 + 56 + 42 + 6
-            "conclusion-reindex-outer": (21, 0, 0, 84 + 56 + 42 + 6, 0),
+            # k passes per k < n for the inner bounds' (q;q)_k / (q;q)_(k-l),
+            # the tails of k (those of n are cached); the inner walkers'
+            # (q;q)_n^2 starts and Horner ends, 12 and n + k - 1 per k; then
+            # n per k (T_k and T_(n-k)) and (q;q)_n once: 84 + 56 + 42 + 6
+            "conclusion-reindex-outer": (15, 0, 0, 84 + 56 + 42 + 6, 0),
             # the closed forms (q^(k+1);q)_(n-1), n - 1 = 5 combines for
             # each of the 7 bases; T_(n-k) per k, then (q;q)_n^4 once:
             # 21 + 4 * 6
@@ -1178,20 +1173,18 @@ class TestChainWork:
         }
         got = {identity: w[:5] for identity, w in _step_windows(monkeypatch, 6).items()}
         assert got == want
-        assert sum(2 * (3 * 6 - c - ell - 1)
-                   for ell in range(7) for c in range(2 * (6 - ell) + 1)) == 1078
+        assert sum(3 * 6 - 1 - lo for lo in range(7)) == 98
 
     def test_no_step_works_before_the_previous_steps_yield(self, monkeypatch):
         # each step's work runs between its own yield and the previous one,
-        # so its elapsed_ms times it: the factorial table is not built in
+        # so its elapsed_ms times it: the sign table is not built in
         # simplify-monomial-merge, nor the oracle in an earlier step
-        watch = ("_factorial_sign_table", "_range_rewrite_holds", "_triple_sum_numerator",
-                 "_packed_nested_triple", "_packed_inner_sum", "inner_sum_rhs_poly")
+        watch = ("_range_signs", "_triple_sum_numerator", "_packed_nested_triple",
+                 "_packed_inner_sum", "inner_sum_rhs_poly")
         for n in (1, 4):
             got = {identity: w[5] for identity, w in _step_windows(monkeypatch, n, watch).items()}
             assert {identity: calls for identity, calls in got.items() if calls} == {
-                "simplify-factorial-signs": ("_factorial_sign_table",),
-                "simplify-long-range": ("_range_rewrite_holds",),
+                "simplify-factorial-signs": ("_range_signs",),
                 "simplify-regrouped-sum": ("_triple_sum_numerator",
                                            "_packed_nested_triple"),
                 "conclusion-reindex-outer": ("_packed_inner_sum",),
@@ -1362,29 +1355,28 @@ class TestChains:
             }, n
 
     def test_rewrite_predicates_match_the_rational_function_comparison(self):
-        # either stated sign, every tuple at n <= 5: the cross-multiplied
-        # predicates give the verdict of comparing canonical rational functions
+        # either stated sign, every tuple at n <= 5: the table's sign gives
+        # the verdict of comparing canonical rational functions, for each
+        # range statement and for the factorial signs read from it
         from whitdim import engine
 
         lit = q_power_minus_one_range
         for n in range(1, 6):
+            signs = engine._range_signs(n)
+            assert set(signs) == {(lo, hi) for lo in range(n + 1) for hi in range(lo, 3 * n)}
             for k, m, ell in _admissible(n):
                 top = 3 * n - k - ell - m - 1
                 for lo, hi in ((ell, top), (n - k - ell, n), (n - m - ell, n)):
                     for sign in (1, -1):
                         want = gcd_fraction(lit(lo + 1, hi)) == RF(qq(hi) if sign > 0 else -qq(hi), (lo,))
-                        assert engine._range_rewrite_holds(sign, lo, hi) == want, (
-                            n, k, m, ell, lo, hi, sign,
-                        )
-            signs = engine._factorial_sign_table(n)
-            assert set(signs) == {(k, m) for k in range(n + 1) for m in range(n + 1)}
+                        assert (signs[lo, hi] == sign) == want, (n, k, m, ell, lo, hi, sign)
             for k in range(n + 1):
                 for m in range(n + 1):
                     for sign in (1, -1):
                         want = gcd_fraction(1, lit(1, k) * lit(1, m)) == RF(
                             LaurentPoly(0, (sign,)), (k, m)
                         )
-                        assert (signs[k, m] == sign) == want, (n, k, m, sign)
+                        assert (signs[0, k] * signs[0, m] == sign) == want, (n, k, m, sign)
 
     def test_rewrite_predicates_never_divide_or_canonicalise(self, monkeypatch):
         from whitdim import engine, rational
@@ -1395,26 +1387,20 @@ class TestChains:
         for module, name in ((engine, "RationalFunctionQ"), (rational, "_cancel")):
             monkeypatch.setattr(module, name, forbidden)
         monkeypatch.setattr(LaurentPoly, "div_one_minus_q", forbidden)
+        monkeypatch.setattr(engine, "div_packed", forbidden)
         n = 4
-        signs = engine._factorial_sign_table(n)
+        signs = engine._range_signs(n)
         for k, m, ell in _admissible(n):
-            assert engine._range_rewrite_holds(
-                (-1) ** (n + k + m + 1), ell, 3 * n - k - m - ell - 1
-            )
-            assert engine._range_rewrite_holds((-1) ** (k + ell), n - k - ell, n)
-            assert signs[k, m] == (-1) ** (k + m)
-
-    def test_range_rewrite_rejects_a_negative_lower_index(self):
-        from whitdim import engine
-
-        with pytest.raises(ValueError):
-            engine._range_rewrite_holds(1, -1, 3)
+            assert signs[ell, 3 * n - k - m - ell - 1] == (-1) ** (n + k + m + 1)
+            assert signs[n - k - ell, n] == (-1) ** (k + ell)
+            assert signs[0, k] * signs[0, m] == (-1) ** (k + m)
 
     def test_a_dropped_literal_factor_fails_every_tuple_of_its_statement(
         self, monkeypatch
     ):
-        # the range rewrites are proved once per (sign, lo, hi); a fault in
-        # one literal product must still be reported for every tuple using it
+        # every range statement is read from one table; dropping the literal
+        # factor (q^f - 1) wherever it is multiplied in must fail exactly
+        # the tuples whose statement's literal product contains it
         from whitdim import engine
 
         real = engine.times_literal_range_packed
@@ -1426,9 +1412,11 @@ class TestChains:
             "simplify-m-tail": lambda k, m, ell: (n - m - ell + 1, n),
         }
         failed, most = set(), 0
-        for fault in [(1, 9), (1, 8), (3, 4), (2, 4), (1, 2)]:
-            def dropped(value, width, lo, hi, fault=fault):
-                return real(value, width, lo, hi - ((lo, hi) == fault))
+        for f in (1, 2, 4, 8, 3 * n - 1):
+            def dropped(value, width, lo, hi, f=f):
+                if not lo <= f <= hi:
+                    return real(value, width, lo, hi)
+                return real(real(value, width, lo, f - 1), width, f + 1, hi)
 
             monkeypatch.setattr(engine, "times_literal_range_packed", dropped)
             reports = {r["identity"]: r for r in simplification_chain(n)}
@@ -1437,50 +1425,51 @@ class TestChains:
                 identity: [
                     {"k": k, "m": m, "l": ell}
                     for k, m, ell in triples
-                    if literal(k, m, ell) == fault
+                    if literal(k, m, ell)[0] <= f <= literal(k, m, ell)[1]
                 ]
                 for identity, literal in literal_of.items()
             }
-            # the m half of the factorial literals is one factor per pass,
-            # so only the k half, the range 1..k, can match a fault
+            # the factorial literals are the products over 1..k and 1..m
             want["simplify-factorial-signs"] = [
                 {"k": k, "m": m}
                 for k in range(n + 1)
                 for m in range(n + 1)
-                if (1, k) == fault
+                if f <= max(k, m)
             ]
             for identity, tuples in want.items():
                 rep = reports[identity]
-                assert rep["equal"] is not bool(tuples), (fault, identity)
-                assert rep["rhs"] == (tuples or "all equal"), (fault, identity)
+                assert rep["equal"] is not bool(tuples), (f, identity)
+                assert rep["rhs"] == (tuples or "all equal"), (f, identity)
                 if tuples:
                     failed.add(identity)
                     most = max(most, len(tuples))
         assert failed == set(want) and most > 1
 
     def test_each_range_statement_is_proved_once_per_n(self, monkeypatch):
+        # one sign table per chain n proves every statement the steps read
         from whitdim import engine
 
-        calls = []
-        real = engine._range_rewrite_holds
+        tables = []
+        real = engine._range_signs
 
-        def counted(*key):
-            calls.append(key)
-            return real(*key)
+        def counted(n):
+            tables.append(real(n))
+            return tables[-1]
 
-        monkeypatch.setattr(engine, "_range_rewrite_holds", counted)
+        monkeypatch.setattr(engine, "_range_signs", counted)
         n = 5
         simplification_chain(n)
-        assert len(calls) == len(set(calls))
-        assert len(calls) < 3 * len(_admissible(n))
-        # and the statements proved are the paper's: (sign, lo, hi) of the
-        # long range and of both tails, for every admissible tuple
+        assert len(tables) == 1
+        # and it holds the statements of the paper: (sign, lo, hi) of the
+        # long range and of both tails, for every admissible tuple, and the
+        # factorial halves (q;q)_k and (q;q)_m at lo = 0
         stated = set()
         for k, m, ell in _admissible(n):
             stated.add(((-1) ** (n + k + m + 1), ell, 3 * n - k - m - ell - 1))
             stated.add(((-1) ** (k + ell), n - k - ell, n))
             stated.add(((-1) ** (m + ell), n - m - ell, n))
-        assert set(calls) == stated
+            stated.add(((-1) ** k, 0, k))
+        assert all(tables[0][lo, hi] == sign for sign, lo, hi in stated)
 
     def test_exponent_identities_at_larger_n(self):
         n = 5

@@ -320,6 +320,15 @@ class TestPacking:
         assert div_packed(pack(ONE - Q(2), 8), 2, 8) == 1
         assert div_packed(0, 3, 8) == 0
 
+    def test_div_rejects_an_exponent_below_one(self):
+        # (1 - q^0) is 0 and a negative exponent is no factor of (q;q)_j:
+        # both raise as LaurentPoly.div_one_minus_q does, without looping
+        for j in (0, -1):
+            with pytest.raises(ValueError, match="exponent must be >= 1"):
+                div_packed(5, j, 8)
+            with pytest.raises(ValueError, match="exponent must be >= 1"):
+                ONE.div_one_minus_q(j)
+
 
 @settings(max_examples=150)
 @given(polys(), st.integers(1, 9), st.data())
@@ -480,3 +489,8 @@ class TestCoefficientTypes:
 
     def test_int_subclasses_accepted(self):
         assert LaurentPoly(0, [True, 2]) == poly_add(ONE, Q(1, 2))
+
+    def test_int_subclasses_are_stored_as_plain_ints(self):
+        p = LaurentPoly(0, [True, False, True])
+        assert p.to_json_dict() == LaurentPoly(0, [1, 0, 1]).to_json_dict()
+        assert set(map(type, p.coeffs)) == {int}

@@ -182,6 +182,12 @@ class TestCyclotomicCancellation:
         with pytest.raises(AssertionError):
             self.check()
 
+    def test_tops_may_be_a_one_shot_iterable(self):
+        # the tops are read twice, by the check and by the reduction
+        got = RF(LaurentPoly(0, (1,)), iter((2,)))
+        assert got == RF(LaurentPoly(0, (1,)), (2,))
+        assert got.den == qq(2)
+
     def test_negative_top_or_shift_raises(self):
         for tops, shift in (((-1,), 0), ((2, -3), 0), ((), -1), ((1,), -2)):
             with pytest.raises(ValueError):
