@@ -127,18 +127,27 @@ EQUIVALENT = {
         "the reduction runs i downward and only writes below i, so prod[i] is "
         "never read again, and only prod[:deg] is encoded",
     ),
-    "engine.py:_conclusion_steps:const+1:40": (
+    "engine.py:_conclusion_steps:const+1:37": (
         "for k in range(n + 2)",
-        "622e0ab62c97",
+        "866cfc6030c8",
         "widens the k range of the cross-multiplied Pochhammer rewrite in "
         "conclusion-pochhammer-split to n + 1; both sides are (q;q)_(n+k-1), so "
         "it holds for every k >= 0, and equal polynomials have equal values at "
         "X whatever the width",
     ),
-    "engine.py:_conclusion_steps:-->+:4": (
+    "engine.py:_conclusion_steps:-->+:3": (
         "value = value - outer if (n + k) % 2 else value + outer",
-        "622e0ab62c97",
+        "866cfc6030c8",
         "(n - k) % 2 -> (n + k) % 2 has the same parity",
+    ),
+    "engine.py:_conclusion_steps:const+1:48": (
+        "width = packed_width(4 ** n)",
+        "866cfc6030c8",
+        "a wider width than the bound 3^n needs: the series product is exact "
+        "at any width, unpack still checks h_n against 3^n, and same_at_x "
+        "and the telescoped-series comparison compare values whose "
+        "coefficients fit either width, so every verdict and record is the "
+        "same",
     ),
     "engine.py:_range_signs:const+1:1": (
         "width = packed_width(1 << 4 * n - 1)",
@@ -175,7 +184,7 @@ EQUIVALENT = {
     ),
     "laurent.py:div_packed:const+1:2": (
         "size = width * max(digits, 1)",
-        "297aa566160d",
+        "66f2754302f0",
         "digits <= 0 means |value| < 2^(width j) <= |c| (X^j - 1) for every "
         "int c != 0, so value is 0 or no multiple of 1 - X^j; a one-digit "
         "window then multiplies back to value only at quo = 0, as the empty "

@@ -24,19 +24,23 @@ only on s, or on nothing, are applied once at the end: a Horner pass over s
 (laurent.horner_close) gives every partial sum its sign (-1)^s and its
 (q;q)_{3n-s-1}, and the triple sum's total is multiplied by (q;q)_n.  No
 per-term polynomial product is ever built.  The triple walk is cached for
-the last n, and so is its decoding, which dimension_sum and
-simplify-regrouped-sum read, so a chain run walks and decodes it once per
-n.
+the last n, which simplify-regrouped-sum and conclusion-group-by-k read, so
+a chain run walks it once per n.
 
 The walkers run on Kronecker-packed ints (see laurent): V, the per-s sums
 and the Horner close are each one int, the polynomial's value at X = 2^B.
 A product by (1 - q^j) is then v - (v << B*j), a power q^e a shift by B*e
 and a sum an int sum, all at C speed, and the division by (1 - q^j) is
-laurent.div_packed.  verify_main and verify_inner_sum decide their identity
-at X (laurent.equal_at_x): the closed side, a polynomial, is packed at the
-walker's width and multiplied by the sum's denominator, q^(3n^2) (q;q)_n^4
-or (q;q)_n^2 (q;q)_k, in shift-subtract passes, and the two ints are
-compared.  Why that is a proof:
+laurent.div_packed.
+
+Every comparison of a walker, the oracle or a conclusion-step sum with its
+other side is one call of laurent.same_at_x(a, b, a_tops, b_tops, shift),
+the one comparison at X: a * prod (q;q)_{a_tops} == b * q^shift *
+prod (q;q)_{b_tops}.  verify_main
+passes the walker's packed numerator and the closed side, a polynomial,
+with the sum's denominator q^(3n^2) (q;q)_n^4 as the closed side's shift
+and tops; verify_inner_sum passes the inner walker and its closed form,
+with (q;q)_n^2 (q;q)_k.  Why that is a proof:
 
 - every packed operation is exact integer arithmetic on values at X, and
   div_packed multiplies its quotient back and raises unless it gets the
@@ -47,35 +51,38 @@ compared.  Why that is a proof:
   the largest coefficient, so the sum over every term of the l1 norms of
   its factors bounds every coefficient of p (_triple_bound, _inner_bound),
   and laurent.packed_width makes the bound less than 2^(B-2).  At n = 16
-  that is B = 80 bits; the largest coefficient has 29.  The product of the
-  l1 norms of r's factors bounds r's coefficients (laurent.product_bound),
-  and must
-  need no wider width: at n = 16 it has 37 bits, the walker's bound 75;
+  that is B = 80 bits; the largest coefficient has 29.  The closed side's
+  l1 norm times those of its (q;q) factors bounds r's coefficients, and
+  same_at_x compares at the narrowest width that fits both bounds and is
+  no narrower than B: for n <= 32 that is B itself (r's bound has 37 bits
+  at n = 16, the walker's 75), so the walker's int is compared as it is;
 - two polynomials whose coefficients are below 2^(B-2) in absolute value
   are equal iff their values at X are (the lemma in laurent), so equal
   ints prove p = r: the identity times its nonzero denominator.
 
-On equality both sides of the record are the closed side's canonical
-JSON, which is the record the decoded sides give, since canonical forms
-are unique.  Otherwise (unequal ints, or an r whose bound needs a wider
-width) the step decodes, and reports the sides dimension_sum or
-inner_sum_sides return: the walker's int is unpacked into a LaurentPoly,
-the form the chains read, and put over its denominator by the one
-constructor RationalFunctionQ(num, tops, shift), whose reduction divides
-by the whole (1 - q^j) first (see rational).  Reading p's coefficients back
-from p(X) is right when each is below 2^(B-1) in absolute value.
+Every step decided at X reports through one helper, _decided.  On
+equality both sides of the record are one side's canonical JSON, which is
+the record the decoded sides give, since canonical forms are unique.
+Otherwise the step decodes, and reports the decoded sides, for verify
+those dimension_sum or inner_sum_sides return: the walker's int is
+unpacked into a LaurentPoly, the form the chains read, and put over its
+denominator by the one constructor RationalFunctionQ(num, tops, shift),
+whose reduction divides by the whole (1 - q^j) first (see rational).
+Reading p's coefficients back from p(X) is right when each is below
+2^(B-1) in absolute value.
 
 A width below the true coefficients can return a wrong polynomial, or a
 wrong verdict, without any operation failing, so the proved bound is the
 whole soundness argument: no option sets B, and unpack raises if a
 coefficient it reads exceeds the bound.
 
-The derivation chains are decided at X the same way.  Every polynomial a
-step compares is built as a packed int, at a width that fits a bound proved
-from its own factors (a sum over its terms of the products of their l1
-norms), and two sides are compared at the wider of their two widths, where
-both bounds fit, the narrower side decoded and packed again there
-(laurent.same_at_x).  No bound is read from the value it checks.  A step
+The derivation chains are decided at X the same way, each comparison one
+same_at_x.  Every polynomial a step compares is built as a packed int, at
+a width that fits a bound proved from its own factors (a sum over its
+terms of the products of their l1 norms), or is a decoding the step makes
+anyway, whose l1 norm is its bound.  No bound is read from a packed value
+it checks.  A side built at a narrower width than the comparison needs is
+decoded and packed again there (laurent.repacked).  Otherwise a step
 decodes only a value its record serialises, or the sides of a comparison
 that fails, and a step decided equal records one canonicalised side as
 both, as verify does.
@@ -94,8 +101,8 @@ width comes from its own bound (_nested_bound), summed over its own terms
 from the norms of the factors it multiplies, the Gaussian binomials' C(t, i)
 among them.  For n <= 32 that width is never narrower than the walker's,
 and often wider (n = 5, 8, 10, 12, 14, 16 and every n from 18 to 32, by one
-or two bytes); the walker's decoding is then packed again at the oracle's
-width (_walker_agrees_with_oracle).
+or two bytes); same_at_x then decodes the walker and packs it again at
+the oracle's width.
 It never divides out a factor, calls no horner_close and no walker, so it
 shares no stepping, summation or closing code with the walkers it checks;
 what they share is exact integer arithmetic at X and the lemma behind
@@ -121,11 +128,12 @@ n + 1 Pochhammer rewrites at X, and the series product of steps (f) and
 operand from step (d) on is built packed: each Pochhammer product is one
 times_range_packed from 1, the series numerators come packed from
 qseries.euler_numerators and qbinom_numerators, and every numerator h_t
-of the product is bounded by 3^t.  Only the values a record serialises
-are decoded and canonicalised, each built as its numerator over q^shift
-and (q;q) factors, never by fraction arithmetic: the single k-sum over
-(q;q)_n, which steps (d) and (e) record, and the x^n coefficient of step
-(f).
+of the product is bounded by 3^t.  Three values are decoded, each once,
+and are the LaurentPoly sides of the comparisons of (d), (e) and (f): the
+single k-sum, which steps (d) and (e) record over (q;q)_n, the pulled
+k-sum of steps (e) and (f), and the x^n coefficient h_n, which step (f)
+records.  A record's value is built as its numerator over q^shift and
+(q;q) factors, never by fraction arithmetic.
 
 Every check is reported through one runner, timed_reports.  A check is a
 generator that yields one (identity, equal, lhs, rhs) tuple per step; the
@@ -144,9 +152,8 @@ from math import comb
 from typing import Optional
 
 from .laurent import (
-    LaurentPoly, div_packed, equal_at_x, horner_close, pack, packed_width,
-    qq_norms, repacked, same_at_x, tail_norms, times_literal_range_packed, times_qq_packed,
-    times_range_packed, unpack,
+    LaurentPoly, div_packed, horner_close, pack, packed_width, qq_norms, repacked, same_at_x,
+    tail_norms, times_literal_range_packed, times_qq_packed, times_range_packed, unpack,
 )
 from .qseries import (
     euler_numerators, packed_qpascal, packed_series_product, poch_power, q_power_minus_one_range,
@@ -178,10 +185,13 @@ def _equality(identity: str, lhs, rhs):
     return identity, lhs == rhs, lhs.to_json_dict(), rhs.to_json_dict()
 
 
-def _agreed(identity: str, side: RationalFunctionQ):
-    """The step of a check decided equal at X: both sides are side, whose
+def _decided(identity: str, equal: bool, side: RationalFunctionQ, decode):
+    """The step of a check decided at X.  Equal: both sides are side, whose
     canonical form is unique, so the record is the one the decoded sides
-    give; its lhs and rhs are one dict."""
+    give, with one dict as its lhs and rhs.  Unequal: decode() returns the
+    two sides decoded, and they are compared and recorded."""
+    if not equal:
+        return _equality(identity, *decode())
     sides = side.to_json_dict()
     return identity, True, sides, sides
 
@@ -221,10 +231,9 @@ def _triple_bound(n: int) -> int:
     return bound * qqs[n]
 
 
-@lru_cache(maxsize=1)
 def _triple_sum_numerator(n: int) -> LaurentPoly:
-    """Numerator over (q;q)_n^5 of the (m,k,l) triple sum, cached for the
-    last n: _packed_triple_sum(n) unpacked, once per n for the chains."""
+    """Numerator over (q;q)_n^5 of the (m,k,l) triple sum:
+    _packed_triple_sum(n) unpacked."""
     return unpack(*_packed_triple_sum(n))
 
 
@@ -400,10 +409,9 @@ def _main_step(n: int):
     # dimension_sum(n) is (-1)^(n+1) the triple sum's numerator over
     # q^(3n^2) (q;q)_n^4
     side = closed.num if n % 2 else -closed.num
-    if closed.denominator_is_one and equal_at_x(_packed_triple_sum(n), side, (n,) * 4, 3 * n * n):
-        yield _agreed("main", closed)
-    else:
-        yield _equality("main", closed, dimension_sum(n))
+    equal = closed.denominator_is_one and same_at_x(
+        _packed_triple_sum(n), side, b_tops=(n,) * 4, shift=3 * n * n)
+    yield _decided("main", equal, closed, lambda: (closed, dimension_sum(n)))
 
 
 def verify_inner_sum(n: int, k: int) -> dict:
@@ -413,11 +421,9 @@ def verify_inner_sum(n: int, k: int) -> dict:
 
 def _inner_step(n: int, k: int):
     _require_inner_range(n, k)
-    rhs = RationalFunctionQ(inner_sum_rhs_poly(n, k))
-    if rhs.denominator_is_one and equal_at_x(_packed_inner_sum(n, k), rhs.num, (n, n, k)):
-        yield _agreed("inner-sum", rhs)
-    else:
-        yield _equality("inner-sum", *inner_sum_sides(n, k))
+    rhs = inner_sum_rhs_poly(n, k)
+    yield _decided("inner-sum", same_at_x(_packed_inner_sum(n, k), rhs, b_tops=(n, n, k)),
+                   RationalFunctionQ(rhs), lambda: inner_sum_sides(n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +547,9 @@ def _simplification_steps(n: int):
     # (q;q)_n^4, so the normalised side is that numerator over (q;q)_n^5,
     # and so is the oracle's: equal numerators, decided at X, are the step
     normalized = RationalFunctionQ(_triple_sum_numerator(n), (n,) * 5)
-    if _walker_agrees_with_oracle(n):
-        yield _agreed("simplify-regrouped-sum", normalized)
-    else:
-        grouped = RationalFunctionQ(unpack(*_packed_nested_triple(n)), (n,) * 5)
-        yield _equality("simplify-regrouped-sum", normalized, grouped)
+    nested = _packed_nested_triple(n)
+    yield _decided("simplify-regrouped-sum", same_at_x(_packed_triple_sum(n), nested), normalized,
+                   lambda: (normalized, RationalFunctionQ(unpack(*nested), (n,) * 5)))
 
     # the closed side normalised alike, against q^e / (1 - q^n), which is
     # q^e (q;q)_(n-1) / (q;q)_n: over one denominator, equal numerators are
@@ -553,11 +557,9 @@ def _simplification_steps(n: int):
     closed = closed_product(n).num.shifted(3 * n * n)
     normalized_lhs = closed if n % 2 else -closed
     target = qq(n - 1).shifted(3 * n * n + 2 * comb(n, 2))
-    if normalized_lhs == target:
-        yield _agreed("simplify-normalized-lhs", RationalFunctionQ(target, (n,)))
-    else:
-        yield _equality("simplify-normalized-lhs", RationalFunctionQ(normalized_lhs, (n,)),
-                        RationalFunctionQ(target, (n,)))
+    rhs = RationalFunctionQ(target, (n,))
+    yield _decided("simplify-normalized-lhs", normalized_lhs == target, rhs,
+                   lambda: (RationalFunctionQ(normalized_lhs, (n,)), rhs))
 
     l_exp = 3 * n * n + 2 * comb(n, 2)
     r_exp = 4 * n * n - n
@@ -636,17 +638,6 @@ def _packed_nested_triple(n: int):
     return times_qq_packed(nested, width, n, n, n), width, bound
 
 
-def _walker_agrees_with_oracle(n: int) -> bool:
-    """Whether the triple walker and the oracle give one numerator, decided
-    at X at the wider of their widths.  Where the oracle's own bound needs
-    the wider one (n = 5, 8, 10, ...), the walker is packed again there from
-    its decoding, which the chains make once per n anyway."""
-    walk, nested = _packed_triple_sum(n), _packed_nested_triple(n)
-    if walk[1] < nested[1]:
-        walk = pack(_triple_sum_numerator(n), nested[1]), nested[1], walk[2]
-    return same_at_x(walk, nested)
-
-
 def _reindexed_bound(n: int, inner_bounds) -> int:
     """A proved bound on every coefficient of conclusion-reindex-outer's
     sum: over k, inner_bounds[k] (the inner sum's own) times ||T_k||_1
@@ -680,15 +671,13 @@ def conclusion_chain(n: int):
 
 
 def _conclusion_steps(n: int):
-    # Every polynomial comparison is decided at X: each side is packed at a
-    # width that fits its own proved bound, a sum over its terms of the l1
-    # norms of their factors, and two sides are compared at the wider of
-    # their widths (laurent.same_at_x).  A value is decoded only for a
-    # record that serialises it, or when a comparison fails.
-    qqs = qq_norms(3 * n - 1)
+    # Every polynomial is built packed, at a width that fits its own proved
+    # bound, a sum over its terms of the l1 norms of their factors, and
+    # every comparison of two of them is one laurent.same_at_x, at a width
+    # that fits both sides' bounds times their (q;q) factors.
 
     # (a) flat triple sum == outer-k sum of inner double sums
-    yield ("conclusion-group-by-k", _walker_agrees_with_oracle(n),
+    yield ("conclusion-group-by-k", same_at_x(_packed_triple_sum(n), _packed_nested_triple(n)),
            "triple sum numerator", "nested sum numerator")
 
     # (b) replacing k by n-k leaves the outer sum unchanged; the inner sums
@@ -710,7 +699,7 @@ def _conclusion_steps(n: int):
 
     # (c) substituting the inner sum's closed form, whose k-sum is brought to
     # (q;q)_n^4 once, as 4n passes
-    bound = _single_bound(n) * qqs[n] ** 4
+    bound = _single_bound(n) * qq_norms(n)[n] ** 4
     width = max(packed_width(bound), width)
     value = 0
     for k in range(n + 1):
@@ -722,24 +711,21 @@ def _conclusion_steps(n: int):
            "reindexed sum numerator", "substituted sum numerator")
 
     # (d) dividing by q^(2n^2 + C(n,2)) gives the single k-sum: plugged over
-    # q^shift (q;q)_n^5 against single over (q;q)_n, cross-multiplied
+    # q^shift (q;q)_n^5 against single over (q;q)_n, cross-multiplied.  The
+    # single k-sum is decoded for its record, and is a side of (d) and (e)
     shift = 2 * n * n + comb(n, 2)
-    single_bound = _single_bound(n)
-    width = max(packed_width(plugged[2] * qqs[n]), packed_width(single_bound * qqs[n] ** 5))
+    bound = _single_bound(n)
+    width = packed_width(bound)
     value = 0
     for k in range(n + 1):
         # (q^(k+1);q)_(n-1) T_(n-k) q^C(n-k,2)
         term = times_range_packed(times_range_packed(1, width, k + 1, k + n - 1), width,
                                   n - k + 1, n) << width * comb(n - k, 2)
         value = value - term if k % 2 else value + term
-    single = value, width, single_bound
-    rhs_d = RationalFunctionQ(unpack(*single), (n,))
-    if (times_qq_packed(repacked(plugged, width), width, n)
-            == times_qq_packed(value << width * shift, width, n, n, n, n, n)):
-        yield _agreed("conclusion-normalize-power", rhs_d)
-    else:
-        lhs_d = RationalFunctionQ(unpack(*plugged), (n,) * 5, shift)
-        yield _equality("conclusion-normalize-power", lhs_d, rhs_d)
+    single = unpack(value, width, bound)
+    rhs_d = RationalFunctionQ(single, (n,))
+    yield _decided("conclusion-normalize-power", same_at_x(plugged, single, (n,), (n,) * 5, shift),
+                   rhs_d, lambda: (RationalFunctionQ(unpack(*plugged), (n,) * 5, shift), rhs_d))
 
     # (e) Pochhammer rewrite pulls out (q;q)_{n-1}:
     # (q^(k+1);q)_(n-1) == (q;q)_(n-1) (q^n;q)_k / (q;q)_k, cross-multiplied;
@@ -751,21 +737,20 @@ def _conclusion_steps(n: int):
         for k in range(n + 1)
     )
     # pulled = (q;q)_(n-1) ksum / (q;q)_n^2 against rhs_d = single / (q;q)_n,
-    # cross-multiplied: (q;q)_(n-1) ksum == single (q;q)_n
-    ksum_bound = _pulled_bound(n)
-    width = max(packed_width(qqs[n - 1] * ksum_bound), packed_width(single_bound * qqs[n]))
+    # cross-multiplied: (q;q)_(n-1) ksum == single (q;q)_n.  The pulled
+    # k-sum is decoded once, for the sides of (e) and (f)
+    bound = _pulled_bound(n)
+    width = packed_width(bound)
     value = 0
     for k in range(n + 1):
         # (q^n;q)_k T_k T_(n-k) q^C(n-k,2)
         term = times_range_packed(times_range_packed(1, width, n, n + k - 1), width, k + 1, n)
         term = times_range_packed(term, width, n - k + 1, n) << width * comb(n - k, 2)
         value = value - term if k % 2 else value + term
-    ksum = value, width, ksum_bound
-    pulled = times_range_packed(value, width, 1, n - 1)
-    split = pulled == times_qq_packed(repacked(single, width), width, n)
+    ksum = unpack(value, width, bound)
+    split = same_at_x(ksum, single, (n - 1,), (n,))
     rhs_side = rhs_d.to_json_dict()
-    pulled_side = rhs_side if split else RationalFunctionQ(
-        unpack(pulled, width, qqs[n - 1] * ksum_bound), (n, n)).to_json_dict()
+    pulled_side = rhs_side if split else RationalFunctionQ(qq(n - 1) * ksum, (n, n)).to_json_dict()
     yield ("conclusion-pochhammer-split", rewrites_ok and split, pulled_side, rhs_side)
 
     # (f) the k-sum is the coefficient of x^n in the product of the series
@@ -773,17 +758,15 @@ def _conclusion_steps(n: int):
     # (-q^n x;q)_inf / (-x;q)_inf and (-x;q)_inf: h_n over (q;q)_n against
     # ksum over (q;q)_n^2, cross-multiplied.  Every h_t is bounded by
     # sum_i C(t, i) 2^i = 3^t, since [t, i]_q has l1 norm C(t, i), (q^n;q)_i
-    # has i factors of l1 norm 2 and q^C(t-i,2) is a monomial; so one width
-    # fits every h_t and h_n (q;q)_n
-    width = max(packed_width(3 ** n * qqs[n]), ksum[1])
+    # has i factors of l1 norm 2 and q^C(t-i,2) is a monomial; so the
+    # width of 3^n fits every h_t.  h_n is decoded for its record
+    width = packed_width(3 ** n)
     product = packed_series_product(
         qbinom_numerators(n, n, width), euler_numerators(0, n, width), width)
-    coefficient = RationalFunctionQ(unpack(product[n], width, 3 ** n), (n,))
-    if times_qq_packed(product[n], width, n) == repacked(ksum, width):
-        yield _agreed("conclusion-coefficient-extraction", coefficient)
-    else:
-        yield _equality("conclusion-coefficient-extraction", coefficient,
-                        RationalFunctionQ(unpack(*ksum), (n, n)))
+    h_n = unpack(product[n], width, 3 ** n)
+    coefficient = RationalFunctionQ(h_n, (n,))
+    yield _decided("conclusion-coefficient-extraction", same_at_x(h_n, ksum, (n,)), coefficient,
+                   lambda: (coefficient, RationalFunctionQ(ksum, (n, n))))
 
     # (g) the product telescopes to the series (-q^n x;q)_inf, whose
     # numerators q^(C(j,2)+nj) have l1 norm 1: compared at the product's width

@@ -3,8 +3,9 @@
 A LaurentPoly stores a dense coefficient window: ``coeffs[i]`` is the integer
 coefficient of ``q**(min_exp + i)``.  Leading and trailing zeros are stripped,
 so the zero polynomial is the unique empty representation with ``min_exp = 0``.
-Coefficients must be ints; the public constructor raises TypeError otherwise,
-and stores an int subclass (bool) as the plain int it equals.
+Coefficients and min_exp must be ints; the public constructor raises
+TypeError otherwise, and stores an int subclass (bool) as the plain int it
+equals.
 Values are immutable; every operation returns a new object, which makes them
 safe to share freely between threads.
 
@@ -25,11 +26,11 @@ unpacking (the lemma beside pack and unpack).  This is the home of the
 packed kernels: the conversions (pack, unpack, repacked), the checked
 division by 1 - q^j (div_packed), the products by (1 - q^j) and (q^j - 1)
 factors (times_range_packed, times_literal_range_packed, times_qq_packed,
-horner_close), the comparisons at X (equal_at_x, same_at_x), and the l1
-norms that the widths are proved from (l1, qq_norms, tail_norms,
-product_bound, packed_width).  Other code computes on packed ints too, with
-these kernels and plain int arithmetic: qseries builds its q-Pascal table
-and series numerators packed and multiplies packed series
+horner_close), the l1 norms that the widths are proved from (l1, qq_norms,
+tail_norms, packed_width), and the one comparison at X (same_at_x), which
+picks its width from those norms.  Other code computes on packed ints too,
+with these kernels and plain int arithmetic: qseries builds its q-Pascal
+table and series numerators packed and multiplies packed series
 (packed_qpascal, euler_numerators, qbinom_numerators,
 packed_series_product), and the engine's walkers shift and subtract their
 ints inline.
@@ -50,8 +51,10 @@ class LaurentPoly:
         for t in set(map(type, coeffs)):
             if not issubclass(t, int):
                 raise TypeError("LaurentPoly coefficients must be ints, got %s" % t.__name__)
+        if not isinstance(min_exp, int):
+            raise TypeError("LaurentPoly min_exp must be an int, got %s" % type(min_exp).__name__)
         # an int subclass such as bool is stored as the plain int it equals
-        min_exp, coeffs = _trimmed(min_exp, list(map(int, coeffs)))
+        min_exp, coeffs = _trimmed(int(min_exp), list(map(int, coeffs)))
         object.__setattr__(self, "min_exp", min_exp)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -311,13 +314,14 @@ def div_packed(value: int, j: int, width: int) -> int:
     dividend's bit length, the quotient is value times that product modulo
     X^D, lifted to the balanced range.  When the coefficients of the
     dividend and the quotient are below 2^(width-2) in absolute value, D is
-    right and the quotient lies in that range.  Whatever the coefficients, the quotient is multiplied back and
-    compared, so a wrong lift raises, and a value returned is exactly the
-    integer value / (1 - X^j): the quotient polynomial's value at X when the
-    polynomial division is exact.  One that is not exact raises as well
-    when the dividend's sums along each residue class mod j are below
-    2^(width-1) in absolute value, since its remainder at X is then nonzero
-    and smaller than X^j - 1.
+    right and the quotient lies in that range.  Whatever the coefficients,
+    the quotient is multiplied back and compared, so a wrong lift raises,
+    and a value returned is exactly the integer value / (1 - X^j): the
+    quotient polynomial's value at X when the polynomial division is
+    exact.  One that is not exact raises as well when the dividend's sums
+    along each residue class mod j are below 2^(width-1) in absolute
+    value, since its remainder at X is then nonzero and smaller than
+    X^j - 1.
     """
     if j < 1:
         raise ValueError("exponent must be >= 1")
@@ -336,24 +340,18 @@ def div_packed(value: int, j: int, width: int) -> int:
     return quo
 
 
-
-def repacked(packed, width: int) -> int:
-    """The value at X = 2^width of packed = (value, w, bound), a polynomial
-    whose coefficients are proved at most bound: value itself when w is
-    width, else decoded (unpack checks the bound) and packed again.  The
-    bound must fit width, so that the lemma applies there too."""
-    value, w, bound = packed
+def repacked(side, width: int) -> int:
+    """The value at X = 2^width of side: a LaurentPoly, packed straight, or
+    (value, w, bound), a polynomial whose coefficients are proved at most
+    bound, which is value itself when w is width, else decoded (unpack
+    checks the bound) and packed again.  The bound must fit width, so that
+    the lemma applies there too."""
+    if isinstance(side, LaurentPoly):
+        return pack(side, width)
+    value, w, bound = side
     if packed_width(bound) > width:
         raise ValueError("a bound of %d bits does not fit width %d" % (bound.bit_length(), width))
     return value if w == width else pack(unpack(value, w, bound), width)
-
-
-def same_at_x(a, b) -> bool:
-    """Whether a and b, each (value, width, bound) with its coefficients
-    proved at most bound, are one polynomial: decided at the wider of the
-    two widths, where both bounds fit, with the narrower one repacked."""
-    width = max(a[1], b[1])
-    return repacked(a, width) == repacked(b, width)
 
 
 # -- products by (1 - q^j) factors at X ----------------------------------------
@@ -450,30 +448,32 @@ def tail_norms(n: int) -> list:
     return tails
 
 
-def product_bound(side: LaurentPoly, tops) -> int:
-    """A proved bound on every coefficient of side * prod over tops of
-    (q;q)_top: the product of the factors' l1 norms."""
-    qqs = qq_norms(max(tops))
-    bound = l1(side)
-    for top in tops:
-        bound *= qqs[top]
-    return bound
+# -- the one comparison at X ---------------------------------------------------
 
 
-def equal_at_x(packed, side: LaurentPoly, tops, shift: int = 0) -> bool:
-    """Whether packed = (value, width, bound), a polynomial p whose
-    coefficients are proved at most bound, is side * q^shift * prod over
-    tops of (q;q)_top, decided at X = 2^width.
+def same_at_x(a, b, a_tops=(), b_tops=(), shift: int = 0) -> bool:
+    """Whether a * prod over a_tops of (q;q)_top is b * q^shift * prod over
+    b_tops of (q;q)_top, decided at X = 2^width: the one comparison at X.
 
-    The other side is packed and multiplied out by shift-subtract passes at
-    p's width, and the two ints are compared.  By the lemma above, equal
-    ints prove equal polynomials when both sides' coefficients are below
-    2^(width-2) in absolute value: packed's bound makes that true of p, and
-    product_bound of the other side must need no wider width.  False when
-    the ints differ, and when that bound needs a wider width: the caller
-    then decodes.
+    Each side is a LaurentPoly, whose bound is its l1 norm, or
+    (value, w, bound), a polynomial packed at X = 2^w whose coefficients
+    are proved at most bound.  A side's bound times the l1 norms of its
+    (q;q) factors bounds every coefficient of its product, so the width is
+    the narrowest that fits both products' bounds and is no narrower than
+    either triple's own w.  Each side is packed there (repacked) and
+    multiplied out by shift-subtract passes, and the two ints are compared:
+    by the lemma above, equal ints prove equal polynomials.
     """
-    value, width, _ = packed
-    if packed_width(product_bound(side, tops)) > width:
-        return False
-    return value == times_qq_packed(pack(side, width) << width * shift, width, *tops)
+    qqs = qq_norms(max((*a_tops, *b_tops), default=0))
+    width = 0
+    for side, tops in ((a, a_tops), (b, b_tops)):
+        if isinstance(side, LaurentPoly):
+            bound = l1(side)
+        else:
+            _, w, bound = side
+            width = max(width, w)
+        for top in tops:
+            bound *= qqs[top]
+        width = max(width, packed_width(bound))
+    return (times_qq_packed(repacked(a, width), width, *a_tops)
+            == times_qq_packed(repacked(b, width) << width * shift, width, *b_tops))

@@ -186,27 +186,51 @@ class TestDecidedAtX:
             for k in range(n + 1):
                 assert engine.verify_inner_sum(n, k)["equal"], (n, k)
 
-    def test_other_sides_need_no_wider_width_than_the_walkers(self):
+    def test_other_sides_need_no_wider_width_than_the_walkers(self, monkeypatch):
         # the lemma needs both sides' coefficients below 2^(width-2); the
         # closed sides times their denominators stay under the walkers'
-        # bounds, and their bounds are the product of the factors' l1 norms
-        from whitdim import engine
+        # bounds, and their bounds are the product of the factors' l1
+        # norms, so same_at_x compares at the walker's own width
+        from whitdim import engine, laurent
         from whitdim.engine import inner_sum_rhs_poly
-        from whitdim.laurent import product_bound
+
+        def bound(side, tops):
+            # the bound same_at_x reads for a LaurentPoly side and its tops
+            out = laurent.l1(side)
+            for top in tops:
+                out *= laurent.qq_norms(top)[top]
+            return out
 
         for n in range(1, 7):
             side, tops = closed_product(n).num, (n,) * 4
-            assert product_bound(side, tops) == side_l1_bound(side, tops), n
+            assert bound(side, tops) == side_l1_bound(side, tops), n
             for k in range(n + 1):
                 side, tops = inner_sum_rhs_poly(n, k), (n, n, k)
-                assert product_bound(side, tops) == side_l1_bound(side, tops), (n, k)
+                assert bound(side, tops) == side_l1_bound(side, tops), (n, k)
         for n in range(1, 33):
-            side = product_bound(closed_product(n).num, (n,) * 4)
+            side = bound(closed_product(n).num, (n,) * 4)
             assert side <= engine._triple_bound(n), n
         for n in range(1, 17):
             for k in range(n + 1):
-                side = product_bound(inner_sum_rhs_poly(n, k), (n, n, k))
+                side = bound(inner_sum_rhs_poly(n, k), (n, n, k))
                 assert side <= engine._inner_bound(n, k), (n, k)
+        # and the widths same_at_x packs at are the walkers'
+        widths = []
+        repacked = laurent.repacked
+
+        def recorded(side, width):
+            widths.append(width)
+            return repacked(side, width)
+
+        monkeypatch.setattr(laurent, "repacked", recorded)
+        for n in range(1, 7):
+            widths.clear()
+            assert verify_main(n)["equal"], n
+            assert widths == [engine._packed_triple_sum(n)[1]] * 2, n
+            for k in range(n + 1):
+                widths.clear()
+                assert engine.verify_inner_sum(n, k)["equal"], (n, k)
+                assert widths == [engine._packed_inner_sum(n, k)[1]] * 2, (n, k)
 
     def test_a_faulty_packed_numerator_fails_with_the_decoded_record(self, monkeypatch):
         # one coefficient off by 1 in the walkers' packed ints, read by both
@@ -223,11 +247,7 @@ class TestDecidedAtX:
 
         walk = engine._packed_triple_sum
 
-        def clear():
-            engine._triple_sum_numerator.cache_clear()
-            walk.cache_clear()
-
-        clear()
+        walk.cache_clear()
         monkeypatch.setattr(engine, "_packed_triple_sum", faulty(walk))
         monkeypatch.setattr(engine, "_packed_inner_sum", faulty(engine._packed_inner_sum))
         try:
@@ -241,39 +261,52 @@ class TestDecidedAtX:
                 want = _record("inner-sum", {"n": n, "k": k}, lhs, rhs)
                 assert _untimed(engine.verify_inner_sum(n, k)) == want, (n, k)
         finally:
-            clear()
+            walk.cache_clear()
 
-    def test_a_side_past_the_width_is_decoded(self, monkeypatch):
-        # when the other side's bound would need a wider width, the lemma
-        # does not apply, and the step reports the decoded sides
+    def test_a_side_past_the_width_moves_the_comparison_to_its_width(self, monkeypatch):
+        # when the closed side's bound needs a wider width than the
+        # walker's, the comparison moves to that width: the walker's int is
+        # decoded and packed again there, the closed side is packed there
+        # straight and never decoded, and the record is unchanged
         from whitdim import engine, laurent
 
-        decoded = []
-        unpack = engine.unpack
+        unpacked, packed = [], []
+        unpack, pack, l1 = laurent.unpack, laurent.pack, laurent.l1
 
-        def counted(*args):
-            decoded.append(args[1])
-            return unpack(*args)
+        def counted_unpack(value, width, bound):
+            unpacked.append((value, width))
+            return unpack(value, width, bound)
 
-        def clear():
-            engine._triple_sum_numerator.cache_clear()
-            engine._packed_triple_sum.cache_clear()
+        def counted_pack(poly, width):
+            packed.append((poly, width))
+            return pack(poly, width)
 
-        clear()
-        monkeypatch.setattr(engine, "unpack", counted)
+        engine._packed_triple_sum.cache_clear()
+        monkeypatch.setattr(laurent, "unpack", counted_unpack)
+        monkeypatch.setattr(laurent, "pack", counted_pack)
         try:
             for n in (2, 5):
-                width = engine._packed_triple_sum(n)[1]
-                # the widest bound that still fits, then the first that does not
-                for bound, decodes in ((2 ** (width - 2) - 1, 0), (2 ** (width - 2), 1)):
-                    monkeypatch.setattr(laurent, "product_bound", lambda side, tops: bound)
-                    want = _record("main", {"n": n}, closed_product(n), dimension_sum(n))
-                    clear()
-                    decoded.clear()
-                    assert _untimed(verify_main(n)) == want, (n, bound)
-                    assert len(decoded) == decodes, (n, bound)
+                walk = engine._packed_triple_sum(n)
+                closed = closed_product(n)
+                side = closed.num if n % 2 else -closed.num
+                want = _record("main", {"n": n}, closed, dimension_sum(n))
+                # the closed side's true l1 norm, then one whose product
+                # with the norms of (q;q)_n^4 is about 2^(width + 2), which
+                # needs one byte more than the walker's width
+                wide = 2 ** (walk[1] + 2) // laurent.qq_norms(n)[n] ** 4
+                for norm, width in ((l1(side), walk[1]), (wide, walk[1] + 8)):
+                    monkeypatch.setattr(
+                        laurent, "l1", lambda poly, norm=norm: norm if poly == side else l1(poly))
+                    unpacked.clear()
+                    packed.clear()
+                    assert _untimed(verify_main(n)) == want, (n, width)
+                    repack = width > walk[1]
+                    want_packed = [(unpack(*walk), width)] * repack + [(side, width)]
+                    assert packed == want_packed, (n, width)
+                    assert unpacked == [walk[:2]] * repack, (n, width)
         finally:
-            clear()
+            monkeypatch.undo()
+            engine._packed_triple_sum.cache_clear()
 
     def test_bad_parameters_are_rejected_before_walking(self, monkeypatch):
         from whitdim import engine
@@ -293,13 +326,13 @@ class TestDecidedAtX:
         # only a polynomial packs: a side over 2 with the closed product's
         # numerator is not the sum, though its numerator's value at X is
         from whitdim import engine
-        from whitdim.laurent import equal_at_x
+        from whitdim.laurent import same_at_x
 
         for n in (1, 3):
             closed = closed_product(n)
             packed = engine._packed_triple_sum(n)
             tops, shift = (n,) * 4, 3 * n * n
-            assert equal_at_x(packed, closed.num if n % 2 else -closed.num, tops, shift)
+            assert same_at_x(packed, closed.num if n % 2 else -closed.num, (), tops, shift)
             halved = gcd_fraction(closed.num, 2)
             assert halved.num == closed.num and not halved.denominator_is_one
             monkeypatch.setattr(engine, "closed_product", lambda n, halved=halved: halved)
@@ -444,7 +477,7 @@ class TestGroupedSumOracle:
         from whitdim import engine
 
         engine._packed_nested_triple.cache_clear()
-        engine._triple_sum_numerator.cache_clear()
+        engine._packed_triple_sum.cache_clear()
         for n in range(1, 13):
             oracle = _decoded_oracle(n)
             if n <= 10:
@@ -534,9 +567,9 @@ class TestWalkers:
 
     def test_triple_walker_matches_per_term_reference(self):
         # the walker's one form, and the literal-sign form dimension_sum makes of it
-        from whitdim.engine import _triple_sum_numerator
+        from whitdim.engine import _packed_triple_sum, _triple_sum_numerator
 
-        _triple_sum_numerator.cache_clear()
+        _packed_triple_sum.cache_clear()
         for n in range(1, 7):
             assert _triple_sum_numerator(n) == _per_term_triple_sum(n, 1, 0), n
             expected = gcd_fraction(
@@ -627,7 +660,7 @@ class TestWalkers:
         def height(p):
             return max(map(abs, p.coeffs))
 
-        engine._triple_sum_numerator.cache_clear()
+        engine._packed_triple_sum.cache_clear()
         for n in range(1, 13):
             assert height(engine._triple_sum_numerator(n)) <= engine._triple_bound(n), n
             for k in range(n + 1):
@@ -642,10 +675,7 @@ class TestWalkers:
         from whitdim import engine
         from whitdim.laurent import packed_width
 
-        def clear():
-            engine._triple_sum_numerator.cache_clear()
-            engine._packed_triple_sum.cache_clear()
-
+        clear = engine._packed_triple_sum.cache_clear
         n, false_bound = 16, 2**21 - 1
         clear()
         true = engine._triple_sum_numerator(n)
@@ -666,7 +696,7 @@ class TestWalkers:
             raise AssertionError("walker used oracle code")
 
         def run():
-            engine._triple_sum_numerator.cache_clear()
+            engine._packed_triple_sum.cache_clear()
             out = [engine._triple_sum_numerator(4)]
             return out + [engine._inner_sum_numerator(4, k) for k in range(5)]
 
@@ -677,25 +707,32 @@ class TestWalkers:
 
     def test_chain_walks_the_triple_sum_once_per_n(self, monkeypatch):
         # simplify-regrouped-sum and conclusion-group-by-k share one cached
-        # walk per n, and one decoding of it, for the regrouped-sum record:
-        # one cache miss of each for each of n = 1..3, and two hits of the
-        # walk, one comparison at X in each step (at n <= 3 the walker's
-        # width is the oracle's, so the decoding is not re-packed)
+        # walk per n, and it is decoded once, for the regrouped-sum record:
+        # one cache miss of the walk and one decoding for each of
+        # n = 1..3, and two hits of the walk, one comparison at X in each
+        # step (at n <= 3 the walker's width is the oracle's, so the
+        # comparisons decode nothing)
         import contextlib
         import io
 
         from whitdim import engine
         from whitdim.cli import EXIT_OK, main
 
-        engine._triple_sum_numerator.cache_clear()
+        decodings = []
+        decode = engine._triple_sum_numerator
+
+        def counted(n):
+            decodings.append(n)
+            return decode(n)
+
         engine._packed_triple_sum.cache_clear()
+        monkeypatch.setattr(engine, "_triple_sum_numerator", counted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # count in-process
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["chain", "--n", "1..3"]) == EXIT_OK
         walks = engine._packed_triple_sum.cache_info()
-        decodings = engine._triple_sum_numerator.cache_info()
         assert (walks.misses, walks.hits) == (3, 6)
-        assert (decodings.misses, decodings.hits) == (3, 0)
+        assert decodings == [1, 2, 3]
 
 
 def _packed_plus_one(real):
@@ -719,8 +756,7 @@ def _poly_plus_one(real, when=lambda *args: True):
 def _clear_walks():
     from whitdim import engine
 
-    for cached in (engine._triple_sum_numerator, engine._packed_triple_sum,
-                   engine._packed_nested_triple):
+    for cached in (engine._packed_triple_sum, engine._packed_nested_triple):
         cached.cache_clear()
 
 
@@ -946,14 +982,20 @@ class TestChainWidths:
         return [_untimed(r) for r in simplification_chain(n) + conclusion_chain(n)]
 
     def test_a_wider_oracle_bound_moves_every_comparison_to_its_width(self, monkeypatch):
+        # each same_at_x call packs both its sides at the one width it
+        # picks, through laurent.repacked: the set of those widths per call
         from whitdim import engine, laurent
 
         widths = []
-        same_at_x = laurent.same_at_x
+        same_at_x, repacked = laurent.same_at_x, laurent.repacked
 
-        def recorded(a, b):
-            widths.append(max(a[1], b[1]))
-            return same_at_x(a, b)
+        def recorded(*args):
+            widths.append(set())
+            return same_at_x(*args)
+
+        def packed_at(side, width):
+            widths[-1].add(width)
+            return repacked(side, width)
 
         for n in (2, 5, 8):
             _clear_walks()
@@ -961,14 +1003,41 @@ class TestChainWidths:
             wide = engine._packed_triple_sum(n)[1] + 24
             monkeypatch.setattr(engine, "_nested_bound", lambda n, wide=wide: 2 ** (wide - 3))
             monkeypatch.setattr(engine, "same_at_x", recorded)
+            monkeypatch.setattr(laurent, "repacked", packed_at)
             _clear_walks()
             widths.clear()
             assert self._records(n) == want, n
             monkeypatch.undo()
             # regrouped-sum, group-by-k and reindex-outer at the oracle's width,
-            # plug-closed-form at reindex-outer's
-            assert widths == [wide] * 4, n
+            # plug-closed-form at reindex-outer's, normalize-power at least
+            # at plug-closed-form's; then pochhammer-split and
+            # coefficient-extraction, whose sides are not the oracle's
+            assert widths[:4] == [{wide}] * 4, n
+            assert len(widths) == 7 and len(widths[4]) == 1 and min(widths[4]) >= wide, n
         _clear_walks()
+
+    def test_swapped_tops_fail_normalize_power(self, monkeypatch):
+        # conclusion-normalize-power is plugged (q;q)_n == single q^shift
+        # (q;q)_n^5: with the tops of the two sides swapped, the comparison
+        # it makes is False
+        from whitdim import engine, laurent
+
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return laurent.same_at_x(*args)
+
+        monkeypatch.setattr(engine, "same_at_x", recorded)
+        for n in (1, 2, 5):
+            calls.clear()
+            records = {r["identity"]: r["equal"] for r in conclusion_chain(n)}
+            assert records["conclusion-normalize-power"], n
+            # (d) is the only comparison with a shift
+            [(a, b, a_tops, b_tops, shift)] = [args for args in calls if len(args) == 5]
+            assert (a_tops, b_tops, shift) == ((n,), (n,) * 5, 2 * n * n + comb(n, 2)), n
+            assert laurent.same_at_x(a, b, a_tops, b_tops, shift), n
+            assert not laurent.same_at_x(a, b, b_tops, a_tops, shift), n
 
     def test_a_narrower_oracle_bound_takes_the_decode_path(self, monkeypatch):
         # a bound that still holds but needs a narrower width than the
@@ -1022,7 +1091,7 @@ def _clear_engine_caches():
     from whitdim import engine, laurent, qseries
 
     for cached in (qseries.qq, laurent.tail_norms, engine._packed_nested_triple,
-                   engine._triple_sum_numerator, engine._packed_triple_sum):
+                   engine._packed_triple_sum):
         cached.cache_clear()
     laurent._QQ_L1.clear()
     laurent._qq_l1_more = laurent._qq_l1_norms()

@@ -16,7 +16,7 @@ from helpers import (
     pseudo_rem,
     truncated,
 )
-from whitdim.laurent import LaurentPoly, div_packed, pack, packed_width, unpack
+from whitdim.laurent import LaurentPoly, div_packed, pack, packed_width, same_at_x, unpack
 from whitdim.qseries import poch_power, q_power_minus_one_range
 
 Q = LaurentPoly.monomial
@@ -330,6 +330,30 @@ class TestPacking:
                 ONE.div_one_minus_q(j)
 
 
+def _times_qq(p, tops):
+    for top in tops:
+        p = p * poch_power(1, top)
+    return p
+
+
+@settings(max_examples=100)
+@given(polys(size=5), st.lists(st.integers(0, 8), max_size=3),
+       st.lists(st.integers(0, 8), max_size=3), st.integers(0, 4), st.booleans(),
+       st.integers(-1, 1), st.integers(0, 12))
+def test_same_at_x_decides_the_cross_multiplied_statement(c, a_tops, b_tops, shift, packed,
+                                                          bump, at):
+    # a (q;q)_{a_tops} == b q^shift (q;q)_{b_tops} holds for a = c q^shift
+    # (q;q)_{b_tops} and b = c (q;q)_{a_tops}, and fails once b is off by
+    # a monomial.  The side a is a LaurentPoly, or packed at the width of
+    # its own height, which its tops may make too narrow to compare at
+    a = _times_qq(c, b_tops).shifted(shift)
+    b = poly_add(_times_qq(c, a_tops), Q(at, bump))
+    if packed:
+        width = packed_width(height(a))
+        a = pack(a, width), width, height(a)
+    assert same_at_x(a, b, a_tops, b_tops, shift) == (bump == 0)
+
+
 @settings(max_examples=150)
 @given(polys(), st.integers(1, 9), st.data())
 def test_packed_division_inverts_the_product(a, j, data):
@@ -494,3 +518,11 @@ class TestCoefficientTypes:
         p = LaurentPoly(0, [True, False, True])
         assert p.to_json_dict() == LaurentPoly(0, [1, 0, 1]).to_json_dict()
         assert set(map(type, p.coeffs)) == {int}
+
+    def test_min_exp_must_be_an_int(self):
+        p = LaurentPoly(True, (1,))
+        assert type(p.min_exp) is int
+        assert p.to_json_dict() == {"min_exp": 1, "coeffs": ["1"]}
+        for bad in (0.5, "a", None, Fraction(1)):
+            with pytest.raises(TypeError, match="min_exp"):
+                LaurentPoly(bad, (1,))
