@@ -106,7 +106,7 @@ EQUIVALENT = {
     "gfield.py:GFq.__init__:const+1:9": (
         "inv = [1] * q",
         "9c92aff217c8",
-        "sets inv_table[0] to 1; no code reads it: kernels._extensions, and "
+        "sets inv_table[0] to 1; no code reads it: kernels._insert, and "
         "the tests' rank reference, invert only a nonzero pivot",
     ),
     "gfield.py:GFq.__init__:>->>=:0": (

@@ -92,9 +92,10 @@ def grassmann_count(n: int, m: int, q: int, limit: int = FEASIBILITY_LIMIT):
     """(enumerated, formula) subspace count; enumeration builds every reduced
     row-echelon basis exactly once, so no orbit division is needed.
 
-    Each basis is rebuilt one row at a time by kernels._extensions and must
-    come back unchanged, that is, be its own reduced row-echelon form: rank
-    m, pivots 1 and in order, pivot columns clear.  Anything else raises.
+    Each basis is rebuilt one row at a time by kernels._insert, the
+    package's one row reduction, and must come back unchanged, that is, be
+    its own reduced row-echelon form: rank m, pivots 1 and in order, pivot
+    columns clear.  Anything else raises.
     """
     formula = grassmann_formula(n, m, q)
     _gate(formula, limit)
@@ -118,7 +119,7 @@ def grassmann_count(n: int, m: int, q: int, limit: int = FEASIBILITY_LIMIT):
             basis = tuple(map(tuple, rows))
             rebuilt = ()
             for row in basis:
-                [rebuilt] = kernels._extensions(field, rebuilt, [row])
+                rebuilt = kernels._insert(field, rebuilt, row)
             if rebuilt != basis:
                 raise AssertionError(
                     "basis %r of a %d-subspace of GF(%d)^%d is not in reduced "

@@ -11,7 +11,7 @@ None of this runs under a whitdim command, so it lives with the tests:
   Euler-series reference euler_product_truncation, with the plain helpers
   truncated, series_coeffs and scale_x;
 - rank, Gaussian elimination from scratch: the rank reference that the
-  package's one row reduction, kernels._extensions, is checked against;
+  package's one row reduction, kernels._insert, is checked against;
 - random_matrix and random_invertible for the randomised rank tests, and
   the plain matrix product matmul and trace that the rank tests use;
 - fresh_table_cache, which gives a test that patches the counting kernel
@@ -315,7 +315,7 @@ def rank(field: GFq, rows) -> int:
     """The rank of a matrix given as a list of rows, by Gaussian elimination.
 
     It works on a copy of the rows, and shares no code with the package's
-    one row reduction, kernels._extensions.
+    one row reduction, kernels._insert.
     """
     rows = [list(r) for r in rows]
     sub, mul, inv = field.sub_table, field.mul_table, field.inv_table

@@ -6,6 +6,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 import random
 import time
 
+import pytest
+
 from helpers import (
     coeff,
     euler_product_truncation,
@@ -21,7 +23,7 @@ from helpers import (
     series_coeffs,
 )
 from whitdim.counting import count_rect_by_rank, grassmann_count, prasad_delta
-from whitdim.dimension import dimension_report
+from whitdim.dimension import closed_dim, dimension_report
 from whitdim.engine import (
     conclusion_chain,
     dimension_sum,
@@ -114,6 +116,30 @@ def test_criterion_4_stretch_size():
         "brute/middle/closed = %d/%d/%d (want 48) at (2,4) in %.1fs on the %s backend"
         % (rep["brute"], rep["middle"], rep["closed"], elapsed, BACKEND),
     )
+
+
+def _larger_reach(expected):
+    # the default gate refuses every size here, so each runs at the explicit
+    # limit q^(3n^2), its own candidate count
+    failures, times = [], []
+    for (n, q), want in expected.items():
+        t0 = time.perf_counter()
+        rep = dimension_report(n, q, limit=q ** (3 * n * n))
+        times.append("(%d,%d) %.2fs" % (n, q, time.perf_counter() - t0))
+        if not (rep["agree"] and rep["brute"] == rep["middle"] == rep["closed"]
+                == closed_dim(n, q) == want):
+            failures.append((n, q, rep))
+    _report(4, not failures, "brute=middle=closed=closed_dim at limit q^(3n^2): %s "
+            "(failures: %r)" % (", ".join(times), failures))
+
+
+def test_criterion_4_larger_fields():
+    _larger_reach({(2, 7): 294, (2, 8): 448, (2, 9): 648})
+
+
+@pytest.mark.slow
+def test_criterion_4_n3_over_gf3():
+    _larger_reach({(3, 3): 11664})
 
 
 def test_criterion_5_counting_oracles():

@@ -166,21 +166,72 @@ class TestBackendAgreement:
             for shape in shapes:
                 _check_against_tally(q, shape)
 
+    def test_wider_asymmetric_shapes_match_a_from_scratch_tally(self):
+        # the class count reads a psi column and a basis row's entry there,
+        # which a shape with unequal parts tells apart; over GF(4) the
+        # multiples lambda a of an entry are no residues mod 4
+        for shape in [(2, 1, 3), (1, 3, 2), (3, 1, 2), (1, 2, 1, 1)]:
+            _check_against_tally(2, shape)
+        _check_against_tally(3, (1, 2, 1, 1))
+        _check_against_tally(4, (2, 1, 2))
+
+    def test_compositions_with_empty_parts_match_a_from_scratch_tally(self):
+        # an empty part moves the last row to a later block, where the row
+        # set starts past column 0, or leaves a block with no psi columns
+        shapes = [(0, 2, 2), (2, 0, 2), (2, 2, 0), (0, 1, 2, 1), (1, 0, 1, 2),
+                  (0, 0, 2, 1), (1, 2, 0, 0)]
+        for q in (2, 3):
+            for shape in shapes:
+                _check_against_tally(q, shape)
+
+    @pytest.mark.slow
+    def test_wider_asymmetric_shapes_over_gf3_and_gf4_match_a_from_scratch_tally(self):
+        # 3^11 elements each over GF(3); over GF(4) only the 4^9 of
+        # (1, 2, 1, 1), since a 4^11 shape takes the tally sixteen times as long
+        for shape in [(2, 1, 3), (1, 3, 2), (3, 1, 2)]:
+            _check_against_tally(3, shape)
+        _check_against_tally(4, (1, 2, 1, 1))
+
     def test_triple_table_extends_each_basis_once_per_block(self, monkeypatch):
-        # the last block's rows first, and one _extensions call per distinct
-        # (basis, block): taking the rows first block first does more work
-        extensions = kernels._extensions
+        # the last block's rows first; each block builds one next basis per
+        # projective point of each distinct basis (_insert), groups the
+        # outcomes once per distinct (basis, psi column) (_step), and the
+        # last row, which reads only ranks, builds no basis
+        insert, step, last_row = kernels._insert, kernels._step, kernels._last_row
         calls = []
 
-        def counted(field, basis, vectors):
-            calls.append(basis)
-            return extensions(field, basis, vectors)
+        def counted_insert(field, basis, v):
+            calls.append(("insert", basis, v))
+            return insert(field, basis, v)
 
-        monkeypatch.setattr(kernels, "_extensions", counted)
-        for q, work in [(2, 42), (3, 99)]:
+        def counted_step(field, size, hit, keep, classes, col):
+            calls.append(("step", keep, col))
+            return step(field, size, hit, keep, classes, col)
+
+        def counted_last_row(*args):
+            calls.append(("last row",))
+            return last_row(*args)
+
+        monkeypatch.setattr(kernels, "_insert", counted_insert)
+        monkeypatch.setattr(kernels, "_step", counted_step)
+        monkeypatch.setattr(kernels, "_last_row", counted_last_row)
+        # the second block's two rows extend () (q + 1 points), then its
+        # q + 1 lines (1 each); the first block's first row extends () (q^3 +
+        # q^2 + q + 1), the lines (q^2 + q + 1 each) and the plane (q + 1):
+        # 45 inserts over GF(2), 104 over GF(3), and 1 + (q + 2) + (q + 3)
+        # steps, each distinct.  Each block enumerates a basis's classes
+        # once; only the second block's 2(q + 1) inserts, into () and into
+        # its lines, come again as points of the first block's set
+        for q, inserts, steps in [(2, 45, 10), (3, 104, 12)]:
             calls.clear()
             kernels.count_by_rank_trace(gf(q), (2, 2, 2))
-            assert len(calls) == work, q
+            last = calls.index(("last row",))
+            for kind, work, distinct in [("insert", inserts, inserts - 2 * (q + 1)),
+                                         ("step", steps, steps)]:
+                made = [c for c in calls[:last] if c[0] == kind]
+                assert (len(made), len(set(made))) == (work, distinct), (q, kind)
+            assert calls[last + 1:] and all(c[0] == "step" and isinstance(c[1], int)
+                                            for c in calls[last + 1:]), q
 
 
 class TestTransferTotal:
@@ -188,9 +239,14 @@ class TestTransferTotal:
 
     @pytest.fixture(autouse=True)
     def drop_last_outcome(self, monkeypatch):
-        extensions = kernels._extensions
-        monkeypatch.setattr(kernels, "_extensions",
-                            lambda field, basis, vectors: extensions(field, basis, vectors)[:-1])
+        step = kernels._step
+
+        def short(*args):
+            out = step(*args)
+            del out[next(reversed(out))]
+            return out
+
+        monkeypatch.setattr(kernels, "_step", short)
 
     def test_single_matrix_table(self):
         with pytest.raises(AssertionError, match="totals"):
