@@ -10,7 +10,10 @@ q^(dim N) candidates of the block unitriangular group N(shape) (default
 limit 10^9, which a flag can override), then reads the counts[rank][psi-sum]
 table of (q, shape): counted once per process, as immutable tuples, by the
 package's one kernel, kernels.count_by_rank_trace (a transfer count over
-row spaces, which counts every element once and ranks none).
+row spaces, which counts every element once and ranks none, stepping each
+row in one loop over bases that hold one count per psi-sum).  A table has
+a row per rank from 0 to the largest that occurs: min(s, t) + 1 for
+(s, t), size + 1 for (size, size) and 2n + 1 for (n, n, n).
 count_rect_by_rank sums a rank's row of the (s, t) table, prasad_delta
 reads a row of the (size, size) table, and dimension.trace_bucket_sums
 reads the (n, n, n) table; grassmann_count is gated on its subspace count.
@@ -49,7 +52,8 @@ def _rank_trace_counts(q: int, shape: tuple) -> tuple:
 
 
 def rank_trace_table(q: int, shape: tuple, limit: int = FEASIBILITY_LIMIT) -> tuple:
-    """counts[rank][psi-sum] over N(shape) over GF(q), shape a tuple.
+    """counts[rank][psi-sum] over N(shape) over GF(q), shape a tuple, with a
+    row per rank up to the largest that occurs.
 
     Raises FeasibilityError if q^(dim N) > limit, dim N = sum over i < j of n_i n_j.
     """

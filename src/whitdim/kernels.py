@@ -5,9 +5,10 @@ unitriangular group N of a composition: counts[rank of u - I][psi-sum of
 the superdiagonal blocks' diagonals].  (rows, cols) is the single-matrix
 table of the counts oracles, (n, n, n) the triple table of the brute-force
 dimension.  It reads only the field's add/sub/mul/inv tables, builds u - I
-row by row over states (reduced row-echelon basis of the rows so far,
-psi-sum), and asserts that the total is q^(dim N).  It ranks no matrix and
-uses no counting formula.
+row by row over states, each a reduced row-echelon basis of the rows so far
+holding one count per psi-sum, and asserts that the total is q^(dim N).  It
+ranks no matrix and uses no counting formula.  One loop steps every row;
+the last, which reads only ranks, groups the states by free columns.
 
 It counts the next row's residue classes, not its vectors, on three facts
 of linear algebra.  Let B be the state's basis, r its rank, and S the next
@@ -34,7 +35,6 @@ N(shape) from scratch.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations, product
 
 from .gfield import GFq
@@ -94,8 +94,8 @@ def _points(points: dict, q: int, free, width: int) -> list:
     return out
 
 
-def _step(field: GFq, size: int, hit: bool, keep, classes, col) -> Counter:
-    """Counter of (next, psi entry) over the vectors of a row set, by class.
+def _outcomes(field: GFq, size: int, hit: bool, keep, classes, col) -> dict:
+    """{(next, psi entry): number of vectors} over a row set, by class.
 
     Every class holds `size` vectors (fact 1).  The zero class gives keep,
     and each (rho, next) of classes stands for the q - 1 classes of the
@@ -104,54 +104,21 @@ def _step(field: GFq, size: int, hit: bool, keep, classes, col) -> Counter:
     nonzero there; fact 3 gives the entries.
     """
     q = field.q
-    step = Counter()
+    out = {}
     if hit:
         share = size // q
         for e in range(q):
-            step[keep, e] += share
+            out[keep, e] = share
             for _, nxt in classes:
-                step[nxt, e] += (q - 1) * share
+                out[nxt, e] = out.get((nxt, e), 0) + (q - 1) * share
     else:
         mul = field.mul_table
-        step[keep, 0] += size
+        out[keep, 0] = size
         for v, nxt in classes:
             a = 0 if col is None else v[col]
             for lam in range(1, q):
-                step[nxt, mul[lam][a]] += size
-    return step
-
-
-def _last_row(field: GFq, states, zeros: int, width: int, col, points) -> dict:
-    """{(rank, psi-sum): count} after the last row, where only the rank is read.
-
-    The zero class keeps a state's rank r, and every other class gives
-    r + 1, so the row builds no basis.  A state's outcomes then depend on
-    its basis only through its free columns (r is the row set's width less
-    theirs) and whether a basis row is nonzero at col, so the states are
-    grouped by those first.
-    """
-    q, add = field.q, field.add_table
-    kinds = {}  # basis -> (free columns, hit)
-    groups = {}  # (free columns, hit, psi-sum) -> count
-    for (basis, tr), c in states.items():
-        kind = kinds.get(basis)
-        if kind is None:
-            kind = kinds[basis] = (_free(basis, zeros, width),
-                                   col is not None and any(row[col] for row in basis))
-        key = kind + (tr,)
-        groups[key] = groups.get(key, 0) + c
-    steps = {}  # (free columns, hit) -> Counter of (rank, entry)
-    out = {}
-    for (free, hit, tr), c in groups.items():
-        step = steps.get((free, hit))
-        if step is None:
-            r = width - zeros - len(free)
-            ranks = [(v, r + 1) for v in _points(points, q, free, width)]
-            step = steps[free, hit] = _step(field, q ** r, hit, r, ranks, col)
-        sums = add[tr]
-        for (rank, e), k in step.items():
-            key = (rank, sums[e])
-            out[key] = out.get(key, 0) + c * k
+                key = (nxt, mul[lam][a])
+                out[key] = out.get(key, 0) + size
     return out
 
 
@@ -166,47 +133,56 @@ def count_by_rank_trace(field: GFq, shape):
     rows x cols matrices, and (n, n, n) the [[X, Y], [0, Z]] by tr X + tr Z.
 
     The rows are taken last block first, which changes no rank and makes
-    each row set contain the bases before it (fact 1).  The state is the reduced row-echelon basis of the rows so far with
-    their psi-sum.  Each block builds the next bases of each distinct basis
-    once, one per projective point (`_points`, `_insert`), and groups their
-    outcomes once per psi column asked for (`_step`); the last row reads
-    only ranks (`_last_row`).  The total must be q^(dim N), dim N = sum over
-    i < j of n_i n_j; anything else raises.
+    each row set contain the bases before it (fact 1).  A state is the
+    reduced row-echelon basis of the rows so far, holding one count per
+    psi-sum.  One loop steps every row: it groups the states by what their
+    outcomes depend on, a basis and whether a basis row is nonzero at the
+    psi column (hit), and adds each group's counts into every outcome of
+    `_outcomes`, shifted by the outcome's psi entry.  Each block builds the
+    next bases of a basis once, one per projective point (`_points`,
+    `_insert`).  The last row reads only ranks and builds no basis: there a
+    group is a basis's free columns, which fix its rank, with hit, and the
+    states become ranks.  Every rank up to the largest occurs (zeroing a row
+    lowers a rank by at most one), so the table has one row per rank that
+    occurs.  The total must be q^(dim N), dim N = sum over i < j of
+    n_i n_j; anything else raises.
     """
     q = field.q
     add = field.add_table
     width = sum(shape[1:])
     points = {}  # free columns -> their _points
-    # (basis, psi-sum) -> number of partial matrices; (rank, psi-sum) after
-    # the last row, and with no rows at all, the empty matrix, of rank 0
-    states = {((), 0): 1} if any(shape[:-1]) else {(0, 0): 1}
+    # basis -> counts by psi-sum of the partial matrices; rank -> counts
+    # after the last row, and with no rows at all, the empty matrix, of rank 0
+    states = {() if any(shape[:-1]) else 0: [1] + [0] * (q - 1)}
     for j in reversed(range(len(shape) - 1)):
         zeros = width - sum(shape[j + 1:])
         classes = {}  # basis -> (rho, next basis) per projective point
-        steps = {}  # (basis, psi column) -> Counter of (next basis, entry)
         for i in range(shape[j]):
             col = zeros + i if i < shape[j + 1] else None
-            if i == shape[j] - 1 and not any(shape[:j]):
-                states = _last_row(field, states, zeros, width, col, points)
-                break
-            nxt = {}
-            for (basis, tr), c in states.items():
-                step = steps.get((basis, col))
-                if step is None:
-                    cls = classes.get(basis)
+            last = i == shape[j] - 1 and not any(shape[:j])
+            groups = {}  # (basis, or its free columns in the last row; hit) -> counts
+            for basis, counts in states.items():
+                key = (_free(basis, zeros, width) if last else basis,
+                       col is not None and any(row[col] for row in basis))
+                old = groups.get(key)
+                groups[key] = counts if old is None else [a + b for a, b in zip(old, counts)]
+            states = {}
+            for (kind, hit), counts in groups.items():
+                if last:
+                    rank = width - zeros - len(kind)
+                    keep, cls = rank, [(v, rank + 1) for v in _points(points, q, kind, width)]
+                else:
+                    rank, keep, cls = len(kind), kind, classes.get(kind)
                     if cls is None:
-                        pts = _points(points, q, _free(basis, zeros, width), width)
-                        cls = classes[basis] = [(v, _insert(field, basis, v)) for v in pts]
-                    hit = col is not None and any(row[col] for row in basis)
-                    step = steps[basis, col] = _step(field, q ** len(basis), hit, basis, cls, col)
-                sums = add[tr]
-                for (nb, e), k in step.items():
-                    key = (nb, sums[e])
-                    nxt[key] = nxt.get(key, 0) + c * k
-            states = nxt
-    counts = [[0] * q for _ in range(min(sum(shape[:-1]), width) + 1)]
-    for (rank, tr), c in states.items():
-        counts[rank][tr] += c
+                        pts = _points(points, q, _free(kind, zeros, width), width)
+                        cls = classes[kind] = [(v, _insert(field, kind, v)) for v in pts]
+                for (nxt, e), k in _outcomes(field, q ** rank, hit, keep, cls, col).items():
+                    row = states.get(nxt)
+                    if row is None:
+                        row = states[nxt] = [0] * q
+                    for t, c in zip(add[e], counts):
+                        row[t] += k * c
+    counts = [states[r] for r in range(len(states))]
     total = sum(map(sum, counts))
     expected = q ** sum(a * b for a, b in combinations(shape, 2))
     if total != expected:

@@ -194,44 +194,55 @@ class TestBackendAgreement:
 
     def test_triple_table_extends_each_basis_once_per_block(self, monkeypatch):
         # the last block's rows first; each block builds one next basis per
-        # projective point of each distinct basis (_insert), groups the
-        # outcomes once per distinct (basis, psi column) (_step), and the
-        # last row, which reads only ranks, builds no basis
-        insert, step, last_row = kernels._insert, kernels._step, kernels._last_row
+        # projective point of each distinct basis (_insert), each row steps
+        # each distinct basis once (_outcomes), and the last row, which reads
+        # only ranks, builds no basis and steps each (free columns, hit) once
+        insert, outcomes = kernels._insert, kernels._outcomes
         calls = []
 
         def counted_insert(field, basis, v):
             calls.append(("insert", basis, v))
             return insert(field, basis, v)
 
-        def counted_step(field, size, hit, keep, classes, col):
-            calls.append(("step", keep, col))
-            return step(field, size, hit, keep, classes, col)
-
-        def counted_last_row(*args):
-            calls.append(("last row",))
-            return last_row(*args)
+        def counted_outcomes(field, size, hit, keep, classes, col):
+            # the points on the free columns lead with each free column
+            free = tuple(sorted({v.index(1) for v, _ in classes}))
+            calls.append(("outcomes", keep, col, free, hit))
+            return outcomes(field, size, hit, keep, classes, col)
 
         monkeypatch.setattr(kernels, "_insert", counted_insert)
-        monkeypatch.setattr(kernels, "_step", counted_step)
-        monkeypatch.setattr(kernels, "_last_row", counted_last_row)
+        monkeypatch.setattr(kernels, "_outcomes", counted_outcomes)
         # the second block's two rows extend () (q + 1 points), then its
         # q + 1 lines (1 each); the first block's first row extends () (q^3 +
         # q^2 + q + 1), the lines (q^2 + q + 1 each) and the plane (q + 1):
         # 45 inserts over GF(2), 104 over GF(3), and 1 + (q + 2) + (q + 3)
         # steps, each distinct.  Each block enumerates a basis's classes
         # once; only the second block's 2(q + 1) inserts, into () and into
-        # its lines, come again as points of the first block's set
+        # its lines, come again as points of the first block's set.  The
+        # last row's groups are the pivot sets with at most one pivot in
+        # columns 0 and 1 (1 + 4 + 5 + 2 by rank), each with whether a row is
+        # nonzero at column 1 where both can occur (at pivot sets 0, 02, 03
+        # and 023): 16 whatever q
         for q, inserts, steps in [(2, 45, 10), (3, 104, 12)]:
             calls.clear()
             kernels.count_by_rank_trace(gf(q), (2, 2, 2))
-            last = calls.index(("last row",))
+            last = next(n for n, c in enumerate(calls)
+                        if c[0] == "outcomes" and isinstance(c[1], int))
             for kind, work, distinct in [("insert", inserts, inserts - 2 * (q + 1)),
-                                         ("step", steps, steps)]:
-                made = [c for c in calls[:last] if c[0] == kind]
+                                         ("outcomes", steps, steps)]:
+                made = [c[:3] for c in calls[:last] if c[0] == kind]
                 assert (len(made), len(set(made))) == (work, distinct), (q, kind)
-            assert calls[last + 1:] and all(c[0] == "step" and isinstance(c[1], int)
-                                            for c in calls[last + 1:]), q
+            tail = calls[last:]
+            assert all(c[0] == "outcomes" and isinstance(c[1], int) for c in tail), q
+            assert len({c[3:] for c in tail}) == len(tail) == 16, q
+
+    def test_last_row_groups_match_a_from_scratch_tally(self):
+        # the last row merges the states of equal free columns and hit; every
+        # composition of up to 2^10 elements over GF(2), empty parts included
+        for k in range(2, 5):
+            for shape in product(range(3), repeat=k):
+                if sum(a * b for a, b in combinations(shape, 2)) <= 10:
+                    _check_against_tally(2, shape)
 
 
 class TestTransferTotal:
@@ -239,14 +250,14 @@ class TestTransferTotal:
 
     @pytest.fixture(autouse=True)
     def drop_last_outcome(self, monkeypatch):
-        step = kernels._step
+        outcomes = kernels._outcomes
 
         def short(*args):
-            out = step(*args)
+            out = outcomes(*args)
             del out[next(reversed(out))]
             return out
 
-        monkeypatch.setattr(kernels, "_step", short)
+        monkeypatch.setattr(kernels, "_outcomes", short)
 
     def test_single_matrix_table(self):
         with pytest.raises(AssertionError, match="totals"):
@@ -272,9 +283,16 @@ class TestKernelShapes:
             assert len(counts) == min(rows, cols) + 1, (q, rows, cols)
             assert [len(row) for row in counts] == [q] * len(counts), (q, rows, cols)
 
+    def test_table_ends_at_the_largest_rank_that_occurs(self):
+        # u - I is 3 x 3 but of rank at most 2: the middle block's two rows
+        # are zero on every column but the last
+        assert kernels.count_by_rank_trace(gf(2), (1, 2, 1)) == [[1, 0], [5, 8], [10, 8]]
+
 
 def _tally(field, shape):
     """counts[rank][psi-sum] over N(shape), ranking every u - I from scratch.
+
+    The table has a row per rank up to the largest met.
 
     u - I is ranked as its corner above the diagonal blocks: the rows of
     blocks 1..k-1 on the columns of blocks 2..k, free above the diagonal
@@ -288,7 +306,7 @@ def _tally(field, shape):
     free = [(r, c) for r in range(rows) for c in range(cols) if block[r] < block[shape[0] + c]]
     psi = [free.index((starts[j] + i, starts[j + 1] + i - shape[0]))
            for j in range(len(shape) - 1) for i in range(min(shape[j], shape[j + 1]))]
-    counts = [[0] * q for _ in range(min(rows, cols) + 1)]
+    counts = {}  # rank -> counts by psi-sum
     for values in product(range(q), repeat=len(free)):
         m = [[0] * cols for _ in range(rows)]
         for (r, c), v in zip(free, values):
@@ -296,8 +314,8 @@ def _tally(field, shape):
         tr = 0
         for i in psi:
             tr = field.add_table[tr][values[i]]
-        counts[rank(field, m)][tr] += 1
-    return counts
+        counts.setdefault(rank(field, m), [0] * q)[tr] += 1
+    return [counts.get(r, [0] * q) for r in range(max(counts) + 1)]
 
 
 def _check_against_tally(q, shape):
